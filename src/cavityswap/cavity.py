@@ -81,34 +81,78 @@ class SpectralResponse:
         return abs(self.r) ** 2 + abs(self.t) ** 2 + abs(self.m) ** 2 - 1.0
 
 
+def coefficients(g, kappa, gamma, omega, parts: str = "rtm") -> tuple[np.ndarray, ...]:
+    """(R, T, m) broadcast over rates (g, kappa, gamma) and detunings omega.
+
+    ``parts`` names the coefficients to compute and return, in that order;
+    a caller that needs one of them skips the others' complex divisions.
+    Entries with g = 0 take the bare-cavity form: the emitter term vanishes
+    identically, which also makes this the Decoupled branch.  The others use
+    the dressed form with numerator and denominator multiplied through by
+    (i*omega - gamma/2), so the removable singularity at omega = 0,
+    gamma = 0 needs no special casing.
+    """
+    g, kappa, gamma, omega = np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (g, kappa, gamma, omega))
+    )
+    if not np.all(np.isfinite(omega)):
+        raise ValueError("omega must be finite")
+    bare = g == 0.0
+    if bare.all():
+        return _bare(kappa, omega, parts)
+    if not bare.any():
+        return _dressed(g, kappa, gamma, omega, parts)
+    out = tuple(np.empty(omega.shape, dtype=complex) for _ in parts)
+    dressed = ~bare
+    for mask, values in (
+        (bare, _bare(kappa[bare], omega[bare], parts)),
+        (dressed, _dressed(g[dressed], kappa[dressed], gamma[dressed], omega[dressed], parts)),
+    ):
+        for array, value in zip(out, values):
+            array[mask] = value
+    return out
+
+
+def _bare(kappa, omega, parts):
+    denom = kappa - 1j * omega
+    out = []
+    for part in parts:
+        if part == "r":
+            out.append(1j * omega / denom)
+        elif part == "t":
+            out.append(kappa / denom)
+        else:
+            out.append(np.zeros_like(denom))
+    return tuple(out)
+
+
+def _dressed(g, kappa, gamma, omega, parts):
+    d = 1j * omega - gamma / 2.0
+    denom = (kappa - 1j * omega) * d - g * g
+    out = []
+    for part in parts:
+        if part == "r":
+            out.append((1j * omega * d + g * g) / denom)
+        elif part == "t":
+            out.append(kappa * d / denom)
+        else:
+            out.append(1j * np.sqrt(kappa * gamma) * g / denom)
+    return tuple(out)
+
+
 def response_arrays(
     params: CavityParams, pol: str, branch: AtomBranch, omega: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized (R, T, m) over an array of detunings.
-
-    The Coupled branch uses the form with numerator and denominator multiplied
-    through by (i*omega - gamma/2), so the removable singularity at
-    omega = 0, gamma = 0 needs no special casing.  With g = 0 the emitter term
-    vanishes identically and the bare-cavity expressions apply.
-    """
+    """Vectorized (R, T, m) over an array of detunings: the same forms as
+    coefficients() with scalar rates, without its broadcasting overhead,
+    which adaptive Simpson would pay on every one-point evaluation."""
     g, kappa, gamma = params.rates(pol)
     omega = np.asarray(omega, dtype=float)
     if not np.all(np.isfinite(omega)):
         raise ValueError("omega must be finite")
-
     if branch is AtomBranch.DECOUPLED or g == 0.0:
-        denom = kappa - 1j * omega
-        r = 1j * omega / denom
-        t = kappa / denom
-        m = np.zeros_like(r)
-        return r, t, m
-
-    d = 1j * omega - gamma / 2.0
-    denom = (kappa - 1j * omega) * d - g * g
-    r = (1j * omega * d + g * g) / denom
-    t = kappa * d / denom
-    m = np.full_like(r, 1j * math.sqrt(kappa * gamma) * g) / denom
-    return r, t, m
+        return _bare(kappa, omega, "rtm")
+    return _dressed(g, kappa, gamma, omega, "rtm")
 
 
 def response(

@@ -181,15 +181,6 @@ def _quad_config(args) -> QuadratureConfig:
         raise UsageError(str(exc))
 
 
-def _worker_count() -> int | None:
-    raw = os.environ.get("CAVITYSWAP_WORKERS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return None
-    return n if n > 1 else None
-
-
 # ---------------------------------------------------------------------------
 # output plumbing
 
@@ -197,8 +188,8 @@ def _worker_count() -> int | None:
 @dataclass(frozen=True)
 class RunReport:
     """Result of one invocation: echoed inputs, outputs, quadrature residual,
-    seed.  ``wall_time_s`` is never part of the serialized payload — identical
-    inputs and seed must emit identical bytes — so timing goes to stderr.
+    seed.  Timing is never part of it — identical inputs and seed must emit
+    identical bytes — so timing goes to stderr.
     """
 
     command: str
@@ -206,7 +197,6 @@ class RunReport:
     outputs: dict
     residual: float | None = None
     seed: int | None = None
-    wall_time_s: float | None = None
 
     def as_dict(self) -> dict:
         return {
@@ -294,8 +284,12 @@ def cmd_metrics(args) -> int:
     bandwidth = parse_bandwidth(bandwidth_text, params)
     quad = _quad_config(args)
     pulse = PulseSpec(bandwidth)
-    result = pulses.gate_metrics(params, pulse, quad)
-    residual = pulses.metrics_residual(params, pulse, quad)
+    try:
+        result = pulses.gate_metrics(params, pulse, quad)
+        residual = pulses.metrics_residual(params, pulse, quad)
+    except (ValueError, ArithmeticError) as exc:
+        # e.g. --nodes past what numpy's rule survives: the residual doubles it
+        raise UsageError(f"cannot evaluate this operating point: {exc}")
     inputs = _echo_params(params, preset)
     inputs.update(bandwidth=bandwidth, method=quad.method, nodes=quad.nodes)
     outputs = {
@@ -375,7 +369,7 @@ def cmd_sweep(args) -> int:
     if args.gamma <= 0 or not math.isfinite(args.gamma):
         raise UsageError("--gamma must be positive (units of kappa)")
     quad = _quad_config(args)
-    rows = pulses.sweep(couplings, bandwidths, args.gamma, quad, workers=_worker_count())
+    rows = pulses.sweep(couplings, bandwidths, args.gamma, quad)
     for row in rows:
         if row.error:
             print(
@@ -696,6 +690,9 @@ def cmd_verify(args) -> int:
             check()
         except AssertionError as exc:
             print(f"FAIL {name}: {exc}")
+            failed.append(name)
+        except Exception as exc:  # a check that crashes has not passed either
+            print(f"FAIL {name}: {type(exc).__name__}: {exc}")
             failed.append(name)
         else:
             print(f"PASS {name}")

@@ -125,6 +125,16 @@ def test_metrics_usage_errors(capsys):
     assert run(["metrics", "--bandwidth", "0.1"]) == EXIT_USAGE
 
 
+def test_metrics_degenerate_residual_rule_is_usage_error(capsys):
+    # the residual doubles --nodes; numpy's 400-node rule has NaN weights
+    assert run(["metrics", "--preset", "atomic", "--nodes", "200"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error:")
+    assert "400-node Gauss-Hermite rule is degenerate" in err[0]
+
+
 def test_metrics_byte_determinism(capsys):
     run(["metrics", "--preset", "atomic"])
     first = capsys.readouterr().out
@@ -253,38 +263,34 @@ def test_sweep_bad_values():
     assert run(["sweep", "--axis", "coupling", "--values", "3", "--gamma", "-1"]) == EXIT_USAGE
 
 
-def test_sweep_worker_env_same_bytes(tmp_path, monkeypatch):
-    argv = ["sweep", "--axis", "coupling", "--values", "2,4,8", "--bandwidth",
-            "0.05,0.1"]
-    a = tmp_path / "serial.csv"
-    monkeypatch.delenv("CAVITYSWAP_WORKERS", raising=False)
-    run(argv + ["--out", str(a)])
-    b = tmp_path / "parallel.csv"
-    monkeypatch.setenv("CAVITYSWAP_WORKERS", "4")
-    run(argv + ["--out", str(b)])
-    assert a.read_text() == b.read_text()
-
-
-def test_sweep_failed_point_still_emits_row(tmp_path, monkeypatch, capsys):
-    real = pulses.gate_metrics
-
-    def flaky(params, pulse, quad=pulses.DEFAULT_QUAD):
-        if params.g_h == 4.0:
-            raise ValueError("boom")
-        return real(params, pulse, quad)
-
-    monkeypatch.setattr(pulses, "gate_metrics", flaky)
+def test_sweep_failed_point_still_emits_row(tmp_path, capsys):
+    # g = 1e200 overflows g^2, so the pulse averages at that point are NaN
     out = tmp_path / "partial.csv"
-    code = run(["sweep", "--axis", "coupling", "--values", "2,4", "--bandwidth", "0.1",
+    code = run(["sweep", "--axis", "coupling", "--values", "2,1e200", "--bandwidth", "0.1",
                 "--out", str(out)])
     assert code == EXIT_OK
     captured = capsys.readouterr()
-    assert "failed" in captured.err and "boom" in captured.err
+    assert "warning: point g=1e+200 dw=0.1 failed: reflect_prob_h = nan outside [0, 1]" in captured.err
+    assert "RuntimeWarning" not in captured.err
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 3
+    good = lines[1].split(",")
+    assert float(good[0]) == 2.0 and math.isfinite(float(good[2]))
     bad = lines[2].split(",")
-    assert float(bad[0]) == 4.0
+    assert float(bad[0]) == 1e200
     assert math.isnan(float(bad[2])) and math.isnan(float(bad[3]))
+
+
+def test_sweep_degenerate_rule_gives_nan_rows(capsys):
+    # numpy's 371-node rule has all-zero weights, which would read as p = 1, F = 0
+    code = run(["sweep", "--axis", "coupling", "--values", "3", "--bandwidth", "0.1",
+                "--nodes", "371"])
+    assert code == EXIT_OK
+    captured = capsys.readouterr()
+    row = captured.out.strip().splitlines()[1].split(",")
+    assert math.isnan(float(row[2])) and math.isnan(float(row[3]))
+    assert "warning: point g=3 dw=0.1 failed:" in captured.err
+    assert "371-node Gauss-Hermite rule is degenerate" in captured.err
 
 
 def test_sweep_single_point_matches_metrics(capsys):
@@ -320,6 +326,19 @@ def test_verify_circuits_runs_without_quadrature(monkeypatch, capsys):
     monkeypatch.setattr(cavity, "response_arrays", poisoned)
     assert run(["verify", "circuits"]) == EXIT_OK
     assert capsys.readouterr().out.count("PASS") == 7
+
+
+def test_verify_counts_any_exception_as_failure(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise ValueError("reflect_prob_h = nan outside [0, 1]")
+
+    monkeypatch.setattr(pulses, "overlaps", broken)
+    assert run(["verify", "physics"]) == EXIT_VERIFY
+    captured = capsys.readouterr()
+    assert "FAIL polarization-symmetry: ValueError: reflect_prob_h = nan outside [0, 1]" in captured.out
+    assert "PASS flux-conservation" in captured.out
+    assert "polarization-symmetry" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_verify_detects_flux_violation(monkeypatch, capsys):

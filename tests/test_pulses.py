@@ -180,30 +180,99 @@ def test_sweep_rows_sorted_and_complete():
     assert rows[3].fidelity == pytest.approx(point.fidelity, abs=1e-14)
 
 
-def test_sweep_marks_failed_points(monkeypatch):
-    real = pulses.gate_metrics
-
-    def flaky(params, pulse, quad=pulses.DEFAULT_QUAD):
-        if params.g_h == 6.0 and pulse.bandwidth == 0.1:
-            raise ValueError("synthetic failure")
-        return real(params, pulse, quad)
-
-    monkeypatch.setattr(pulses, "gate_metrics", flaky)
-    rows = pulses.sweep([3.0, 6.0], [0.05, 0.1])
-    assert len(rows) == 4
+def test_sweep_marks_failed_points():
+    # g = 1e200 overflows g^2 and the averages turn NaN; a negative g and a
+    # zero bandwidth are rejected by CavityParams and PulseSpec
+    rows = pulses.sweep([1e200, 3.0, -1.0], [0.1, 0.0])
+    assert len(rows) == 6
+    keys = [(r.g_over_kappa, r.bandwidth_over_kappa) for r in rows]
+    assert keys == [(-1.0, 0.0), (-1.0, 0.1), (3.0, 0.0), (3.0, 0.1), (1e200, 0.0), (1e200, 0.1)]
     bad = [r for r in rows if r.error]
-    assert len(bad) == 1
-    assert bad[0].g_over_kappa == 6.0 and bad[0].bandwidth_over_kappa == 0.1
-    assert math.isnan(bad[0].loss_probability) and math.isnan(bad[0].fidelity)
-    assert "synthetic failure" in bad[0].error
+    assert len(bad) == 5
+    assert all(math.isnan(r.loss_probability) and math.isnan(r.fidelity) for r in bad)
+    assert rows[0].error == rows[1].error == "coupling rates must be >= 0"
+    assert rows[2].error == rows[4].error == "bandwidth must be positive and finite, got 0.0"
+    assert rows[5].error == "reflect_prob_h = nan outside [0, 1]"
     good = [r for r in rows if not r.error]
+    assert [(r.g_over_kappa, r.bandwidth_over_kappa) for r in good] == [(3.0, 0.1)]
     assert all(math.isfinite(r.loss_probability) for r in good)
 
 
-def test_sweep_parallel_matches_serial():
-    serial = sweep([2.0, 5.0, 9.0], [0.05, 0.2])
-    parallel = sweep([2.0, 5.0, 9.0], [0.05, 0.2], workers=4)
-    assert serial == parallel
+def _scalar_path(params, bandwidth, nodes):
+    """(OverlapSet, p, F) the per-point way: every average its own
+    gauss_hermite_mean call, the metrics plain Python arithmetic."""
+    v = {}
+    for pol in ("h", "v"):
+        for branch, name in ((AtomBranch.COUPLED, "reflect"), (AtomBranch.DECOUPLED, "transmit")):
+
+            def amplitude(w, pol=pol, branch=branch):
+                r, t, _ = response_arrays(params, pol, branch, w)
+                return r if branch is AtomBranch.COUPLED else t
+
+            power = gauss_hermite_mean(lambda w: np.abs(amplitude(w)) ** 2, bandwidth, nodes).real
+            mean = gauss_hermite_mean(amplitude, bandwidth, nodes)
+            v[f"{name}_prob_{pol}"] = power
+            v[f"{name}_overlap_{pol}"] = mean / math.sqrt(power) if power > 0.0 else 0.0j
+    p = 1.0 - (v["transmit_prob_h"] * v["transmit_prob_v"] + v["reflect_prob_h"] * v["reflect_prob_v"]) / 2.0
+    f = abs(v["reflect_overlap_h"] * v["reflect_overlap_v"] + v["transmit_overlap_h"] * v["transmit_overlap_v"]) ** 2 / 4.0
+    return OverlapSet(**v), min(max(p, 0.0), 1.0), min(max(f, 0.0), 1.0)
+
+
+def test_batched_kernel_matches_scalar_path_exactly():
+    """Batching must not move a single bit: the sweep and overlaps() against
+    the per-point computation, with ==.  An odd node count puts a node at
+    omega = 0; g = 0 takes the bare-cavity form inside a batch."""
+    couplings = [0.0, 1e-3, 3.0, 20.0]
+    bandwidths = [1e-3, 0.1, 10.0]
+    for gamma in (0.0, 1.0):
+        for nodes in (8, 63, 64, 185):
+            quad = QuadratureConfig(nodes=nodes)
+            rows = sweep(couplings, bandwidths, gamma, quad)
+            assert [(r.g_over_kappa, r.bandwidth_over_kappa) for r in rows] == [
+                (g, dw) for g in couplings for dw in bandwidths
+            ]
+            for row in rows:
+                params = CavityParams.symmetric(row.g_over_kappa, 1.0, gamma)
+                expected, p, f = _scalar_path(params, row.bandwidth_over_kappa, nodes)
+                assert row.error == ""
+                assert (row.loss_probability, row.fidelity) == (p, f)
+                assert overlaps(params, PulseSpec(row.bandwidth_over_kappa), quad) == expected
+    mixed = CavityParams(3.0, 0.0, 1.0, 2.0, 0.0, 1.0)
+    expected, p, f = _scalar_path(mixed, 0.1, 63)
+    assert overlaps(mixed, PulseSpec(0.1), QuadratureConfig(nodes=63)) == expected
+    result = gate_metrics(mixed, PulseSpec(0.1), QuadratureConfig(nodes=63))
+    assert (result.loss_probability, result.fidelity) == (p, f)
+
+
+def test_metrics_rounds_like_the_scalar_expressions():
+    """metrics() works on arrays but must round as the Python expression
+    does: complex products unfused, |z| by hypot, and ** 2 by libm pow,
+    which can differ from h * h in the last bit."""
+    rng = np.random.default_rng(5)
+    moduli = [h for h in rng.uniform(0.5, 1.0, 20000).tolist() if h**2 != h * h][:20]
+    cases = [OverlapSet(0.9, 0.8, 0.95, 0.85, complex(h), 1 + 0j, 0j, 0j) for h in moduli]
+    for _ in range(300):
+        probs = rng.uniform(0.0, 1.0, 4).tolist()
+        parts = rng.uniform(-0.7, 0.7, (4, 2)).tolist()
+        cases.append(OverlapSet(*probs, *(complex(re, im) for re, im in parts)))
+    for ov in cases:
+        p = 1.0 - (ov.transmit_prob_h * ov.transmit_prob_v + ov.reflect_prob_h * ov.reflect_prob_v) / 2.0
+        f = abs(ov.reflect_overlap_h * ov.reflect_overlap_v + ov.transmit_overlap_h * ov.transmit_overlap_v) ** 2 / 4.0
+        result = pulses.metrics(ov)
+        assert (result.loss_probability, result.fidelity) == (min(max(p, 0.0), 1.0), min(max(f, 0.0), 1.0))
+
+
+def test_degenerate_hermite_rule_is_rejected():
+    # numpy's weights are all zero at 371 nodes and NaN from 372: the rule
+    # must be refused, never turned into p = 1, F = 0
+    for nodes in (371, 372):
+        with pytest.raises(ValueError, match="degenerate"):
+            gauss_hermite_mean(lambda w: np.ones_like(w), 0.1, nodes)
+    (row,) = sweep([3.0], [0.1], quad=QuadratureConfig(nodes=371))
+    assert math.isnan(row.loss_probability) and math.isnan(row.fidelity)
+    assert "371-node Gauss-Hermite rule is degenerate" in row.error
+    with pytest.raises(ValueError, match="400-node"):
+        metrics_residual(ATOMIC, PulseSpec(0.1), QuadratureConfig(nodes=200))
 
 
 def test_sweep_rejects_empty_grid():
