@@ -8,7 +8,7 @@ circuit synthesis (:mod:`cavityswap.circuits`), the lossy output channel
 (:mod:`cavityswap.cli`).
 """
 from .cavity import AtomBranch, CavityParams, SpectralResponse, response, response_arrays
-from .channel import NoisyGateModel, OutputDensity, apply_noisy_cswap, build_model
+from .channel import OutputDensity, apply_noisy_cswap
 from .circuits import (
     CSWAP,
     BranchOutcome,
@@ -63,7 +63,6 @@ __all__ = [
     "Gate",
     "GateMetrics",
     "H",
-    "NoisyGateModel",
     "OutputDensity",
     "OverlapSet",
     "Phase",
@@ -81,7 +80,6 @@ __all__ = [
     "apply",
     "apply_noisy_cswap",
     "basis_state",
-    "build_model",
     "circuit_unitary",
     "cpf_circuit",
     "cpf_feedforward",

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import CavityParams
-from .pulses import DEFAULT_QUAD, PulseSpec, QuadratureConfig, overlaps
+from .pulses import OverlapSet
 
 MODE_IDEAL = 0
 MODE_DISTORTED = 1
@@ -32,70 +31,6 @@ MODE_LOST = 2
 
 _PORT_DIM = 6  # pol x mode
 _DIM = 2 * _PORT_DIM * _PORT_DIM
-
-
-@dataclass(frozen=True)
-class NoisyGateModel:
-    """Pulse-averaged channel coefficients per polarization.
-
-    survive_*: probability the photon exits the correct port (reflected for
-    the Coupled branch, transmitted for the Decoupled branch).  overlap_*:
-    normalized amplitude of the surviving pulse on the nominal mode.
-    """
-
-    survive_reflect_h: float
-    survive_reflect_v: float
-    survive_transmit_h: float
-    survive_transmit_v: float
-    overlap_reflect_h: complex
-    overlap_reflect_v: complex
-    overlap_transmit_h: complex
-    overlap_transmit_v: complex
-
-    def __post_init__(self):
-        slack = 1.0 + 1e-12
-        for name in (
-            "survive_reflect_h",
-            "survive_reflect_v",
-            "survive_transmit_h",
-            "survive_transmit_v",
-        ):
-            value = getattr(self, name)
-            if not (0.0 <= value <= slack):
-                raise ValueError(f"{name} = {value!r} outside [0, 1]")
-        for name in (
-            "overlap_reflect_h",
-            "overlap_reflect_v",
-            "overlap_transmit_h",
-            "overlap_transmit_v",
-        ):
-            if abs(getattr(self, name)) > slack:
-                raise ValueError(f"|{name}| exceeds 1")
-
-    def survive(self, branch: int, pol: str) -> float:
-        key = "reflect" if branch == 0 else "transmit"
-        return getattr(self, f"survive_{key}_{pol}")
-
-    def overlap(self, branch: int, pol: str) -> complex:
-        key = "reflect" if branch == 0 else "transmit"
-        return getattr(self, f"overlap_{key}_{pol}")
-
-
-def build_model(
-    params: CavityParams, pulse: PulseSpec, quad: QuadratureConfig = DEFAULT_QUAD
-) -> NoisyGateModel:
-    """Channel coefficients from the same quadrature path as the metrics."""
-    ov = overlaps(params, pulse, quad)
-    return NoisyGateModel(
-        survive_reflect_h=ov.reflect_prob_h,
-        survive_reflect_v=ov.reflect_prob_v,
-        survive_transmit_h=ov.transmit_prob_h,
-        survive_transmit_v=ov.transmit_prob_v,
-        overlap_reflect_h=ov.reflect_overlap_h,
-        overlap_reflect_v=ov.reflect_overlap_v,
-        overlap_transmit_h=ov.transmit_overlap_h,
-        overlap_transmit_v=ov.transmit_overlap_v,
-    )
 
 
 @dataclass(frozen=True)
@@ -129,34 +64,43 @@ def _normalized_pair(amp, label):
     return pair
 
 
-def _survivor_vector(model, branch, pair):
+def _branch_fields(ov, branch, pol):
+    # (survival probability, mode overlap): atomic branch 0 reflects, 1 transmits
+    key = "reflect" if branch == 0 else "transmit"
+    return getattr(ov, f"{key}_prob_{pol}"), getattr(ov, f"{key}_overlap_{pol}")
+
+
+def _survivor_vector(ov, branch, pair):
     """6-vector of the surviving photon amplitude at one output port."""
     out = np.zeros(_PORT_DIM, dtype=complex)
     for qi, pol in enumerate(("h", "v")):
-        s = math.sqrt(model.survive(branch, pol))
-        xi = model.overlap(branch, pol)
+        prob, xi = _branch_fields(ov, branch, pol)
+        s = math.sqrt(prob)
         chi = math.sqrt(max(0.0, 1.0 - abs(xi) ** 2))
         out[3 * qi + MODE_IDEAL] = pair[qi] * s * xi
         out[3 * qi + MODE_DISTORTED] = pair[qi] * s * chi
     return out
 
 
-def _lost_diagonal(model, branch, pair):
+def _lost_diagonal(ov, branch, pair):
     """6x6 diagonal weight of the lost component at one output port."""
     diag = np.zeros(_PORT_DIM)
     for qi, pol in enumerate(("h", "v")):
-        diag[3 * qi + MODE_LOST] = abs(pair[qi]) ** 2 * (1.0 - model.survive(branch, pol))
+        prob, _ = _branch_fields(ov, branch, pol)
+        diag[3 * qi + MODE_LOST] = abs(pair[qi]) ** 2 * (1.0 - prob)
     return np.diag(diag).astype(complex)
 
 
 def apply_noisy_cswap(
-    model: NoisyGateModel,
+    ov: OverlapSet,
     photon_left=(1.0, 0.0),
     photon_right=(0.0, 1.0),
     atom=(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)),
 ) -> OutputDensity:
     """Output density operator of the noisy gate on a product input.
 
+    ``ov`` holds the pulse averages, e.g. ``pulses.overlaps(params, pulse)``:
+    the reflect_* entries act in atomic branch 0, transmit_* in branch 1.
     Photons are given as (h, v) amplitude pairs at the left and right ports,
     the atom as (c0, c1); defaults are the typical input: atom in
     (|0>+|1>)/sqrt(2), photons |h> and |v>.
@@ -173,8 +117,8 @@ def apply_noisy_cswap(
     for b in (0, 1):
         # branch 0 keeps ports, branch 1 exchanges their contents
         at_left, at_right = (left, right) if b == 0 else (right, left)
-        s_left = _survivor_vector(model, b, at_left)
-        s_right = _survivor_vector(model, b, at_right)
+        s_left = _survivor_vector(ov, b, at_left)
+        s_right = _survivor_vector(ov, b, at_right)
         survivors[b] = (s_left, s_right, at_left, at_right)
         atom_ket = np.zeros(2, dtype=complex)
         atom_ket[b] = atom_amp[b]
@@ -188,8 +132,8 @@ def apply_noisy_cswap(
         weight = abs(atom_amp[b]) ** 2
         atom_proj = np.zeros((2, 2), dtype=complex)
         atom_proj[b, b] = 1.0
-        lost_left = _lost_diagonal(model, b, at_left)
-        lost_right = _lost_diagonal(model, b, at_right)
+        lost_left = _lost_diagonal(ov, b, at_left)
+        lost_right = _lost_diagonal(ov, b, at_right)
         alive_left = np.outer(s_left, s_left.conj())
         alive_right = np.outer(s_right, s_right.conj())
         rho += weight * np.kron(atom_proj, np.kron(lost_left, alive_right))

@@ -18,7 +18,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -285,8 +285,7 @@ def cmd_metrics(args) -> int:
     quad = _quad_config(args)
     pulse = PulseSpec(bandwidth)
     try:
-        result = pulses.gate_metrics(params, pulse, quad)
-        residual = pulses.metrics_residual(params, pulse, quad)
+        result, residual = pulses.metrics_residual(params, pulse, quad)
     except (ValueError, ArithmeticError) as exc:
         # e.g. --nodes past what numpy's rule survives: the residual doubles it
         raise UsageError(f"cannot evaluate this operating point: {exc}")
@@ -446,6 +445,16 @@ def cmd_synthesize(args) -> int:
 
 # ---------------------------------------------------------------------------
 # invariant suites (cmd_verify)
+#
+# VERIFY_CHECKS is the one home of each invariant: cmd_verify runs it and the
+# tests run the same entries.  A check passes by returning and fails by
+# raising.  _require raises explicitly, so the checks keep holding under
+# python -O, which strips assert statements.
+
+
+def _require(condition, message: str) -> None:
+    if not condition:
+        raise AssertionError(message)
 
 
 def _check_gate_norms():
@@ -458,13 +467,15 @@ def _check_gate_norms():
         circuits.S(3),
         circuits.Sdag(0),
         circuits.Phase(0.7, 1),
+        circuits.Phase(1.1, 2),
         circuits.CSWAP(0, 1, 2),
         circuits.CSWAP(3, 0, 2),
+        circuits.CSWAP(1, 0, 3),
     ]
     for gate in gates:
         state = circuits.apply(state, gate)
         norm = float(np.linalg.norm(state.amplitudes))
-        assert abs(norm - 1.0) <= 1e-12, f"norm drifted to {norm!r} after {gate.kind}"
+        _require(abs(norm - 1.0) <= 1e-12, f"norm drifted to {norm!r} after {gate.kind}")
 
 
 def _check_cswap_involution():
@@ -474,32 +485,35 @@ def _check_cswap_involution():
         twice = circuits.apply(
             circuits.apply(state, circuits.CSWAP(0, 1, 2)), circuits.CSWAP(0, 1, 2)
         )
-        assert np.array_equal(twice.amplitudes, state.amplitudes), f"CSWAP^2 != I on {bits}"
+        _require(np.array_equal(twice.amplitudes, state.amplitudes), f"CSWAP^2 != I on {bits}")
 
 
 def _check_register_swap_permutation():
-    n = 2
-    for index in range(2 ** (2 * n + 1)):
-        bits = [(index >> (2 * n - k)) & 1 for k in range(2 * n + 1)]
-        state = circuits.basis_state(bits)
-        out = circuits.cswap_multi(state, 0, (1, 2), (3, 4))
-        expected = list(bits)
-        if bits[0] == 1:
-            expected[1:3], expected[3:5] = bits[3:5], bits[1:3]
-        assert np.array_equal(
-            out.amplitudes, circuits.basis_state(expected).amplitudes
-        ), f"register swap wrong on {bits}"
+    for n in (1, 2, 3, 4):
+        # distinct amplitudes tag the basis states, so one application shows
+        # where each of them goes.  Index bits, most significant first: the
+        # control (wire 0), register a, register b.
+        dim = 2 ** (2 * n + 1)
+        tags = np.arange(1.0, dim + 1.0)
+        state = circuits.PureState(tags / np.linalg.norm(tags), 2 * n + 1)
+        out = circuits.cswap_multi(state, 0, range(1, n + 1), range(n + 1, 2 * n + 1))
+        index = np.arange(dim)
+        control, reg_a, reg_b = index >> (2 * n), (index >> n) % 2**n, index % 2**n
+        image = np.where(control == 1, (control << (2 * n)) | (reg_b << n) | reg_a, index)
+        expected = np.empty(dim, dtype=complex)
+        expected[image] = state.amplitudes
+        _require(np.array_equal(out.amplitudes, expected), f"register swap wrong for n = {n}")
 
 
 def _check_swap_test_closed_form():
     rng = np.random.default_rng(11)
-    for _ in range(20):
-        n = int(rng.integers(1, 4))
+    for _ in range(40):
+        n = int(rng.integers(1, 5))
         psi = circuits.random_state(n, rng)
         phi = circuits.random_state(n, rng)
         got = circuits.swap_test(psi, phi)
         overlap = abs(np.vdot(psi.amplitudes, phi.amplitudes)) ** 2
-        assert abs(got - (1.0 - overlap) / 2.0) <= 1e-12, "swap test deviates from closed form"
+        _require(abs(got - (1.0 - overlap) / 2.0) <= 1e-12, "swap test deviates from closed form")
 
 
 def _check_phase_flip_branches():
@@ -510,18 +524,19 @@ def _check_phase_flip_branches():
     for outcome in (0, 1):
         block = (unitary[outcome, :, 0, :] + unitary[outcome, :, 1, :]) / math.sqrt(2.0)
         scale = math.sqrt(np.sum(np.abs(block) ** 2) / 4.0)
-        assert abs(scale**2 - 0.5) <= 1e-12, "branch probability is not 1/2"
+        _require(abs(scale**2 - 0.5) <= 1e-12, "branch probability is not 1/2")
         fixed = corrections[outcome] @ (block / scale)
-        assert circuits.equivalent_up_to_phase(fixed, target, 1e-12), (
-            f"branch {outcome} map deviates from the phase flip"
+        _require(
+            circuits.equivalent_up_to_phase(fixed, target, 1e-12),
+            f"branch {outcome} map deviates from the phase flip",
         )
     rng = np.random.default_rng(13)
     for _ in range(10):
         photons = circuits.random_state(2, rng)
         branches = circuits.cpf_feedforward(photons)
-        assert len(branches) == 2
+        _require(len(branches) == 2, f"{len(branches)} feed-forward branches, not 2")
         for b in branches:
-            assert abs(b.probability - 0.5) <= 1e-12, "branch probability drifted"
+            _require(abs(b.probability - 0.5) <= 1e-12, "branch probability drifted")
 
 
 def _check_phase_flip_involution():
@@ -533,20 +548,28 @@ def _check_phase_flip_involution():
             b = photons.amplitudes
             k = int(np.argmax(np.abs(b)))
             phase = a[k] / b[k]
-            assert np.max(np.abs(a - phase * b)) <= 1e-12, (
-                "applying the phase flip twice is not the identity"
+            _require(
+                np.max(np.abs(a - phase * b)) <= 1e-12,
+                "applying the phase flip twice is not the identity",
             )
 
 
 def _check_equivalence_relation():
     rng = np.random.default_rng(19)
     mat = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    assert circuits.equivalent_up_to_phase(mat, mat, 0.0)
-    assert circuits.equivalent_up_to_phase(mat, 1j * mat, 1e-15)
-    assert circuits.equivalent_up_to_phase(1j * mat, mat, 1e-15)
+    equivalent = circuits.equivalent_up_to_phase
+    for a, b, tol in (
+        (mat, mat, 0.0),
+        (mat, 1j * mat, 1e-15),
+        (1j * mat, mat, 1e-15),
+        (mat, np.exp(0.321j) * mat, 1e-14),
+        (-mat, mat, 1e-14),
+    ):
+        _require(equivalent(a, b, tol), f"phase multiple rejected at tol {tol:g}")
     cz = np.diag([1.0, 1.0, 1.0, -1.0])
     zz_cz = np.diag([1.0, -1.0, -1.0, -1.0])
-    assert not circuits.equivalent_up_to_phase(zz_cz, cz, 1e-9)
+    _require(not equivalent(zz_cz, cz, 1e-9), "ZZ.CZ accepted as CZ")
+    _require(not equivalent(mat, mat + 1e-6, 1e-9), "a 1e-6 perturbation accepted at tol 1e-9")
 
 
 def _random_rates(rng) -> CavityParams:
@@ -554,55 +577,67 @@ def _random_rates(rng) -> CavityParams:
         g_h=float(rng.uniform(0.0, 12.0)),
         g_v=float(rng.uniform(0.0, 12.0)),
         kappa_h=1.0,
-        kappa_v=float(rng.uniform(0.5, 2.0)),
+        kappa_v=float(rng.uniform(0.4, 2.5)),
         gamma_h=float(rng.uniform(0.0, 2.0)),
         gamma_v=float(rng.uniform(0.0, 2.0)),
     )
 
 
+def _rate_draws(rng, count: int) -> list[CavityParams]:
+    """count uniform draws, then the last one with g = 0, with gamma = 0 and
+    with both zero: exact zeros that uniform draws never hit."""
+    draws = [_random_rates(rng) for _ in range(count)]
+    return draws + [
+        replace(draws[-1], g_h=0.0, g_v=0.0),
+        replace(draws[-1], gamma_h=0.0, gamma_v=0.0),
+        replace(draws[-1], g_h=0.0, g_v=0.0, gamma_h=0.0, gamma_v=0.0),
+    ]
+
+
 def _check_flux_conservation():
     rng = np.random.default_rng(23)
     omega = np.linspace(-5.0, 5.0, 501)
-    worst = 0.0
-    for _ in range(10):
-        params = _random_rates(rng)
+    residuals = []
+    for params in _rate_draws(rng, 20):
         for pol in ("h", "v"):
             for branch in (AtomBranch.COUPLED, AtomBranch.DECOUPLED):
                 r, t, m = cavity.response_arrays(params, pol, branch, omega)
                 residual = np.abs(r) ** 2 + np.abs(t) ** 2 + np.abs(m) ** 2 - 1.0
-                worst = max(worst, float(np.max(np.abs(residual))))
-    assert worst <= 1e-12, f"flux conservation violated, max residual {worst:.3e}"
+                residuals.append(np.max(np.abs(residual)))
+    worst = float(np.max(residuals))  # NaN propagates and fails below
+    _require(worst <= 1e-12, f"flux conservation violated, max residual {worst:.3e}")
 
 
 def _check_decoupled_branch():
     params = CavityParams.symmetric(5.0, 1.0, 0.3)
     omega = np.linspace(-4.0, 4.0, 201)
     r, t, m = cavity.response_arrays(params, "h", AtomBranch.DECOUPLED, omega)
-    assert np.all(m == 0), "decoupled branch must have zero noise coefficient"
+    _require(np.all(m == 0), "decoupled branch must have zero noise coefficient")
     residual = np.max(np.abs(np.abs(r) ** 2 + np.abs(t) ** 2 - 1.0))
-    assert residual <= 1e-12, "decoupled flux conservation violated"
+    _require(residual <= 1e-12, "decoupled flux conservation violated")
 
 
 def _check_conjugate_symmetry():
+    # real time-domain kernels: r and t are conjugate-even in the detuning,
+    # the loss amplitude m is conjugate-odd (it carries one factor of i g)
     rng = np.random.default_rng(29)
     omega = np.linspace(0.0, 5.0, 101)
-    for _ in range(5):
-        params = _random_rates(rng)
-        for branch in (AtomBranch.COUPLED, AtomBranch.DECOUPLED):
-            rp, tp, mp = cavity.response_arrays(params, "v", branch, omega)
-            rm, tm, mm = cavity.response_arrays(params, "v", branch, -omega)
-            assert np.max(np.abs(rm - rp.conj())) <= 1e-12, "reflection symmetry broken"
-            assert np.max(np.abs(tm - tp.conj())) <= 1e-12, "transmission symmetry broken"
-            # the noise coefficient is odd under conjugation: m(-w) = -conj(m(w))
-            assert np.max(np.abs(mm + mp.conj())) <= 1e-12, "noise symmetry broken"
+    for params in _rate_draws(rng, 5):
+        for pol in ("h", "v"):
+            for branch in (AtomBranch.COUPLED, AtomBranch.DECOUPLED):
+                rp, tp, mp = cavity.response_arrays(params, pol, branch, omega)
+                rm, tm, mm = cavity.response_arrays(params, pol, branch, -omega)
+                _require(np.max(np.abs(rm - rp.conj())) <= 1e-12, "reflection symmetry broken")
+                _require(np.max(np.abs(tm - tp.conj())) <= 1e-12, "transmission symmetry broken")
+                _require(np.max(np.abs(mm + mp.conj())) <= 1e-12, "noise symmetry broken")
 
 
 def _check_narrowband_limits():
     params = CavityParams.symmetric(5.0, 1.0, 0.0)
     coupled = cavity.response(params, "h", AtomBranch.COUPLED, 1e-8)
-    assert abs(coupled.r + 1.0) <= 1e-6, "coupled narrowband reflection limit broken"
+    _require(abs(coupled.r + 1.0) <= 1e-6, "coupled narrowband reflection limit broken")
     decoupled = cavity.response(params, "h", AtomBranch.DECOUPLED, 1e-8)
-    assert abs(decoupled.t - 1.0) <= 1e-6, "decoupled narrowband transmission limit broken"
+    _require(abs(decoupled.t - 1.0) <= 1e-6, "decoupled narrowband transmission limit broken")
 
 
 def _check_quadrature_cross():
@@ -613,11 +648,13 @@ def _check_quadrature_cross():
     simpson = pulses.gate_metrics(
         params, pulse, QuadratureConfig(method=pulses.ADAPTIVE_SIMPSON, tolerance=1e-12)
     )
-    assert abs(gh.loss_probability - simpson.loss_probability) <= 1e-9, (
-        "quadrature schemes disagree on the loss probability"
+    _require(
+        abs(gh.loss_probability - simpson.loss_probability) <= 1e-9,
+        "quadrature schemes disagree on the loss probability",
     )
-    assert abs(gh.fidelity - simpson.fidelity) <= 1e-9, (
-        "quadrature schemes disagree on the fidelity"
+    _require(
+        abs(gh.fidelity - simpson.fidelity) <= 1e-9,
+        "quadrature schemes disagree on the fidelity",
     )
 
 
@@ -625,17 +662,17 @@ def _check_node_doubling():
     for preset in BUILTIN_PRESETS.values():
         params = preset.cavity_params()
         pulse = PulseSpec(parse_bandwidth(preset.bandwidth_rule, params))
-        residual = pulses.metrics_residual(params, pulse, QuadratureConfig())
-        assert residual <= 1e-10, f"node doubling moves metrics by {residual:.3e}"
+        _, residual = pulses.metrics_residual(params, pulse, QuadratureConfig())
+        _require(residual <= 1e-10, f"node doubling moves metrics by {residual:.3e}")
 
 
 def _check_polarization_symmetry():
     params = CavityParams.symmetric(6.0, 1.0, 1.0)
     ov = pulses.overlaps(params, PulseSpec(0.08))
-    assert ov.reflect_prob_h == ov.reflect_prob_v, "h/v reflection probabilities differ"
-    assert ov.transmit_prob_h == ov.transmit_prob_v, "h/v transmission probabilities differ"
-    assert ov.reflect_overlap_h == ov.reflect_overlap_v, "h/v reflection overlaps differ"
-    assert ov.transmit_overlap_h == ov.transmit_overlap_v, "h/v transmission overlaps differ"
+    _require(ov.reflect_prob_h == ov.reflect_prob_v, "h/v reflection probabilities differ")
+    _require(ov.transmit_prob_h == ov.transmit_prob_v, "h/v transmission probabilities differ")
+    _require(ov.reflect_overlap_h == ov.reflect_overlap_v, "h/v reflection overlaps differ")
+    _require(ov.transmit_overlap_h == ov.transmit_overlap_v, "h/v transmission overlaps differ")
 
 
 def _check_channel_closed_form():
@@ -646,44 +683,47 @@ def _check_channel_closed_form():
         )
         pulse = PulseSpec(float(rng.uniform(0.005, 0.3)))
         closed = pulses.gate_metrics(params, pulse)
-        model = channel.build_model(params, pulse)
-        rho = channel.apply_noisy_cswap(model)
-        assert abs(channel.loss_probability(rho) - closed.loss_probability) <= 1e-9, (
-            "channel loss deviates from the closed form"
+        rho = channel.apply_noisy_cswap(pulses.overlaps(params, pulse))
+        _require(
+            abs(channel.loss_probability(rho) - closed.loss_probability) <= 1e-9,
+            "channel loss deviates from the closed form",
         )
-        assert abs(channel.fidelity(rho) - closed.fidelity) <= 1e-9, (
-            "channel fidelity deviates from the closed form"
+        _require(
+            abs(channel.fidelity(rho) - closed.fidelity) <= 1e-9,
+            "channel fidelity deviates from the closed form",
         )
 
 
-_CIRCUIT_CHECKS = [
-    ("gate-norm-preservation", _check_gate_norms),
-    ("cswap-involution", _check_cswap_involution),
-    ("register-swap-permutation", _check_register_swap_permutation),
-    ("swap-test-closed-form", _check_swap_test_closed_form),
-    ("phase-flip-branches", _check_phase_flip_branches),
-    ("phase-flip-involution", _check_phase_flip_involution),
-    ("phase-equivalence-relation", _check_equivalence_relation),
-]
-
-_PHYSICS_CHECKS = [
-    ("flux-conservation", _check_flux_conservation),
-    ("decoupled-branch", _check_decoupled_branch),
-    ("conjugate-symmetry", _check_conjugate_symmetry),
-    ("narrowband-limits", _check_narrowband_limits),
-    ("quadrature-cross-check", _check_quadrature_cross),
-    ("quadrature-node-doubling", _check_node_doubling),
-    ("polarization-symmetry", _check_polarization_symmetry),
-    ("channel-closed-form", _check_channel_closed_form),
-]
+VERIFY_CHECKS = {
+    "circuits": {
+        "gate-norm-preservation": _check_gate_norms,
+        "cswap-involution": _check_cswap_involution,
+        "register-swap-permutation": _check_register_swap_permutation,
+        "swap-test-closed-form": _check_swap_test_closed_form,
+        "phase-flip-branches": _check_phase_flip_branches,
+        "phase-flip-involution": _check_phase_flip_involution,
+        "phase-equivalence-relation": _check_equivalence_relation,
+    },
+    "physics": {
+        "flux-conservation": _check_flux_conservation,
+        "decoupled-branch": _check_decoupled_branch,
+        "conjugate-symmetry": _check_conjugate_symmetry,
+        "narrowband-limits": _check_narrowband_limits,
+        "quadrature-cross-check": _check_quadrature_cross,
+        "quadrature-node-doubling": _check_node_doubling,
+        "polarization-symmetry": _check_polarization_symmetry,
+        "channel-closed-form": _check_channel_closed_form,
+    },
+}
 
 
 def cmd_verify(args) -> int:
-    checks = []
-    if args.suite in ("circuits", "all"):
-        checks.extend(_CIRCUIT_CHECKS)
-    if args.suite in ("physics", "all"):
-        checks.extend(_PHYSICS_CHECKS)
+    checks = [
+        (name, check)
+        for suite, entries in VERIFY_CHECKS.items()
+        if args.suite in (suite, "all")
+        for name, check in entries.items()
+    ]
     failed = []
     for name, check in checks:
         try:

@@ -356,8 +356,9 @@ def gate_metrics(
 
 def metrics_residual(
     params: CavityParams, pulse: PulseSpec, quad: QuadratureConfig = DEFAULT_QUAD
-) -> float:
-    """Max change in (loss, fidelity) when the rule's resolution is increased.
+) -> tuple[GateMetrics, float]:
+    """The metrics under ``quad``, and their max change in (loss, fidelity)
+    when the rule's resolution is increased.
 
     Doubled node count for Gauss-Hermite, tolerance/100 for adaptive Simpson;
     serves as the reported quadrature residual.
@@ -368,7 +369,7 @@ def metrics_residual(
         finer = replace(quad, tolerance=quad.tolerance / 100.0)
     coarse = gate_metrics(params, pulse, quad)
     fine = gate_metrics(params, pulse, finer)
-    return max(
+    return coarse, max(
         abs(coarse.loss_probability - fine.loss_probability),
         abs(coarse.fidelity - fine.fidelity),
     )

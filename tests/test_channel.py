@@ -2,34 +2,29 @@
 import numpy as np
 import pytest
 
-from cavityswap import channel, pulses
+from cavityswap import pulses
 from cavityswap.cavity import CavityParams
-from cavityswap.channel import (
-    NoisyGateModel,
-    apply_noisy_cswap,
-    build_model,
-    fidelity,
-    loss_probability,
-)
-from cavityswap.pulses import PulseSpec
+from cavityswap.channel import apply_noisy_cswap, fidelity, loss_probability
+from cavityswap.pulses import OverlapSet, PulseSpec
 
 ATOMIC = CavityParams.symmetric(32.0 / 4.2, 1.0, 2.6 / 4.2)
 
-PERFECT = NoisyGateModel(1.0, 1.0, 1.0, 1.0, 1.0 + 0j, 1.0 + 0j, 1.0 + 0j, 1.0 + 0j)
+PERFECT = OverlapSet(1.0, 1.0, 1.0, 1.0, 1.0 + 0j, 1.0 + 0j, 1.0 + 0j, 1.0 + 0j)
 
 
-def test_build_model_mirrors_pulse_averages():
-    pulse = PulseSpec(0.1)
-    model = build_model(ATOMIC, pulse)
-    ov = pulses.overlaps(ATOMIC, pulse)
-    assert model.survive_reflect_h == ov.reflect_prob_h
-    assert model.survive_transmit_v == ov.transmit_prob_v
-    assert model.overlap_reflect_v == ov.reflect_overlap_v
-    assert model.overlap_transmit_h == ov.transmit_overlap_h
+def test_branches_read_reflect_and_transmit_averages():
+    # atomic branch 0 reflects the photons, branch 1 transmits them: a lossy
+    # reflection shows only with the atom in |0>, a lossy transmission in |1>
+    ov = OverlapSet(0.9, 0.8, 1.0, 1.0, 1, 1, 1, 1)
+    assert loss_probability(apply_noisy_cswap(ov, atom=(1, 0))) == pytest.approx(0.28, abs=1e-12)
+    assert loss_probability(apply_noisy_cswap(ov, atom=(0, 1))) == pytest.approx(0.0, abs=1e-12)
+    ov = OverlapSet(1.0, 1.0, 0.9, 0.8, 1, 1, 1, 1)
+    assert loss_probability(apply_noisy_cswap(ov, atom=(1, 0))) == pytest.approx(0.0, abs=1e-12)
+    assert loss_probability(apply_noisy_cswap(ov, atom=(0, 1))) == pytest.approx(0.28, abs=1e-12)
 
 
 def test_output_is_a_density_operator():
-    rho = apply_noisy_cswap(build_model(ATOMIC, PulseSpec(0.1)))
+    rho = apply_noisy_cswap(pulses.overlaps(ATOMIC, PulseSpec(0.1)))
     mat = rho.matrix
     assert mat.shape == (72, 72)
     assert np.max(np.abs(mat - mat.conj().T)) <= 1e-12
@@ -60,7 +55,7 @@ def test_branch_one_exchanges_port_contents():
 def test_single_polarization_loss_budget():
     # v-channels ideal, h-channels lossy with no distortion: the loss should
     # be the average of the two h failure probabilities
-    model = NoisyGateModel(0.9, 1.0, 0.8, 1.0, 1, 1, 1, 1)
+    model = OverlapSet(0.9, 1.0, 0.8, 1.0, 1, 1, 1, 1)
     rho = apply_noisy_cswap(model)
     assert loss_probability(rho) == pytest.approx(1.0 - (0.9 + 0.8) / 2.0, abs=1e-12)
 
@@ -68,7 +63,7 @@ def test_single_polarization_loss_budget():
 def test_distortion_lowers_fidelity_not_loss():
     # survival stays perfect; only the mode overlap degrades
     xi = 0.97 + 0.01j
-    model = NoisyGateModel(1, 1, 1, 1, xi, xi, 1, 1)
+    model = OverlapSet(1, 1, 1, 1, xi, xi, 1, 1)
     rho = apply_noisy_cswap(model)
     assert loss_probability(rho) == pytest.approx(0.0, abs=1e-12)
     expected = abs(xi * xi + 1.0) ** 2 / 4.0
@@ -88,16 +83,16 @@ def test_matches_closed_form_across_draws():
         )
         pulse = PulseSpec(float(rng.uniform(0.005, 0.3)))
         closed = pulses.gate_metrics(params, pulse)
-        rho = apply_noisy_cswap(build_model(params, pulse))
+        rho = apply_noisy_cswap(pulses.overlaps(params, pulse))
         assert loss_probability(rho) == pytest.approx(closed.loss_probability, abs=1e-9)
         assert fidelity(rho) == pytest.approx(closed.fidelity, abs=1e-9)
 
 
 def test_input_validation():
     with pytest.raises(ValueError):
-        NoisyGateModel(1.2, 1, 1, 1, 1, 1, 1, 1)
+        OverlapSet(1.2, 1, 1, 1, 1, 1, 1, 1)
     with pytest.raises(ValueError):
-        NoisyGateModel(1, 1, 1, 1, 1.1 + 0j, 1, 1, 1)
+        OverlapSet(1, 1, 1, 1, 1.1 + 0j, 1, 1, 1)
     with pytest.raises(ValueError):
         apply_noisy_cswap(PERFECT, photon_left=(0.0, 0.0))
     with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cavityswap import circuits
+from cavityswap.cli import VERIFY_CHECKS
 from cavityswap.circuits import (
     CSWAP,
     Circuit,
@@ -16,13 +17,10 @@ from cavityswap.circuits import (
     Phase,
     PureState,
     S,
-    Sdag,
     X,
-    Z,
     apply,
     basis_state,
     circuit_unitary,
-    cpf_circuit,
     cpf_feedforward,
     cpf_target,
     cswap_multi,
@@ -153,11 +151,7 @@ def test_circuit_unitary_composes_right_to_left():
 
 
 def test_norm_preserved_by_every_gate():
-    rng = np.random.default_rng(33)
-    state = random_state(4, rng)
-    for gate in [H(0), X(1), Z(2), S(3), Sdag(0), Phase(1.1, 2), CSWAP(1, 0, 3)]:
-        state = apply(state, gate)
-        assert abs(np.linalg.norm(state.amplitudes) - 1.0) <= 1e-12
+    VERIFY_CHECKS["circuits"]["gate-norm-preservation"]()
 
 
 def test_cswap_truth_table():
@@ -168,11 +162,7 @@ def test_cswap_truth_table():
 
 
 def test_cswap_multi_against_permutation():
-    rng = np.random.default_rng(44)
-    state = random_state(5, rng)
-    swapped = cswap_multi(state, 0, (1, 2), (3, 4))
-    P = cswap_permutation(5, 0, 1, 3) @ cswap_permutation(5, 0, 2, 4)
-    assert np.max(np.abs(swapped.amplitudes - P @ state.amplitudes)) <= 1e-13
+    VERIFY_CHECKS["circuits"]["register-swap-permutation"]()
 
 
 def test_cswap_multi_validates_registers():
@@ -223,13 +213,7 @@ def test_circuit_rejects_dangling_condition():
 
 
 def test_swap_test_closed_form():
-    rng = np.random.default_rng(55)
-    for _ in range(40):
-        n = int(rng.integers(1, 5))
-        psi = random_state(n, rng)
-        phi = random_state(n, rng)
-        overlap = abs(np.vdot(psi.amplitudes, phi.amplitudes)) ** 2
-        assert swap_test(psi, phi) == pytest.approx((1.0 - overlap) / 2.0, abs=1e-12)
+    VERIFY_CHECKS["circuits"]["swap-test-closed-form"]()
 
 
 def test_swap_test_extremes():
@@ -269,14 +253,7 @@ def test_targets_are_the_expected_diagonals():
 
 
 def test_cpf_branch_maps_reach_target():
-    gates = [s for s in cpf_circuit().steps if isinstance(s, Gate)]
-    U = circuit_unitary(gates, 3).reshape(2, 4, 2, 4)
-    corrections = {0: np.eye(4), 1: kron_all([[1, 0], [0, -1]], [[1, 0], [0, -1]])}
-    for outcome in (0, 1):
-        block = (U[outcome, :, 0, :] + U[outcome, :, 1, :]) / math.sqrt(2.0)
-        scale = math.sqrt(float(np.sum(np.abs(block) ** 2)) / 4.0)
-        assert scale**2 == pytest.approx(0.5, abs=1e-12)
-        assert equivalent_up_to_phase(corrections[outcome] @ (block / scale), cpf_target(), 1e-12)
+    VERIFY_CHECKS["circuits"]["phase-flip-branches"]()
 
 
 def test_cpf_feedforward_on_random_inputs():
@@ -309,12 +286,7 @@ def test_cpf_feedforward_rejects_wrong_atom_state():
 
 
 def test_cpf_double_application_is_identity():
-    photons = random_state(2, np.random.default_rng(99))
-    for first in cpf_feedforward(photons):
-        for second in cpf_feedforward(first.post_state):
-            got = second.post_state.amplitudes
-            want = photons.amplitudes
-            assert np.max(np.abs(got - align_phase(got, want) * want)) <= 1e-12
+    VERIFY_CHECKS["circuits"]["phase-flip-involution"]()
 
 
 # ---------------------------------------------------------------------------
@@ -322,13 +294,7 @@ def test_cpf_double_application_is_identity():
 
 
 def test_equivalent_up_to_phase():
-    rng = np.random.default_rng(101)
-    U = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    assert equivalent_up_to_phase(U, U, 0.0)
-    assert equivalent_up_to_phase(U, np.exp(0.321j) * U, 1e-14)
-    assert equivalent_up_to_phase(-U, U, 1e-14)
-    assert not equivalent_up_to_phase(U, U + 1e-6, 1e-9)
-    assert not equivalent_up_to_phase(np.diag([1.0, -1, -1, -1]), np.diag([1.0, 1, 1, -1]), 1e-9)
+    VERIFY_CHECKS["circuits"]["phase-equivalence-relation"]()
     with pytest.raises(ValueError):
         equivalent_up_to_phase(np.eye(2), np.eye(3), 1e-9)
 

@@ -1,8 +1,11 @@
 """Command-line behavior: exit codes, formats, determinism."""
+import ast
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -133,6 +136,20 @@ def test_metrics_degenerate_residual_rule_is_usage_error(capsys):
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("usage error:")
     assert "400-node Gauss-Hermite rule is degenerate" in err[0]
+
+
+def test_metrics_evaluates_the_pulse_averages_twice(monkeypatch, capsys):
+    # once at the requested rule and once at the doubled one for the residual
+    real = pulses.overlaps
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pulses, "overlaps", counting)
+    assert run(["metrics", "--preset", "atomic"]) == EXIT_OK
+    assert len(calls) == 2
 
 
 def test_metrics_byte_determinism(capsys):
@@ -310,12 +327,71 @@ def test_sweep_single_point_matches_metrics(capsys):
 # verify
 
 
+VERIFY_ALL_NAMES = [
+    "gate-norm-preservation",
+    "cswap-involution",
+    "register-swap-permutation",
+    "swap-test-closed-form",
+    "phase-flip-branches",
+    "phase-flip-involution",
+    "phase-equivalence-relation",
+    "flux-conservation",
+    "decoupled-branch",
+    "conjugate-symmetry",
+    "narrowband-limits",
+    "quadrature-cross-check",
+    "quadrature-node-doubling",
+    "polarization-symmetry",
+    "channel-closed-form",
+]
+
+
 def test_verify_all_passes(capsys):
     assert run(["verify", "all"]) == EXIT_OK
     out = capsys.readouterr().out
-    assert out.count("PASS") == 15
-    assert "FAIL" not in out
-    assert "all 15 invariants passed" in out
+    assert out.splitlines() == [f"PASS {name}" for name in VERIFY_ALL_NAMES] + [
+        "all 15 invariants passed"
+    ]
+
+
+@pytest.mark.parametrize(
+    "suite, name",
+    [(suite, name) for suite, checks in cli.VERIFY_CHECKS.items() for name in checks],
+)
+def test_invariant(suite, name):
+    cli.VERIFY_CHECKS[suite][name]()
+
+
+def test_verify_fails_under_python_O():
+    """The checks raise explicitly, so python -O (which strips assert
+    statements) still reports a broken invariant."""
+    child = """
+import sys
+from cavityswap import cavity, cli
+real = cavity.response_arrays
+def scaled(*args, **kwargs):
+    r, t, m = real(*args, **kwargs)
+    return 1.1 * r, t, m
+cavity.response_arrays = scaled
+sys.exit(cli.run(["verify", "physics"]))
+"""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", child], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == EXIT_VERIFY
+    assert any(line.startswith("FAIL flux-conservation") for line in proc.stdout.splitlines())
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements; checks must raise explicitly
+    package = os.path.dirname(cli.__file__)
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+            assert not lines, f"assert statements in {name} at lines {lines}"
 
 
 def test_verify_circuits_runs_without_quadrature(monkeypatch, capsys):

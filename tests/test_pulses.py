@@ -138,7 +138,9 @@ def test_fidelity_narrowband_limit():
 
 def test_quadrature_residual_converged():
     for params, dw in ((ATOMIC, 0.1), (SOLID_STATE, 0.1 * 0.11**2)):
-        assert metrics_residual(params, PulseSpec(dw)) <= 1e-12
+        result, residual = metrics_residual(params, PulseSpec(dw))
+        assert result == gate_metrics(params, PulseSpec(dw))
+        assert residual <= 1e-12
 
 
 def test_zero_coupling_gives_half_loss():
