@@ -146,26 +146,27 @@ def _matrix_1q(gate: Gate) -> np.ndarray:
     return _SINGLE_QUBIT[gate.kind]
 
 
+def _act(gate: Gate, tensor: np.ndarray, num_wires: int) -> np.ndarray:
+    """Apply one gate to the leading ``num_wires`` axes of ``tensor``, one
+    axis of size 2 per wire; trailing axes are carried along unchanged."""
+    if any(w >= num_wires for w in gate.wires):
+        raise ValueError(f"gate wires {gate.wires} out of range for {num_wires} wires")
+    if gate.kind == "CSWAP":
+        c, a, b = gate.wires
+        on = (slice(None),) * c + (1,)
+        out = tensor.copy()
+        # target axes shift down once the control axis is indexed away
+        out[on] = np.swapaxes(tensor[on], a - (a > c), b - (b > c))
+        return out
+    w = gate.wires[0]
+    moved = np.tensordot(_matrix_1q(gate), tensor, axes=([1], [w]))
+    return np.moveaxis(moved, 0, w)
+
+
 def apply(state: PureState, gate: Gate) -> PureState:
     """Apply one gate, returning a new state."""
     n = state.num_wires
-    if any(w >= n for w in gate.wires):
-        raise ValueError(f"gate wires {gate.wires} out of range for {n} wires")
-    tensor = state.amplitudes.reshape((2,) * n)
-    if gate.kind == "CSWAP":
-        c, a, b = gate.wires
-        out = tensor.copy()
-        idx = [slice(None)] * n
-        idx[c] = 1
-        sub = out[tuple(idx)]
-        # target axes shift down once the control axis is indexed away
-        a2 = a - (a > c)
-        b2 = b - (b > c)
-        out[tuple(idx)] = np.swapaxes(sub, a2, b2).copy()
-        return PureState(out.reshape(-1), n)
-    w = gate.wires[0]
-    moved = np.tensordot(_matrix_1q(gate), tensor, axes=([1], [w]))
-    return PureState(np.moveaxis(moved, 0, w).reshape(-1), n)
+    return PureState(_act(gate, state.amplitudes.reshape((2,) * n), n).reshape(-1), n)
 
 
 def cswap_multi(
@@ -379,14 +380,27 @@ def equivalent_up_to_phase(U, V, tol: float) -> bool:
     V = np.asarray(V, dtype=complex)
     if U.ndim != 2 or U.shape != V.shape or U.shape[0] != U.shape[1]:
         raise ValueError(f"need equal square matrices, got {U.shape} vs {V.shape}")
-    weight = np.abs(U) * np.abs(V)
-    k = np.unravel_index(int(np.argmax(weight)), weight.shape)
-    if weight[k] == 0.0:
-        phase = 1.0 + 0.0j
-    else:
-        z = U[k] * np.conj(V[k])
-        phase = z / abs(z)
-    return bool(np.max(np.abs(U - phase * V)) <= tol)
+    return bool(_phase_equiv_batch(U[None], V, tol)[0])
+
+
+def _phase_equiv_batch(A: np.ndarray, V: np.ndarray, tol: float) -> np.ndarray:
+    # equivalent_up_to_phase over a leading batch axis, which may be empty
+    n = A.shape[0]
+    weight = (np.abs(A) * np.abs(V)[None]).reshape(n, V.size)
+    flat = weight.argmax(axis=1)
+    a = A.reshape(n, V.size)[np.arange(n), flat]
+    v = V.reshape(-1)[flat]
+    # z = a * conj(v) and z / |z| in real arithmetic, so that U against U
+    # gets phase exactly 1: numpy's complex multiply fuses into
+    # Im(a * conj(a)) != 0, and its complex division by |z| multiplies by a
+    # reciprocal, which can leave 0.9999999999999999
+    zr = a.real * v.real + a.imag * v.imag
+    zi = a.imag * v.real - a.real * v.imag
+    mag = np.hypot(zr, zi)
+    safe = np.where(mag > 0.0, mag, 1.0)
+    phase = np.where(mag > 0.0, zr / safe + 1j * (zi / safe), 1.0 + 0.0j)
+    resid = np.max(np.abs(A - phase[:, None, None] * V[None]), axis=(1, 2))
+    return resid <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -395,35 +409,17 @@ def equivalent_up_to_phase(U, V, tol: float) -> bool:
 
 def gate_matrix(gate: Gate, num_wires: int) -> np.ndarray:
     """Dense 2^n x 2^n matrix of one gate."""
-    if any(w >= num_wires for w in gate.wires):
-        raise ValueError("gate wires out of range")
-    if gate.kind == "CSWAP":
-        c, a, b = gate.wires
-        dim = 2**num_wires
-        mat = np.zeros((dim, dim), dtype=complex)
-        for i in range(dim):
-            bits = [(i >> (num_wires - 1 - w)) & 1 for w in range(num_wires)]
-            if bits[c] == 1:
-                bits[a], bits[b] = bits[b], bits[a]
-            j = 0
-            for bit in bits:
-                j = (j << 1) | bit
-            mat[j, i] = 1.0
-        return mat
-    parts = [np.eye(2, dtype=complex)] * num_wires
-    parts[gate.wires[0]] = _matrix_1q(gate)
-    mat = parts[0]
-    for p in parts[1:]:
-        mat = np.kron(mat, p)
-    return mat
+    return circuit_unitary([gate], num_wires)
 
 
 def circuit_unitary(gates: Iterable[Gate], num_wires: int) -> np.ndarray:
-    """Product of gate matrices in application order."""
-    mat = np.eye(2**num_wires, dtype=complex)
+    """Product of gate matrices in application order: the gates applied to
+    the identity, whose columns ride along as trailing axes."""
+    dim = 2**num_wires
+    tensor = np.eye(dim, dtype=complex).reshape((2,) * num_wires + (dim,))
     for gate in gates:
-        mat = gate_matrix(gate, num_wires) @ mat
-    return mat
+        tensor = _act(gate, tensor, num_wires)
+    return tensor.reshape(dim, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -460,10 +456,6 @@ class SynthesisResult:
     truncated: bool
     elapsed: float
 
-    @property
-    def circuits(self) -> tuple[Circuit, ...]:
-        return tuple(m.circuit for m in self.matches)
-
 
 _SYNTH_KINDS = ("I", "H", "X", "Z", "S", "Sdag")
 
@@ -475,15 +467,14 @@ _BATCH_CAP = 65536
 
 
 def _correction_matrices() -> list[np.ndarray]:
-    z = _SINGLE_QUBIT["Z"]
-    eye = np.eye(2, dtype=complex)
-    return [np.kron(a, b) for a in (eye, z) for b in (eye, z)]
+    # photon-pair block of each correction with the atom in |0>
+    return [circuit_unitary(gates, 3)[:4, :4] for gates in _CORRECTION_GATES]
 
 
 def _layer_matrices(kinds: Sequence[str]) -> np.ndarray:
-    singles = [_SINGLE_QUBIT[k] for k in kinds]
-    combos = list(itertools.product(singles, repeat=3))
-    return np.array([np.kron(u, np.kron(v, w)) for u, v, w in combos])
+    return np.array(
+        [circuit_unitary(_layer_gates(i, kinds), 3) for i in range(len(kinds) ** 3)]
+    )
 
 
 def _decode_layer(index: int, n_kinds: int) -> tuple[int, int, int]:
@@ -518,11 +509,9 @@ def _build_circuit(layers, kinds, feedforward) -> Circuit:
 def _matches_full(U: np.ndarray, target: np.ndarray, tol: float) -> list[tuple[int, None]]:
     # necessary magnitude screen, then the exact phase-aligned comparison
     rough = np.max(np.abs(np.abs(U) - np.abs(target)[None]), axis=(1, 2)) <= tol
-    return [
-        (int(i), None)
-        for i in np.nonzero(rough)[0]
-        if equivalent_up_to_phase(U[i], target, tol)
-    ]
+    survivors = np.nonzero(rough)[0]
+    exact = _phase_equiv_batch(U[survivors], target, tol)
+    return [(int(i), None) for i in survivors[exact]]
 
 
 def _matches_factorized(U: np.ndarray, target4: np.ndarray, tol: float) -> list[tuple[int, None]]:
@@ -534,20 +523,6 @@ def _matches_factorized(U: np.ndarray, target4: np.ndarray, tol: float) -> list[
     rebuilt = np.einsum("nab,ij->naibj", c, target4)
     resid = np.max(np.abs(Ur - rebuilt), axis=(1, 2, 3, 4))
     return [(int(i), None) for i in np.nonzero(resid <= tol)[0]]
-
-
-def _phase_equiv_batch(A: np.ndarray, V: np.ndarray, tol: float) -> np.ndarray:
-    # equivalent_up_to_phase over a leading batch axis, same entry-weighted
-    # phase choice as the scalar version
-    n = A.shape[0]
-    weight = (np.abs(A) * np.abs(V)[None]).reshape(n, -1)
-    flat = weight.argmax(axis=1)
-    rows = np.arange(n)
-    z = A.reshape(n, -1)[rows, flat] * np.conj(V.reshape(-1)[flat])
-    mag = np.abs(z)
-    phase = np.where(mag > 0.0, z / np.where(mag == 0.0, 1.0, mag), 1.0 + 0.0j)
-    resid = np.max(np.abs(A - phase[:, None, None] * V[None]), axis=(1, 2))
-    return resid <= tol
 
 
 def _matches_feedforward(

@@ -118,13 +118,18 @@ def test_gate_validation():
 # gate application
 
 
+HADAMARD = np.array([[1, 1], [1, -1]]) / math.sqrt(2.0)
+PAULI_X = np.array([[0, 1], [1, 0]])
+PHASE_S = np.array([[1, 0], [0, 1j]])
+
+
 def test_apply_matches_kron_matrices():
     rng = np.random.default_rng(21)
     state = random_state(3, rng)
     eye = np.eye(2)
     cases = [
-        (H(0), kron_all(gate_matrix(H(0), 1), eye, eye)),
-        (X(1), kron_all(eye, gate_matrix(X(0), 1), eye)),
+        (H(0), kron_all(HADAMARD, eye, eye)),
+        (X(1), kron_all(eye, PAULI_X, eye)),
         (Phase(0.4, 2), kron_all(eye, eye, [[1, 0], [0, np.exp(0.4j)]])),
         (CSWAP(0, 1, 2), cswap_permutation(3, 0, 1, 2)),
         (CSWAP(2, 0, 1), cswap_permutation(3, 2, 0, 1)),
@@ -142,10 +147,11 @@ def test_gate_matrix_cswap_against_permutation():
 
 def test_circuit_unitary_composes_right_to_left():
     gates = [H(0), S(1), CSWAP(0, 1, 2)]
+    eye = np.eye(2)
     want = (
-        gate_matrix(CSWAP(0, 1, 2), 3)
-        @ gate_matrix(S(1), 3)
-        @ gate_matrix(H(0), 3)
+        cswap_permutation(3, 0, 1, 2)
+        @ kron_all(eye, PHASE_S, eye)
+        @ kron_all(HADAMARD, eye, eye)
     )
     assert np.allclose(circuit_unitary(gates, 3), want, atol=1e-14)
 
