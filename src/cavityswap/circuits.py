@@ -8,7 +8,7 @@ all verification paths are deterministic.
 """
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -384,12 +384,14 @@ def equivalent_up_to_phase(U, V, tol: float) -> bool:
 
 
 def _phase_equiv_batch(A: np.ndarray, V: np.ndarray, tol: float) -> np.ndarray:
-    # equivalent_up_to_phase over a leading batch axis, which may be empty
-    n = A.shape[0]
-    weight = (np.abs(A) * np.abs(V)[None]).reshape(n, V.size)
-    flat = weight.argmax(axis=1)
-    a = A.reshape(n, V.size)[np.arange(n), flat]
-    v = V.reshape(-1)[flat]
+    # equivalent_up_to_phase over a leading batch axis, which may be empty;
+    # V is one matrix, or one matrix per batch entry
+    n, size = A.shape[0], math.prod(A.shape[1:])
+    V = np.broadcast_to(V, A.shape).reshape(n, size)
+    A = A.reshape(n, size)
+    flat = (np.abs(A) * np.abs(V)).argmax(axis=1)
+    rows = np.arange(n)
+    a, v = A[rows, flat], V[rows, flat]
     # z = a * conj(v) and z / |z| in real arithmetic, so that U against U
     # gets phase exactly 1: numpy's complex multiply fuses into
     # Im(a * conj(a)) != 0, and its complex division by |z| multiplies by a
@@ -399,7 +401,7 @@ def _phase_equiv_batch(A: np.ndarray, V: np.ndarray, tol: float) -> np.ndarray:
     mag = np.hypot(zr, zi)
     safe = np.where(mag > 0.0, mag, 1.0)
     phase = np.where(mag > 0.0, zr / safe + 1j * (zi / safe), 1.0 + 0.0j)
-    resid = np.max(np.abs(A - phase[:, None, None] * V[None]), axis=(1, 2))
+    resid = np.max(np.abs(A - phase[:, None] * V), axis=1)
     return resid <= tol
 
 
@@ -451,19 +453,45 @@ class SynthesisMatch:
 
 @dataclass(frozen=True)
 class SynthesisResult:
+    """``search_space`` is the nominal candidate count that the guard
+    applies to; ``evaluated`` counts the operators the search actually
+    formed and put through a match predicate, phase-class representatives
+    included."""
+
     matches: tuple[SynthesisMatch, ...]
     search_space: int
     truncated: bool
     elapsed: float
+    evaluated: int
 
 
 _SYNTH_KINDS = ("I", "H", "X", "Z", "S", "Sdag")
+
+# atom gates that commute with the atom-controlled CSWAP; as the atom gate of
+# the final layer they change neither photon-map predicate
+_ATOM_DIAGONAL = ("I", "Z", "S", "Sdag")
 
 # diagonal pauli corrections applied to the photon pair, index order fixed
 _CORRECTION_GATES = ((), (Z(2),), (Z(1),), (Z(1), Z(2)))
 
 _GUARD = 100_000_000
-_BATCH_CAP = 65536
+
+# The phase-class key of a matrix: the matrix times the conjugate phase of its
+# reference entry (the first, in flat order, of modulus above _KEY_REF), each
+# real and imaginary part rounded to a grid of spacing _KEY_GRID.  Equal keys
+# only propose candidates; every use confirms them exactly.
+_KEY_REF = 0.3
+_KEY_GRID = 2.0**-8
+# a phase-class member equals its representative up to phase within this
+_CLASS_TOL = 1e-12
+# Lookups and representative tests widen their tolerance by this much.  After
+# four depths a member's operator differs from its representative's by at
+# most about 1e-10 (35 * _CLASS_TOL, times sqrt(8) for the final layer); the
+# factor of ten left over absorbs the feed-forward test dividing by a
+# branch's norm.
+_CLASS_SLACK = 1e-9
+# matrices per batched step
+_BLOCK = 8192
 
 
 def _correction_matrices() -> list[np.ndarray]:
@@ -517,12 +545,15 @@ def _matches_full(U: np.ndarray, target: np.ndarray, tol: float) -> list[tuple[i
 def _matches_factorized(U: np.ndarray, target4: np.ndarray, tol: float) -> list[tuple[int, None]]:
     # measurement-free realization: U must split as (atom unitary) x target4;
     # the coefficient matrix c absorbs the global phase, so the residual test
-    # is exact.
-    Ur = U.reshape(-1, 2, 4, 2, 4)
+    # is exact.  The rebuilt operator is exactly zero wherever target4 is, so
+    # those entries of U alone screen out most candidates first.
+    off = U.reshape(len(U), 64)[:, np.tile(target4 == 0, (2, 2)).ravel()]
+    survivors = np.nonzero(np.max(np.abs(off), axis=1, initial=0.0) <= tol)[0]
+    Ur = U[survivors].reshape(-1, 2, 4, 2, 4)
     c = np.einsum("ij,naibj->nab", target4.conj(), Ur) / 4.0
     rebuilt = np.einsum("nab,ij->naibj", c, target4)
     resid = np.max(np.abs(Ur - rebuilt), axis=(1, 2, 3, 4))
-    return [(int(i), None) for i in np.nonzero(resid <= tol)[0]]
+    return [(int(i), None) for i in survivors[resid <= tol]]
 
 
 def _matches_feedforward(
@@ -558,6 +589,159 @@ def _matches_feedforward(
     return hits
 
 
+def _phase_canonical(A: np.ndarray):
+    """Rows of A times the conjugate phase of their reference entry, real and
+    imaginary parts interleaved, in units of _KEY_GRID; also the reference
+    indices and the entry moduli."""
+    flat = A.reshape(len(A), math.prod(A.shape[1:]))
+    rows = np.arange(len(flat))
+    mag = np.abs(flat)
+    ref = np.argmax(mag > _KEY_REF, axis=1)  # 0 where no entry qualifies
+    r, rmag = flat[rows, ref], mag[rows, ref]
+    unit = np.where(rmag > 0.0, r.conj() / np.where(rmag > 0.0, rmag, 1.0), 1.0)
+    return (flat * unit[:, None]).view(np.float64) / _KEY_GRID, ref, mag
+
+
+def _keys(scaled: np.ndarray) -> list[bytes]:
+    grid = np.rint(np.clip(scaled, -(2.0**30), 2.0**30)).astype(np.int32)
+    return grid.view(np.dtype((np.void, 4 * grid.shape[1]))).ravel().tolist()
+
+
+def _stable(scaled: np.ndarray, ref: np.ndarray, mag: np.ndarray, eps: float) -> np.ndarray:
+    # rows (unitary matrices) whose key every matrix within eps of them, up
+    # to phase, shares: that matrix picks the same reference entry, whose
+    # phase then differs by at most 2 eps / _KEY_REF, so no coordinate moves
+    # by more than eps (1 + 2 / _KEY_REF) and none may lie that close to a
+    # rounding edge
+    shift = eps * (1.0 + 2.0 / _KEY_REF) / _KEY_GRID
+    clear = np.all(0.5 - np.abs(scaled - np.rint(scaled)) > shift, axis=1)
+    up_to_ref = np.arange(mag.shape[1]) <= ref[:, None]
+    ambiguous = np.any(up_to_ref & (np.abs(mag - _KEY_REF) <= eps), axis=1)
+    has_ref = mag[np.arange(len(mag)), ref] > _KEY_REF
+    return clear & has_ref & ~ambiguous
+
+
+def _prefix_classes(start: np.ndarray, depth: int, staged: np.ndarray):
+    """Phase classes of staged[l_{depth-1}] ... staged[l_0] . start over all
+    layer tuples, built one depth at a time from the representatives of the
+    depth before.  A search step generator (one empty step per layer); it
+    returns the representatives and, per class, its member layer tuples in
+    application order."""
+    reps, members = start[None], [[()]]
+    for _ in range(depth):
+        index: dict[bytes, int] = {}
+        new_reps: list[np.ndarray] = []
+        new_members: list[list[tuple[int, ...]]] = []
+        for layer, stage in enumerate(staged):
+            products = np.matmul(stage, reps)
+            ids = []
+            for i, key in enumerate(_keys(_phase_canonical(products)[0])):
+                if key not in index:
+                    index[key] = len(new_reps)
+                    new_reps.append(products[i])
+                    new_members.append([])
+                ids.append(index[key])
+            same = _phase_equiv_batch(products, np.array([new_reps[c] for c in ids]), _CLASS_TOL)
+            for i, c in enumerate(ids):
+                if not same[i]:  # grouped by its key alone: a class of its own
+                    c = len(new_reps)
+                    new_reps.append(products[i])
+                    new_members.append([])
+                new_members[c].extend(t + (layer,) for t in members[i])
+            yield [], 0
+        reps, members = np.array(new_reps), new_members
+    return reps, members
+
+
+def _confirm(cands, test, variant, layers, staged) -> list:
+    # form each candidate's operator in application order and run the match
+    # predicate on it; returns (layer tuple, variant, correction pair) per hit
+    hits = []
+    for lo in range(0, len(cands), _BLOCK):
+        block = cands[lo : lo + _BLOCK]
+        idx = np.array(block, dtype=np.intp)
+        U = layers[idx[:, -1]]
+        if idx.shape[1] > 1:
+            prefix = staged[idx[:, 0]]
+            for j in range(1, idx.shape[1] - 1):
+                prefix = np.matmul(staged[idx[:, j]], prefix)
+            U = np.matmul(U, prefix)
+        hits.extend((block[i], variant, ff) for i, ff in test(U))
+    return hits
+
+
+def _search_full(target, k, layers, staged, cswap8, tol):
+    """Meet in the middle for an 8x8 target.  L_k . M . L_0 matches T only if
+    the middle M = C . L_{k-1} ... L_1 . C is within 8 tol of the query
+    L_k^+ . T . L_0^+ up to phase (|A E B|_max <= 8 |E|_max for 8x8
+    unitaries A, B), so each query is looked up by key among the middles'
+    phase classes.  A middle whose key is not stable at that tolerance is
+    screened against every query instead.  Each proposed candidate is
+    confirmed by _matches_full on its own operator."""
+    test = functools.partial(_matches_full, target=target, tol=tol)
+    if k == 0:
+        yield _confirm([(i,) for i in range(len(layers))], test, 0, layers, staged), len(layers)
+        return
+    reps, members = yield from _prefix_classes(cswap8, k - 1, staged)
+    eps = 8.0 * tol + _CLASS_SLACK
+    scaled, ref, mag = _phase_canonical(reps)
+    stable = _stable(scaled, ref, mag, eps)
+    table: dict[bytes, list[int]] = {}
+    for c, key in zip(np.nonzero(stable)[0], _keys(scaled[stable])):
+        table.setdefault(key, []).append(int(c))
+    loose = np.nonzero(~stable)[0]
+    loose_flat = reps[loose].reshape(len(loose), target.size)
+    loose_norm = np.sum(np.abs(loose_flat) ** 2, axis=1)
+    right = np.matmul(target, layers.conj().transpose(0, 2, 1))  # T . L_0^+
+    for last in range(len(layers)):
+        queries = np.matmul(layers[last].conj().T, right)
+        pairs = [
+            (first, c)
+            for first, key in enumerate(_keys(_phase_canonical(queries)[0]))
+            for c in table.get(key, ())
+        ]
+        if loose.size:
+            # min over phase of |M - e^{i phi} Q|_F^2 is |M|^2 + |Q|^2 - 2 |<Q, M>|,
+            # at most target.size * eps^2 when the entries are within eps
+            q = queries.reshape(len(queries), target.size)
+            norms = np.sum(np.abs(q) ** 2, axis=1)[:, None] + loose_norm[None]
+            gap = norms - 2.0 * np.abs(q.conj() @ loose_flat.T)
+            near = gap <= target.size * eps**2 + 1e-12 * norms
+            pairs += [(int(first), int(loose[j])) for first, j in zip(*np.nonzero(near))]
+        cands = [(first,) + middle + (last,) for first, c in pairs for middle in members[c]]
+        yield _confirm(cands, test, 0, layers, staged), len(cands)
+
+
+def _search_photon(target, k, kinds, layers, staged, feedforward, tol):
+    """Phase classes for a 4x4 target.  Both photon-map predicates hold for
+    L_k . P exactly when they hold for L_k . e^{i theta} P, and for D . L_k . P
+    with D atom-diagonal, so one prefix P = C . L_{k-1} ... C . L_0 per phase
+    class and one final layer per atom-diagonal family is tested, at
+    tol + _CLASS_SLACK.  Hits expand to every member of their class and
+    family, and each member is confirmed at tol on its own operator."""
+    reps, members = yield from _prefix_classes(np.eye(8, dtype=complex), k, staged)
+    tests = [functools.partial(_matches_factorized, target4=target)]
+    if feedforward:
+        tests.append(functools.partial(
+            _matches_feedforward, target4=target, corrections=_correction_matrices()
+        ))
+    families: dict[tuple[int, int, int], list[int]] = {}
+    for index in range(len(layers)):
+        a, b, c = _decode_layer(index, len(kinds))
+        atom = -1 if kinds[a] in _ATOM_DIAGONAL else a
+        families.setdefault((atom, b, c), []).append(index)
+    for finals in families.values():
+        for lo in range(0, len(reps), _BLOCK):
+            U = np.matmul(layers[finals[0]], reps[lo : lo + _BLOCK])
+            hits, evaluated = [], len(U)
+            for variant, test in enumerate(tests):
+                classes = sorted({lo + i for i, _ in test(U, tol=tol + _CLASS_SLACK)})
+                cands = [t + (f,) for c in classes for t in members[c] for f in finals]
+                hits += _confirm(cands, functools.partial(test, tol=tol), variant, layers, staged)
+                evaluated += len(cands)
+            yield hits, evaluated
+
+
 def synthesize(
     target: np.ndarray,
     num_cswaps: int,
@@ -576,12 +760,16 @@ def synthesize(
     measurement-free (the operator must factorize as atom x target) or, when
     allow_feedforward is set, through a terminal atom measurement with one
     diagonal correction per outcome.  Matching is up to global phase at
-    tolerance ``tol``; enumeration order is deterministic and results come
-    back sorted by layer assignment.
+    tolerance ``tol``; results come back sorted by layer assignment.
+
+    The search runs on phase classes of partial products, with
+    meet-in-the-middle lookups for an 8x8 target, and confirms every
+    reported match on its own operator; full-operator and feed-forward
+    matches pass the rule of ``equivalent_up_to_phase``.
 
     A positive ``time_budget`` (seconds) makes the search stop early with
-    ``truncated`` set; exceeding ``guard`` candidates raises SearchSpaceError
-    before any work is done.
+    ``truncated`` set, keeping the matches confirmed so far; exceeding
+    ``guard`` candidates raises SearchSpaceError before any work is done.
     """
     target = np.asarray(target, dtype=complex)
     if target.shape == (8, 8):
@@ -590,6 +778,8 @@ def synthesize(
         mode = "photon"
     else:
         raise ValueError("target must be 4x4 (photon map) or 8x8 (full operator)")
+    if not np.all(np.isfinite(target)):
+        raise ValueError("target entries must be finite")
     if not (0 <= num_cswaps <= 4):
         raise ValueError("num_cswaps must be between 0 and 4")
     kinds = tuple(gate_set)
@@ -610,43 +800,19 @@ def synthesize(
     layers = _layer_matrices(kinds)
     cswap8 = gate_matrix(CSWAP(0, 1, 2), 3)
     staged = np.matmul(cswap8, layers)  # CSWAP . layer, one chain element
-    corrections = _correction_matrices()
-
-    # batch over as many leading layers as fits; loop the rest
-    batch = np.eye(8, dtype=complex)[None]
-    batched_digits = 0
-    while batched_digits < num_cswaps and batch.shape[0] * n_layers <= _BATCH_CAP:
-        batch = np.einsum("nij,fjk->nfik", staged, batch).reshape(-1, 8, 8)
-        batched_digits += 1
-    loop_digits = num_cswaps - batched_digits
+    if mode == "full":
+        steps = _search_full(target, num_cswaps, layers, staged, cswap8, tol)
+    else:
+        steps = _search_photon(target, num_cswaps, kinds, layers, staged, use_feedforward, tol)
 
     found: list[tuple[tuple[int, ...], int, tuple[int, int] | None]] = []
+    evaluated = 0
     truncated = False
-    for outer in itertools.product(range(n_layers), repeat=loop_digits):
-        # outer = (l_{j}, ..., l_{k-1}) in application order
-        prefix = batch
-        for index in outer:
-            prefix = np.matmul(staged[index], prefix)
-        for final in range(n_layers):
-            if time_budget is not None and time.monotonic() - start > time_budget:
-                truncated = True
-                break
-            U = np.matmul(layers[final], prefix)
-            if mode == "full":
-                hits = [(i, None, 0) for i, _ in _matches_full(U, target, tol)]
-            else:
-                hits = [(i, None, 0) for i, _ in _matches_factorized(U, target, tol)]
-                if use_feedforward:
-                    hits.extend(
-                        (i, ff, 1)
-                        for i, ff in _matches_feedforward(U, target, corrections, tol)
-                    )
-            for flat, ff, variant in hits:
-                digits = tuple(
-                    (flat // n_layers**d) % n_layers for d in range(batched_digits)
-                )
-                found.append((digits + outer + (final,), variant, ff))
-        if truncated:
+    for hits, count in steps:  # the budget is checked between steps
+        found.extend(hits)
+        evaluated += count
+        if time_budget is not None and time.monotonic() - start > time_budget:
+            truncated = True
             break
 
     found.sort(key=lambda item: (item[0], item[1], item[2] or (-1, -1)))
@@ -661,7 +827,7 @@ def synthesize(
         )
         for layers_idx, _, ff in found
     )
-    return SynthesisResult(matches, size, truncated, time.monotonic() - start)
+    return SynthesisResult(matches, size, truncated, time.monotonic() - start, evaluated)
 
 
 def format_circuit(circuit: Circuit) -> str:

@@ -1,13 +1,12 @@
 """Property tests: the gate kernel against kron products, and the
 phase-equivalence rule on random matrices and batches."""
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import given, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from cavityswap.circuits import (  # noqa: E402
@@ -19,18 +18,6 @@ from cavityswap.circuits import (  # noqa: E402
     equivalent_up_to_phase,
 )
 from test_circuits import HADAMARD, PAULI_X, PHASE_S, cswap_permutation, kron_all  # noqa: E402
-
-# reproducible draws; the first call of a test may exceed a per-example deadline
-PROPERTY = settings(derandomize=True, deadline=None)
-
-# hypothesis reports a falsifying example through libcst, whose import warns;
-# under this suite's warnings-as-errors that report would crash pytest
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore", DeprecationWarning)
-    try:
-        import libcst  # noqa: F401
-    except ImportError:
-        pass
 
 LITERAL_1Q = {
     "H": HADAMARD,
@@ -69,7 +56,6 @@ def reference_matrix(gate, n):
     return kron_all(*factors)
 
 
-@PROPERTY
 @given(gate_lists())
 def test_circuit_unitary_matches_kron_products(case):
     n, gates = case
@@ -88,13 +74,11 @@ square_matrices = st.sampled_from([1, 2, 4, 8]).flatmap(
 )
 
 
-@PROPERTY
 @given(square_matrices)
 def test_every_matrix_is_equivalent_to_itself_at_zero_tolerance(U):
     assert equivalent_up_to_phase(U, U, 0.0)
 
 
-@PROPERTY
 @given(square_matrices, st.floats(-2.0 * math.pi, 2.0 * math.pi))
 def test_global_phase_multiples_are_equivalent(U, theta):
     assert equivalent_up_to_phase(U, np.exp(1j * theta) * U, 1e-13)

@@ -1,4 +1,5 @@
 """Bounded search over layered CSWAP circuits."""
+import hashlib
 import math
 import time
 
@@ -18,12 +19,46 @@ from cavityswap.circuits import (
     run,
     synthesize,
 )
+from test_circuits import HADAMARD, PHASE_S, cswap_permutation, kron_all
 
 FULL_SET = ("I", "Z", "S", "Sdag", "H")
 
+LITERAL_1Q = {
+    "I": np.eye(2),
+    "Z": np.diag([1.0, -1.0]),
+    "S": PHASE_S,
+    "Sdag": PHASE_S.conj(),
+    "H": HADAMARD,
+}
+
+
+def planted_unitary(layers):
+    """L_k . CSWAP . ... . CSWAP . L_0 from literal matrices, layers (kind
+    names per wire) in application order."""
+    cswap = cswap_permutation(3, 0, 1, 2)
+    u = np.eye(8, dtype=complex)
+    for depth, layer in enumerate(layers):
+        if depth:
+            u = cswap @ u
+        u = kron_all(*(LITERAL_1Q[k] for k in layer)) @ u
+    return u
+
+
+def digest(lines):
+    return hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest()
+
+
+def match_lines(result):
+    """The canonical line of each match: layers, then the correction pair."""
+    return [
+        ";".join(",".join(layer) for layer in m.layers) + f"|{m.feedforward}"
+        for m in result.matches
+    ]
+
 
 def branch_maps(circuit):
-    """Photon maps of a measure-and-correct circuit, one per outcome."""
+    """Photon maps of a measure-and-correct circuit, one per outcome; None
+    for an outcome whose weight is below the 1e-12 feed-forward floor."""
     pre, post = [], {0: [], 1: []}
     seen_measure = False
     for step in circuit.steps:
@@ -39,8 +74,8 @@ def branch_maps(circuit):
     for outcome in (0, 1):
         block = (U[outcome, :, 0, :] + U[outcome, :, 1, :]) / math.sqrt(2.0)
         correction = circuit_unitary([Gate(g.kind, (g.wires[0] - 1,)) for g in post[outcome]], 2)
-        scale = math.sqrt(float(np.sum(np.abs(block) ** 2)) / 4.0)
-        maps[outcome] = correction @ (block / scale)
+        weight = float(np.sum(np.abs(block) ** 2)) / 4.0
+        maps[outcome] = correction @ (block / math.sqrt(weight)) if weight >= 1e-12 else None
     return maps
 
 
@@ -153,9 +188,68 @@ def test_argument_validation():
         synthesize(cpf_target(), 1, ("I", "Q"))
     with pytest.raises(ValueError):
         synthesize(cpf_target(), 1, ("I", "Z", "Z"))
+    with pytest.raises(ValueError):
+        synthesize(np.full((8, 8), np.nan), 1)
 
 
 def test_format_circuit_empty():
     result = synthesize(np.eye(4, dtype=complex), 0, ("I",))
     assert len(result.matches) == 1
     assert format_circuit(result.matches[0].circuit) == "(empty)"
+
+
+# Digests of the sorted match lists, copied from perfbench/pins.json: the
+# planted entries hash match_lines, the CLI entries hash the printed circuit
+# lines.  One planted target per match-count class.
+PINNED_PLANTED = [
+    ((("Sdag", "Sdag", "S"), ("H", "Z", "Sdag"), ("H", "Sdag", "H")),
+     4, "496f21195dc26b97fa2f4e6b934263c0ad52ede5378bc701fa7becfee3f256a6"),
+    ((("S", "Sdag", "H"), ("Sdag", "Sdag", "I"), ("Sdag", "H", "I")),
+     64, "e74ed8088544438de97a36cd5648965accb23470234cc18fcadae1318af6dd05"),
+    ((("Sdag", "Sdag", "H"), ("I", "Sdag", "Sdag"), ("S", "Z", "I")),
+     323, "505570ae0657f6699b8a5f0a488c6ed4717753ea74229b23ffcb5a6ad7980d67"),
+    ((("S", "I", "Sdag"), ("I", "Z", "S"), ("I", "Sdag", "Sdag")),
+     1024, "2bc18860ee591bd4caf842c2db89b567bc9d7faef628595965f2cb8502abe3f1"),
+]
+
+
+@pytest.fixture(scope="module")
+def cpf_feedforward():
+    return synthesize(cpf_target(), 2, FULL_SET, allow_feedforward=True)
+
+
+@pytest.mark.parametrize("layers,found,want", PINNED_PLANTED)
+def test_planted_match_list_is_pinned(layers, found, want):
+    result = synthesize(planted_unitary(layers), 2, FULL_SET)
+    lines = match_lines(result)
+    assert ";".join(",".join(layer) for layer in layers) + "|None" in lines
+    assert (len(lines), digest(lines)) == (found, want)
+
+
+def test_cli_match_lists_are_pinned(cpf_feedforward):
+    czz = synthesize(czz_target(), 2, ("I", "Z"))
+    for result, found, want in [
+        (cpf_feedforward, 2048,
+         "73020c328b7176b1eae12e1db49c09f5850b580df38003f4c1dde5ec419bfb84"),
+        (czz, 32, "6097560689d8563afb3b597b99a37cffa9c6ce13c1180866729705492c210581"),
+    ]:
+        lines = [format_circuit(m.circuit) for m in result.matches]
+        assert (len(lines), digest(lines)) == (found, want)
+
+
+def test_search_evaluates_fewer_operators_than_it_covers(cpf_feedforward):
+    assert cpf_feedforward.search_space == 125**3 * 17
+    assert 0 < cpf_feedforward.evaluated < cpf_feedforward.search_space
+
+
+@pytest.mark.parametrize("target,allow_feedforward", [(czz_target(), False), (cpf_target(), True)])
+def test_truncated_matches_are_confirmed_matches(target, allow_feedforward, cpf_feedforward):
+    full = cpf_feedforward if allow_feedforward else synthesize(target, 2, FULL_SET)
+    assert not full.truncated
+    first, later = (
+        synthesize(target, 2, FULL_SET, allow_feedforward=allow_feedforward, time_budget=budget)
+        for budget in (1e-4, 0.3 * full.elapsed)
+    )
+    assert first.truncated
+    for partial in (first, later):
+        assert set(match_lines(partial)) <= set(match_lines(full))
