@@ -143,16 +143,13 @@ def _dressed(g, kappa, gamma, omega, parts):
 def response_arrays(
     params: CavityParams, pol: str, branch: AtomBranch, omega: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized (R, T, m) over an array of detunings: the same forms as
-    coefficients() with scalar rates, without its broadcasting overhead,
-    which adaptive Simpson would pay on every one-point evaluation."""
+    """(R, T, m) over an array of detunings for one polarization and branch:
+    coefficients() at that polarization's rates, with g = 0 on the
+    Decoupled branch."""
     g, kappa, gamma = params.rates(pol)
-    omega = np.asarray(omega, dtype=float)
-    if not np.all(np.isfinite(omega)):
-        raise ValueError("omega must be finite")
-    if branch is AtomBranch.DECOUPLED or g == 0.0:
-        return _bare(kappa, omega, "rtm")
-    return _dressed(g, kappa, gamma, omega, "rtm")
+    if branch is AtomBranch.DECOUPLED:
+        g = 0.0
+    return coefficients(g, kappa, gamma, omega)
 
 
 def response(

@@ -9,7 +9,11 @@ entangled output.
 
 Quadrature: the spectral density is Gaussian, so Gauss-Hermite quadrature is
 the natural (spectrally convergent) default; an adaptive Simpson rule over a
-finite window is kept as a structurally independent cross-check.
+finite window is kept as a structurally independent cross-check.  Both are
+vectorized: Gauss-Hermite evaluates whole grids of operating points in
+blocks, and adaptive Simpson evaluates its bisection tree one level at a
+time, one integrand call per level, with the same result as the depth-first
+recursion.
 """
 from __future__ import annotations
 
@@ -33,9 +37,9 @@ class QuadratureError(ArithmeticError):
     Carries the worst unresolved local error estimate in ``residual``.
     """
 
-    def __init__(self, residual: float):
+    def __init__(self, residual: float, message: str = ""):
         super().__init__(
-            f"quadrature did not converge; residual estimate {residual:.3e}"
+            message or f"quadrature did not converge; residual estimate {residual:.3e}"
         )
         self.residual = residual
 
@@ -119,6 +123,19 @@ def gauss_hermite_mean(
     return complex(np.sum(w * values) / math.sqrt(math.pi))
 
 
+def _times(z, s):
+    """z * s for complex z and real s, part by part, as Python multiplies a
+    complex by a float; numpy's complex multiply may fuse the products."""
+    out = np.empty(np.broadcast(z, s).shape, dtype=complex)
+    out.real = z.real * s
+    out.imag = z.imag * s
+    return out
+
+
+def _simpson(fa, fm, fb, h):
+    return _times(fa + _times(fm, 4.0) + fb, h / 6.0)
+
+
 def adaptive_simpson_mean(
     func: Callable[[np.ndarray], np.ndarray],
     bandwidth: float,
@@ -128,46 +145,83 @@ def adaptive_simpson_mean(
     """Same mean via adaptive Simpson on [-window*dw, window*dw].
 
     The density mass outside six bandwidths is below 1e-31, negligible
-    against every tolerance used here.  Raises QuadratureError if any
-    subinterval hits the recursion floor with its error estimate unresolved.
+    against every tolerance used here.  An interval is accepted once its
+    Simpson estimate and its two halves' differ by at most 15·tol, tol
+    halving with each bisection, or at depth 48; the others are split.
+
+    The tree is evaluated one bisection level at a time, one ``func`` call
+    for the midpoints of both halves of every open interval, and the
+    accepted values are summed back up the same tree, left half plus right
+    half: the mean is bit for bit that of the depth-first recursion.  Working
+    memory grows with the widest level rather than with the depth, and the
+    values kept for the final sum grow with the number of intervals.
+
+    Raises QuadratureError if an interval reaches depth 48 unresolved, or at
+    once if the weighted integrand is not finite at a node, which no
+    bisection could resolve.
     """
     norm = math.sqrt(2.0 / (math.pi * bandwidth * bandwidth))
 
-    def weighted(w: float) -> complex:
-        value = func(np.array([w]))
-        return norm * math.exp(-2.0 * w * w / (bandwidth * bandwidth)) * complex(value[0])
+    def weighted(w):
+        # math.exp per node: np.exp can differ from it in the last bit
+        arg = -2.0 * w * w / (bandwidth * bandwidth)
+        weight = norm * np.array([math.exp(x) for x in arg.tolist()])
+        # numpy does not warn about over- or underflow here; the check below
+        # rejects whatever non-finite values they leave
+        with np.errstate(all="ignore"):
+            out = _times(np.asarray(func(w), dtype=complex), weight)
+        bad = ~np.isfinite(out)
+        if bad.any():
+            where = float(w[np.flatnonzero(bad)[0]])
+            raise QuadratureError(math.inf, f"integrand is not finite at omega = {where:g}")
+        return out
 
-    def simpson(fa, fm, fb, h):
-        return (h / 6.0) * (fa + 4.0 * fm + fb)
-
+    # the open intervals of one level: ends a, b, midpoint m, the weighted
+    # integrand there, and the interval's own Simpson estimate
+    a = np.array([-window * bandwidth])
+    b = np.array([window * bandwidth])
+    m = np.zeros(1)
+    fa, fm, fb = np.split(weighted(np.concatenate([a, m, b])), 3)
+    whole = _simpson(fa, fm, fb, b - a)
     unresolved = 0.0
-
-    def recurse(a, m, b, fa, fm, fb, whole, tol, depth):
-        nonlocal unresolved
+    levels = []
+    for depth in range(48, -1, -1):
         lm = 0.5 * (a + m)
         rm = 0.5 * (m + b)
-        flm = weighted(lm)
-        frm = weighted(rm)
-        left = simpson(fa, flm, fm, m - a)
-        right = simpson(fm, frm, fb, b - m)
-        err = abs(left + right - whole)
-        if err <= 15.0 * tol or depth <= 0:
-            if err > 15.0 * tol:
-                unresolved = max(unresolved, err / 15.0)
-            return left + right + (left + right - whole) / 15.0
-        return recurse(a, lm, m, fa, flm, fm, left, tol / 2.0, depth - 1) + recurse(
-            m, rm, b, fm, frm, fb, right, tol / 2.0, depth - 1
-        )
+        flm, frm = np.split(weighted(np.concatenate([lm, rm])), 2)
+        left = _simpson(fa, flm, fm, m - a)
+        right = _simpson(fm, frm, fb, b - m)
+        pair = left + right
+        delta = pair - whole
+        err = np.hypot(delta.real, delta.imag)
+        done = err <= 15.0 * tol
+        if depth <= 0:  # the depth limit: keep the worst unresolved estimate
+            unresolved = float(np.max(err[~done], initial=0.0)) / 15.0
+            done[:] = True
+        delta.real /= 15.0
+        delta.imag /= 15.0
+        levels.append((pair + delta, done))
+        split = ~done
+        if not split.any():
+            break
 
-    a = -window * bandwidth
-    b = window * bandwidth
-    fa = weighted(a)
-    fm = weighted(0.0)
-    fb = weighted(b)
-    total = recurse(a, 0.0, b, fa, fm, fb, simpson(fa, fm, fb, b - a), tol, 48)
+        def halves(x, y):
+            # the split intervals' left halves, then their right halves
+            return np.concatenate([x[split], y[split]])
+
+        a, m, b = halves(a, m), halves(lm, rm), halves(m, b)
+        fa, fm, fb = halves(fa, fm), halves(flm, frm), halves(fm, fb)
+        whole = halves(left, right)
+        tol = tol / 2.0
+    # fold back up: a split interval's total is its left half's plus its right's
+    total = np.empty(0, dtype=complex)
+    for value, done in reversed(levels):
+        half = len(total) // 2
+        value[~done] = total[:half] + total[half:]
+        total = value
     if unresolved > 0.0:
         raise QuadratureError(unresolved)
-    return total
+    return complex(total[0])
 
 
 # roundoff allowance on the probability and overlap bounds

@@ -152,6 +152,104 @@ def test_metrics_evaluates_the_pulse_averages_twice(monkeypatch, capsys):
     assert len(calls) == 2
 
 
+# stdout of the depth-first adaptive Simpson rule, which the level-by-level
+# rule must reproduce byte for byte
+SIMPSON_METRICS_PLAIN = """\
+# g_h = 7.619047619047619
+# g_v = 7.619047619047619
+# kappa_h = 1.0
+# kappa_v = 1.0
+# gamma_h = 0.6190476190476191
+# gamma_v = 0.6190476190476191
+# preset = atomic
+# bandwidth = 0.1
+# method = adaptive-simpson
+# nodes = 64
+loss_probability = 1.300342336e-02
+fidelity = 9.975193282e-01
+quadrature_residual = 1.820765760e-14
+"""
+
+SIMPSON_METRICS_JSON = """\
+{
+  "command": "metrics",
+  "inputs": {
+    "bandwidth": 0.1,
+    "g_h": 7.619047619047619,
+    "g_v": 7.619047619047619,
+    "gamma_h": 0.6190476190476191,
+    "gamma_v": 0.6190476190476191,
+    "kappa_h": 1.0,
+    "kappa_v": 1.0,
+    "method": "adaptive-simpson",
+    "nodes": 64,
+    "preset": "atomic"
+  },
+  "outputs": {
+    "fidelity": 0.9975193281792225,
+    "loss_probability": 0.013003423359003397
+  },
+  "quadrature_residual": 1.8207657603852567e-14,
+  "seed": null
+}
+"""
+
+SIMPSON_SWEEP = """\
+g_over_kappa,dw_over_kappa,p,F
+2.000000000000e+00,2.000000000000e-02,1.879618566160e-01,9.998956919992e-01
+2.000000000000e+00,5.000000000000e-02,1.885350572730e-01,9.993491306982e-01
+2.000000000000e+00,1.000000000000e-01,1.905669912759e-01,9.974114217900e-01
+2.000000000000e+00,3.000000000000e-01,2.109125518425e-01,9.779941167147e-01
+5.000000000000e+00,2.000000000000e-02,3.817767964532e-02,9.998998817610e-01
+5.000000000000e+00,5.000000000000e-02,3.870359718455e-02,9.993753236407e-01
+5.000000000000e+00,1.000000000000e-01,4.056638417407e-02,9.975162934718e-01
+5.000000000000e+00,3.000000000000e-01,5.908026839771e-02,9.789482924804e-01
+9.000000000000e+00,2.000000000000e-02,1.225749534089e-02,9.999000175218e-01
+9.000000000000e+00,5.000000000000e-02,1.278139911131e-02,9.993761720306e-01
+9.000000000000e+00,1.000000000000e-01,1.463699067704e-02,9.975196854106e-01
+9.000000000000e+00,3.000000000000e-01,3.307379200846e-02,9.789786815455e-01
+"""
+
+
+def test_adaptive_simpson_stdout_is_pinned(capsys):
+    metrics = ["metrics", "--preset", "atomic", "--method", "adaptive-simpson"]
+    assert run(metrics) == EXIT_OK
+    assert capsys.readouterr().out == SIMPSON_METRICS_PLAIN
+    assert run(metrics + ["--format", "json"]) == EXIT_OK
+    assert capsys.readouterr().out == SIMPSON_METRICS_JSON
+    assert run(["sweep", "--axis", "coupling", "--values", "2,5,9", "--bandwidth",
+                "0.02,0.05,0.1,0.3", "--method", "adaptive-simpson"]) == EXIT_OK
+    assert capsys.readouterr().out == SIMPSON_SWEEP
+
+
+def _cli_process(args, timeout):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    return subprocess.run(
+        [sys.executable, "-m", "cavityswap.cli", *args],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
+
+
+def test_adaptive_simpson_non_finite_point_fails_fast():
+    """g = 1e200 makes the integrand NaN.  Simpson used to bisect such a
+    point toward 2**48 intervals; it must fail as Gauss-Hermite does."""
+    simpson = ["--bandwidth", "0.1", "--method", "adaptive-simpson"]
+    proc = _cli_process(["metrics", "--g", "1e200", *simpson], timeout=20)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "usage error: cannot evaluate this operating point: "
+        "integrand is not finite at omega = -0.6"
+    ]
+    proc = _cli_process(["sweep", "--axis", "coupling", "--values", "1e200", *simpson], timeout=20)
+    assert proc.returncode == EXIT_OK
+    assert proc.stdout.splitlines()[1] == "1.000000000000e+200,1.000000000000e-01,nan,nan"
+    assert proc.stderr.splitlines()[0] == (
+        "warning: point g=1e+200 dw=0.1 failed: integrand is not finite at omega = -0.6"
+    )
+    assert "RuntimeWarning" not in proc.stderr
+
+
 def test_metrics_byte_determinism(capsys):
     run(["metrics", "--preset", "atomic"])
     first = capsys.readouterr().out
@@ -233,6 +331,16 @@ def test_coeffs_decoupled_resonance_row(tmp_path):
 
 # ---------------------------------------------------------------------------
 # sweep
+
+
+def test_csv_cells_format_as_per_cell_fstrings(capsys):
+    """One % template per row must print every cell as f"{float(v):.12e}" did."""
+    values = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308, -1.5, 1 / 3]
+    rows = [tuple(values), tuple(np.float64(v) for v in values), tuple(np.array(values)[::-1])]
+    header = ",".join(f"c{i}" for i in range(len(values)))
+    cli._emit_csv(None, header, iter(rows))
+    expected = [header] + [",".join(f"{float(v):.12e}" for v in row) for row in rows]
+    assert capsys.readouterr().out == "\n".join(expected) + "\n"
 
 
 def test_sweep_csv_and_plot_sidecar(tmp_path):
@@ -352,6 +460,15 @@ def test_verify_all_passes(capsys):
     assert out.splitlines() == [f"PASS {name}" for name in VERIFY_ALL_NAMES] + [
         "all 15 invariants passed"
     ]
+
+
+def test_verify_times_each_check_on_stderr(capsys):
+    assert run(["verify"]) == EXIT_OK
+    captured = capsys.readouterr()
+    timed = [line.split() for line in captured.err.splitlines() if line.startswith("time ")]
+    assert [fields[1] for fields in timed] == VERIFY_ALL_NAMES
+    assert all(len(fields) == 3 and float(fields[2]) >= 0.0 for fields in timed)
+    assert "time " not in captured.out
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Pulse-averaged coefficients, quadrature schemes, and gate metrics."""
 import math
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -72,6 +73,100 @@ def test_adaptive_simpson_agrees_with_hermite():
     assert abs(gh - simpson) <= 1e-11
 
 
+def _recursive_simpson_mean(
+    func: Callable[[np.ndarray], np.ndarray],
+    bandwidth: float,
+    tol: float = 1e-12,
+    window: float = 6.0,
+) -> complex:
+    """The depth-first adaptive Simpson rule, one integrand point per call:
+    the reference that the level-by-level rule must reproduce bit for bit."""
+    norm = math.sqrt(2.0 / (math.pi * bandwidth * bandwidth))
+
+    def weighted(w: float) -> complex:
+        value = func(np.array([w]))
+        return norm * math.exp(-2.0 * w * w / (bandwidth * bandwidth)) * complex(value[0])
+
+    def simpson(fa, fm, fb, h):
+        return (h / 6.0) * (fa + 4.0 * fm + fb)
+
+    unresolved = 0.0
+
+    def recurse(a, m, b, fa, fm, fb, whole, tol, depth):
+        nonlocal unresolved
+        lm = 0.5 * (a + m)
+        rm = 0.5 * (m + b)
+        flm = weighted(lm)
+        frm = weighted(rm)
+        left = simpson(fa, flm, fm, m - a)
+        right = simpson(fm, frm, fb, b - m)
+        err = abs(left + right - whole)
+        if err <= 15.0 * tol or depth <= 0:
+            if err > 15.0 * tol:
+                unresolved = max(unresolved, err / 15.0)
+            return left + right + (left + right - whole) / 15.0
+        return recurse(a, lm, m, fa, flm, fm, left, tol / 2.0, depth - 1) + recurse(
+            m, rm, b, fm, frm, fb, right, tol / 2.0, depth - 1
+        )
+
+    a = -window * bandwidth
+    b = window * bandwidth
+    fa = weighted(a)
+    fm = weighted(0.0)
+    fb = weighted(b)
+    total = recurse(a, 0.0, b, fa, fm, fb, simpson(fa, fm, fb, b - a), tol, 48)
+    if unresolved > 0.0:
+        raise QuadratureError(unresolved)
+    return total
+
+
+def _recorded(func):
+    """func, and a one-point stand-in that replays what func returned.
+
+    The reference rule calls its integrand once per point, about 50 us a
+    call through response_arrays; replaying the values the level-by-level
+    rule saw keeps the comparison fast.  A point that rule never evaluated
+    raises KeyError, so the two trees must coincide.
+    """
+    seen = {}
+
+    def vectorized(w):
+        values = func(w)
+        seen.update(zip(w.tolist(), values.tolist()))
+        return values
+
+    def replay(w):
+        return np.array([seen[float(w[0])]])
+
+    return vectorized, replay, seen
+
+
+def test_adaptive_simpson_matches_recursive_reference():
+    """Level by level, the rule must give the recursion's mean with ==, at
+    both presets, g = 0 and gamma = 0, for r, |r|^2 and the decoupled t."""
+    points = (
+        (ATOMIC, 0.1),
+        (SOLID_STATE, 0.1 * SOLID_STATE.g_h**2),
+        (CavityParams.symmetric(0.0, 1.0, 1.0), 0.1),
+        (CavityParams.symmetric(3.0, 1.0, 0.0), 0.3),
+    )
+    for params, dw in points:
+        coupled = lambda w: response_arrays(params, "h", AtomBranch.COUPLED, w)[0]
+        integrands = (
+            coupled,
+            lambda w: np.abs(coupled(w)) ** 2,
+            lambda w: response_arrays(params, "h", AtomBranch.DECOUPLED, w)[1],
+        )
+        for integrand in integrands:
+            for tol in (1e-10, 1e-12, 1e-14):
+                vectorized, replay, seen = _recorded(integrand)
+                value = adaptive_simpson_mean(vectorized, dw, tol)
+                assert value == _recursive_simpson_mean(replay, dw, tol)
+                # the values replayed are those of one-point calls
+                for w in sorted(seen)[::97]:
+                    assert integrand(np.array([w]))[0] == seen[w]
+
+
 def test_adaptive_simpson_reports_unresolved_error():
     # a step inside the pulse window cannot be resolved to 1e-14 at any
     # bisection depth; the failure must surface, not silently degrade
@@ -79,6 +174,22 @@ def test_adaptive_simpson_reports_unresolved_error():
     with pytest.raises(QuadratureError) as info:
         adaptive_simpson_mean(step, 0.1, 1e-14)
     assert info.value.residual > 0.0
+    with pytest.raises(QuadratureError) as reference:
+        _recursive_simpson_mean(step, 0.1, 1e-14)
+    assert info.value.residual == reference.value.residual
+
+
+def test_adaptive_simpson_rejects_non_finite_integrand():
+    # NaN never meets the error test: the rule must stop at once, not bisect
+    # toward 2**48 intervals
+    spike = lambda w: np.where(np.abs(w - 0.15) < 0.02, np.nan, 1.0) + 0j
+    with pytest.raises(QuadratureError, match=r"not finite at omega = 0\.15$") as info:
+        adaptive_simpson_mean(spike, 0.1)
+    assert info.value.residual == math.inf
+    simpson = QuadratureConfig(method=ADAPTIVE_SIMPSON)
+    for g in (1e200, 1e155):  # g^2 overflows
+        with pytest.raises(QuadratureError, match="not finite"):
+            overlaps(CavityParams.symmetric(g, 1.0, 1.0), PulseSpec(0.1), simpson)
 
 
 def test_quadrature_config_validation():
