@@ -1,5 +1,6 @@
 """Pulse-averaged coefficients, quadrature schemes, and gate metrics."""
 import math
+import struct
 from typing import Callable
 
 import numpy as np
@@ -141,6 +142,11 @@ def _recorded(func):
     return vectorized, replay, seen
 
 
+def _bits(z: complex) -> bytes:
+    """The bytes of both parts: == alone does not see the sign of a zero."""
+    return struct.pack("<dd", z.real, z.imag)
+
+
 def test_adaptive_simpson_matches_recursive_reference():
     """Level by level, the rule must give the recursion's mean with ==, at
     both presets, g = 0 and gamma = 0, for r, |r|^2 and the decoupled t."""
@@ -161,7 +167,7 @@ def test_adaptive_simpson_matches_recursive_reference():
             for tol in (1e-10, 1e-12, 1e-14):
                 vectorized, replay, seen = _recorded(integrand)
                 value = adaptive_simpson_mean(vectorized, dw, tol)
-                assert value == _recursive_simpson_mean(replay, dw, tol)
+                assert _bits(value) == _bits(_recursive_simpson_mean(replay, dw, tol))
                 # the values replayed are those of one-point calls
                 for w in sorted(seen)[::97]:
                     assert integrand(np.array([w]))[0] == seen[w]
@@ -190,6 +196,26 @@ def test_adaptive_simpson_rejects_non_finite_integrand():
     for g in (1e200, 1e155):  # g^2 overflows
         with pytest.raises(QuadratureError, match="not finite"):
             overlaps(CavityParams.symmetric(g, 1.0, 1.0), PulseSpec(0.1), simpson)
+
+
+def test_adaptive_simpson_caps_the_tree(monkeypatch):
+    # below what rounding can reach, every interval is split on every level;
+    # the rule must stop at the interval cap, not grow each level to 2**48
+    integrand = lambda w: response_arrays(ATOMIC, "h", AtomBranch.COUPLED, w)[0]
+    monkeypatch.setattr(pulses, "_MAX_INTERVALS", 4096)
+    with pytest.raises(QuadratureError, match="within 4096 intervals") as info:
+        adaptive_simpson_mean(integrand, 0.1, 1e-300)
+    assert info.value.residual == math.inf
+    # at the default tolerance the tree holds 2675 intervals: a cap of 2674
+    # stops it, and a cap of 2675 leaves its mean as it was
+    monkeypatch.setattr(pulses, "_MAX_INTERVALS", 2674)
+    with pytest.raises(QuadratureError, match="within 2674 intervals"):
+        adaptive_simpson_mean(integrand, 0.1, 1e-12)
+    monkeypatch.setattr(pulses, "_MAX_INTERVALS", 2675)
+    vectorized, replay, _ = _recorded(integrand)
+    assert _bits(adaptive_simpson_mean(vectorized, 0.1, 1e-12)) == _bits(
+        _recursive_simpson_mean(replay, 0.1, 1e-12)
+    )
 
 
 def test_quadrature_config_validation():
