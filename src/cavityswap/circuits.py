@@ -448,7 +448,23 @@ class SynthesisMatch:
 
     layers: tuple[tuple[str, str, str], ...]
     feedforward: tuple[int, int] | None
-    circuit: Circuit
+
+    @property
+    def circuit(self) -> Circuit:
+        """The match as a circuit: each layer's non-identity gates, a CSWAP
+        between consecutive layers, then the measurement and its corrections."""
+        steps: list = []
+        for depth, kinds in enumerate(self.layers):
+            if depth:
+                steps.append(CSWAP(0, 1, 2))
+            steps.extend(_layer_gates(kinds))
+        if self.feedforward is not None:
+            steps.append(Measurement(0))
+            for outcome, ci in enumerate(self.feedforward):
+                gates = _CORRECTION_GATES[ci]
+                if gates:
+                    steps.append(ClassicallyControlled((0, outcome), gates))
+        return Circuit(tuple(steps))
 
 
 @dataclass(frozen=True)
@@ -501,7 +517,7 @@ def _correction_matrices() -> list[np.ndarray]:
 
 def _layer_matrices(kinds: Sequence[str]) -> np.ndarray:
     return np.array(
-        [circuit_unitary(_layer_gates(i, kinds), 3) for i in range(len(kinds) ** 3)]
+        [circuit_unitary(_layer_gates(_layer_kinds(i, kinds)), 3) for i in range(len(kinds) ** 3)]
     )
 
 
@@ -509,29 +525,12 @@ def _decode_layer(index: int, n_kinds: int) -> tuple[int, int, int]:
     return (index // (n_kinds**2), (index // n_kinds) % n_kinds, index % n_kinds)
 
 
-def _layer_gates(index: int, kinds: Sequence[str]) -> list[Gate]:
-    gates = []
-    for wire, ki in enumerate(_decode_layer(index, len(kinds))):
-        kind = kinds[ki]
-        if kind != "I":
-            gates.append(Gate(kind, (wire,)))
-    return gates
+def _layer_kinds(index: int, kinds: Sequence[str]) -> tuple[str, str, str]:
+    return tuple(kinds[k] for k in _decode_layer(index, len(kinds)))
 
 
-def _build_circuit(layers, kinds, feedforward) -> Circuit:
-    steps: list = []
-    last = len(layers) - 1
-    for depth, index in enumerate(layers):
-        steps.extend(_layer_gates(index, kinds))
-        if depth < last:
-            steps.append(CSWAP(0, 1, 2))
-    if feedforward is not None:
-        steps.append(Measurement(0))
-        for outcome, ci in enumerate(feedforward):
-            gates = _CORRECTION_GATES[ci]
-            if gates:
-                steps.append(ClassicallyControlled((0, outcome), tuple(gates)))
-    return Circuit(tuple(steps))
+def _layer_gates(names: Sequence[str]) -> list[Gate]:
+    return [Gate(kind, (wire,)) for wire, kind in enumerate(names) if kind != "I"]
 
 
 def _matches_full(U: np.ndarray, target: np.ndarray, tol: float) -> list[tuple[int, None]]:
@@ -749,7 +748,6 @@ def synthesize(
     allow_feedforward: bool = False,
     tol: float = 1e-9,
     time_budget: float | None = None,
-    guard: int = _GUARD,
 ) -> SynthesisResult:
     """Exhaustive search over layered CSWAP circuits on (atom, photon, photon).
 
@@ -769,7 +767,7 @@ def synthesize(
 
     A positive ``time_budget`` (seconds) makes the search stop early with
     ``truncated`` set, keeping the matches confirmed so far; exceeding
-    ``guard`` candidates raises SearchSpaceError before any work is done.
+    _GUARD candidates raises SearchSpaceError before any work is done.
     """
     target = np.asarray(target, dtype=complex)
     if target.shape == (8, 8):
@@ -793,8 +791,8 @@ def synthesize(
     use_feedforward = mode == "photon" and allow_feedforward
     variants = 1 + (16 if use_feedforward else 0)
     size = n_layers ** (num_cswaps + 1) * variants
-    if size > guard:
-        raise SearchSpaceError(size, guard)
+    if size > _GUARD:
+        raise SearchSpaceError(size, _GUARD)
 
     start = time.monotonic()
     layers = _layer_matrices(kinds)
@@ -817,14 +815,7 @@ def synthesize(
 
     found.sort(key=lambda item: (item[0], item[1], item[2] or (-1, -1)))
     matches = tuple(
-        SynthesisMatch(
-            tuple(
-                tuple(kinds[k] for k in _decode_layer(index, len(kinds)))
-                for index in layers_idx
-            ),
-            ff,
-            _build_circuit(layers_idx, kinds, ff),
-        )
+        SynthesisMatch(tuple(_layer_kinds(index, kinds) for index in layers_idx), ff)
         for layers_idx, _, ff in found
     )
     return SynthesisResult(matches, size, truncated, time.monotonic() - start, evaluated)

@@ -766,7 +766,7 @@ def build_parser() -> _Parser:
     quad_parent = _Parser(add_help=False)
     quad_parent.add_argument(
         "--method",
-        choices=[pulses.GAUSS_HERMITE, pulses.ADAPTIVE_SIMPSON],
+        choices=pulses.METHODS,
         default=pulses.GAUSS_HERMITE,
     )
     quad_parent.add_argument("--nodes", type=int, default=64)

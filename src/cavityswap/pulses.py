@@ -9,11 +9,12 @@ entangled output.
 
 Quadrature: the spectral density is Gaussian, so Gauss-Hermite quadrature is
 the natural (spectrally convergent) default; an adaptive Simpson rule over a
-finite window is kept as a structurally independent cross-check.  Both are
-vectorized: Gauss-Hermite evaluates whole grids of operating points in
-blocks, and adaptive Simpson evaluates its bisection tree one level at a
-time, one integrand call per level, with the same result as the depth-first
-recursion.
+finite window is kept as a structurally independent cross-check.  Both run
+through one batched path: Gauss-Hermite evaluates whole grids of operating
+points in blocks, and adaptive Simpson evaluates each point's bisection tree
+one level at a time, with the same result as the depth-first recursion.
+Either way the Decoupled branch, which sees the bare cavity, is integrated
+once per distinct (kappa, bandwidth).
 """
 from __future__ import annotations
 
@@ -25,10 +26,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import cavity
-from .cavity import AtomBranch, CavityParams
+from .cavity import CavityParams
 
 GAUSS_HERMITE = "gauss-hermite"
 ADAPTIVE_SIMPSON = "adaptive-simpson"
+METHODS = (GAUSS_HERMITE, ADAPTIVE_SIMPSON)
 
 
 class QuadratureError(ArithmeticError):
@@ -70,7 +72,7 @@ class QuadratureConfig:
     tolerance: float = 1e-12
 
     def __post_init__(self):
-        if self.method not in (GAUSS_HERMITE, ADAPTIVE_SIMPSON):
+        if self.method not in METHODS:
             raise ValueError(f"unknown quadrature method {self.method!r}")
         if self.nodes < 8:
             raise ValueError("gauss-hermite needs at least 8 nodes")
@@ -137,19 +139,22 @@ def _simpson(fa, fm, fb, h):
 # at depth 48 and |r|^2 passes 3.7 * 10**6 intervals.
 _MAX_INTERVALS = 2**20
 
+# Adaptive Simpson integrates over [-_WINDOW * dw, _WINDOW * dw]: the density
+# mass outside six bandwidths is below 1e-31, negligible against every
+# tolerance used here.
+_WINDOW = 6.0
+
 
 def adaptive_simpson_mean(
     func: Callable[[np.ndarray], np.ndarray],
     bandwidth: float,
     tol: float = 1e-12,
-    window: float = 6.0,
 ) -> complex:
-    """Same mean via adaptive Simpson on [-window*dw, window*dw].
+    """Same mean via adaptive Simpson on [-_WINDOW*dw, _WINDOW*dw].
 
-    The density mass outside six bandwidths is below 1e-31, negligible
-    against every tolerance used here.  An interval is accepted once its
-    Simpson estimate and its two halves' differ by at most 15·tol, tol
-    halving with each bisection, or at depth 48; the others are split.
+    An interval is accepted once its Simpson estimate and its two halves'
+    differ by at most 15·tol, tol halving with each bisection, or at depth
+    48; the others are split.
 
     The tree is evaluated one bisection level at a time, one ``func`` call
     for the midpoints of both halves of every open interval, and the
@@ -182,8 +187,8 @@ def adaptive_simpson_mean(
 
     # the open intervals of one level: ends a, b, midpoint m, the weighted
     # integrand there, and the interval's own Simpson estimate
-    a = np.array([-window * bandwidth])
-    b = np.array([window * bandwidth])
+    a = np.array([-_WINDOW * bandwidth])
+    b = np.array([_WINDOW * bandwidth])
     m = np.zeros(1)
     fa, fm, fb = np.split(weighted(np.concatenate([a, m, b])), 3)
     whole = _simpson(fa, fm, fb, b - a)
@@ -294,51 +299,64 @@ class GateMetrics:
 _BLOCK_VALUES = 2**14
 
 
-def _branch_averages(g, kappa, gamma, bandwidth, nodes: int):
-    """Gauss-Hermite pulse averages at many single-polarization points.
+def _branch_averages(g, kappa, gamma, bandwidth, quad: QuadratureConfig):
+    """Pulse averages at many single-polarization points, under ``quad``.
 
     g, kappa, gamma and bandwidth are equal-length 1-D float arrays, one
     operating point per entry.  Returns (reflect_prob, reflect_overlap,
     transmit_prob, transmit_overlap): the survival probability and
     normalized mode overlap of the Coupled branch, judged at the reflected
     port, and of the Decoupled branch, judged at the transmitted port.  Each
-    entry is what gauss_hermite_mean gives for that point alone.
+    entry is what the rule gives for that point alone.
     """
-    rule = _hermgauss(nodes)
-    reflect = _port_averages(rule, "r", g, kappa, gamma, bandwidth)
+    reflect = _port_averages(quad, "r", g, kappa, gamma, bandwidth)
     # the Decoupled branch sees the bare cavity: only kappa and the bandwidth
     # matter.  Packed as kappa + i*bandwidth the pairs dedupe in a 1-D
     # np.unique, about 10x faster than np.unique(axis=1) on a 100x100 grid.
     pairs, index = np.unique(kappa + 1j * bandwidth, return_inverse=True)
-    transmit_prob, transmit_overlap = _port_averages(rule, "t", 0.0, pairs.real, 0.0, pairs.imag)
+    transmit_prob, transmit_overlap = _port_averages(quad, "t", 0.0, pairs.real, 0.0, pairs.imag)
     return (*reflect, transmit_prob[index], transmit_overlap[index])
 
 
-def _port_averages(rule, port, g, kappa, gamma, bandwidth):
+def _port_averages(quad, port, g, kappa, gamma, bandwidth):
     """(survival probability, normalized mode overlap) of the coefficient
-    named by ``port`` at each point, block by block, detunings on the last
-    axis.  Over- and underflow at unphysical points is not warned about here;
-    _within_bounds flags the values it leaves."""
-    x, w = rule
+    named by ``port`` at each point, under the rule ``quad`` picks:
+    Gauss-Hermite block by block, detunings on the last axis, adaptive
+    Simpson point by point.  Over- and underflow at unphysical points is not
+    warned about here; _within_bounds flags the values it leaves."""
     g, kappa, gamma, bandwidth = np.broadcast_arrays(g, kappa, gamma, bandwidth)
-    prob = np.empty(len(bandwidth))
+    power = np.empty(len(bandwidth))
+    mean = np.empty(len(bandwidth), dtype=complex)
+    if quad.method == GAUSS_HERMITE:
+        x, w = _hermgauss(quad.nodes)
+        step = max(1, _BLOCK_VALUES // len(x))
+        with np.errstate(all="ignore"):
+            for start in range(0, len(bandwidth), step):
+                s = slice(start, start + step)
+                omega = bandwidth[s, None] * x / math.sqrt(2.0)
+                (amp,) = cavity.coefficients(g[s, None], kappa[s, None], gamma[s, None], omega, port)
+                power[s] = np.sum(w * np.abs(amp) ** 2, axis=-1) / math.sqrt(math.pi)
+                mean[s] = np.sum(w * amp, axis=-1) / math.sqrt(math.pi)
+    else:
+        points = zip(g.tolist(), kappa.tolist(), gamma.tolist(), bandwidth.tolist())
+        for i, (*rates, dw) in enumerate(points):
+
+            def amplitude(omega):
+                return cavity.coefficients(*rates, omega, port)[0]
+
+            power[i] = adaptive_simpson_mean(
+                lambda w: np.abs(amplitude(w)) ** 2, dw, quad.tolerance
+            ).real
+            mean[i] = adaptive_simpson_mean(amplitude, dw, quad.tolerance)
     overlap = np.empty(len(bandwidth), dtype=complex)
-    step = max(1, _BLOCK_VALUES // len(x))
     with np.errstate(all="ignore"):
-        for start in range(0, len(bandwidth), step):
-            s = slice(start, start + step)
-            omega = bandwidth[s, None] * x / math.sqrt(2.0)
-            (amp,) = cavity.coefficients(g[s, None], kappa[s, None], gamma[s, None], omega, port)
-            power = np.sum(w * np.abs(amp) ** 2, axis=-1) / math.sqrt(math.pi)
-            mean = np.sum(w * amp, axis=-1) / math.sqrt(math.pi)
-            positive = power > 0.0
-            root = np.sqrt(np.where(positive, power, 1.0))
-            prob[s] = power
-            # part by part, as Python divides a complex by a float;
-            # numpy's complex division multiplies by 1/root instead
-            overlap.real[s] = np.where(positive, mean.real / root, 0.0)
-            overlap.imag[s] = np.where(positive, mean.imag / root, 0.0)
-    return prob, overlap
+        positive = power > 0.0
+        root = np.sqrt(np.where(positive, power, 1.0))
+        # part by part, as Python divides a complex by a float;
+        # numpy's complex division multiplies by 1/root instead
+        overlap.real = np.where(positive, mean.real / root, 0.0)
+        overlap.imag = np.where(positive, mean.imag / root, 0.0)
+    return power, overlap
 
 
 def _within_bounds(reflect_prob, reflect_overlap, transmit_prob, transmit_overlap):
@@ -351,39 +369,13 @@ def _within_bounds(reflect_prob, reflect_overlap, transmit_prob, transmit_overla
     return ok
 
 
-def _branch_overlap(params, pol, branch, pulse, quad):
-    """(survival probability, normalized mode overlap) for one pol/branch by
-    adaptive Simpson, the per-point cross-check of _branch_averages."""
-
-    def amplitude(omega):
-        r, t, _ = cavity.response_arrays(params, pol, branch, omega)
-        return r if branch is AtomBranch.COUPLED else t
-
-    power = adaptive_simpson_mean(
-        lambda w: np.abs(amplitude(w)) ** 2, pulse.bandwidth, quad.tolerance
-    ).real
-    mean_amp = adaptive_simpson_mean(amplitude, pulse.bandwidth, quad.tolerance)
-    overlap = mean_amp / math.sqrt(power) if power > 0.0 else 0.0j
-    return power, overlap
-
-
 def overlaps(
     params: CavityParams, pulse: PulseSpec, quad: QuadratureConfig = DEFAULT_QUAD
 ) -> OverlapSet:
     """All eight pulse-averaged quantities for the given operating point."""
-    if quad.method == GAUSS_HERMITE:
-        g, kappa, gamma = np.array([params.rates("h"), params.rates("v")], dtype=float).T
-        r0, xi0, t1, xi1 = _branch_averages(g, kappa, gamma, np.full(2, pulse.bandwidth), quad.nodes)
-        return OverlapSet(*r0.tolist(), *t1.tolist(), *xi0.tolist(), *xi1.tolist())
-    values = {}
-    for pol in ("h", "v"):
-        r0, xi0 = _branch_overlap(params, pol, AtomBranch.COUPLED, pulse, quad)
-        t1, xi1 = _branch_overlap(params, pol, AtomBranch.DECOUPLED, pulse, quad)
-        values[f"reflect_prob_{pol}"] = r0
-        values[f"reflect_overlap_{pol}"] = xi0
-        values[f"transmit_prob_{pol}"] = t1
-        values[f"transmit_overlap_{pol}"] = xi1
-    return OverlapSet(**values)
+    g, kappa, gamma = np.array([params.rates("h"), params.rates("v")], dtype=float).T
+    r0, xi0, t1, xi1 = _branch_averages(g, kappa, gamma, np.full(2, pulse.bandwidth), quad)
+    return OverlapSet(*r0.tolist(), *t1.tolist(), *xi0.tolist(), *xi1.tolist())
 
 
 def _loss_and_fidelity(
@@ -466,9 +458,10 @@ def sweep(
 
     Rows come back sorted lexicographically by (g/kappa, bandwidth/kappa)
     regardless of input order.  gamma defaults to kappa, the convention used
-    throughout the symmetric sweeps.  Gauss-Hermite grids are evaluated in
-    batches; a point the batch cannot vouch for is evaluated again on its
-    own, so it fails with exactly the error gate_metrics raises for it.
+    throughout the symmetric sweeps.  The grid is evaluated as one batch;
+    a point the batch cannot vouch for (every point, if the batch raises) is
+    evaluated again on its own, so it fails with exactly the error
+    gate_metrics raises for it.
     """
     if len(coupling_values) == 0 or len(bandwidth_values) == 0:
         raise ValueError("sweep grids must be non-empty")
@@ -490,9 +483,6 @@ def sweep(
         except (ValueError, ArithmeticError) as exc:
             return SweepRow(g, dw, math.nan, math.nan, error=str(exc))
 
-    if quad.method != GAUSS_HERMITE:
-        return [evaluate(point) for point in grid]
-
     g, dw = np.array(grid).T
     gamma = float(gamma_over_kappa)
     # points CavityParams or PulseSpec would reject are left to evaluate()
@@ -502,12 +492,12 @@ def sweep(
     fidelity = np.full(len(grid), math.nan)
     try:
         averages = _branch_averages(
-            g[batch], np.ones(batch.size), np.full(batch.size, gamma), dw[batch], quad.nodes
+            g[batch], np.ones(batch.size), np.full(batch.size, gamma), dw[batch], quad
         )
         # symmetric rates: both polarizations see the same averages
         rp, ro, tp, to = averages
         p, f = _loss_and_fidelity(rp, rp, tp, tp, ro, ro, to, to)
-    except (ValueError, ArithmeticError):  # e.g. a degenerate rule: evaluate() reports it
+    except (ValueError, ArithmeticError):  # e.g. an unresolved integral: evaluate() reports it
         ok[:] = False
     else:
         ok[batch] = _within_bounds(*averages)

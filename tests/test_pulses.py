@@ -218,6 +218,91 @@ def test_adaptive_simpson_caps_the_tree(monkeypatch):
     )
 
 
+def _simpson_branch_overlap(params, pol, branch, bandwidth, tol):
+    """(survival probability, normalized mode overlap) of one polarization
+    and branch, each average its own adaptive_simpson_mean call over
+    response_arrays: the per-branch reference for the batched path."""
+
+    def amplitude(omega):
+        r, t, _ = response_arrays(params, pol, branch, omega)
+        return r if branch is AtomBranch.COUPLED else t
+
+    power = adaptive_simpson_mean(lambda w: np.abs(amplitude(w)) ** 2, bandwidth, tol).real
+    mean = adaptive_simpson_mean(amplitude, bandwidth, tol)
+    return power, mean / math.sqrt(power) if power > 0.0 else 0.0j
+
+
+SIMPSON_POINTS = (
+    (ATOMIC, 0.1),
+    (SOLID_STATE, 0.1 * SOLID_STATE.g_h**2),
+    (CavityParams.symmetric(0.0, 1.0, 1.0), 0.1),
+    (CavityParams.symmetric(3.0, 1.0, 0.0), 0.3),
+    (CavityParams(3.0, 5.0, 1.0, 2.0, 1.0, 0.5), 0.1),
+)
+
+
+def test_simpson_overlaps_match_per_branch_reference():
+    """The batched path under adaptive Simpson gives, with ==, what one
+    integral per polarization and branch gives: both presets, g = 0,
+    gamma = 0 and kappa_h != kappa_v."""
+    simpson = QuadratureConfig(method=ADAPTIVE_SIMPSON)
+    for params, dw in SIMPSON_POINTS:
+        values = {}
+        for pol in ("h", "v"):
+            for branch, name in ((AtomBranch.COUPLED, "reflect"), (AtomBranch.DECOUPLED, "transmit")):
+                prob, overlap = _simpson_branch_overlap(params, pol, branch, dw, simpson.tolerance)
+                values[f"{name}_prob_{pol}"] = prob
+                values[f"{name}_overlap_{pol}"] = overlap
+        assert overlaps(params, PulseSpec(dw), simpson) == OverlapSet(**values)
+
+
+def test_simpson_integrates_each_decoupled_branch_once(monkeypatch):
+    # the Decoupled branch depends on kappa and the bandwidth alone: one
+    # (power, mean) pair per distinct kappa, after one per polarization for
+    # the Coupled branch
+    calls = []
+    counted = pulses.adaptive_simpson_mean
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return counted(*args, **kwargs)
+
+    monkeypatch.setattr(pulses, "adaptive_simpson_mean", counting)
+    simpson = QuadratureConfig(method=ADAPTIVE_SIMPSON)
+    for params, expected in ((ATOMIC, 6), (CavityParams(3.0, 5.0, 1.0, 2.0, 1.0, 0.5), 8)):
+        calls.clear()
+        overlaps(params, PulseSpec(0.1), simpson)
+        assert len(calls) == expected
+
+
+def test_simpson_sweep_matches_per_point_metrics():
+    """A Simpson sweep row is the point's own gate_metrics, bit for bit.
+    g = 1e200 makes the batch raise: every point is evaluated again on its
+    own, and the failing rows keep their place, NaN metrics and the error
+    gate_metrics raises."""
+    simpson = QuadratureConfig(method=ADAPTIVE_SIMPSON)
+    couplings, bandwidths = [1e200, 0.0, 3.0], [0.3, 0.05]
+    rows = sweep(couplings, bandwidths, 0.5, simpson)
+    assert [(r.g_over_kappa, r.bandwidth_over_kappa) for r in rows] == [
+        (g, dw) for g in sorted(couplings) for dw in sorted(bandwidths)
+    ]
+    for row in rows:
+        params = CavityParams.symmetric(row.g_over_kappa, 1.0, 0.5)
+        if row.g_over_kappa == 1e200:
+            with pytest.raises(QuadratureError) as info:
+                gate_metrics(params, PulseSpec(row.bandwidth_over_kappa), simpson)
+            assert row.error == str(info.value)
+            assert "not finite" in row.error
+            assert math.isnan(row.loss_probability) and math.isnan(row.fidelity)
+        else:
+            point = gate_metrics(params, PulseSpec(row.bandwidth_over_kappa), simpson)
+            assert row.error == ""
+            assert (row.loss_probability, row.fidelity) == (
+                point.loss_probability,
+                point.fidelity,
+            )
+
+
 def test_quadrature_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(method="trapezoid")
