@@ -232,13 +232,7 @@ def _simpson_branch_overlap(params, pol, branch, bandwidth, tol):
     return power, mean / math.sqrt(power) if power > 0.0 else 0.0j
 
 
-SIMPSON_POINTS = (
-    (ATOMIC, 0.1),
-    (SOLID_STATE, 0.1 * SOLID_STATE.g_h**2),
-    (CavityParams.symmetric(0.0, 1.0, 1.0), 0.1),
-    (CavityParams.symmetric(3.0, 1.0, 0.0), 0.3),
-    (CavityParams(3.0, 5.0, 1.0, 2.0, 1.0, 0.5), 0.1),
-)
+ASYMMETRIC = CavityParams(3.0, 5.0, 1.0, 2.0, 1.0, 0.5)
 
 
 def test_simpson_overlaps_match_per_branch_reference():
@@ -246,7 +240,14 @@ def test_simpson_overlaps_match_per_branch_reference():
     integral per polarization and branch gives: both presets, g = 0,
     gamma = 0 and kappa_h != kappa_v."""
     simpson = QuadratureConfig(method=ADAPTIVE_SIMPSON)
-    for params, dw in SIMPSON_POINTS:
+    points = (
+        (ATOMIC, 0.1),
+        (SOLID_STATE, 0.1 * SOLID_STATE.g_h**2),
+        (CavityParams.symmetric(0.0, 1.0, 1.0), 0.1),
+        (CavityParams.symmetric(3.0, 1.0, 0.0), 0.3),
+        (ASYMMETRIC, 0.1),
+    )
+    for params, dw in points:
         values = {}
         for pol in ("h", "v"):
             for branch, name in ((AtomBranch.COUPLED, "reflect"), (AtomBranch.DECOUPLED, "transmit")):
@@ -264,12 +265,12 @@ def test_simpson_integrates_each_decoupled_branch_once(monkeypatch):
     counted = pulses.adaptive_simpson_mean
 
     def counting(*args, **kwargs):
-        calls.append(args[1])
+        calls.append(args)
         return counted(*args, **kwargs)
 
     monkeypatch.setattr(pulses, "adaptive_simpson_mean", counting)
     simpson = QuadratureConfig(method=ADAPTIVE_SIMPSON)
-    for params, expected in ((ATOMIC, 6), (CavityParams(3.0, 5.0, 1.0, 2.0, 1.0, 0.5), 8)):
+    for params, expected in ((ATOMIC, 6), (ASYMMETRIC, 8)):
         calls.clear()
         overlaps(params, PulseSpec(0.1), simpson)
         assert len(calls) == expected
