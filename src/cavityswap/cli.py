@@ -18,7 +18,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -31,6 +31,9 @@ EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_VERIFY = 3
 EXIT_BUDGET = 4
+
+# rows of a coeffs table, or points on one sweep axis
+MAX_GRID_POINTS = 100_000
 
 
 class UsageError(Exception):
@@ -51,32 +54,30 @@ class BudgetExceeded(Exception):
 
 @dataclass(frozen=True)
 class Preset:
-    """Named operating point; rates are (h, v) pairs in the tagged unit.
+    """Operating point; rates are (h, v) pairs in the tagged unit.
 
-    Only rate ratios matter, so resolution divides everything by kappa_h.
+    Built in, loaded from a JSON file, or built from explicit --g/--kappa/
+    --gamma flags, which give no name, unit or bandwidth rule.  Only rate
+    ratios matter, so resolution divides everything by kappa_h.
     bandwidth_rule uses the same suffix grammar as --bandwidth: a bare number
     (multiples of kappa_h), '<x>kappa', or '<x>g2k' for x * g^2/kappa.
     """
 
-    name: str
+    name: str | None
     g: tuple[float, float]
     kappa: tuple[float, float]
     gamma: tuple[float, float]
-    unit: str
-    bandwidth_rule: str
+    unit: str | None = None
+    bandwidth_rule: str | None = None
 
     def cavity_params(self) -> CavityParams:
         k = self.kappa[0]
-        if k <= 0:
-            raise UsageError(f"preset {self.name!r} has non-positive kappa_h")
-        return CavityParams(
-            self.g[0] / k,
-            self.g[1] / k,
-            1.0,
-            self.kappa[1] / k,
-            self.gamma[0] / k,
-            self.gamma[1] / k,
-        )
+        if not 0.0 < k < math.inf:
+            raise UsageError(f"kappa_h must be positive and finite, got {k!r}")
+        try:  # CavityParams takes its fields in this order; kappa_h / k is exactly 1
+            return CavityParams(*(rate / k for rate in (*self.g, *self.kappa, *self.gamma)))
+        except ValueError as exc:
+            raise UsageError(str(exc))
 
 
 BUILTIN_PRESETS = {
@@ -87,28 +88,34 @@ BUILTIN_PRESETS = {
 }
 
 
-def _json_pair(value, field):
-    if isinstance(value, (list, tuple)):
-        if len(value) != 2:
-            raise UsageError(f"preset field {field!r} must be a number or an [h, v] pair")
-        return (float(value[0]), float(value[1]))
-    return (float(value), float(value))
+def _pair(value, what: str) -> tuple[float, float]:
+    """(h, v) rates from flag text 'x' or 'h,v', or a JSON number or [h, v] list."""
+    items = value.split(",") if isinstance(value, str) else value
+    if not isinstance(items, list):
+        items = [items]
+    try:
+        rates = [float(item) for item in items]
+    except (TypeError, ValueError, OverflowError):
+        rates = []
+    if len(rates) in (1, 2):
+        return (rates[0], rates[-1])
+    raise UsageError(f"{what} expects a number or an (h, v) pair, got {value!r}")
 
 
 def load_preset(path: str) -> Preset:
     with open(path) as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, bad UTF-8, over-long integers
             raise UsageError(f"preset file {path!r} is not valid JSON: {exc}")
+    if not isinstance(data, dict):
+        raise UsageError(f"preset file {path!r} must hold a JSON object")
     missing = {"name", "g", "kappa", "gamma", "unit", "bandwidth_rule"} - set(data)
     if missing:
         raise UsageError(f"preset file {path!r} lacks fields: {sorted(missing)}")
     return Preset(
         str(data["name"]),
-        _json_pair(data["g"], "g"),
-        _json_pair(data["kappa"], "kappa"),
-        _json_pair(data["gamma"], "gamma"),
+        *(_pair(data[rate], f"preset field {rate!r}") for rate in ("g", "kappa", "gamma")),
         str(data["unit"]),
         str(data["bandwidth_rule"]),
     )
@@ -117,59 +124,45 @@ def load_preset(path: str) -> Preset:
 def parse_bandwidth(text: str, params: CavityParams) -> float:
     """Bandwidth in internal units (multiples of kappa_h) from suffixed text."""
     text = text.strip()
+    prefix, scale = text, 1.0
     if text.endswith("kappa"):
-        prefix, scale = text[: -len("kappa")], 1.0
+        prefix = text[: -len("kappa")]
     elif text.endswith("g2k"):
-        prefix, scale = text[: -len("g2k")], params.g_h**2 / params.kappa_h
-    else:
-        prefix, scale = text, 1.0
+        prefix = text[: -len("g2k")]
+        try:
+            scale = params.g_h**2 / params.kappa_h
+        except OverflowError:
+            scale = math.inf
     try:
         value = float(prefix)
     except ValueError:
         raise UsageError(f"cannot parse bandwidth {text!r}")
-    if not (value > 0.0 and math.isfinite(value)) or scale <= 0.0:
-        raise UsageError(f"bandwidth {text!r} must resolve to a positive value")
-    return value * scale
+    bandwidth = value * scale  # NaN, overflow and underflow all fail below
+    if not 0.0 < bandwidth < math.inf:
+        raise UsageError(f"bandwidth {text!r} must resolve to a positive finite value")
+    return bandwidth
 
 
-def _rate_pair(text: str, flag: str) -> tuple[float, float]:
-    parts = text.split(",")
-    try:
-        values = [float(p) for p in parts]
-    except ValueError:
-        raise UsageError(f"{flag} expects a number or 'h,v' pair, got {text!r}")
-    if len(values) == 1:
-        return (values[0], values[0])
-    if len(values) == 2:
-        return (values[0], values[1])
-    raise UsageError(f"{flag} expects one or two comma-separated values")
-
-
-def _resolve_params(args) -> tuple[CavityParams, Preset | None]:
-    preset = None
-    if getattr(args, "preset", None):
+def _resolve_params(args) -> Preset:
+    """The operating point from exactly one source: a built-in preset, a
+    preset file, or explicit rate flags."""
+    explicit = any(flag is not None for flag in (args.g, args.kappa, args.gamma))
+    if sum(map(bool, (args.preset, args.preset_file, explicit))) > 1:
+        raise UsageError("give one of --preset, --preset-file or --g/--kappa/--gamma")
+    if args.preset:
         if args.preset not in BUILTIN_PRESETS:
             raise UsageError(
                 f"unknown preset {args.preset!r}; built-ins: {sorted(BUILTIN_PRESETS)}"
             )
-        preset = BUILTIN_PRESETS[args.preset]
-    elif getattr(args, "preset_file", None):
-        preset = load_preset(args.preset_file)
-    if preset is not None:
-        return preset.cavity_params(), preset
-    if getattr(args, "g", None) is None:
+        return BUILTIN_PRESETS[args.preset]
+    if args.preset_file:
+        return load_preset(args.preset_file)
+    if args.g is None:
         raise UsageError("provide --preset, --preset-file, or explicit --g/--kappa/--gamma")
-    g = _rate_pair(args.g, "--g")
-    kappa = _rate_pair(args.kappa, "--kappa") if args.kappa else (1.0, 1.0)
-    gamma = _rate_pair(args.gamma, "--gamma") if args.gamma else (0.0, 0.0)
-    k = kappa[0]
-    if k <= 0:
-        raise UsageError("--kappa must be positive")
-    try:
-        params = CavityParams(g[0] / k, g[1] / k, 1.0, kappa[1] / k, gamma[0] / k, gamma[1] / k)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    return params, None
+    return Preset(
+        None, _pair(args.g, "--g"), _pair(args.kappa or "1", "--kappa"),
+        _pair(args.gamma or "0", "--gamma"),
+    )
 
 
 def _quad_config(args) -> QuadratureConfig:
@@ -183,29 +176,6 @@ def _quad_config(args) -> QuadratureConfig:
 
 # ---------------------------------------------------------------------------
 # output plumbing
-
-
-@dataclass(frozen=True)
-class RunReport:
-    """Result of one invocation: echoed inputs, outputs, quadrature residual,
-    seed.  Timing is never part of it — identical inputs and seed must emit
-    identical bytes — so timing goes to stderr.
-    """
-
-    command: str
-    inputs: dict
-    outputs: dict
-    residual: float | None = None
-    seed: int | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-            "quadrature_residual": self.residual,
-            "seed": self.seed,
-        }
 
 
 def _emit_text(out_path: str | None, text: str) -> None:
@@ -224,35 +194,25 @@ def _emit_csv(out_path, header, rows) -> None:
     _emit_text(out_path, "\n".join(lines) + "\n")
 
 
-def _echo_params(params: CavityParams, preset: Preset | None) -> dict:
-    echoed = {
-        "g_h": params.g_h,
-        "g_v": params.g_v,
-        "kappa_h": params.kappa_h,
-        "kappa_v": params.kappa_v,
-        "gamma_h": params.gamma_h,
-        "gamma_v": params.gamma_v,
-    }
-    if preset is not None:
-        echoed["preset"] = preset.name
-    return echoed
-
-
-def _emit_report(report: RunReport, fmt: str) -> None:
+def _emit_report(fmt, command, inputs, outputs, residual=None, seed=None) -> None:
+    # timing is never part of a report: identical inputs and seed must emit
+    # identical bytes, so timing goes to stderr
     if fmt == "json":
-        sys.stdout.write(json.dumps(report.as_dict(), sort_keys=True, indent=2) + "\n")
+        report = dict(command=command, inputs=inputs, outputs=outputs,
+                      quadrature_residual=residual, seed=seed)
+        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
         return
-    for key, value in report.inputs.items():
+    for key, value in inputs.items():
         sys.stdout.write(f"# {key} = {value}\n")
-    if report.seed is not None:
-        sys.stdout.write(f"# seed = {report.seed}\n")
-    for key, value in report.outputs.items():
+    if seed is not None:
+        sys.stdout.write(f"# seed = {seed}\n")
+    for key, value in outputs.items():
         if isinstance(value, float):
             sys.stdout.write(f"{key} = {value:.9e}\n")
         else:
             sys.stdout.write(f"{key} = {value}\n")
-    if report.residual is not None:
-        sys.stdout.write(f"quadrature_residual = {report.residual:.9e}\n")
+    if residual is not None:
+        sys.stdout.write(f"quadrature_residual = {residual:.9e}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -262,11 +222,17 @@ _COEFFS_HEADER = "omega,re_R,im_R,re_T,im_T,re_m,im_m,unitarity_residual"
 
 
 def cmd_coeffs(args) -> int:
-    params, _ = _resolve_params(args)
+    params = _resolve_params(args).cavity_params()
     branch = AtomBranch.COUPLED if args.branch == "coupled" else AtomBranch.DECOUPLED
-    if not (args.omega_start < args.omega_stop) or args.omega_step <= 0:
+    start, step = args.omega_start, args.omega_step
+    end = args.omega_stop + step / 2  # exclusive: omega-stop itself is a row
+    if not all(map(math.isfinite, (start, end, step, end - start))):
+        raise UsageError("omega-start, omega-stop, omega-step and their span must be finite")
+    if not (start < args.omega_stop) or step <= 0:
         raise UsageError("need omega-start < omega-stop and omega-step > 0")
-    omega = np.arange(args.omega_start, args.omega_stop + args.omega_step / 2, args.omega_step)
+    if (end - start) / step > MAX_GRID_POINTS:  # np.arange's length, before it allocates
+        raise UsageError(f"the omega grid would exceed {MAX_GRID_POINTS} rows")
+    omega = np.arange(start, end, step)
     r, t, m = cavity.response_arrays(params, args.pol, branch, omega)
     residual = np.abs(r) ** 2 + np.abs(t) ** 2 + np.abs(m) ** 2 - 1.0
     rows = zip(omega, r.real, r.imag, t.real, t.imag, m.real, m.imag, residual)
@@ -275,8 +241,9 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    params, preset = _resolve_params(args)
-    bandwidth_text = args.bandwidth or (preset.bandwidth_rule if preset else None)
+    point = _resolve_params(args)
+    params = point.cavity_params()
+    bandwidth_text = args.bandwidth or point.bandwidth_rule
     if bandwidth_text is None:
         raise UsageError("--bandwidth is required when no preset supplies a rule")
     bandwidth = parse_bandwidth(bandwidth_text, params)
@@ -287,13 +254,15 @@ def cmd_metrics(args) -> int:
     except (ValueError, ArithmeticError) as exc:
         # e.g. --nodes past what numpy's rule survives: the residual doubles it
         raise UsageError(f"cannot evaluate this operating point: {exc}")
-    inputs = _echo_params(params, preset)
+    inputs = asdict(params)  # field order is the echo order
+    if point.name is not None:
+        inputs["preset"] = point.name
     inputs.update(bandwidth=bandwidth, method=quad.method, nodes=quad.nodes)
     outputs = {
         "loss_probability": result.loss_probability,
         "fidelity": result.fidelity,
     }
-    _emit_report(RunReport("metrics", inputs, outputs, residual=residual), args.format)
+    _emit_report(args.format, "metrics", inputs, outputs, residual=residual)
     return EXIT_OK
 
 
@@ -303,7 +272,7 @@ def _parse_value_list(text: str, flag: str) -> list[float]:
         if ":" in text:
             start_s, stop_s, count_s = text.split(":")
             start, stop, count = float(start_s), float(stop_s), int(count_s)
-            if count < 1 or not (start < stop) or count > 100000:
+            if count < 1 or not (start < stop) or count > MAX_GRID_POINTS:
                 raise ValueError
             values = np.linspace(start, stop, count).tolist()
         else:
@@ -413,7 +382,7 @@ def cmd_fingerprint(args) -> int:
         "standard_error": std_error,
     }
     inputs = {"n": args.n, "trials": args.trials, "states": args.states}
-    _emit_report(RunReport("fingerprint", inputs, outputs, seed=args.seed), args.format)
+    _emit_report(args.format, "fingerprint", inputs, outputs, seed=args.seed)
     return EXIT_OK
 
 

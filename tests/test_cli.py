@@ -1,11 +1,12 @@
 """Command-line behavior: exit codes, formats, determinism."""
 import ast
+import importlib
 import json
 import math
 import os
-import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,6 +82,98 @@ def test_preset_file_errors(tmp_path):
     incomplete = tmp_path / "incomplete.json"
     incomplete.write_text(json.dumps({"name": "x", "g": 1.0}))
     assert run(["metrics", "--preset-file", str(incomplete)]) == EXIT_USAGE
+
+
+PRESET_PAYLOAD = {
+    "name": "custom",
+    "g": [5.0, 4.0],
+    "kappa": [2.0, 1.5],
+    "gamma": [0.1, 0.3],
+    "unit": "2pi.GHz",
+    "bandwidth_rule": "0.05kappa",
+}
+
+
+def _preset_file(tmp_path, name, **fields):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({**PRESET_PAYLOAD, **fields}))
+    return str(path)
+
+
+def _assert_one_usage_error(argv, capsys):
+    assert run(argv) == EXIT_USAGE, argv
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error:"), (argv, captured.err)
+
+
+def test_rejected_inputs_are_one_usage_error(tmp_path, capsys, monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the omega grid was allocated")
+
+    # every rejected grid fails before np.arange, whatever size it asks for
+    monkeypatch.setattr(cli.np, "arange", no_grid)
+    bare = tmp_path / "bare.json"
+    bare.write_text("5")
+    valid = _preset_file(tmp_path, "valid")
+    cases = [
+        # bandwidths that overflow or underflow
+        ["metrics", "--g", "1e200", "--bandwidth", "0.1g2k"],
+        ["metrics", "--g", "10", "--bandwidth", "1e307g2k"],
+        ["metrics", "--g", "1e-150", "--bandwidth", "1e-100g2k"],
+        # coeffs grids: not finite, huge, one row over the cap
+        ["coeffs", "--g", "1", "--omega-step", "nan"],
+        ["coeffs", "--g", "1", "--omega-stop", "inf"],
+        ["coeffs", "--g", "1", "--omega-start=-1e308", "--omega-stop", "1e308"],
+        ["coeffs", "--g", "1", "--omega-stop", "1e6", "--omega-step", "1e-3"],
+        ["coeffs", "--g", "1", "--omega-start", "0", "--omega-stop", "100000",
+         "--omega-step", "1"],
+        # more than one parameter source
+        ["metrics", "--preset", "atomic", "--g", "5", "--kappa", "2"],
+        ["metrics", "--preset", "atomic", "--preset-file", valid],
+        ["metrics", "--preset-file", valid, "--gamma", "0.1"],
+        ["coeffs", "--preset", "solid-state", "--kappa", "2"],
+        # explicit flags the record refuses
+        ["metrics", "--g", "5", "--kappa", "-1", "--bandwidth", "0.1"],
+        ["metrics", "--g", "5,4,3", "--bandwidth", "0.1"],
+        # preset files
+        ["metrics", "--preset-file", _preset_file(tmp_path, "negative", g=-1)],
+        ["metrics", "--preset-file", _preset_file(tmp_path, "nan", g=float("nan"))],
+        ["metrics", "--preset-file", _preset_file(tmp_path, "null", g=None)],
+        ["metrics", "--preset-file", _preset_file(tmp_path, "text", g="abc")],
+        ["metrics", "--preset-file", _preset_file(tmp_path, "triple", g=[1, 2, 3])],
+        ["metrics", "--preset-file", _preset_file(tmp_path, "zero-kappa", kappa=0)],
+        ["metrics", "--preset-file", str(bare)],
+    ]
+    for argv in cases:
+        _assert_one_usage_error(argv, capsys)
+
+
+def test_coeffs_grid_cap_is_inclusive(tmp_path):
+    # np.arange(0, 199999 + 1, 2): the length quotient is exactly the cap
+    out = tmp_path / "cap.csv"
+    argv = ["coeffs", "--g", "1", "--omega-start", "0", "--omega-stop", "199999",
+            "--omega-step", "2", "--out", str(out)]
+    assert run(argv) == EXIT_OK
+    assert len(out.read_text().splitlines()) == 1 + cli.MAX_GRID_POINTS
+
+
+def test_explicit_flags_match_an_equivalent_preset_file(tmp_path, capsys):
+    flags = ["--g", "5,4", "--kappa", "2,1.5", "--gamma", "0.1,0.3", "--bandwidth", "0.05kappa"]
+    for fmt in ("plain", "json"):
+        assert run(["metrics", *flags, "--format", fmt]) == EXIT_OK
+        explicit = capsys.readouterr().out
+        assert run(["metrics", "--preset-file", _preset_file(tmp_path, "p"), "--format", fmt]) \
+            == EXIT_OK
+        from_file = capsys.readouterr().out
+        if fmt == "json":
+            explicit, from_file = json.loads(explicit), json.loads(from_file)
+            assert from_file["inputs"].pop("preset") == "custom"
+        else:
+            assert "# preset = custom\n" in from_file
+            from_file = from_file.replace("# preset = custom\n", "")
+        assert explicit == from_file
 
 
 # ---------------------------------------------------------------------------
@@ -704,13 +797,14 @@ def test_unknown_subcommand_and_empty():
 # installed entry point
 
 
-def test_console_script_smoke():
-    exe = shutil.which("cavityswap")
-    if exe is None:
-        pytest.skip("console script not on PATH")
-    proc = subprocess.run(
-        [exe, "metrics", "--preset", "atomic"], capture_output=True, text=True
-    )
-    assert proc.returncode == 0
-    assert "loss_probability" in proc.stdout
-    assert "elapsed_s" in proc.stderr
+def test_console_script_smoke(monkeypatch, capsys):
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["cavityswap"]
+    module_name, _, attribute = target.partition(":")
+    entry_point = getattr(importlib.import_module(module_name), attribute)
+    monkeypatch.setattr(sys, "argv", ["cavityswap", "metrics", "--preset", "atomic"])
+    assert entry_point() == EXIT_OK
+    captured = capsys.readouterr()
+    assert "loss_probability" in captured.out
+    assert "elapsed_s" in captured.err
