@@ -456,7 +456,7 @@ class SynthesisMatch:
         steps: list = []
         for depth, kinds in enumerate(self.layers):
             if depth:
-                steps.append(CSWAP(0, 1, 2))
+                steps.append(_SYNTH_CSWAP)
             steps.extend(_layer_gates(kinds))
         if self.feedforward is not None:
             steps.append(Measurement(0))
@@ -470,9 +470,10 @@ class SynthesisMatch:
 @dataclass(frozen=True)
 class SynthesisResult:
     """``search_space`` is the nominal candidate count that the guard
-    applies to; ``evaluated`` counts the operators the search actually
-    formed and put through a match predicate, phase-class representatives
-    included."""
+    applies to; ``evaluated`` counts the candidate operators the search
+    formed and confirmed with a match predicate.  The screens that propose
+    them run on phase-class representatives and form no candidate
+    operator, so they are not counted."""
 
     matches: tuple[SynthesisMatch, ...]
     search_space: int
@@ -489,6 +490,8 @@ _ATOM_DIAGONAL = ("I", "Z", "S", "Sdag")
 
 # diagonal pauli corrections applied to the photon pair, index order fixed
 _CORRECTION_GATES = ((), (Z(2),), (Z(1),), (Z(1), Z(2)))
+# the atom-controlled swap between consecutive layers
+_SYNTH_CSWAP = CSWAP(0, 1, 2)
 
 _GUARD = 100_000_000
 
@@ -506,8 +509,12 @@ _CLASS_TOL = 1e-12
 # factor of ten left over absorbs the feed-forward test dividing by a
 # branch's norm.
 _CLASS_SLACK = 1e-9
+# a feed-forward branch must carry at least this weight
+_BRANCH_FLOOR = 1e-12
 # matrices per batched step
 _BLOCK = 8192
+# prefix classes per photon-map screening step
+_CLASS_BLOCK = 512
 
 
 def _correction_matrices() -> list[np.ndarray]:
@@ -529,8 +536,10 @@ def _layer_kinds(index: int, kinds: Sequence[str]) -> tuple[str, str, str]:
     return tuple(kinds[k] for k in _decode_layer(index, len(kinds)))
 
 
-def _layer_gates(names: Sequence[str]) -> list[Gate]:
-    return [Gate(kind, (wire,)) for wire, kind in enumerate(names) if kind != "I"]
+@functools.lru_cache(maxsize=len(_SYNTH_KINDS) ** 3)
+def _layer_gates(names: tuple[str, ...]) -> tuple[Gate, ...]:
+    # one immutable Gate tuple per kind triple, shared by every match
+    return tuple(Gate(kind, (wire,)) for wire, kind in enumerate(names) if kind != "I")
 
 
 def _matches_full(U: np.ndarray, target: np.ndarray, tol: float) -> list[tuple[int, None]]:
@@ -565,7 +574,7 @@ def _matches_feedforward(
     Ur = U.reshape(-1, 2, 4, 2, 4)
     M = (Ur[:, :, :, 0, :] + Ur[:, :, :, 1, :]) * _SQRT1_2  # [batch, outcome, 4, 4]
     s2 = np.sum(np.abs(M) ** 2, axis=(2, 3)) / 4.0
-    alive = np.all(s2 >= 1e-12, axis=1)
+    alive = np.all(s2 >= _BRANCH_FLOOR, axis=1)
     scale = np.sqrt(np.where(s2 > 0.0, s2, 1.0))
     N = M / scale[:, :, None, None]
     # diagonal corrections cannot change entry magnitudes
@@ -711,34 +720,103 @@ def _search_full(target, k, layers, staged, cswap8, tol):
         yield _confirm(cands, test, 0, layers, staged), len(cands)
 
 
+def _near(X: np.ndarray, Q: np.ndarray, bound: float) -> np.ndarray:
+    # [row of X, row of Q]: min over complex z of |X - z Q|_F^2 <= bound,
+    # for rows of Q of norm 1 or 0.  That minimum is |X|^2 - |<Q, X>|^2; the
+    # 1e-12 terms absorb rounding in the difference
+    overlap = np.abs(X @ Q.conj().T)
+    overlap *= overlap
+    xn = np.sum(np.abs(X) ** 2, axis=1)
+    return overlap >= (xn * (1.0 - 1e-12) - bound - 1e-12)[:, None]
+
+
+def _unit_rows(A: np.ndarray) -> np.ndarray:
+    # one 4x4 matrix per row, scaled to Frobenius norm 1 unless it is zero
+    flat = A.reshape(-1, 16)
+    norm = np.sqrt(np.sum(np.abs(flat) ** 2, axis=1, keepdims=True))
+    return flat / np.where(norm > 0.0, norm, 1.0)
+
+
 def _search_photon(target, k, kinds, layers, staged, feedforward, tol):
-    """Phase classes for a 4x4 target.  Both photon-map predicates hold for
-    L_k . P exactly when they hold for L_k . e^{i theta} P, and for D . L_k . P
-    with D atom-diagonal, so one prefix P = C . L_{k-1} ... C . L_0 per phase
-    class and one final layer per atom-diagonal family is tested, at
-    tol + _CLASS_SLACK.  Hits expand to every member of their class and
-    family, and each member is confirmed at tol on its own operator."""
+    """Meet in the middle for a 4x4 target T.  The final layer a (x) B moves
+    to the target side, so one prefix P = C . L_{k-1} ... C . L_0 per phase
+    class is screened against a table of at most 36 x 4 entries, and no
+    operator is formed for it.  (a (x) B) . P factorizes as A (x) T exactly
+    when each 4x4 block of P is proportional to B^+ . T.  With the atom
+    prepared in |+> and measured, outcome o leaves the photon map B . W,
+    W = sum_j a[o, j] Q_j with Q_j = (P[j, :, 0, :] + P[j, :, 1, :]) / sqrt2;
+    after a correction D it equals T up to scale and phase exactly when W
+    is proportional to B^+ . D^+ . T, with the same B for both outcomes.
+    Each proposed member and final layer is confirmed at tol on its own
+    operator."""
     reps, members = yield from _prefix_classes(np.eye(8, dtype=complex), k, staged)
-    tests = [functools.partial(_matches_factorized, target4=target)]
-    if feedforward:
-        tests.append(functools.partial(
-            _matches_feedforward, target4=target, corrections=_correction_matrices()
-        ))
-    families: dict[tuple[int, int, int], list[int]] = {}
-    for index in range(len(layers)):
-        a, b, c = _decode_layer(index, len(kinds))
-        atom = -1 if kinds[a] in _ATOM_DIAGONAL else a
-        families.setdefault((atom, b, c), []).append(index)
-    for finals in families.values():
-        for lo in range(0, len(reps), _BLOCK):
-            U = np.matmul(layers[finals[0]], reps[lo : lo + _BLOCK])
-            hits, evaluated = [], len(U)
-            for variant, test in enumerate(tests):
-                classes = sorted({lo + i for i, _ in test(U, tol=tol + _CLASS_SLACK)})
-                cands = [t + (f,) for c in classes for t in members[c] for f in finals]
-                hits += _confirm(cands, functools.partial(test, tol=tol), variant, layers, staged)
-                evaluated += len(cands)
-            yield hits, evaluated
+    n2 = len(kinds) ** 2
+    photon = np.array([np.kron(_SINGLE_QUBIT[b], _SINGLE_QUBIT[c]) for b in kinds for c in kinds])
+    photon_dag = photon.conj().transpose(0, 2, 1)
+    corrections = _correction_matrices()
+    # the screens test proportionality, so T and each table entry may be
+    # rescaled; T to unit peak first, so that no norm overflows
+    peak = np.max(np.abs(target))
+    unit = target / peak if peak > 0.0 else target
+    free = _unit_rows(np.matmul(photon_dag, unit))  # B^+ . T
+    fed = _unit_rows(np.matmul(photon_dag[:, None], np.matmul(corrections, unit)))
+    # an atom-diagonal final gate only rephases each W: one family
+    families: dict[int, list[int]] = {}
+    for a, kind in enumerate(kinds):
+        families.setdefault(-1 if kind in _ATOM_DIAGONAL else a, []).append(a)
+    groups = list(families.values())
+    atoms = np.array([_SINGLE_QUBIT[kinds[group[0]]] for group in groups])
+    # Screening radius eps, entrywise, around the multiples of a table entry.
+    # A class member is e^{i theta} P + E with |E|_max < _CLASS_SLACK, and
+    # |V E|_max <= 2 |E|_max for a 4x4 unitary V.  Measurement-free: if the
+    # member passes at tol, the blocks U_ij of (a (x) B) . member lie within
+    # tol of c_ij T; its block (m, j) is B^+ . sum_i conj(a[i, m]) U_ij with
+    # sum_i |a[i, m]| <= sqrt2, so P's block lies within
+    # 2 sqrt2 tol + _CLASS_SLACK of a multiple of B^+ . T.  Feed-forward: the
+    # test scales the member's W to Frobenius norm 2, and that lies within
+    # 2 tol of a multiple of B^+ . D^+ . T (V = B^+ . D^+).  Undoing the
+    # scaling multiplies this by |W|_F / 2 <= 1, since the two W of a unitary
+    # have squared norms summing to 4, and E moves W by at most
+    # 2 _CLASS_SLACK: P's W lies within 2 tol + 2 _CLASS_SLACK.  Over 16
+    # entries the squared Frobenius distance is at most 16 eps^2.  E also
+    # moves |W|_F by at most 8 _CLASS_SLACK, so no branch above the weight
+    # floor |W|_F^2 / 4 >= _BRANCH_FLOOR of the test is screened out.
+    eps = 2.0 * math.sqrt(2.0) * tol + 2.0 * _CLASS_SLACK
+    bound = 16.0 * eps**2
+    alive = (2.0 * math.sqrt(_BRANCH_FLOOR) - 8.0 * _CLASS_SLACK) ** 2
+    free_test = functools.partial(_matches_factorized, target4=target, tol=tol)
+    fed_test = functools.partial(
+        _matches_feedforward, target4=target, corrections=corrections, tol=tol
+    )
+    for lo in range(0, len(reps), _CLASS_BLOCK):
+        P = reps[lo : lo + _CLASS_BLOCK].reshape(-1, 2, 4, 2, 4)
+        n = len(P)
+        blocks = P.transpose(0, 1, 3, 2, 4).reshape(4 * n, 16)
+        near = _near(blocks, free, bound)
+        cands = [
+            t + (a * n2 + p,)
+            for c, p in zip(*np.nonzero(near.reshape(n, 4, n2).all(axis=1)))
+            for t in members[lo + c]
+            for a in range(len(kinds))
+        ]
+        hits = _confirm(cands, free_test, 0, layers, staged)
+        evaluated = len(cands)
+        if feedforward:
+            Q = (P[:, :, :, 0] + P[:, :, :, 1]) * _SQRT1_2  # [class, j, 4, 4]
+            W = np.einsum("fom,nmxy->nfoxy", atoms, Q).reshape(-1, 16)
+            live = np.sum(np.abs(W) ** 2, axis=1) >= alive
+            near = _near(W, fed, bound) & live[:, None]
+            # some correction for each outcome, the same B for both
+            both = near.reshape(n, len(atoms), 2, n2, 4).any(axis=4).all(axis=2)
+            cands = [
+                t + (a * n2 + p,)
+                for c, f, p in zip(*np.nonzero(both))
+                for t in members[lo + c]
+                for a in groups[f]
+            ]
+            hits += _confirm(cands, fed_test, 1, layers, staged)
+            evaluated += len(cands)
+        yield hits, evaluated
 
 
 def synthesize(
@@ -760,10 +838,12 @@ def synthesize(
     diagonal correction per outcome.  Matching is up to global phase at
     tolerance ``tol``; results come back sorted by layer assignment.
 
-    The search runs on phase classes of partial products, with
-    meet-in-the-middle lookups for an 8x8 target, and confirms every
-    reported match on its own operator; full-operator and feed-forward
-    matches pass the rule of ``equivalent_up_to_phase``.
+    The search runs on phase classes of partial products and meets in the
+    middle: an 8x8 target is looked up among the middle products, and for a
+    4x4 target each prefix class is screened against the target with the
+    final layer undone.  Every reported match is confirmed on its own
+    operator; full-operator and feed-forward matches pass the rule of
+    ``equivalent_up_to_phase``.
 
     A positive ``time_budget`` (seconds) makes the search stop early with
     ``truncated`` set, keeping the matches confirmed so far; exceeding
@@ -796,7 +876,7 @@ def synthesize(
 
     start = time.monotonic()
     layers = _layer_matrices(kinds)
-    cswap8 = gate_matrix(CSWAP(0, 1, 2), 3)
+    cswap8 = gate_matrix(_SYNTH_CSWAP, 3)
     staged = np.matmul(cswap8, layers)  # CSWAP . layer, one chain element
     if mode == "full":
         steps = _search_full(target, num_cswaps, layers, staged, cswap8, tol)

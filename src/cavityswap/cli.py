@@ -334,6 +334,8 @@ def cmd_sweep(args) -> int:
         x_col, family_col = "g_over_kappa", "dw_over_kappa"
     if args.gamma <= 0 or not math.isfinite(args.gamma):
         raise UsageError("--gamma must be positive (units of kappa)")
+    if len(couplings) * len(bandwidths) > MAX_GRID_POINTS:  # before the grid is built
+        raise UsageError(f"the sweep grid would exceed {MAX_GRID_POINTS} points")
     quad = _quad_config(args)
     rows = pulses.sweep(couplings, bandwidths, args.gamma, quad)
     for row in rows:

@@ -497,6 +497,25 @@ def test_sweep_bad_values():
     assert run(["sweep", "--axis", "coupling", "--values", "3", "--gamma", "-1"]) == EXIT_USAGE
 
 
+def test_sweep_grid_cap_is_checked_before_the_grid_is_built(capsys, monkeypatch):
+    sizes = []
+
+    def record_size(couplings, bandwidths, *args):
+        sizes.append(len(couplings) * len(bandwidths))
+        return []
+
+    monkeypatch.setattr(cli.pulses, "sweep", record_size)
+    # 10^10 points, and one row of 100 over the cap
+    _assert_one_usage_error(["sweep", "--axis", "coupling", "--values", "1:2:100000",
+                             "--bandwidth", "0.01:0.1:100000"], capsys)
+    _assert_one_usage_error(["sweep", "--axis", "bandwidth", "--values", "0.01:0.1:1001",
+                             "--coupling", "1:2:100"], capsys)
+    assert sizes == []
+    assert run(["sweep", "--axis", "bandwidth", "--values", "0.01:0.1:1000",
+                "--coupling", "1:2:100"]) == EXIT_OK
+    assert sizes == [cli.MAX_GRID_POINTS]
+
+
 def test_sweep_failed_point_still_emits_row(tmp_path, capsys):
     # g = 1e200 overflows g^2, so the pulse averages at that point are NaN
     out = tmp_path / "partial.csv"

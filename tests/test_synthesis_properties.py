@@ -1,5 +1,6 @@
 """Property tests: synthesize against an independent brute force over every
-layer assignment, in full-operator and feed-forward mode."""
+layer assignment, in full-operator, measurement-free photon-map and
+feed-forward mode."""
 import itertools
 import math
 
@@ -81,24 +82,36 @@ def brute_force(target, k, kinds, feedforward, tol):
 
 @st.composite
 def searches(draw):
-    feedforward = draw(st.booleans())
+    # an 8x8 operator, or a 4x4 photon map matched measurement-free or
+    # through feed-forward
+    mode = draw(st.sampled_from(["full", "photon", "feedforward"]))
+    feedforward = mode == "feedforward"
     k = draw(st.integers(0, 3))
     limit = FEEDFORWARD_LIMIT if feedforward else FULL_LIMIT
     most = max(m for m in (1, 2, 3) if m ** (3 * (k + 1)) <= limit)
     kinds = tuple(draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=most, unique=True)))
     planted = [tuple(draw(st.sampled_from(kinds)) for _ in range(3)) for _ in range(k + 1)]
-    if feedforward:
-        # a random circuit's branch map rarely has a placement; these photon
+    U = circuit_unitary(circuit_gates(planted), 3)
+    if mode == "full":
+        target = U
+    else:
+        if feedforward:
+            maps = branch_maps(Circuit(tuple(circuit_gates(planted)) + (Measurement(0),)))
+            planted_map = maps[0] if maps[0] is not None else maps[1]
+        else:
+            # the largest 4x4 block at a unitary's norm: the photon map of
+            # the planted circuit whenever its operator factorizes
+            blocks = U.reshape(2, 4, 2, 4).transpose(0, 2, 1, 3).reshape(4, 4, 4)
+            block = blocks[np.argmax(np.linalg.norm(blocks, axis=(1, 2)))]
+            planted_map = 2.0 * block / np.linalg.norm(block)
+        # a random circuit's photon map rarely has a placement; these photon
         # maps have many over small gate sets
-        maps = branch_maps(Circuit(tuple(circuit_gates(planted)) + (Measurement(0),)))
         target = draw(st.sampled_from([
-            maps[0] if maps[0] is not None else maps[1],
+            planted_map,
             np.eye(4, dtype=complex),
             CORRECTIONS[3],
             np.eye(4, dtype=complex)[[0, 2, 1, 3]],
         ]))
-    else:
-        target = circuit_unitary(circuit_gates(planted), 3)
     target = np.exp(1j * draw(st.floats(0.0, 2.0 * math.pi))) * target
     # one entry moved by nothing, by half the tolerance, or by twice it
     shift = draw(st.sampled_from([0.0, 0.5, 2.0]))
@@ -107,7 +120,7 @@ def searches(draw):
     return target, k, kinds, feedforward
 
 
-@settings(max_examples=60)
+@settings(max_examples=90)
 @given(searches())
 def test_synthesize_matches_brute_force(search):
     target, k, kinds, feedforward = search
@@ -127,6 +140,9 @@ def test_feedforward_placements_match_brute_force(kinds, k, target):
     want = brute_force(target, k, kinds, True, TOL)
     assert any(not line.endswith("|None") for line in want)
     assert sorted(match_lines(result)) == want
+    # the photon-map screen proposes no candidate that fails confirmation,
+    # dead branches included
+    assert result.evaluated == len(want)
 
 
 @pytest.mark.parametrize("tol", [TOL, 0.5 * _KEY_GRID, _KEY_GRID])
