@@ -9,6 +9,7 @@ all verification paths are deterministic.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -230,6 +231,22 @@ class Circuit:
                     )
             elif not isinstance(step, Gate):
                 raise ValueError(f"unsupported circuit step {step!r}")
+
+
+def _format_step(step) -> str:
+    if isinstance(step, Gate):
+        if step.kind == "Phase":
+            return f"Phase({step.theta:g},{step.wires[0]})"
+        return f"{step.kind}({','.join(str(w) for w in step.wires)})"
+    if isinstance(step, Measurement):
+        return f"measure({step.wire})"
+    gates = ",".join(f"{g.kind}({g.wires[0]})" for g in step.gates)
+    return f"on{step.condition[1]}:[{gates}]"
+
+
+def format_circuit(circuit: Circuit) -> str:
+    """Canonical one-line rendering used by reports."""
+    return " ; ".join(map(_format_step, circuit.steps)) or "(empty)"
 
 
 @dataclass(frozen=True)
@@ -466,13 +483,31 @@ class SynthesisMatch:
                     steps.append(ClassicallyControlled((0, outcome), gates))
         return Circuit(tuple(steps))
 
+    @property
+    def line(self) -> str:
+        """format_circuit(self.circuit), joined from text cached per layer."""
+        parts: list[str] = []
+        for depth, kinds in enumerate(self.layers):
+            if depth:
+                parts.append(_CSWAP_TEXT)
+            parts.extend(_layer_text(kinds))
+        if self.feedforward is not None:
+            parts.append(_MEASURE_TEXT)
+            parts.extend(
+                _CORRECTION_TEXT[outcome][ci]
+                for outcome, ci in enumerate(self.feedforward)
+                if _CORRECTION_GATES[ci]
+            )
+        return " ; ".join(parts) or "(empty)"
+
 
 @dataclass(frozen=True)
 class SynthesisResult:
-    """``search_space`` is the nominal candidate count that the guard
-    applies to; ``evaluated`` counts the candidate operators the search
-    formed and confirmed with a match predicate.  The screens that propose
-    them run on phase-class representatives and form no candidate
+    """``matches`` are sorted by layer assignment, each rendered by its
+    ``line``.  ``search_space`` is the nominal candidate count that the
+    guard applies to; ``evaluated`` counts the candidate operators the
+    search formed and confirmed with a match predicate.  The screens that
+    propose them run on phase-class representatives and form no candidate
     operator, so they are not counted."""
 
     matches: tuple[SynthesisMatch, ...]
@@ -492,15 +527,26 @@ _ATOM_DIAGONAL = ("I", "Z", "S", "Sdag")
 _CORRECTION_GATES = ((), (Z(2),), (Z(1),), (Z(1), Z(2)))
 # the atom-controlled swap between consecutive layers
 _SYNTH_CSWAP = CSWAP(0, 1, 2)
+# rendered steps of SynthesisMatch.line
+_CSWAP_TEXT = _format_step(_SYNTH_CSWAP)
+_MEASURE_TEXT = _format_step(Measurement(0))
+_CORRECTION_TEXT = tuple(
+    tuple(_format_step(ClassicallyControlled((0, outcome), gates)) for gates in _CORRECTION_GATES)
+    for outcome in (0, 1)
+)
 
 _GUARD = 100_000_000
 
 # The phase-class key of a matrix: the matrix times the conjugate phase of its
 # reference entry (the first, in flat order, of modulus above _KEY_REF), each
-# real and imaginary part rounded to a grid of spacing _KEY_GRID.  Equal keys
-# only propose candidates; every use confirms them exactly.
+# real and imaginary part rounded to a grid of spacing _KEY_GRID, hashed to
+# 64 bits.  Equal keys only propose candidates; every use confirms them
+# exactly, so two grids that share a hash cost one failed confirmation.
 _KEY_REF = 0.3
 _KEY_GRID = 2.0**-8
+# multipliers of the hash, one per pair of grid values: powers of an odd
+# constant modulo 2^64, so all odd
+_KEY_MIX = np.array([pow(0x9E3779B97F4A7C15, i, 2**64) for i in range(1, 65)], dtype=np.uint64)
 # a phase-class member equals its representative up to phase within this
 _CLASS_TOL = 1e-12
 # Lookups and representative tests widen their tolerance by this much.  After
@@ -515,6 +561,8 @@ _BRANCH_FLOOR = 1e-12
 _BLOCK = 8192
 # prefix classes per photon-map screening step
 _CLASS_BLOCK = 512
+# products or queries formed per step: whole layers, at least one
+_PRODUCT_BLOCK = 512
 
 
 def _correction_matrices() -> list[np.ndarray]:
@@ -522,24 +570,15 @@ def _correction_matrices() -> list[np.ndarray]:
     return [circuit_unitary(gates, 3)[:4, :4] for gates in _CORRECTION_GATES]
 
 
-def _layer_matrices(kinds: Sequence[str]) -> np.ndarray:
-    return np.array(
-        [circuit_unitary(_layer_gates(_layer_kinds(i, kinds)), 3) for i in range(len(kinds) ** 3)]
-    )
-
-
-def _decode_layer(index: int, n_kinds: int) -> tuple[int, int, int]:
-    return (index // (n_kinds**2), (index // n_kinds) % n_kinds, index % n_kinds)
-
-
-def _layer_kinds(index: int, kinds: Sequence[str]) -> tuple[str, str, str]:
-    return tuple(kinds[k] for k in _decode_layer(index, len(kinds)))
-
-
 @functools.lru_cache(maxsize=len(_SYNTH_KINDS) ** 3)
 def _layer_gates(names: tuple[str, ...]) -> tuple[Gate, ...]:
     # one immutable Gate tuple per kind triple, shared by every match
     return tuple(Gate(kind, (wire,)) for wire, kind in enumerate(names) if kind != "I")
+
+
+@functools.lru_cache(maxsize=len(_SYNTH_KINDS) ** 3)
+def _layer_text(names: tuple[str, ...]) -> tuple[str, ...]:
+    return tuple(map(_format_step, _layer_gates(names)))
 
 
 def _matches_full(U: np.ndarray, target: np.ndarray, tol: float) -> list[tuple[int, None]]:
@@ -589,12 +628,8 @@ def _matches_feedforward(
         Nb = N[survivors, b]
         for ci, D in enumerate(corrections):
             ok[:, b, ci] = _phase_equiv_batch(np.matmul(D, Nb), target4, tol)
-    hits = []
-    for row in np.nonzero(ok[:, 0].any(axis=1) & ok[:, 1].any(axis=1))[0]:
-        for c0 in np.nonzero(ok[row, 0])[0]:
-            for c1 in np.nonzero(ok[row, 1])[0]:
-                hits.append((int(survivors[row]), (int(c0), int(c1))))
-    return hits
+    rows, c0, c1 = np.nonzero(ok[:, 0, :, None] & ok[:, 1, None, :])
+    return list(zip(survivors[rows].tolist(), zip(c0.tolist(), c1.tolist())))
 
 
 def _phase_canonical(A: np.ndarray):
@@ -607,12 +642,29 @@ def _phase_canonical(A: np.ndarray):
     ref = np.argmax(mag > _KEY_REF, axis=1)  # 0 where no entry qualifies
     r, rmag = flat[rows, ref], mag[rows, ref]
     unit = np.where(rmag > 0.0, r.conj() / np.where(rmag > 0.0, rmag, 1.0), 1.0)
-    return (flat * unit[:, None]).view(np.float64) / _KEY_GRID, ref, mag
+    scaled = (flat * unit[:, None]).view(np.float64)
+    scaled /= _KEY_GRID
+    return scaled, ref, mag
 
 
-def _keys(scaled: np.ndarray) -> list[bytes]:
-    grid = np.rint(np.clip(scaled, -(2.0**30), 2.0**30)).astype(np.int32)
-    return grid.view(np.dtype((np.void, 4 * grid.shape[1]))).ravel().tolist()
+def _keys(scaled: np.ndarray) -> np.ndarray:
+    # one uint64 per row: each pair of int32 grid values read as one word,
+    # times its multiplier, summed modulo 2^64
+    grid = np.clip(scaled, -(2.0**30), 2.0**30)
+    grid = np.rint(grid, out=grid).astype(np.int32)
+    return grid.view(np.uint64) @ _KEY_MIX[: grid.shape[1] // 2]
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    # starts[i], ..., starts[i] + counts[i] - 1 for each i, concatenated
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + counts, counts)
+
+
+def _member_rows(members: np.ndarray, offsets: np.ndarray, classes: np.ndarray):
+    # the member tuples of each listed class in turn, and how many each has
+    counts = offsets[classes + 1] - offsets[classes]
+    return members[_ranges(offsets[classes], counts)], counts
 
 
 def _stable(scaled: np.ndarray, ref: np.ndarray, mag: np.ndarray, eps: float) -> np.ndarray:
@@ -632,49 +684,89 @@ def _stable(scaled: np.ndarray, ref: np.ndarray, mag: np.ndarray, eps: float) ->
 def _prefix_classes(start: np.ndarray, depth: int, staged: np.ndarray):
     """Phase classes of staged[l_{depth-1}] ... staged[l_0] . start over all
     layer tuples, built one depth at a time from the representatives of the
-    depth before.  A search step generator (one empty step per layer); it
-    returns the representatives and, per class, its member layer tuples in
-    application order."""
-    reps, members = start[None], [[()]]
+    depth before.  The products of a depth, ordered by layer and then by
+    the class they extend, are formed and keyed in blocks of whole layers.
+    A product joins the class of the first product with its key when it
+    equals that representative up to phase within _CLASS_TOL, and is a
+    class of its own otherwise.  Class ids follow first occurrence, a
+    layer's own classes after its new keys.  A search step generator (one
+    empty step per block); it returns the representatives, the member layer
+    tuples in application order as one int array grouped by class, and the
+    offsets of each class's rows in it."""
+    reps = start[None]
+    members = np.zeros((1, 0), dtype=np.intp)
+    offsets = np.array([0, 1])
+    shape = start.shape
     for _ in range(depth):
-        index: dict[bytes, int] = {}
-        new_reps: list[np.ndarray] = []
-        new_members: list[list[tuple[int, ...]]] = []
-        for layer, stage in enumerate(staged):
-            products = np.matmul(stage, reps)
-            ids = []
-            for i, key in enumerate(_keys(_phase_canonical(products)[0])):
-                if key not in index:
-                    index[key] = len(new_reps)
-                    new_reps.append(products[i])
-                    new_members.append([])
-                ids.append(index[key])
-            same = _phase_equiv_batch(products, np.array([new_reps[c] for c in ids]), _CLASS_TOL)
-            for i, c in enumerate(ids):
-                if not same[i]:  # grouped by its key alone: a class of its own
-                    c = len(new_reps)
-                    new_reps.append(products[i])
-                    new_members.append([])
-                new_members[c].extend(t + (layer,) for t in members[i])
+        n = len(reps)
+        per = max(1, _PRODUCT_BLOCK // n)  # whole layers per block
+        classes = np.empty(len(staged) * n, dtype=np.intp)  # of product layer * n + i
+        # room for a class per product; rows never written are never touched
+        new_reps = np.empty((len(staged) * n,) + shape, dtype=complex)
+        count = 0
+        known = np.empty(0, dtype=np.uint64)  # sorted first keys, and their classes
+        known_ids = np.empty(0, dtype=np.intp)
+        for lo in range(0, len(staged), per):
+            layers = staged[lo : lo + per]
+            products = np.empty((len(layers), n) + shape, dtype=complex)
+            for j, stage in enumerate(layers):
+                np.matmul(stage, reps, out=products[j])
+            products = products.reshape((-1,) + shape)
+            keys, first, inverse = np.unique(
+                _keys(_phase_canonical(products)[0]), return_index=True, return_inverse=True
+            )
+            at = np.searchsorted(known, keys)
+            seen = at < len(known)
+            seen[seen] = known[at[seen]] == keys[seen]
+            ids = np.full(len(keys), -1)
+            ids[seen] = known_ids[at[seen]]
+            # each product against its key's representative, which for a
+            # key new to this block is the key's first product
+            old = seen[inverse]
+            ref = products[first[inverse]]
+            ref[old] = new_reps[ids[inverse[old]]]
+            same = _phase_equiv_batch(products, ref, _CLASS_TOL)
+            fresh = np.nonzero(~seen)[0]
+            # new classes by layer, a layer's new keys before its own classes
+            odd = np.nonzero(~same)[0]
+            where = np.concatenate((first[fresh], odd))
+            order = np.lexsort((where, np.arange(len(where)) >= len(fresh), where // n))
+            rank = np.empty(len(where), dtype=np.intp)
+            rank[order] = count + np.arange(len(where))
+            ids[fresh] = rank[: len(fresh)]
+            classes[lo * n : lo * n + len(products)] = ids[inverse]
+            classes[lo * n + odd] = rank[len(fresh) :]
+            new_reps[count : count + len(where)] = products[where[order]]
+            count += len(where)
+            # only a key's first class takes its later products
+            slot = np.searchsorted(known, keys[fresh])
+            known = np.insert(known, slot, keys[fresh])
+            known_ids = np.insert(known_ids, slot, ids[fresh])
             yield [], 0
-        reps, members = np.array(new_reps), new_members
-    return reps, members
+        # members of each class in product order: a stable sort by class
+        grouped = np.argsort(classes, kind="stable")
+        rows, counts = _member_rows(members, offsets, grouped % n)
+        members = np.column_stack((rows, np.repeat(grouped // n, counts)))
+        ends = np.concatenate(([0], np.cumsum(counts)))
+        offsets = ends[np.searchsorted(classes[grouped], np.arange(count + 1))]
+        reps = new_reps[:count]
+    return reps, members, offsets
 
 
-def _confirm(cands, test, variant, layers, staged) -> list:
+def _confirm(cands: np.ndarray, test, variant, layers, staged) -> list:
     # form each candidate's operator in application order and run the match
-    # predicate on it; returns (layer tuple, variant, correction pair) per hit
+    # predicate on it; cands holds one layer tuple per row.  Returns
+    # (layer tuple, variant, correction pair) per hit
     hits = []
     for lo in range(0, len(cands), _BLOCK):
-        block = cands[lo : lo + _BLOCK]
-        idx = np.array(block, dtype=np.intp)
+        idx = cands[lo : lo + _BLOCK]
         U = layers[idx[:, -1]]
         if idx.shape[1] > 1:
             prefix = staged[idx[:, 0]]
             for j in range(1, idx.shape[1] - 1):
                 prefix = np.matmul(staged[idx[:, j]], prefix)
             U = np.matmul(U, prefix)
-        hits.extend((block[i], variant, ff) for i, ff in test(U))
+        hits.extend((tuple(idx[i].tolist()), variant, ff) for i, ff in test(U))
     return hits
 
 
@@ -682,41 +774,52 @@ def _search_full(target, k, layers, staged, cswap8, tol):
     """Meet in the middle for an 8x8 target.  L_k . M . L_0 matches T only if
     the middle M = C . L_{k-1} ... L_1 . C is within 8 tol of the query
     L_k^+ . T . L_0^+ up to phase (|A E B|_max <= 8 |E|_max for 8x8
-    unitaries A, B), so each query is looked up by key among the middles'
-    phase classes.  A middle whose key is not stable at that tolerance is
-    screened against every query instead.  Each proposed candidate is
-    confirmed by _matches_full on its own operator."""
+    unitaries A, B), so the queries, a block of final layers at a time, are
+    looked up by key among the middles' phase classes.  A middle whose key
+    is not stable at that tolerance is screened against every query
+    instead.  Each proposed candidate is confirmed by _matches_full on its
+    own operator."""
     test = functools.partial(_matches_full, target=target, tol=tol)
+    n = len(layers)
     if k == 0:
-        yield _confirm([(i,) for i in range(len(layers))], test, 0, layers, staged), len(layers)
+        yield _confirm(np.arange(n)[:, None], test, 0, layers, staged), n
         return
-    reps, members = yield from _prefix_classes(cswap8, k - 1, staged)
+    reps, members, offsets = yield from _prefix_classes(cswap8, k - 1, staged)
     eps = 8.0 * tol + _CLASS_SLACK
     scaled, ref, mag = _phase_canonical(reps)
-    stable = _stable(scaled, ref, mag, eps)
-    table: dict[bytes, list[int]] = {}
-    for c, key in zip(np.nonzero(stable)[0], _keys(scaled[stable])):
-        table.setdefault(key, []).append(int(c))
-    loose = np.nonzero(~stable)[0]
+    stable = np.nonzero(_stable(scaled, ref, mag, eps))[0]
+    keys = _keys(scaled[stable])
+    order = np.argsort(keys, kind="stable")
+    table, table_ids = keys[order], stable[order]
+    loose = np.setdiff1d(np.arange(len(reps)), stable)
     loose_flat = reps[loose].reshape(len(loose), target.size)
     loose_norm = np.sum(np.abs(loose_flat) ** 2, axis=1)
     right = np.matmul(target, layers.conj().transpose(0, 2, 1))  # T . L_0^+
-    for last in range(len(layers)):
-        queries = np.matmul(layers[last].conj().T, right)
-        pairs = [
-            (first, c)
-            for first, key in enumerate(_keys(_phase_canonical(queries)[0]))
-            for c in table.get(key, ())
-        ]
+    per = max(1, _PRODUCT_BLOCK // n)
+    for lo in range(0, n, per):
+        lasts = range(lo, min(lo + per, n))
+        queries = np.empty((len(lasts), n) + target.shape, dtype=complex)
+        for j, last in enumerate(lasts):
+            np.matmul(layers[last].conj().T, right, out=queries[j])
+        queries = queries.reshape((-1,) + target.shape)  # last-major, then first
+        query_keys = _keys(_phase_canonical(queries)[0])
+        left = np.searchsorted(table, query_keys)
+        counts = np.searchsorted(table, query_keys, side="right") - left
+        query = np.repeat(np.arange(len(queries)), counts)
+        middle = table_ids[_ranges(left, counts)]
         if loose.size:
             # min over phase of |M - e^{i phi} Q|_F^2 is |M|^2 + |Q|^2 - 2 |<Q, M>|,
             # at most target.size * eps^2 when the entries are within eps
             q = queries.reshape(len(queries), target.size)
             norms = np.sum(np.abs(q) ** 2, axis=1)[:, None] + loose_norm[None]
             gap = norms - 2.0 * np.abs(q.conj() @ loose_flat.T)
-            near = gap <= target.size * eps**2 + 1e-12 * norms
-            pairs += [(int(first), int(loose[j])) for first, j in zip(*np.nonzero(near))]
-        cands = [(first,) + middle + (last,) for first, c in pairs for middle in members[c]]
+            near_q, near_j = np.nonzero(gap <= target.size * eps**2 + 1e-12 * norms)
+            query = np.concatenate((query, near_q))
+            middle = np.concatenate((middle, loose[near_j]))
+        rows, counts = _member_rows(members, offsets, middle)
+        cands = np.column_stack(
+            (np.repeat(query % n, counts), rows, np.repeat(lo + query // n, counts))
+        )
         yield _confirm(cands, test, 0, layers, staged), len(cands)
 
 
@@ -749,7 +852,13 @@ def _search_photon(target, k, kinds, layers, staged, feedforward, tol):
     is proportional to B^+ . D^+ . T, with the same B for both outcomes.
     Each proposed member and final layer is confirmed at tol on its own
     operator."""
-    reps, members = yield from _prefix_classes(np.eye(8, dtype=complex), k, staged)
+    reps, members, offsets = yield from _prefix_classes(np.eye(8, dtype=complex), k, staged)
+
+    def expand(classes, last):
+        # each member of classes[i] followed by the final layer last[i]
+        rows, counts = _member_rows(members, offsets, classes)
+        return np.column_stack((rows, np.repeat(last, counts)))
+
     n2 = len(kinds) ** 2
     photon = np.array([np.kron(_SINGLE_QUBIT[b], _SINGLE_QUBIT[c]) for b in kinds for c in kinds])
     photon_dag = photon.conj().transpose(0, 2, 1)
@@ -766,6 +875,10 @@ def _search_photon(target, k, kinds, layers, staged, feedforward, tol):
         families.setdefault(-1 if kind in _ATOM_DIAGONAL else a, []).append(a)
     groups = list(families.values())
     atoms = np.array([_SINGLE_QUBIT[kinds[group[0]]] for group in groups])
+    in_family = np.zeros((len(groups), len(kinds)), dtype=bool)
+    for f, group in enumerate(groups):
+        in_family[f, group] = True
+    atom_offset = n2 * np.arange(len(kinds))  # of the final layer's index
     # Screening radius eps, entrywise, around the multiples of a table entry.
     # A class member is e^{i theta} P + E with |E|_max < _CLASS_SLACK, and
     # |V E|_max <= 2 |E|_max for a 4x4 unitary V.  Measurement-free: if the
@@ -792,13 +905,8 @@ def _search_photon(target, k, kinds, layers, staged, feedforward, tol):
         P = reps[lo : lo + _CLASS_BLOCK].reshape(-1, 2, 4, 2, 4)
         n = len(P)
         blocks = P.transpose(0, 1, 3, 2, 4).reshape(4 * n, 16)
-        near = _near(blocks, free, bound)
-        cands = [
-            t + (a * n2 + p,)
-            for c, p in zip(*np.nonzero(near.reshape(n, 4, n2).all(axis=1)))
-            for t in members[lo + c]
-            for a in range(len(kinds))
-        ]
+        c, p = np.nonzero(_near(blocks, free, bound).reshape(n, 4, n2).all(axis=1))
+        cands = expand(np.repeat(lo + c, len(kinds)), (p[:, None] + atom_offset).ravel())
         hits = _confirm(cands, free_test, 0, layers, staged)
         evaluated = len(cands)
         if feedforward:
@@ -808,12 +916,9 @@ def _search_photon(target, k, kinds, layers, staged, feedforward, tol):
             near = _near(W, fed, bound) & live[:, None]
             # some correction for each outcome, the same B for both
             both = near.reshape(n, len(atoms), 2, n2, 4).any(axis=4).all(axis=2)
-            cands = [
-                t + (a * n2 + p,)
-                for c, f, p in zip(*np.nonzero(both))
-                for t in members[lo + c]
-                for a in groups[f]
-            ]
+            c, f, p = np.nonzero(both)
+            t, a = np.nonzero(in_family[f])
+            cands = expand(lo + c[t], atom_offset[a] + p[t])
             hits += _confirm(cands, fed_test, 1, layers, staged)
             evaluated += len(cands)
         yield hits, evaluated
@@ -836,18 +941,21 @@ def synthesize(
     measurement-free (the operator must factorize as atom x target) or, when
     allow_feedforward is set, through a terminal atom measurement with one
     diagonal correction per outcome.  Matching is up to global phase at
-    tolerance ``tol``; results come back sorted by layer assignment.
+    tolerance ``tol``, which must lie in (0, 1) since unitary entries have
+    modulus at most 1; results come back sorted by layer assignment.
 
-    The search runs on phase classes of partial products and meets in the
-    middle: an 8x8 target is looked up among the middle products, and for a
-    4x4 target each prefix class is screened against the target with the
-    final layer undone.  Every reported match is confirmed on its own
-    operator; full-operator and feed-forward matches pass the rule of
-    ``equivalent_up_to_phase``.
+    The search runs on phase classes of partial products, built a block of
+    whole layers at a time, and meets in the middle: an 8x8 target is
+    looked up among the middle products, and for a 4x4 target each prefix
+    class is screened against the target with the final layer undone.
+    Every reported match is confirmed on its own operator; full-operator
+    and feed-forward matches pass the rule of ``equivalent_up_to_phase``.
 
-    A positive ``time_budget`` (seconds) makes the search stop early with
-    ``truncated`` set, keeping the matches confirmed so far; exceeding
-    _GUARD candidates raises SearchSpaceError before any work is done.
+    A ``time_budget`` (seconds, positive) makes the search stop early with
+    ``truncated`` set, keeping the matches confirmed so far; the budget is
+    checked between blocks.  Exceeding _GUARD candidates raises
+    SearchSpaceError before any work is done; an empty gate set, a ``tol``
+    outside (0, 1) or a budget that is NaN or not positive raise ValueError.
     """
     target = np.asarray(target, dtype=complex)
     if target.shape == (8, 8):
@@ -860,7 +968,13 @@ def synthesize(
         raise ValueError("target entries must be finite")
     if not (0 <= num_cswaps <= 4):
         raise ValueError("num_cswaps must be between 0 and 4")
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must be finite and in (0, 1), got {tol!r}")
+    if time_budget is not None and not time_budget > 0.0:
+        raise ValueError(f"time_budget must be positive, got {time_budget!r}")
     kinds = tuple(gate_set)
+    if not kinds:
+        raise ValueError("gate_set must not be empty")
     if len(set(kinds)) != len(kinds):
         raise ValueError("gate_set entries must be unique")
     for k in kinds:
@@ -875,7 +989,9 @@ def synthesize(
         raise SearchSpaceError(size, _GUARD)
 
     start = time.monotonic()
-    layers = _layer_matrices(kinds)
+    # the kind triple of each layer index, n^2 atom + n photon + photon
+    names = list(itertools.product(kinds, repeat=3))
+    layers = np.array([circuit_unitary(_layer_gates(triple), 3) for triple in names])
     cswap8 = gate_matrix(_SYNTH_CSWAP, 3)
     staged = np.matmul(cswap8, layers)  # CSWAP . layer, one chain element
     if mode == "full":
@@ -895,24 +1011,7 @@ def synthesize(
 
     found.sort(key=lambda item: (item[0], item[1], item[2] or (-1, -1)))
     matches = tuple(
-        SynthesisMatch(tuple(_layer_kinds(index, kinds) for index in layers_idx), ff)
+        SynthesisMatch(tuple(names[index] for index in layers_idx), ff)
         for layers_idx, _, ff in found
     )
     return SynthesisResult(matches, size, truncated, time.monotonic() - start, evaluated)
-
-
-def format_circuit(circuit: Circuit) -> str:
-    """Canonical one-line rendering used by reports."""
-    parts = []
-    for step in circuit.steps:
-        if isinstance(step, Gate):
-            if step.kind == "Phase":
-                parts.append(f"Phase({step.theta:g},{step.wires[0]})")
-            else:
-                parts.append(f"{step.kind}({','.join(str(w) for w in step.wires)})")
-        elif isinstance(step, Measurement):
-            parts.append(f"measure({step.wire})")
-        else:
-            gates = ",".join(f"{g.kind}({g.wires[0]})" for g in step.gates)
-            parts.append(f"on{step.condition[1]}:[{gates}]")
-    return " ; ".join(parts) if parts else "(empty)"

@@ -403,7 +403,7 @@ def cmd_synthesize(args) -> int:
     except (circuits.SearchSpaceError, ValueError) as exc:
         raise UsageError(str(exc))
     for match in result.matches:
-        sys.stdout.write(circuits.format_circuit(match.circuit) + "\n")
+        sys.stdout.write(match.line + "\n")
     sys.stdout.write(f"found = {len(result.matches)}\n")
     sys.stdout.write(f"search_space = {result.search_space}\n")
     if result.truncated:

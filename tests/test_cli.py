@@ -807,6 +807,14 @@ def test_synthesize_guard_refuses(capsys):
     assert "guard" in capsys.readouterr().err
 
 
+def test_synthesize_argument_errors_are_one_usage_error(capsys):
+    base = ["synthesize", "--target", "czz", "--cswaps", "1", "--gates", "I,Z"]
+    for extra in (["--tol", "nan"], ["--tol", "-1"], ["--tol", "0"], ["--tol", "1"],
+                  ["--tol", "1e300"], ["--tol", "inf"], ["--time-budget", "nan"],
+                  ["--time-budget", "-1"], ["--time-budget", "0"], ["--gates", ","]):
+        _assert_one_usage_error(base + extra, capsys)
+
+
 def test_unknown_subcommand_and_empty():
     assert run(["nonsense"]) == EXIT_USAGE
     assert run([]) == EXIT_USAGE

@@ -190,6 +190,16 @@ def test_argument_validation():
         synthesize(cpf_target(), 1, ("I", "Z", "Z"))
     with pytest.raises(ValueError):
         synthesize(np.full((8, 8), np.nan), 1)
+    with pytest.raises(ValueError, match="gate_set"):
+        synthesize(cpf_target(), 1, ())
+    # unitary entries have modulus at most 1: tol must be finite, in (0, 1)
+    for tol in (math.nan, -1.0, 0.0, 1.0, 1e300, math.inf):
+        with pytest.raises(ValueError, match="tol"):
+            synthesize(czz_target(), 1, ("I", "Z"), tol=tol)
+    for budget in (math.nan, -1.0, 0.0, -math.inf):
+        with pytest.raises(ValueError, match="time_budget"):
+            synthesize(czz_target(), 1, ("I", "Z"), time_budget=budget)
+    assert not synthesize(czz_target(), 1, ("I", "Z"), time_budget=math.inf).truncated
 
 
 @pytest.mark.parametrize("scale", [0.0, 1e-200, 1e200])
@@ -205,6 +215,25 @@ def test_format_circuit_empty():
     result = synthesize(np.eye(4, dtype=complex), 0, ("I",))
     assert len(result.matches) == 1
     assert format_circuit(result.matches[0].circuit) == "(empty)"
+    assert result.matches[0].line == "(empty)"
+
+
+def test_match_lines_render_as_format_circuit(cpf_feedforward):
+    searches = {
+        "cpf feed-forward": cpf_feedforward,
+        "cpf measurement-free": synthesize(cpf_target(), 2, FULL_SET),
+        "identity photon map": synthesize(np.eye(4, dtype=complex), 2, ("I", "Z")),
+        "czz": synthesize(czz_target(), 2, ("I", "Z")),
+        "no CSWAP": synthesize(np.eye(4, dtype=complex), 0, ("I",)),
+    }
+    assert len(searches["cpf measurement-free"].matches) == 0
+    for name, result in searches.items():
+        for match in result.matches:
+            assert match.line == format_circuit(match.circuit), (name, match)
+    # outcomes whose correction is the identity are among them
+    identity_fixes = [m.feedforward for m in cpf_feedforward.matches if 0 in m.feedforward]
+    assert identity_fixes and any(ff != (0, 0) for ff in identity_fixes)
+    assert len(searches["identity photon map"].matches) > 0
 
 
 # Digests of the sorted match lists, copied from perfbench/pins.json: the
