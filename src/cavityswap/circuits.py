@@ -523,8 +523,10 @@ _SYNTH_KINDS = ("I", "H", "X", "Z", "S", "Sdag")
 # the final layer they change neither photon-map predicate
 _ATOM_DIAGONAL = ("I", "Z", "S", "Sdag")
 
-# diagonal pauli corrections applied to the photon pair, index order fixed
+# diagonal pauli corrections applied to the photon pair, index order fixed,
+# and the diagonal of each one's photon-pair block
 _CORRECTION_GATES = ((), (Z(2),), (Z(1),), (Z(1), Z(2)))
+_CORRECTION_DIAGONALS = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
 # the atom-controlled swap between consecutive layers
 _SYNTH_CSWAP = CSWAP(0, 1, 2)
 # rendered steps of SynthesisMatch.line
@@ -557,17 +559,18 @@ _CLASS_TOL = 1e-12
 _CLASS_SLACK = 1e-9
 # a feed-forward branch must carry at least this weight
 _BRANCH_FLOOR = 1e-12
-# matrices per batched step
-_BLOCK = 8192
-# prefix classes per photon-map screening step
-_CLASS_BLOCK = 512
-# products or queries formed per step: whole layers, at least one
+# products, queries, prefix classes or candidates formed per step; products
+# and queries in whole layers, at least one
 _PRODUCT_BLOCK = 512
 
 
-def _correction_matrices() -> list[np.ndarray]:
-    # photon-pair block of each correction with the atom in |0>
-    return [circuit_unitary(gates, 3)[:4, :4] for gates in _CORRECTION_GATES]
+def _layer_tables(kinds: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    # the photon-pair operator B = b (x) c of each kind pair and the layer
+    # operator a (x) B of each kind triple, in itertools.product order
+    gates = np.array([_SINGLE_QUBIT[kind] for kind in kinds])
+    n = len(kinds)
+    photon = np.einsum("bkl,cmn->bckmln", gates, gates).reshape(n * n, 4, 4)
+    return photon, np.einsum("aij,pkl->apikjl", gates, photon).reshape(n**3, 8, 8)
 
 
 @functools.lru_cache(maxsize=len(_SYNTH_KINDS) ** 3)
@@ -582,54 +585,37 @@ def _layer_text(names: tuple[str, ...]) -> tuple[str, ...]:
 
 
 def _matches_full(U: np.ndarray, target: np.ndarray, tol: float) -> list[tuple[int, None]]:
-    # necessary magnitude screen, then the exact phase-aligned comparison
-    rough = np.max(np.abs(np.abs(U) - np.abs(target)[None]), axis=(1, 2)) <= tol
-    survivors = np.nonzero(rough)[0]
-    exact = _phase_equiv_batch(U[survivors], target, tol)
-    return [(int(i), None) for i in survivors[exact]]
+    # the rule of equivalent_up_to_phase
+    return [(int(i), None) for i in np.nonzero(_phase_equiv_batch(U, target, tol))[0]]
 
 
 def _matches_factorized(U: np.ndarray, target4: np.ndarray, tol: float) -> list[tuple[int, None]]:
     # measurement-free realization: U must split as (atom unitary) x target4;
     # the coefficient matrix c absorbs the global phase, so the residual test
-    # is exact.  The rebuilt operator is exactly zero wherever target4 is, so
-    # those entries of U alone screen out most candidates first.
-    off = U.reshape(len(U), 64)[:, np.tile(target4 == 0, (2, 2)).ravel()]
-    survivors = np.nonzero(np.max(np.abs(off), axis=1, initial=0.0) <= tol)[0]
-    Ur = U[survivors].reshape(-1, 2, 4, 2, 4)
+    # is exact
+    Ur = U.reshape(-1, 2, 4, 2, 4)
     c = np.einsum("ij,naibj->nab", target4.conj(), Ur) / 4.0
     rebuilt = np.einsum("nab,ij->naibj", c, target4)
     resid = np.max(np.abs(Ur - rebuilt), axis=(1, 2, 3, 4))
-    return [(int(i), None) for i in survivors[resid <= tol]]
+    return [(int(i), None) for i in np.nonzero(resid <= tol)[0]]
 
 
 def _matches_feedforward(
-    U: np.ndarray, target4: np.ndarray, corrections: list[np.ndarray], tol: float
+    U: np.ndarray, target4: np.ndarray, tol: float
 ) -> list[tuple[int, tuple[int, int]]]:
     # atom enters in |+>, is measured at the end; each outcome's photon map,
-    # after one diagonal correction, must match the target.  Both outcomes
-    # must carry non-negligible probability — a dead branch would be
-    # post-selection, not feed-forward.
+    # after one diagonal correction, must match the target by the rule of
+    # equivalent_up_to_phase.  Both outcomes must carry non-negligible
+    # probability — a dead branch would be post-selection, not feed-forward.
     Ur = U.reshape(-1, 2, 4, 2, 4)
     M = (Ur[:, :, :, 0, :] + Ur[:, :, :, 1, :]) * _SQRT1_2  # [batch, outcome, 4, 4]
     s2 = np.sum(np.abs(M) ** 2, axis=(2, 3)) / 4.0
-    alive = np.all(s2 >= _BRANCH_FLOOR, axis=1)
-    scale = np.sqrt(np.where(s2 > 0.0, s2, 1.0))
-    N = M / scale[:, :, None, None]
-    # diagonal corrections cannot change entry magnitudes
-    mag_ok = np.all(
-        np.abs(np.abs(N) - np.abs(target4)[None, None]) <= tol, axis=(2, 3)
-    )
-    survivors = np.nonzero(alive & np.all(mag_ok, axis=1))[0]
-    if survivors.size == 0:
-        return []
-    ok = np.empty((survivors.size, 2, len(corrections)), dtype=bool)
-    for b in (0, 1):
-        Nb = N[survivors, b]
-        for ci, D in enumerate(corrections):
-            ok[:, b, ci] = _phase_equiv_batch(np.matmul(D, Nb), target4, tol)
+    alive = np.nonzero(np.all(s2 >= _BRANCH_FLOOR, axis=1))[0]
+    N = M[alive] / np.sqrt(s2[alive])[:, :, None, None]
+    corrected = _CORRECTION_DIAGONALS[:, :, None] * N[:, :, None]  # [batch, outcome, D, 4, 4]
+    ok = _phase_equiv_batch(corrected.reshape(-1, 4, 4), target4, tol).reshape(len(alive), 2, 4)
     rows, c0, c1 = np.nonzero(ok[:, 0, :, None] & ok[:, 1, None, :])
-    return list(zip(survivors[rows].tolist(), zip(c0.tolist(), c1.tolist())))
+    return list(zip(alive[rows].tolist(), zip(c0.tolist(), c1.tolist())))
 
 
 def _phase_canonical(A: np.ndarray):
@@ -753,20 +739,20 @@ def _prefix_classes(start: np.ndarray, depth: int, staged: np.ndarray):
     return reps, members, offsets
 
 
-def _confirm(cands: np.ndarray, test, variant, layers, staged) -> list:
+def _confirm(cands: np.ndarray, test, layers, staged) -> list:
     # form each candidate's operator in application order and run the match
     # predicate on it; cands holds one layer tuple per row.  Returns
-    # (layer tuple, variant, correction pair) per hit
+    # (layer tuple, correction pair or None) per hit
     hits = []
-    for lo in range(0, len(cands), _BLOCK):
-        idx = cands[lo : lo + _BLOCK]
+    for lo in range(0, len(cands), _PRODUCT_BLOCK):
+        idx = cands[lo : lo + _PRODUCT_BLOCK]
         U = layers[idx[:, -1]]
         if idx.shape[1] > 1:
             prefix = staged[idx[:, 0]]
             for j in range(1, idx.shape[1] - 1):
                 prefix = np.matmul(staged[idx[:, j]], prefix)
             U = np.matmul(U, prefix)
-        hits.extend((tuple(idx[i].tolist()), variant, ff) for i, ff in test(U))
+        hits.extend((tuple(idx[i].tolist()), ff) for i, ff in test(U))
     return hits
 
 
@@ -777,12 +763,12 @@ def _search_full(target, k, layers, staged, cswap8, tol):
     unitaries A, B), so the queries, a block of final layers at a time, are
     looked up by key among the middles' phase classes.  A middle whose key
     is not stable at that tolerance is screened against every query
-    instead.  Each proposed candidate is confirmed by _matches_full on its
-    own operator."""
+    instead, by least squares (_near).  Each proposed candidate is confirmed
+    by _matches_full on its own operator."""
     test = functools.partial(_matches_full, target=target, tol=tol)
     n = len(layers)
     if k == 0:
-        yield _confirm(np.arange(n)[:, None], test, 0, layers, staged), n
+        yield _confirm(np.arange(n)[:, None], test, layers, staged), n
         return
     reps, members, offsets = yield from _prefix_classes(cswap8, k - 1, staged)
     eps = 8.0 * tol + _CLASS_SLACK
@@ -792,8 +778,7 @@ def _search_full(target, k, layers, staged, cswap8, tol):
     order = np.argsort(keys, kind="stable")
     table, table_ids = keys[order], stable[order]
     loose = np.setdiff1d(np.arange(len(reps)), stable)
-    loose_flat = reps[loose].reshape(len(loose), target.size)
-    loose_norm = np.sum(np.abs(loose_flat) ** 2, axis=1)
+    loose_unit = _unit_rows(reps[loose])
     right = np.matmul(target, layers.conj().transpose(0, 2, 1))  # T . L_0^+
     per = max(1, _PRODUCT_BLOCK // n)
     for lo in range(0, n, per):
@@ -808,19 +793,18 @@ def _search_full(target, k, layers, staged, cswap8, tol):
         query = np.repeat(np.arange(len(queries)), counts)
         middle = table_ids[_ranges(left, counts)]
         if loose.size:
-            # min over phase of |M - e^{i phi} Q|_F^2 is |M|^2 + |Q|^2 - 2 |<Q, M>|,
-            # at most target.size * eps^2 when the entries are within eps
+            # a query within eps of a phase times M, entrywise, is within
+            # target.size * eps^2 of it in squared Frobenius norm, and no
+            # nearer to that phase times M than to the nearest multiple of M
             q = queries.reshape(len(queries), target.size)
-            norms = np.sum(np.abs(q) ** 2, axis=1)[:, None] + loose_norm[None]
-            gap = norms - 2.0 * np.abs(q.conj() @ loose_flat.T)
-            near_q, near_j = np.nonzero(gap <= target.size * eps**2 + 1e-12 * norms)
+            near_q, near_j = np.nonzero(_near(q, loose_unit, target.size * eps**2))
             query = np.concatenate((query, near_q))
             middle = np.concatenate((middle, loose[near_j]))
         rows, counts = _member_rows(members, offsets, middle)
         cands = np.column_stack(
             (np.repeat(query % n, counts), rows, np.repeat(lo + query // n, counts))
         )
-        yield _confirm(cands, test, 0, layers, staged), len(cands)
+        yield _confirm(cands, test, layers, staged), len(cands)
 
 
 def _near(X: np.ndarray, Q: np.ndarray, bound: float) -> np.ndarray:
@@ -834,13 +818,14 @@ def _near(X: np.ndarray, Q: np.ndarray, bound: float) -> np.ndarray:
 
 
 def _unit_rows(A: np.ndarray) -> np.ndarray:
-    # one 4x4 matrix per row, scaled to Frobenius norm 1 unless it is zero
-    flat = A.reshape(-1, 16)
+    # one matrix (the last two axes) per row, scaled to Frobenius norm 1
+    # unless it is zero
+    flat = A.reshape(-1, A.shape[-2] * A.shape[-1])
     norm = np.sqrt(np.sum(np.abs(flat) ** 2, axis=1, keepdims=True))
     return flat / np.where(norm > 0.0, norm, 1.0)
 
 
-def _search_photon(target, k, kinds, layers, staged, feedforward, tol):
+def _search_photon(target, k, kinds, photon, layers, staged, feedforward, tol):
     """Meet in the middle for a 4x4 target T.  The final layer a (x) B moves
     to the target side, so one prefix P = C . L_{k-1} ... C . L_0 per phase
     class is screened against a table of at most 36 x 4 entries, and no
@@ -860,15 +845,13 @@ def _search_photon(target, k, kinds, layers, staged, feedforward, tol):
         return np.column_stack((rows, np.repeat(last, counts)))
 
     n2 = len(kinds) ** 2
-    photon = np.array([np.kron(_SINGLE_QUBIT[b], _SINGLE_QUBIT[c]) for b in kinds for c in kinds])
     photon_dag = photon.conj().transpose(0, 2, 1)
-    corrections = _correction_matrices()
     # the screens test proportionality, so T and each table entry may be
     # rescaled; T to unit peak first, so that no norm overflows
     peak = np.max(np.abs(target))
     unit = target / peak if peak > 0.0 else target
     free = _unit_rows(np.matmul(photon_dag, unit))  # B^+ . T
-    fed = _unit_rows(np.matmul(photon_dag[:, None], np.matmul(corrections, unit)))
+    fed = _unit_rows(np.matmul(photon_dag[:, None], _CORRECTION_DIAGONALS[:, :, None] * unit))
     # an atom-diagonal final gate only rephases each W: one family
     families: dict[int, list[int]] = {}
     for a, kind in enumerate(kinds):
@@ -898,16 +881,14 @@ def _search_photon(target, k, kinds, layers, staged, feedforward, tol):
     bound = 16.0 * eps**2
     alive = (2.0 * math.sqrt(_BRANCH_FLOOR) - 8.0 * _CLASS_SLACK) ** 2
     free_test = functools.partial(_matches_factorized, target4=target, tol=tol)
-    fed_test = functools.partial(
-        _matches_feedforward, target4=target, corrections=corrections, tol=tol
-    )
-    for lo in range(0, len(reps), _CLASS_BLOCK):
-        P = reps[lo : lo + _CLASS_BLOCK].reshape(-1, 2, 4, 2, 4)
+    fed_test = functools.partial(_matches_feedforward, target4=target, tol=tol)
+    for lo in range(0, len(reps), _PRODUCT_BLOCK):
+        P = reps[lo : lo + _PRODUCT_BLOCK].reshape(-1, 2, 4, 2, 4)
         n = len(P)
         blocks = P.transpose(0, 1, 3, 2, 4).reshape(4 * n, 16)
         c, p = np.nonzero(_near(blocks, free, bound).reshape(n, 4, n2).all(axis=1))
         cands = expand(np.repeat(lo + c, len(kinds)), (p[:, None] + atom_offset).ravel())
-        hits = _confirm(cands, free_test, 0, layers, staged)
+        hits = _confirm(cands, free_test, layers, staged)
         evaluated = len(cands)
         if feedforward:
             Q = (P[:, :, :, 0] + P[:, :, :, 1]) * _SQRT1_2  # [class, j, 4, 4]
@@ -919,7 +900,7 @@ def _search_photon(target, k, kinds, layers, staged, feedforward, tol):
             c, f, p = np.nonzero(both)
             t, a = np.nonzero(in_family[f])
             cands = expand(lo + c[t], atom_offset[a] + p[t])
-            hits += _confirm(cands, fed_test, 1, layers, staged)
+            hits += _confirm(cands, fed_test, layers, staged)
             evaluated += len(cands)
         yield hits, evaluated
 
@@ -944,12 +925,15 @@ def synthesize(
     tolerance ``tol``, which must lie in (0, 1) since unitary entries have
     modulus at most 1; results come back sorted by layer assignment.
 
-    The search runs on phase classes of partial products, built a block of
-    whole layers at a time, and meets in the middle: an 8x8 target is
-    looked up among the middle products, and for a 4x4 target each prefix
-    class is screened against the target with the final layer undone.
-    Every reported match is confirmed on its own operator; full-operator
-    and feed-forward matches pass the rule of ``equivalent_up_to_phase``.
+    Each layer's operator is the Kronecker product of its gates' 2x2
+    matrices.  The search runs on phase classes of partial products, built
+    a block of whole layers at a time, and meets in the middle: an 8x8
+    target is looked up among the middle products, and for a 4x4 target
+    each prefix class is screened against the target with the final layer
+    undone.  The screens only propose candidates.  Every reported match is
+    confirmed on its own operator by its exact rule alone: full-operator
+    and feed-forward matches pass the rule of ``equivalent_up_to_phase``,
+    measurement-free photon maps the factorization residual.
 
     A ``time_budget`` (seconds, positive) makes the search stop early with
     ``truncated`` set, keeping the matches confirmed so far; the budget is
@@ -991,15 +975,17 @@ def synthesize(
     start = time.monotonic()
     # the kind triple of each layer index, n^2 atom + n photon + photon
     names = list(itertools.product(kinds, repeat=3))
-    layers = np.array([circuit_unitary(_layer_gates(triple), 3) for triple in names])
+    photon, layers = _layer_tables(kinds)
     cswap8 = gate_matrix(_SYNTH_CSWAP, 3)
     staged = np.matmul(cswap8, layers)  # CSWAP . layer, one chain element
     if mode == "full":
         steps = _search_full(target, num_cswaps, layers, staged, cswap8, tol)
     else:
-        steps = _search_photon(target, num_cswaps, kinds, layers, staged, use_feedforward, tol)
+        steps = _search_photon(
+            target, num_cswaps, kinds, photon, layers, staged, use_feedforward, tol
+        )
 
-    found: list[tuple[tuple[int, ...], int, tuple[int, int] | None]] = []
+    found: list[tuple[tuple[int, ...], tuple[int, int] | None]] = []
     evaluated = 0
     truncated = False
     for hits, count in steps:  # the budget is checked between steps
@@ -1009,9 +995,10 @@ def synthesize(
             truncated = True
             break
 
-    found.sort(key=lambda item: (item[0], item[1], item[2] or (-1, -1)))
+    # a measurement-free match sorts before the feed-forward ones
+    found.sort(key=lambda item: (item[0], item[1] or (-1, -1)))
     matches = tuple(
         SynthesisMatch(tuple(names[index] for index in layers_idx), ff)
-        for layers_idx, _, ff in found
+        for layers_idx, ff in found
     )
     return SynthesisResult(matches, size, truncated, time.monotonic() - start, evaluated)

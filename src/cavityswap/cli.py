@@ -34,6 +34,8 @@ EXIT_BUDGET = 4
 
 # rows of a coeffs table, or points on one sweep axis
 MAX_GRID_POINTS = 100_000
+# fingerprint draws held at once
+_TRIAL_CHUNK = 1 << 20
 
 
 class UsageError(Exception):
@@ -366,6 +368,8 @@ def cmd_fingerprint(args) -> int:
         raise UsageError("--n must be between 1 and 8")
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")
+    if args.seed < 0:
+        raise UsageError("--seed must be non-negative")
     rng = np.random.default_rng(args.seed)
     if args.states == "orthogonal":
         psi = circuits.basis_state([0] * args.n)
@@ -374,8 +378,11 @@ def cmd_fingerprint(args) -> int:
         psi = circuits.random_state(args.n, rng)
         phi = psi if args.states == "identical" else circuits.random_state(args.n, rng)
     exact = circuits.swap_test(psi, phi)
-    draws = rng.random(args.trials) < exact
-    frequency = float(np.mean(draws))
+    # the draws of one rng.random(trials) call, taken a chunk at a time
+    hits = 0
+    for lo in range(0, args.trials, _TRIAL_CHUNK):
+        hits += int(np.count_nonzero(rng.random(min(_TRIAL_CHUNK, args.trials - lo)) < exact))
+    frequency = hits / args.trials
     std_error = math.sqrt(exact * (1.0 - exact) / args.trials)
     outputs = {
         "exact_p_minus": exact,

@@ -93,7 +93,10 @@ def spectral_density(omega, bandwidth: float):
 @lru_cache(maxsize=16)
 def _checked_hermgauss(n: int):
     # numpy's weights underflow to zero from n = 371 and overflow to NaN from
-    # n = 372; a degenerate rule is cached as None so it is rejected cheaply
+    # n = 372; larger n is refused before numpy builds an n x n matrix, and a
+    # degenerate rule is cached as None so it is rejected cheaply
+    if n > 372:
+        return None
     with np.errstate(all="ignore"):
         x, w = np.polynomial.hermite.hermgauss(n)
     if np.all(np.isfinite(w)) and abs(np.sum(w) - math.sqrt(math.pi)) <= 1e-12:

@@ -231,6 +231,32 @@ def test_metrics_degenerate_residual_rule_is_usage_error(capsys):
     assert "400-node Gauss-Hermite rule is degenerate" in err[0]
 
 
+def test_node_counts_past_numpys_rule_are_refused_unbuilt(monkeypatch, capsys):
+    # numpy builds an n x n companion matrix, 74.5 GiB at 100 000 nodes;
+    # here any call above 372 nodes fails instead of allocating
+    real = np.polynomial.hermite.hermgauss
+
+    def hermgauss(n):
+        assert n <= 372, f"hermgauss({n}) called"
+        return real(n)
+
+    monkeypatch.setattr(np.polynomial.hermite, "hermgauss", hermgauss)
+    pulses._checked_hermgauss.cache_clear()
+    assert run(["metrics", "--preset", "atomic", "--nodes", "100000"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error:")
+    assert "100000-node Gauss-Hermite rule is degenerate" in err[0]
+    code = run(["sweep", "--axis", "coupling", "--values", "3", "--bandwidth", "0.1",
+                "--nodes", "30000"])
+    assert code == EXIT_OK
+    captured = capsys.readouterr()
+    row = captured.out.strip().splitlines()[1].split(",")
+    assert math.isnan(float(row[2])) and math.isnan(float(row[3]))
+    assert "30000-node Gauss-Hermite rule is degenerate" in captured.err
+
+
 def test_metrics_evaluates_the_pulse_averages_twice(monkeypatch, capsys):
     # once at the requested rule and once at the doubled one for the residual
     real = pulses.overlaps
@@ -763,17 +789,27 @@ def test_fingerprint_random_pair_within_3sigma(capsys):
         <= 3.0 * out["standard_error"]
 
 
-def test_fingerprint_seeded_bytes_stable(capsys):
+def test_fingerprint_seeded_bytes_stable(monkeypatch, capsys):
     run(["fingerprint", "--seed", "31337"])
     first = capsys.readouterr().out
     run(["fingerprint", "--seed", "31337"])
     assert capsys.readouterr().out == first
+    # drawn a few trials at a time, the same draws give the same bytes
+    monkeypatch.setattr("cavityswap.cli._TRIAL_CHUNK", 3)
+    run(["fingerprint", "--seed", "31337"])
+    assert capsys.readouterr().out == first
 
 
-def test_fingerprint_limits():
+def test_fingerprint_limits(capsys):
     assert run(["fingerprint", "--n", "9"]) == EXIT_USAGE
     assert run(["fingerprint", "--n", "0"]) == EXIT_USAGE
     assert run(["fingerprint", "--trials", "0"]) == EXIT_USAGE
+    capsys.readouterr()
+    assert run(["fingerprint", "--seed", "-1"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error:")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Bounded search over layered CSWAP circuits."""
 import hashlib
+import itertools
 import math
 import time
 
@@ -156,6 +157,28 @@ def test_zero_cswaps():
     local = np.kron(np.eye(2), np.array([[1, 0], [0, -1]], dtype=complex))
     found = synthesize(local, 0, ("I", "Z"))
     assert any(m.layers == (("I", "I", "Z"),) for m in found.matches)
+
+
+def test_layer_tables_are_the_kernel_products():
+    # the Kronecker tables synthesis uses, bit for bit the operators the
+    # gate kernel builds, for every kind
+    kinds = circuits._SYNTH_KINDS
+    photon, layers = circuits._layer_tables(kinds)
+    want = np.array([
+        circuit_unitary(circuits._layer_gates(names), 3)
+        for names in itertools.product(kinds, repeat=3)
+    ])
+    assert layers.tobytes() == want.tobytes()
+    want = np.array([
+        circuit_unitary(circuits._layer_gates(("I",) + pair), 3)[:4, :4]
+        for pair in itertools.product(kinds, repeat=2)
+    ])
+    assert photon.tobytes() == want.tobytes()
+
+
+def test_correction_diagonals_are_the_correction_blocks():
+    for gates, diagonal in zip(circuits._CORRECTION_GATES, circuits._CORRECTION_DIAGONALS):
+        assert np.array_equal(np.diag(diagonal), circuit_unitary(gates, 3)[:4, :4])
 
 
 def test_full_operator_target_mode():
