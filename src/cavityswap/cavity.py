@@ -91,6 +91,11 @@ def coefficients(g, kappa, gamma, omega, parts: str = "rtm") -> tuple[np.ndarray
     the dressed form with numerator and denominator multiplied through by
     (i*omega - gamma/2), so the removable singularity at omega = 0,
     gamma = 0 needs no special casing.
+
+    For real rates every coefficient satisfies c(-omega) = conj(c(omega)),
+    bit for bit up to the sign of a zero part: negating omega flips signs
+    through the same operations.  Pulse averages over a symmetric rule rely
+    on this.
     """
     g, kappa, gamma, omega = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (g, kappa, gamma, omega))
@@ -127,12 +132,14 @@ def _bare(kappa, omega, parts):
 
 
 def _dressed(g, kappa, gamma, omega, parts):
-    d = 1j * omega - gamma / 2.0
-    denom = (kappa - 1j * omega) * d - g * g
+    i_omega = 1j * omega
+    g2 = g * g
+    d = i_omega - gamma / 2.0
+    denom = (kappa - i_omega) * d - g2
     out = []
     for part in parts:
         if part == "r":
-            out.append((1j * omega * d + g * g) / denom)
+            out.append((i_omega * d + g2) / denom)
         elif part == "t":
             out.append(kappa * d / denom)
         else:

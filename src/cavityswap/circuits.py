@@ -778,7 +778,7 @@ def _search_full(target, k, layers, staged, cswap8, tol):
     order = np.argsort(keys, kind="stable")
     table, table_ids = keys[order], stable[order]
     loose = np.setdiff1d(np.arange(len(reps)), stable)
-    loose_unit = _unit_rows(reps[loose])
+    loose_dag = _unit_rows(reps[loose]).conj().T
     right = np.matmul(target, layers.conj().transpose(0, 2, 1))  # T . L_0^+
     per = max(1, _PRODUCT_BLOCK // n)
     for lo in range(0, n, per):
@@ -797,7 +797,7 @@ def _search_full(target, k, layers, staged, cswap8, tol):
             # target.size * eps^2 of it in squared Frobenius norm, and no
             # nearer to that phase times M than to the nearest multiple of M
             q = queries.reshape(len(queries), target.size)
-            near_q, near_j = np.nonzero(_near(q, loose_unit, target.size * eps**2))
+            near_q, near_j = np.nonzero(_near(q, loose_dag, target.size * eps**2))
             query = np.concatenate((query, near_q))
             middle = np.concatenate((middle, loose[near_j]))
         rows, counts = _member_rows(members, offsets, middle)
@@ -807,11 +807,12 @@ def _search_full(target, k, layers, staged, cswap8, tol):
         yield _confirm(cands, test, layers, staged), len(cands)
 
 
-def _near(X: np.ndarray, Q: np.ndarray, bound: float) -> np.ndarray:
+def _near(X: np.ndarray, Q_dag: np.ndarray, bound: float) -> np.ndarray:
     # [row of X, row of Q]: min over complex z of |X - z Q|_F^2 <= bound,
-    # for rows of Q of norm 1 or 0.  That minimum is |X|^2 - |<Q, X>|^2; the
+    # for rows of Q of norm 1 or 0, given as Q_dag = Q.conj().T (formed once
+    # per table by the caller).  That minimum is |X|^2 - |<Q, X>|^2; the
     # 1e-12 terms absorb rounding in the difference
-    overlap = np.abs(X @ Q.conj().T)
+    overlap = np.abs(X @ Q_dag)
     overlap *= overlap
     xn = np.sum(np.abs(X) ** 2, axis=1)
     return overlap >= (xn * (1.0 - 1e-12) - bound - 1e-12)[:, None]
@@ -850,8 +851,10 @@ def _search_photon(target, k, kinds, photon, layers, staged, feedforward, tol):
     # rescaled; T to unit peak first, so that no norm overflows
     peak = np.max(np.abs(target))
     unit = target / peak if peak > 0.0 else target
-    free = _unit_rows(np.matmul(photon_dag, unit))  # B^+ . T
-    fed = _unit_rows(np.matmul(photon_dag[:, None], _CORRECTION_DIAGONALS[:, :, None] * unit))
+    free_dag = _unit_rows(np.matmul(photon_dag, unit)).conj().T  # (B^+ . T)^+
+    fed_dag = _unit_rows(
+        np.matmul(photon_dag[:, None], _CORRECTION_DIAGONALS[:, :, None] * unit)
+    ).conj().T
     # an atom-diagonal final gate only rephases each W: one family
     families: dict[int, list[int]] = {}
     for a, kind in enumerate(kinds):
@@ -886,7 +889,7 @@ def _search_photon(target, k, kinds, photon, layers, staged, feedforward, tol):
         P = reps[lo : lo + _PRODUCT_BLOCK].reshape(-1, 2, 4, 2, 4)
         n = len(P)
         blocks = P.transpose(0, 1, 3, 2, 4).reshape(4 * n, 16)
-        c, p = np.nonzero(_near(blocks, free, bound).reshape(n, 4, n2).all(axis=1))
+        c, p = np.nonzero(_near(blocks, free_dag, bound).reshape(n, 4, n2).all(axis=1))
         cands = expand(np.repeat(lo + c, len(kinds)), (p[:, None] + atom_offset).ravel())
         hits = _confirm(cands, free_test, layers, staged)
         evaluated = len(cands)
@@ -894,7 +897,7 @@ def _search_photon(target, k, kinds, photon, layers, staged, feedforward, tol):
             Q = (P[:, :, :, 0] + P[:, :, :, 1]) * _SQRT1_2  # [class, j, 4, 4]
             W = np.einsum("fom,nmxy->nfoxy", atoms, Q).reshape(-1, 16)
             live = np.sum(np.abs(W) ** 2, axis=1) >= alive
-            near = _near(W, fed, bound) & live[:, None]
+            near = _near(W, fed_dag, bound) & live[:, None]
             # some correction for each outcome, the same B for both
             both = near.reshape(n, len(atoms), 2, n2, 4).any(axis=4).all(axis=2)
             c, f, p = np.nonzero(both)

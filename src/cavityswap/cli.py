@@ -188,9 +188,11 @@ def _emit_text(out_path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit_csv(out_path, header, rows) -> None:
-    # one % template per row, cheaper than a format call per cell
-    row_format = ",".join(["%.12e"] * len(header.split(",")))
+def _emit_csv(out_path, header, rows, text_columns=0) -> None:
+    # one % template per row, cheaper than a format call per cell; the first
+    # text_columns cells of each row arrive already formatted
+    columns = len(header.split(","))
+    row_format = ",".join(["%s"] * text_columns + ["%.12e"] * (columns - text_columns))
     lines = [header]
     lines.extend(row_format % tuple(row) for row in rows)
     _emit_text(out_path, "\n".join(lines) + "\n")
@@ -347,11 +349,18 @@ def cmd_sweep(args) -> int:
                 f"failed: {row.error}",
                 file=sys.stderr,
             )
-    table = (
-        (r.g_over_kappa, r.bandwidth_over_kappa, r.loss_probability, r.fidelity)
-        for r in rows
+    # the rows run over the product of the sorted axes, g-major: each g and
+    # bandwidth is formatted once, and each row formats only p and F
+    n = len(bandwidths)
+    g_cells = ["%.12e" % row.g_over_kappa for row in rows[::n]]
+    dw_cells = ["%.12e" % row.bandwidth_over_kappa for row in rows[:n]]
+    table = zip(
+        [cell for cell in g_cells for _ in range(n)],
+        dw_cells * len(g_cells),
+        [row.loss_probability for row in rows],
+        [row.fidelity for row in rows],
     )
-    _emit_csv(args.out, _SWEEP_HEADER, table)
+    _emit_csv(args.out, _SWEEP_HEADER, table, text_columns=2)
     if args.out:
         script = _PLOT_SCRIPT % {
             "csv": os.path.basename(args.out),

@@ -13,6 +13,9 @@ finite window is kept as a structurally independent cross-check.  Both run
 through one batched path: Gauss-Hermite evaluates whole grids of operating
 points in blocks, and adaptive Simpson evaluates each point's bisection tree
 one level at a time, with the same result as the depth-first recursion.
+The Hermite rule is symmetric and the coefficients satisfy
+c(-omega) = conj(c(omega)), so Gauss-Hermite evaluates them at the nodes
+omega >= 0 only and mirrors them, with the same bytes as a full evaluation.
 Either way the Decoupled branch, which sees the bare cavity, is integrated
 once per distinct (kappa, bandwidth).
 """
@@ -21,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -99,6 +102,13 @@ def _checked_hermgauss(n: int):
         return None
     with np.errstate(all="ignore"):
         x, w = np.polynomial.hermite.hermgauss(n)
+    # the upper half (from the middle node, 0.0, for odd n) and its mirror
+    # image, so that x[i] == -x[n-1-i] and w[i] == w[n-1-i] hold by
+    # construction, as _port_averages needs; numpy symmetrizes its rule
+    # itself, so this is numpy's rule bit for bit
+    half = n // 2
+    x = np.concatenate([-x[::-1][:half], x[half:]])
+    w = np.concatenate([w[::-1][:half], w[half:]])
     if np.all(np.isfinite(w)) and abs(np.sum(w) - math.sqrt(math.pi)) <= 1e-12:
         return x, w
     return None
@@ -332,14 +342,20 @@ def _port_averages(quad, port, g, kappa, gamma, bandwidth):
     mean = np.empty(len(bandwidth), dtype=complex)
     if quad.method == GAUSS_HERMITE:
         x, w = _hermgauss(quad.nodes)
+        # x[i] == -x[n-1-i], and for real rates c(-omega) is conj(c(omega))
+        # bit for bit (see cavity.coefficients): the coefficient is evaluated
+        # at the nodes omega >= 0 only (at 0 itself for odd n) and mirrored.
+        # The sums still run over every node in order, so they round as over
+        # a full evaluation.
+        half = len(x) // 2
         step = max(1, _BLOCK_VALUES // len(x))
         with np.errstate(all="ignore"):
             for start in range(0, len(bandwidth), step):
                 s = slice(start, start + step)
-                omega = bandwidth[s, None] * x / math.sqrt(2.0)
+                omega = bandwidth[s, None] * x[half:] / math.sqrt(2.0)
                 (amp,) = cavity.coefficients(g[s, None], kappa[s, None], gamma[s, None], omega, port)
-                power[s] = np.sum(w * np.abs(amp) ** 2, axis=-1) / math.sqrt(math.pi)
-                mean[s] = np.sum(w * amp, axis=-1) / math.sqrt(math.pi)
+                power[s] = np.sum(w * _mirrored(np.abs(amp) ** 2, half), axis=-1) / math.sqrt(math.pi)
+                mean[s] = np.sum(w * _mirrored(amp, half, np.conjugate), axis=-1) / math.sqrt(math.pi)
     else:
         points = zip(g.tolist(), kappa.tolist(), gamma.tolist(), bandwidth.tolist())
         for i, (*rates, dw) in enumerate(points):
@@ -360,6 +376,16 @@ def _port_averages(quad, port, g, kappa, gamma, bandwidth):
         overlap.real = np.where(positive, mean.real / root, 0.0)
         overlap.imag = np.where(positive, mean.imag / root, 0.0)
     return power, overlap
+
+
+def _mirrored(upper, half, reflect=np.positive):
+    """Values at every node of a symmetric rule from those at its nodes
+    omega >= 0, on the last axis of ``upper``: the first ``half`` are the
+    upper ones reversed, passed through ``reflect``."""
+    full = np.empty(upper.shape[:-1] + (half + upper.shape[-1],), dtype=upper.dtype)
+    full[..., half:] = upper
+    reflect(upper[..., ::-1][..., :half], out=full[..., :half])
+    return full
 
 
 def _within_bounds(reflect_prob, reflect_overlap, transmit_prob, transmit_overlap):
@@ -438,11 +464,11 @@ def metrics_residual(
     )
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One operating point of a parameter sweep.  A non-empty ``error`` marks
     a failed evaluation (metrics are NaN there), kept so grid rows are never
-    silently dropped."""
+    silently dropped.  A NamedTuple: immutable, and cheap enough to build
+    once per grid point."""
 
     g_over_kappa: float
     bandwidth_over_kappa: float
@@ -468,17 +494,16 @@ def sweep(
     """
     if len(coupling_values) == 0 or len(bandwidth_values) == 0:
         raise ValueError("sweep grids must be non-empty")
-    grid = [
-        (float(g), float(dw))
-        for g in sorted(coupling_values)
-        for dw in sorted(bandwidth_values)
-    ]
-    for g, dw in grid:
-        if not (math.isfinite(g) and math.isfinite(dw)):
-            raise ValueError("sweep grid values must be finite")
+    # a stable sort, as sorted() is: equal values such as 0.0 and -0.0 keep
+    # their input order
+    couplings = np.sort(np.asarray(coupling_values, dtype=float), kind="stable")
+    bandwidths = np.sort(np.asarray(bandwidth_values, dtype=float), kind="stable")
+    if not (np.all(np.isfinite(couplings)) and np.all(np.isfinite(bandwidths))):
+        raise ValueError("sweep grid values must be finite")
+    g = np.repeat(couplings, len(bandwidths))
+    dw = np.tile(bandwidths, len(couplings))
 
-    def evaluate(point):
-        g, dw = point
+    def evaluate(g, dw):
         try:
             params = CavityParams.symmetric(g, 1.0, gamma_over_kappa)
             result = gate_metrics(params, PulseSpec(dw), quad)
@@ -486,13 +511,12 @@ def sweep(
         except (ValueError, ArithmeticError) as exc:
             return SweepRow(g, dw, math.nan, math.nan, error=str(exc))
 
-    g, dw = np.array(grid).T
     gamma = float(gamma_over_kappa)
     # points CavityParams or PulseSpec would reject are left to evaluate()
     ok = (g >= 0.0) & (dw > 0.0) & (math.isfinite(gamma) and gamma >= 0.0)
     batch = np.flatnonzero(ok)
-    loss = np.full(len(grid), math.nan)
-    fidelity = np.full(len(grid), math.nan)
+    loss = np.full(len(g), math.nan)
+    fidelity = np.full(len(g), math.nan)
     try:
         averages = _branch_averages(
             g[batch], np.ones(batch.size), np.full(batch.size, gamma), dw[batch], quad
@@ -506,7 +530,10 @@ def sweep(
         ok[batch] = _within_bounds(*averages)
         loss[batch] = p
         fidelity[batch] = f
-    return [
-        SweepRow(*point, p, f) if good else evaluate(point)
-        for point, good, p, f in zip(grid, ok.tolist(), loss.tolist(), fidelity.tolist())
-    ]
+    # repeated as objects, the rows share one float per axis value
+    g_values = np.repeat(couplings.astype(object), len(bandwidths)).tolist()
+    dw_values = np.tile(bandwidths.astype(object), len(couplings)).tolist()
+    rows = list(map(SweepRow, g_values, dw_values, loss.tolist(), fidelity.tolist()))
+    for i in np.flatnonzero(~ok).tolist():
+        rows[i] = evaluate(rows[i].g_over_kappa, rows[i].bandwidth_over_kappa)
+    return rows

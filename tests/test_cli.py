@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, formats, determinism."""
 import ast
+import hashlib
 import importlib
 import json
 import math
@@ -570,6 +571,29 @@ def test_sweep_degenerate_rule_gives_nan_rows(capsys):
     assert math.isnan(float(row[2])) and math.isnan(float(row[3]))
     assert "warning: point g=3 dw=0.1 failed:" in captured.err
     assert "371-node Gauss-Hermite rule is degenerate" in captured.err
+
+
+# A 40 x 30 log grid, g/kappa 0.1-20 plus a g = 1e200 row of NaN, bandwidth
+# 0.01-10 kappa (the wide-pulse corner), gamma = kappa/2.  The sha256 of its
+# stdout pins every byte the CSV writer emits, not only the parsed values.
+PINNED_COUPLINGS = ",".join(f"{0.1 * 200 ** (i / 38):.4g}" for i in range(39)) + ",1e200"
+PINNED_BANDWIDTHS = ",".join(f"{0.01 * 1000 ** (j / 29):.4g}" for j in range(30))
+
+
+@pytest.mark.parametrize(
+    "extra, digest",
+    [
+        ([], "949083cf6dba3413710ff69b133829392cf3fd18d25e4f7ed09b04b27a3f9aa7"),
+        (["--nodes", "65"], "59a7b660f9826c659aa5fa9695d880a59a6e66ea76d6db588b1869e051a5ea4d"),
+    ],
+)
+def test_sweep_stdout_is_pinned(extra, digest, capsys):
+    argv = ["sweep", "--axis", "coupling", "--values", PINNED_COUPLINGS,
+            "--bandwidth", PINNED_BANDWIDTHS, "--gamma", "0.5", *extra]
+    assert run(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 1 + 40 * 30
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_sweep_single_point_matches_metrics(capsys):

@@ -500,6 +500,29 @@ def test_degenerate_hermite_rule_is_rejected():
         metrics_residual(ATOMIC, PulseSpec(0.1), QuadratureConfig(nodes=200))
 
 
+def test_hermite_rule_is_numpys_rule_mirrored(monkeypatch):
+    """The rule is built by mirroring numpy's upper half, so that the
+    half-node kernel's symmetry holds by construction; it must still be
+    numpy's full rule bit for bit, with the middle node of odd n at +0.0."""
+    numpy_rules = {}
+    real = np.polynomial.hermite.hermgauss
+
+    def recording(n):
+        numpy_rules[n] = real(n)
+        return numpy_rules[n]
+
+    monkeypatch.setattr(np.polynomial.hermite, "hermgauss", recording)
+    pulses._checked_hermgauss.cache_clear()
+    for n in range(8, 371):
+        x, w = pulses._hermgauss(n)
+        numpy_x, numpy_w = numpy_rules[n]
+        assert x.tobytes() == numpy_x.tobytes() and w.tobytes() == numpy_w.tobytes()
+        assert np.array_equal(x, -x[::-1]) and w[::-1].tobytes() == w.tobytes()
+        if n % 2:
+            assert x[n // 2] == 0.0 and not np.signbit(x[n // 2])
+    pulses._checked_hermgauss.cache_clear()
+
+
 def test_sweep_rejects_empty_grid():
     with pytest.raises(ValueError):
         sweep([], [0.1])
