@@ -1,11 +1,13 @@
 """Simulator and verifier for a cavity-mediated photon-photon swap gate.
 
-The package splits into five layers: single-photon spectral response
+The package splits into these layers: single-photon spectral response
 (:mod:`cavityswap.cavity`), finite-bandwidth pulse averages and gate metrics
 (:mod:`cavityswap.pulses`), ideal multi-wire circuit simulation plus bounded
 circuit synthesis (:mod:`cavityswap.circuits`), the lossy output channel
-(:mod:`cavityswap.channel`), and the command-line front end
-(:mod:`cavityswap.cli`).
+(:mod:`cavityswap.channel`), operating-point presets
+(:mod:`cavityswap.presets`), the invariant registry that ``verify`` runs
+(:mod:`cavityswap.invariants`), and the command-line front end
+(:mod:`cavityswap.cli`), which nothing else imports.
 """
 from .cavity import AtomBranch, CavityParams, SpectralResponse, response, response_arrays
 from .channel import OutputDensity, apply_noisy_cswap

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from cavityswap import channel, circuits, cli, pulses
+from cavityswap import channel, circuits, cli, invariants, pulses
 from cavityswap.cavity import CavityParams
 from cavityswap.circuits import (
     Gate,
@@ -55,7 +55,7 @@ def test_criterion_2_solid_state_operating_point():
 
 
 def test_criterion_3_flux_conservation():
-    cli.VERIFY_CHECKS["physics"]["flux-conservation"]()
+    invariants.VERIFY_CHECKS["physics"]["flux-conservation"]()
     print("flux conservation: residual <= 1e-12 over 20 random rate sets, g = 0 and gamma = 0")
 
 
@@ -186,5 +186,5 @@ def test_criterion_8_channel_metrics_identity():
 
 
 def test_criterion_9_register_swap_semantics():
-    cli.VERIFY_CHECKS["circuits"]["register-swap-permutation"]()
+    invariants.VERIFY_CHECKS["circuits"]["register-swap-permutation"]()
     print("register swap: every basis state maps to its image, n = 1..4 (680 states)")

@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from cavityswap.cavity import AtomBranch, CavityParams, response, response_arrays
-from cavityswap.cli import VERIFY_CHECKS
 
 ATOMIC = CavityParams.symmetric(32.0 / 4.2, 1.0, 2.6 / 4.2)
 
@@ -60,10 +59,6 @@ def test_transmission_minus_reflection_is_one():
                 assert np.max(np.abs(t - r - 1.0)) <= 1e-12
 
 
-def test_flux_conservation():
-    VERIFY_CHECKS["physics"]["flux-conservation"]()
-
-
 def test_decoupled_branch_is_bare_cavity():
     params = random_params(np.random.default_rng(3))
     omega = np.linspace(-3.0, 3.0, 101)
@@ -94,10 +89,6 @@ def test_lossless_resonance_sign_flip():
         assert resp.r == pytest.approx(-1.0, abs=1e-14)
         assert resp.t == pytest.approx(0.0, abs=1e-14)
         assert resp.m == 0
-
-
-def test_conjugate_symmetry():
-    VERIFY_CHECKS["physics"]["conjugate-symmetry"]()
 
 
 def test_far_detuned_asymptotics():

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from cavityswap import circuits
-from cavityswap.cli import VERIFY_CHECKS
 from cavityswap.circuits import (
     CSWAP,
     Circuit,
@@ -156,19 +155,11 @@ def test_circuit_unitary_composes_right_to_left():
     assert np.allclose(circuit_unitary(gates, 3), want, atol=1e-14)
 
 
-def test_norm_preserved_by_every_gate():
-    VERIFY_CHECKS["circuits"]["gate-norm-preservation"]()
-
-
 def test_cswap_truth_table():
     for bits in itertools.product((0, 1), repeat=3):
         out = apply(basis_state(list(bits)), CSWAP(0, 1, 2))
         want = list(bits) if bits[0] == 0 else [bits[0], bits[2], bits[1]]
         assert np.array_equal(out.amplitudes, basis_state(want).amplitudes)
-
-
-def test_cswap_multi_against_permutation():
-    VERIFY_CHECKS["circuits"]["register-swap-permutation"]()
 
 
 def test_cswap_multi_validates_registers():
@@ -218,10 +209,6 @@ def test_circuit_rejects_dangling_condition():
 # swap test
 
 
-def test_swap_test_closed_form():
-    VERIFY_CHECKS["circuits"]["swap-test-closed-form"]()
-
-
 def test_swap_test_extremes():
     psi = basis_state([0, 1, 0])
     assert swap_test(psi, psi) == pytest.approx(0.0, abs=1e-14)
@@ -258,10 +245,6 @@ def test_targets_are_the_expected_diagonals():
     assert np.allclose(czz_target() @ czz_target(), np.eye(8), atol=0)
 
 
-def test_cpf_branch_maps_reach_target():
-    VERIFY_CHECKS["circuits"]["phase-flip-branches"]()
-
-
 def test_cpf_feedforward_on_random_inputs():
     rng = np.random.default_rng(77)
     target = cpf_target()
@@ -291,16 +274,11 @@ def test_cpf_feedforward_rejects_wrong_atom_state():
         cpf_feedforward(product_state((1, 0), (1, 0), (0, 1)))
 
 
-def test_cpf_double_application_is_identity():
-    VERIFY_CHECKS["circuits"]["phase-flip-involution"]()
-
-
 # ---------------------------------------------------------------------------
 # phase equivalence
 
 
 def test_equivalent_up_to_phase():
-    VERIFY_CHECKS["circuits"]["phase-equivalence-relation"]()
     with pytest.raises(ValueError):
         equivalent_up_to_phase(np.eye(2), np.eye(3), 1e-9)
 

@@ -14,16 +14,8 @@ import pytest
 
 from cavityswap import cavity, circuits, cli, pulses
 from cavityswap.cavity import AtomBranch, CavityParams
-from cavityswap.cli import (
-    BUILTIN_PRESETS,
-    EXIT_BUDGET,
-    EXIT_IO,
-    EXIT_OK,
-    EXIT_USAGE,
-    EXIT_VERIFY,
-    parse_bandwidth,
-    run,
-)
+from cavityswap.cli import EXIT_BUDGET, EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, run
+from cavityswap.presets import BUILTIN_PRESETS, UsageError, parse_bandwidth
 
 
 def read_csv(path):
@@ -42,7 +34,7 @@ def test_parse_bandwidth_suffixes():
     assert parse_bandwidth("0.1kappa", params) == pytest.approx(0.1)
     assert parse_bandwidth("0.1g2k", params) == pytest.approx(0.1 * 0.11**2)
     for bad in ("kappa", "0.1q2k", "-1kappa", "0kappa", "inf"):
-        with pytest.raises(cli.UsageError):
+        with pytest.raises(UsageError):
             parse_bandwidth(bad, params)
 
 
@@ -95,8 +87,8 @@ PRESET_PAYLOAD = {
 }
 
 
-def _preset_file(tmp_path, name, **fields):
-    path = tmp_path / f"{name}.json"
+def _preset_file(tmp_path, stem, **fields):
+    path = tmp_path / f"{stem}.json"
     path.write_text(json.dumps({**PRESET_PAYLOAD, **fields}))
     return str(path)
 
@@ -107,6 +99,7 @@ def _assert_one_usage_error(argv, capsys):
     assert captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("usage error:"), (argv, captured.err)
+    return err[0]
 
 
 def test_rejected_inputs_are_one_usage_error(tmp_path, capsys, monkeypatch):
@@ -149,6 +142,12 @@ def test_rejected_inputs_are_one_usage_error(tmp_path, capsys, monkeypatch):
     ]
     for argv in cases:
         _assert_one_usage_error(argv, capsys)
+    # JSON booleans are not rates, and the text fields must be strings; the
+    # one error line names the field
+    for field, value in (("g", True), ("kappa", [1, True]), ("gamma", False),
+                         ("name", None), ("unit", 2), ("bandwidth_rule", [0.1])):
+        argv = ["metrics", "--preset-file", _preset_file(tmp_path, field, **{field: value})]
+        assert repr(field) in _assert_one_usage_error(argv, capsys)
 
 
 def test_coeffs_grid_cap_is_inclusive(tmp_path):
@@ -647,14 +646,6 @@ def test_verify_times_each_check_on_stderr(capsys):
     assert [fields[1] for fields in timed] == VERIFY_ALL_NAMES
     assert all(len(fields) == 3 and float(fields[2]) >= 0.0 for fields in timed)
     assert "time " not in captured.out
-
-
-@pytest.mark.parametrize(
-    "suite, name",
-    [(suite, name) for suite, checks in cli.VERIFY_CHECKS.items() for name in checks],
-)
-def test_invariant(suite, name):
-    cli.VERIFY_CHECKS[suite][name]()
 
 
 def test_verify_fails_under_python_O():
