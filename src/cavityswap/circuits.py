@@ -672,13 +672,14 @@ def _prefix_classes(start: np.ndarray, depth: int, staged: np.ndarray):
     layer tuples, built one depth at a time from the representatives of the
     depth before.  The products of a depth, ordered by layer and then by
     the class they extend, are formed and keyed in blocks of whole layers.
-    A product joins the class of the first product with its key when it
-    equals that representative up to phase within _CLASS_TOL, and is a
-    class of its own otherwise.  Class ids follow first occurrence, a
-    layer's own classes after its new keys.  A search step generator (one
-    empty step per block); it returns the representatives, the member layer
-    tuples in application order as one int array grouped by class, and the
-    offsets of each class's rows in it."""
+    The classes partition the layer tuples.  A key's first product is the
+    representative of its class; a later product with that key joins it
+    when it equals the representative up to phase within _CLASS_TOL, and
+    is a class of its own otherwise.  Each class lists its members in
+    product order; class ids follow no promised order.  A search step
+    generator (one empty step per block); it returns the representatives,
+    the member layer tuples in application order as one int array grouped
+    by class, and the offsets of each class's rows in it."""
     reps = start[None]
     members = np.zeros((1, 0), dtype=np.intp)
     offsets = np.array([0, 1])
@@ -704,26 +705,20 @@ def _prefix_classes(start: np.ndarray, depth: int, staged: np.ndarray):
             at = np.searchsorted(known, keys)
             seen = at < len(known)
             seen[seen] = known[at[seen]] == keys[seen]
-            ids = np.full(len(keys), -1)
+            ids = np.empty(len(keys), dtype=np.intp)
             ids[seen] = known_ids[at[seen]]
-            # each product against its key's representative, which for a
-            # key new to this block is the key's first product
-            old = seen[inverse]
-            ref = products[first[inverse]]
-            ref[old] = new_reps[ids[inverse[old]]]
-            same = _phase_equiv_batch(products, ref, _CLASS_TOL)
             fresh = np.nonzero(~seen)[0]
-            # new classes by layer, a layer's new keys before its own classes
-            odd = np.nonzero(~same)[0]
-            where = np.concatenate((first[fresh], odd))
-            order = np.lexsort((where, np.arange(len(where)) >= len(fresh), where // n))
-            rank = np.empty(len(where), dtype=np.intp)
-            rank[order] = count + np.arange(len(where))
-            ids[fresh] = rank[: len(fresh)]
-            classes[lo * n : lo * n + len(products)] = ids[inverse]
-            classes[lo * n + odd] = rank[len(fresh) :]
-            new_reps[count : count + len(where)] = products[where[order]]
-            count += len(where)
+            ids[fresh] = count + np.arange(len(fresh))
+            new_reps[count : count + len(fresh)] = products[first[fresh]]
+            count += len(fresh)
+            # each product against its key's representative; one that misses
+            # it is a class of its own
+            block = ids[inverse]
+            odd = np.nonzero(~_phase_equiv_batch(products, new_reps[block], _CLASS_TOL))[0]
+            block[odd] = count + np.arange(len(odd))
+            new_reps[count : count + len(odd)] = products[odd]
+            count += len(odd)
+            classes[lo * n : lo * n + len(products)] = block
             # only a key's first class takes its later products
             slot = np.searchsorted(known, keys[fresh])
             known = np.insert(known, slot, keys[fresh])

@@ -56,8 +56,6 @@ def _pair(value, what: str) -> tuple[float, float]:
     if not isinstance(items, list):
         items = [items]
     try:
-        if any(isinstance(item, bool) for item in items):  # float(True) would be 1.0
-            raise TypeError
         rates = [float(item) for item in items]
     except (TypeError, ValueError, OverflowError):
         rates = []
@@ -80,6 +78,11 @@ def load_preset(path: str) -> Preset:
     for field in ("name", "unit", "bandwidth_rule"):
         if not isinstance(data[field], str):
             raise UsageError(f"preset field {field!r} expects a string, got {data[field]!r}")
+    for field in ("g", "kappa", "gamma"):
+        items = data[field] if isinstance(data[field], list) else [data[field]]
+        # float() would take True as 1.0, and _pair a string as flag text
+        if any(isinstance(item, (bool, str)) for item in items):
+            raise UsageError(f"preset field {field!r} expects JSON numbers, got {data[field]!r}")
     return Preset(
         data["name"],
         *(_pair(data[rate], f"preset field {rate!r}") for rate in ("g", "kappa", "gamma")),

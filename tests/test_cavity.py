@@ -3,19 +3,9 @@ import numpy as np
 import pytest
 
 from cavityswap.cavity import AtomBranch, CavityParams, response, response_arrays
+from cavityswap.invariants import _random_rates
 
 ATOMIC = CavityParams.symmetric(32.0 / 4.2, 1.0, 2.6 / 4.2)
-
-
-def random_params(rng):
-    return CavityParams(
-        g_h=float(rng.uniform(0.0, 12.0)),
-        g_v=float(rng.uniform(0.0, 12.0)),
-        kappa_h=1.0,
-        kappa_v=float(rng.uniform(0.4, 2.5)),
-        gamma_h=float(rng.uniform(0.0, 2.0)),
-        gamma_v=float(rng.uniform(0.0, 2.0)),
-    )
 
 
 def test_atomic_resonance_point():
@@ -32,7 +22,7 @@ def test_linear_system_oracle():
     equations for the intracavity field and the emitter coherence."""
     rng = np.random.default_rng(1)
     for _ in range(25):
-        params = random_params(rng)
+        params = _random_rates(rng)
         g, kappa, gamma = params.rates("h")
         omega = float(rng.uniform(-4.0, 4.0))
         M = np.array(
@@ -52,7 +42,7 @@ def test_transmission_minus_reflection_is_one():
     rng = np.random.default_rng(2)
     omega = np.linspace(-5.0, 5.0, 301)
     for _ in range(10):
-        params = random_params(rng)
+        params = _random_rates(rng)
         for pol in ("h", "v"):
             for branch in AtomBranch:
                 r, t, _ = response_arrays(params, pol, branch, omega)
@@ -60,7 +50,7 @@ def test_transmission_minus_reflection_is_one():
 
 
 def test_decoupled_branch_is_bare_cavity():
-    params = random_params(np.random.default_rng(3))
+    params = _random_rates(np.random.default_rng(3))
     omega = np.linspace(-3.0, 3.0, 101)
     r, t, m = response_arrays(params, "v", AtomBranch.DECOUPLED, omega)
     kappa = params.kappa_v

@@ -142,9 +142,10 @@ def test_rejected_inputs_are_one_usage_error(tmp_path, capsys, monkeypatch):
     ]
     for argv in cases:
         _assert_one_usage_error(argv, capsys)
-    # JSON booleans are not rates, and the text fields must be strings; the
-    # one error line names the field
+    # JSON booleans and strings are not rates, and the text fields must be
+    # strings; the one error line names the field
     for field, value in (("g", True), ("kappa", [1, True]), ("gamma", False),
+                         ("g", "5,4"), ("g", ["1", "2"]),
                          ("name", None), ("unit", 2), ("bandwidth_rule", [0.1])):
         argv = ["metrics", "--preset-file", _preset_file(tmp_path, field, **{field: value})]
         assert repr(field) in _assert_one_usage_error(argv, capsys)

@@ -316,3 +316,17 @@ def test_truncated_matches_are_confirmed_matches(target, allow_feedforward, cpf_
     assert first.truncated
     for partial in (first, later):
         assert set(match_lines(partial)) <= set(match_lines(full))
+
+
+def test_matches_do_not_depend_on_the_order_classes_are_found(cpf_feedforward):
+    # the reversed gate set enumerates layers, hence products, in another
+    # order: other representatives, and classes found and numbered in
+    # another order.  The brute-force property never reaches searches this
+    # large
+    backwards = FULL_SET[::-1]
+    planted = planted_unitary(PINNED_PLANTED[2][0])
+    assert sorted(match_lines(synthesize(planted, 2, backwards))) == sorted(
+        match_lines(synthesize(planted, 2, FULL_SET))
+    )
+    fed = synthesize(cpf_target(), 2, backwards, allow_feedforward=True)
+    assert sorted(match_lines(fed)) == sorted(match_lines(cpf_feedforward))
