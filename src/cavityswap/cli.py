@@ -385,7 +385,7 @@ def build_parser() -> _Parser:
     quad_parent.add_argument(
         "--method",
         choices=pulses.METHODS,
-        default=pulses.GAUSS_HERMITE,
+        default=pulses.EXACT,
     )
     quad_parent.add_argument("--nodes", type=int, default=64)
     quad_parent.add_argument("--tolerance", type=float, default=1e-12)

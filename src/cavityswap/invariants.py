@@ -210,18 +210,19 @@ def _check_quadrature_cross():
     preset = presets.BUILTIN_PRESETS["atomic"]
     params = preset.cavity_params()
     pulse = PulseSpec(0.1)
-    gh = pulses.gate_metrics(params, pulse, QuadratureConfig())
     simpson = pulses.gate_metrics(
         params, pulse, QuadratureConfig(method=pulses.ADAPTIVE_SIMPSON, tolerance=1e-12)
     )
-    _require(
-        abs(gh.loss_probability - simpson.loss_probability) <= 1e-9,
-        "quadrature schemes disagree on the loss probability",
-    )
-    _require(
-        abs(gh.fidelity - simpson.fidelity) <= 1e-9,
-        "quadrature schemes disagree on the fidelity",
-    )
+    for method in (pulses.EXACT, pulses.GAUSS_HERMITE):
+        other = pulses.gate_metrics(params, pulse, QuadratureConfig(method=method))
+        _require(
+            abs(other.loss_probability - simpson.loss_probability) <= 1e-9,
+            f"{method} and adaptive Simpson disagree on the loss probability",
+        )
+        _require(
+            abs(other.fidelity - simpson.fidelity) <= 1e-9,
+            f"{method} and adaptive Simpson disagree on the fidelity",
+        )
 
 
 def _check_node_doubling():
@@ -229,7 +230,7 @@ def _check_node_doubling():
         params = preset.cavity_params()
         pulse = PulseSpec(presets.parse_bandwidth(preset.bandwidth_rule, params))
         _, residual = pulses.metrics_residual(params, pulse, QuadratureConfig())
-        _require(residual <= 1e-10, f"node doubling moves metrics by {residual:.3e}")
+        _require(residual <= 1e-10, f"doubling the resolution moves metrics by {residual:.3e}")
 
 
 def _check_polarization_symmetry():

@@ -7,23 +7,31 @@ per-branch survival probabilities and mode-overlap amplitudes, which combine
 into the two figures of merit: the loss probability and the fidelity of the
 entangled output.
 
-Quadrature: the spectral density is Gaussian, so Gauss-Hermite quadrature is
-the natural (spectrally convergent) default; an adaptive Simpson rule over a
-finite window is kept as a structurally independent cross-check.  Both run
-through one batched path: Gauss-Hermite evaluates whole grids of operating
-points in blocks, and adaptive Simpson evaluates each point's bisection tree
-one level at a time, with the same result as the depth-first recursion.
-The Hermite rule is symmetric and the coefficients satisfy
-c(-omega) = conj(c(omega)), so Gauss-Hermite evaluates them at the nodes
-omega >= 0 only and mirrors them, with the same bytes as a full evaluation.
-Either way the Decoupled branch, which sees the bare cavity, is integrated
-once per distinct (kappa, bandwidth).
+Averaging rules.  The default, ``exact``, needs no quadrature: each
+coefficient is rational in omega with at most two poles w_k in the lower
+half-plane, t = sum_k A_k / (omega - w_k) and r = t - 1, and the Gaussian
+mean of 1/(omega - w_k) is conj(i sqrt(pi) w(conj(w_k)/s) / s), s = dw/sqrt(2),
+where w is the Faddeeva function.  w comes from Weideman's rational
+approximation (SIAM J. Numer. Anal. 31:1497, 1994), about 2e-14 relative
+error at its default 36 terms.  Where the two poles nearly coincide the
+partial fractions cancel, and such points fall back to adaptive Simpson.
+Gauss-Hermite quadrature and an adaptive Simpson rule over a finite window
+stay selectable as structurally independent cross-checks.  All three run
+through one batched path: the exact rule and Gauss-Hermite evaluate whole
+grids of operating points in blocks, and adaptive Simpson evaluates each
+point's bisection tree one level at a time, with the same result as the
+depth-first recursion.  The Hermite rule is symmetric and the coefficients
+satisfy c(-omega) = conj(c(omega)), so Gauss-Hermite evaluates them at the
+nodes omega >= 0 only and mirrors them, with the same bytes as a full
+evaluation.  Under every rule the Decoupled branch, which sees the bare
+cavity, is averaged once per distinct (kappa, bandwidth).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
+from itertools import repeat
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -31,9 +39,10 @@ import numpy as np
 from . import cavity
 from .cavity import CavityParams
 
+EXACT = "exact"
 GAUSS_HERMITE = "gauss-hermite"
 ADAPTIVE_SIMPSON = "adaptive-simpson"
-METHODS = (GAUSS_HERMITE, ADAPTIVE_SIMPSON)
+METHODS = (EXACT, GAUSS_HERMITE, ADAPTIVE_SIMPSON)
 
 
 class QuadratureError(ArithmeticError):
@@ -67,12 +76,15 @@ class PulseSpec:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Integration rule selection: node count for Gauss-Hermite, absolute
-    error target for adaptive Simpson."""
+    """Averaging rule selection.  Each setting applies to its own rule only:
+    ``nodes`` to Gauss-Hermite; ``tolerance``, the absolute error target, to
+    adaptive Simpson and to the exact rule's fallback points; ``order``, the
+    number of terms of the Faddeeva approximation, to the exact rule."""
 
-    method: str = GAUSS_HERMITE
+    method: str = EXACT
     nodes: int = 64
     tolerance: float = 1e-12
+    order: int = 36
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -81,6 +93,8 @@ class QuadratureConfig:
             raise ValueError("gauss-hermite needs at least 8 nodes")
         if not (0.0 < self.tolerance <= 1e-4):
             raise ValueError("tolerance must lie in (0, 1e-4]")
+        if self.order < 8:
+            raise ValueError("the Faddeeva approximation needs at least 8 terms")
 
 
 DEFAULT_QUAD = QuadratureConfig()
@@ -136,6 +150,46 @@ def gauss_hermite_mean(
     x, w = _hermgauss(nodes)
     values = func(bandwidth * x / math.sqrt(2.0))
     return complex(np.sum(w * values) / math.sqrt(math.pi))
+
+
+@lru_cache(maxsize=4)
+def _weideman(order: int):
+    """(L, a_1 ... a_N) of Weideman's N-term rational approximation of w.
+
+    a_n is the n-th cosine coefficient of f(t) = exp(-t^2) (L^2 + t^2) at
+    t = L tan(theta / 2), sampled at theta = k pi / M, M = 2N: a direct
+    cosine sum, since numpy.fft costs milliseconds at first use.  The
+    samples and cosines come from math and each sum from math.fsum, so the
+    coefficients do not depend on numpy's SIMD paths or the BLAS.
+    """
+    m = 2 * order
+    scale = math.sqrt(order / math.sqrt(2.0))
+    # f is even in k, f_0 = L^2 and f_M = 0 (t is infinite there)
+    t = np.array([scale * math.tan(k * math.pi / (2 * m)) for k in range(1, m)])
+    f = np.array([math.exp(-x * x) for x in t.tolist()]) * (scale * scale + t * t)
+    cosines = np.array([math.cos(j * math.pi / m) for j in range(2 * m)])
+    terms = f * cosines[np.outer(np.arange(1, order + 1), np.arange(1, m)) % (2 * m)]
+    sums = np.array([math.fsum(row) for row in terms.tolist()])
+    return scale, (scale * scale + 2.0 * sums) / (2 * m)
+
+
+def faddeeva(z, order: int = 36) -> np.ndarray:
+    """The Faddeeva function w(z) = exp(-z^2) erfc(-iz) for Im z >= 0.
+
+    Weideman's rational approximation: with Z = (L + iz)/(L - iz),
+    w(z) = 2 p(Z) / (L - iz)^2 + 1 / (sqrt(pi) (L - iz)), p the polynomial
+    of the ``order`` coefficients.  At 36 terms it agrees with scipy's wofz
+    to 5e-14 relative from |z| = 1e-8 to 1e8, down to the real axis.
+    """
+    scale, coefficients = _weideman(order)
+    z = np.asarray(z, dtype=complex)
+    den = scale - 1j * z
+    mapped = (scale + 1j * z) / den
+    p = np.full(z.shape, coefficients[-1], dtype=complex)
+    for coefficient in coefficients[-2::-1]:
+        p *= mapped
+        p += coefficient
+    return 2.0 * p / (den * den) + (1.0 / math.sqrt(math.pi)) / den
 
 
 def _simpson(fa, fm, fb, h):
@@ -311,8 +365,16 @@ class GateMetrics:
 # working set of a large grid stays near that of a single point.
 _BLOCK_VALUES = 2**14
 
+# Below this relative pole separation the exact rule's partial fractions
+# cancel too far, and the point falls back to adaptive Simpson.  Poles off
+# the imaginary axis (4 g^2 > (kappa - gamma/2)^2) are mirror images across
+# it, w_1 = -conj(w_0), so their w values are conjugate bit for bit and
+# nothing is lost down to a separation of 1e-8; poles on the imaginary axis
+# lose about 3e-16 / delta in each average (both measured against mpmath).
+_COINCIDENT = 1e-3
 
-def _branch_averages(g, kappa, gamma, bandwidth, quad: QuadratureConfig):
+
+def _branch_averages(g, kappa, gamma, bandwidth, quad: QuadratureConfig, isolate=False):
     """Pulse averages at many single-polarization points, under ``quad``.
 
     g, kappa, gamma and bandwidth are equal-length 1-D float arrays, one
@@ -320,27 +382,45 @@ def _branch_averages(g, kappa, gamma, bandwidth, quad: QuadratureConfig):
     transmit_prob, transmit_overlap): the survival probability and
     normalized mode overlap of the Coupled branch, judged at the reflected
     port, and of the Decoupled branch, judged at the transmitted port.  Each
-    entry is what the rule gives for that point alone.
+    entry is what the rule gives for that point alone.  With ``isolate`` a
+    point whose Simpson integral fails gets NaN averages instead of raising.
     """
-    reflect = _port_averages(quad, "r", g, kappa, gamma, bandwidth)
+    reflect = _port_averages(quad, "r", g, kappa, gamma, bandwidth, isolate)
     # the Decoupled branch sees the bare cavity: only kappa and the bandwidth
     # matter.  Packed as kappa + i*bandwidth the pairs dedupe in a 1-D
     # np.unique, about 10x faster than np.unique(axis=1) on a 100x100 grid.
     pairs, index = np.unique(kappa + 1j * bandwidth, return_inverse=True)
-    transmit_prob, transmit_overlap = _port_averages(quad, "t", 0.0, pairs.real, 0.0, pairs.imag)
+    transmit_prob, transmit_overlap = _port_averages(
+        quad, "t", 0.0, pairs.real, 0.0, pairs.imag, isolate
+    )
     return (*reflect, transmit_prob[index], transmit_overlap[index])
 
 
-def _port_averages(quad, port, g, kappa, gamma, bandwidth):
+def _port_averages(quad, port, g, kappa, gamma, bandwidth, isolate=False):
     """(survival probability, normalized mode overlap) of the coefficient
-    named by ``port`` at each point, under the rule ``quad`` picks:
-    Gauss-Hermite block by block, detunings on the last axis, adaptive
-    Simpson point by point.  Over- and underflow at unphysical points is not
-    warned about here; _within_bounds flags the values it leaves."""
+    named by ``port`` at each point, under the rule ``quad`` picks: the exact
+    rule and Gauss-Hermite block by block, adaptive Simpson point by point.
+    Over- and underflow at unphysical points is not warned about here;
+    _within_bounds flags the values it leaves."""
     g, kappa, gamma, bandwidth = np.broadcast_arrays(g, kappa, gamma, bandwidth)
     power = np.empty(len(bandwidth))
     mean = np.empty(len(bandwidth), dtype=complex)
-    if quad.method == GAUSS_HERMITE:
+    if quad.method == EXACT:
+        separation = np.empty(len(bandwidth))
+        # two poles per point
+        step = _BLOCK_VALUES // 2
+        with np.errstate(all="ignore"):
+            for start in range(0, len(bandwidth), step):
+                s = slice(start, start + step)
+                power[s], mean[s], separation[s] = _exact_means(
+                    port, g[s], kappa[s], gamma[s], bandwidth[s], quad.order
+                )
+        near = np.flatnonzero(separation < _COINCIDENT)
+        if near.size:
+            power[near], mean[near] = _simpson_means(
+                quad.tolerance, port, g[near], kappa[near], gamma[near], bandwidth[near], isolate
+            )
+    elif quad.method == GAUSS_HERMITE:
         x, w = _hermgauss(quad.nodes)
         # x[i] == -x[n-1-i], and for real rates c(-omega) is conj(c(omega))
         # bit for bit (see cavity.coefficients): the coefficient is evaluated
@@ -357,16 +437,7 @@ def _port_averages(quad, port, g, kappa, gamma, bandwidth):
                 power[s] = np.sum(w * _mirrored(np.abs(amp) ** 2, half), axis=-1) / math.sqrt(math.pi)
                 mean[s] = np.sum(w * _mirrored(amp, half, np.conjugate), axis=-1) / math.sqrt(math.pi)
     else:
-        points = zip(g.tolist(), kappa.tolist(), gamma.tolist(), bandwidth.tolist())
-        for i, (*rates, dw) in enumerate(points):
-
-            def amplitude(omega):
-                return cavity.coefficients(*rates, omega, port)[0]
-
-            power[i] = adaptive_simpson_mean(
-                lambda w: np.abs(amplitude(w)) ** 2, dw, quad.tolerance
-            ).real
-            mean[i] = adaptive_simpson_mean(amplitude, dw, quad.tolerance)
+        power, mean = _simpson_means(quad.tolerance, port, g, kappa, gamma, bandwidth, isolate)
     overlap = np.empty(len(bandwidth), dtype=complex)
     with np.errstate(all="ignore"):
         positive = power > 0.0
@@ -376,6 +447,82 @@ def _port_averages(quad, port, g, kappa, gamma, bandwidth):
         overlap.real = np.where(positive, mean.real / root, 0.0)
         overlap.imag = np.where(positive, mean.imag / root, 0.0)
     return power, overlap
+
+
+def _simpson_means(tolerance, port, g, kappa, gamma, bandwidth, isolate):
+    """(E|c|^2, E c) by adaptive Simpson, one point at a time.  A point whose
+    integral fails raises, or with ``isolate`` gets NaN and the others go on."""
+    power = np.empty(len(bandwidth))
+    mean = np.empty(len(bandwidth), dtype=complex)
+    points = zip(g.tolist(), kappa.tolist(), gamma.tolist(), bandwidth.tolist())
+    for i, (*rates, dw) in enumerate(points):
+
+        def amplitude(omega):
+            return cavity.coefficients(*rates, omega, port)[0]
+
+        try:
+            power[i] = adaptive_simpson_mean(lambda w: np.abs(amplitude(w)) ** 2, dw, tolerance).real
+            mean[i] = adaptive_simpson_mean(amplitude, dw, tolerance)
+        except QuadratureError:
+            if not isolate:
+                raise
+            power[i] = mean[i] = math.nan
+    return power, mean
+
+
+def _exact_means(port, g, kappa, gamma, bandwidth, order):
+    """(E|c|^2, E c, relative pole separation) in closed form, c = r or t.
+
+    t = kappa (i omega - gamma/2) / ((omega - w_0)(omega - w_1)) has the
+    poles w = (-i b +- sqrt(4 g^2 - (kappa - gamma/2)^2)) / 2, b = kappa +
+    gamma/2, both in the lower half-plane; at g = 0 it is the bare cavity's
+    i kappa / (omega + i kappa), as in cavity.coefficients.  With c = c0 +
+    sum_k A_k / (omega - w_k), c0 = -1 for r and 0 for t, and e_k the mean of
+    1/(omega - w_k):
+
+        E c = c0 + sum_k A_k e_k
+        E|c|^2 = |c0|^2 + 2 Re sum_k A_k e_k conj(c(conj w_k))
+
+    the second by partial fractions of c(omega) conj(c(omega)), whose poles
+    in the upper half-plane are the mirror images conj w_k; c is taken there
+    in closed form.  Both sums cancel as the poles meet, so the separation
+    |w_0 - w_1| / |w_0 + w_1| comes back too (inf at g = 0).
+    """
+    b = kappa + gamma / 2.0
+    d = 4.0 * g * g - (kappa - gamma / 2.0) ** 2
+    root = np.sqrt(np.abs(d))
+    # off the imaginary axis the poles are (+-root - i b)/2; on it they are
+    # -i u, u = (b +- root)/2, the smaller as c/u_big when root would cancel
+    # most of b
+    big = (b + root) / 2.0
+    small = np.where(root > b / 2.0, (kappa * gamma / 2.0 + g * g) / big, (b - root) / 2.0)
+    split = (d >= 0.0)[:, None]
+    poles = np.where(
+        split,
+        np.stack([(root - 1j * b) / 2.0, (-root - 1j * b) / 2.0], axis=-1),
+        np.stack([-1j * big, -1j * small], axis=-1),
+    )
+    residues = kappa[:, None] * (1j * poles - gamma[:, None] / 2.0) / (poles - poles[:, ::-1])
+    mirror = poles.conj()
+    t_mirror = kappa[:, None] * (1j * mirror - gamma[:, None] / 2.0) / (
+        (mirror - poles[:, :1]) * (mirror - poles[:, 1:])
+    )
+    bare = (g == 0.0)[:, None]
+    if bare.any():
+        # one pole, -i kappa, with residue i kappa, and t(i kappa) = 1/2
+        poles = np.where(bare, -1j * kappa[:, None], poles)
+        mirror = poles.conj()
+        residues = np.where(bare, [1j, 0.0] * kappa[:, None], residues)
+        t_mirror = np.where(bare, 0.5, t_mirror)
+    c0 = -1.0 if port == "r" else 0.0
+    s = (bandwidth / math.sqrt(2.0))[:, None]
+    weighted = residues * (np.conj(faddeeva(mirror / s, order)) * (-1j * math.sqrt(math.pi)) / s)
+    mean = c0 + np.sum(weighted, axis=-1)
+    power = c0 * c0 + 2.0 * np.sum(weighted * np.conj(t_mirror + c0), axis=-1).real
+    # true powers below the roundoff of these sums can come out negative
+    power = np.maximum(power, 0.0)
+    separation = np.where(bare[:, 0], math.inf, root / b)
+    return power, mean, separation
 
 
 def _mirrored(upper, half, reflect=np.positive):
@@ -443,17 +590,34 @@ def gate_metrics(
     return metrics(overlaps(params, pulse, quad))
 
 
+# The residual reruns adaptive Simpson at a hundredth of its tolerance, and
+# below 1e-15 the presets' integrals no longer converge: rounding stops the
+# bisection short of the target.
+_MIN_RESIDUAL_TOLERANCE = 1e-13
+
+
 def metrics_residual(
     params: CavityParams, pulse: PulseSpec, quad: QuadratureConfig = DEFAULT_QUAD
 ) -> tuple[GateMetrics, float]:
     """The metrics under ``quad``, and their max change in (loss, fidelity)
     when the rule's resolution is increased.
 
-    Doubled node count for Gauss-Hermite, tolerance/100 for adaptive Simpson;
-    serves as the reported quadrature residual.
+    Twice the Faddeeva order for the exact rule (points that fall back to
+    Simpson are resolved by its own error test and do not move), twice the
+    node count for Gauss-Hermite, tolerance/100 for adaptive Simpson; serves
+    as the reported quadrature residual.  An adaptive Simpson tolerance below
+    1e-13 is refused before any integration, since its rerun cannot converge.
     """
-    if quad.method == GAUSS_HERMITE:
+    if quad.method == EXACT:
+        finer = replace(quad, order=2 * quad.order)
+    elif quad.method == GAUSS_HERMITE:
         finer = replace(quad, nodes=2 * quad.nodes)
+    elif quad.tolerance < _MIN_RESIDUAL_TOLERANCE:
+        raise ValueError(
+            f"the residual reruns adaptive Simpson at a hundredth of the tolerance; "
+            f"{quad.tolerance:g} is below {_MIN_RESIDUAL_TOLERANCE:g}, where that rerun "
+            "cannot converge"
+        )
     else:
         finer = replace(quad, tolerance=quad.tolerance / 100.0)
     coarse = gate_metrics(params, pulse, quad)
@@ -487,10 +651,11 @@ def sweep(
 
     Rows come back sorted lexicographically by (g/kappa, bandwidth/kappa)
     regardless of input order.  gamma defaults to kappa, the convention used
-    throughout the symmetric sweeps.  The grid is evaluated as one batch;
-    a point the batch cannot vouch for (every point, if the batch raises) is
-    evaluated again on its own, so it fails with exactly the error
-    gate_metrics raises for it.
+    throughout the symmetric sweeps.  The grid is evaluated as one batch, in
+    which a failing Simpson integral spoils its own point only; a point the
+    batch cannot vouch for (every point, if the batch raises) is evaluated
+    again on its own, so it fails with exactly the error gate_metrics raises
+    for it.
     """
     if len(coupling_values) == 0 or len(bandwidth_values) == 0:
         raise ValueError("sweep grids must be non-empty")
@@ -519,7 +684,7 @@ def sweep(
     fidelity = np.full(len(g), math.nan)
     try:
         averages = _branch_averages(
-            g[batch], np.ones(batch.size), np.full(batch.size, gamma), dw[batch], quad
+            g[batch], np.ones(batch.size), np.full(batch.size, gamma), dw[batch], quad, isolate=True
         )
         # symmetric rates: both polarizations see the same averages
         rp, ro, tp, to = averages
@@ -530,10 +695,12 @@ def sweep(
         ok[batch] = _within_bounds(*averages)
         loss[batch] = p
         fidelity[batch] = f
-    # repeated as objects, the rows share one float per axis value
+    # repeated as objects, the rows share one float per axis value; built by
+    # tuple.__new__ from C, without the Python frame of SweepRow's __new__
     g_values = np.repeat(couplings.astype(object), len(bandwidths)).tolist()
     dw_values = np.tile(bandwidths.astype(object), len(couplings)).tolist()
-    rows = list(map(SweepRow, g_values, dw_values, loss.tolist(), fidelity.tolist()))
+    cells = zip(g_values, dw_values, loss.tolist(), fidelity.tolist(), repeat(""))
+    rows = list(map(tuple.__new__, repeat(SweepRow), cells))
     for i in np.flatnonzero(~ok).tolist():
         rows[i] = evaluate(rows[i].g_over_kappa, rows[i].bandwidth_over_kappa)
     return rows

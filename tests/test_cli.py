@@ -224,12 +224,23 @@ def test_metrics_usage_errors(capsys):
 
 def test_metrics_degenerate_residual_rule_is_usage_error(capsys):
     # the residual doubles --nodes; numpy's 400-node rule has NaN weights
-    assert run(["metrics", "--preset", "atomic", "--nodes", "200"]) == EXIT_USAGE
+    gauss_hermite = ["--method", "gauss-hermite"]
+    assert run(["metrics", "--preset", "atomic", "--nodes", "200", *gauss_hermite]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("usage error:")
     assert "400-node Gauss-Hermite rule is degenerate" in err[0]
+
+
+def test_nodes_apply_to_gauss_hermite_only(capsys):
+    # --nodes stays accepted under every rule; the exact default ignores it
+    assert run(["metrics", "--preset", "atomic", "--nodes", "200"]) == EXIT_OK
+    with_nodes = capsys.readouterr().out
+    assert run(["metrics", "--preset", "atomic"]) == EXIT_OK
+    plain = capsys.readouterr().out
+    assert with_nodes.replace("# nodes = 200", "# nodes = 64") == plain
+    assert "# method = exact" in plain
 
 
 def test_node_counts_past_numpys_rule_are_refused_unbuilt(monkeypatch, capsys):
@@ -243,14 +254,15 @@ def test_node_counts_past_numpys_rule_are_refused_unbuilt(monkeypatch, capsys):
 
     monkeypatch.setattr(np.polynomial.hermite, "hermgauss", hermgauss)
     pulses._checked_hermgauss.cache_clear()
-    assert run(["metrics", "--preset", "atomic", "--nodes", "100000"]) == EXIT_USAGE
+    gauss_hermite = ["--method", "gauss-hermite"]
+    assert run(["metrics", "--preset", "atomic", "--nodes", "100000", *gauss_hermite]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("usage error:")
     assert "100000-node Gauss-Hermite rule is degenerate" in err[0]
     code = run(["sweep", "--axis", "coupling", "--values", "3", "--bandwidth", "0.1",
-                "--nodes", "30000"])
+                "--nodes", "30000", *gauss_hermite])
     assert code == EXIT_OK
     captured = capsys.readouterr()
     row = captured.out.strip().splitlines()[1].split(",")
@@ -370,20 +382,26 @@ def test_adaptive_simpson_non_finite_point_fails_fast():
     assert "RuntimeWarning" not in proc.stderr
 
 
-def test_adaptive_simpson_unreachable_tolerance_fails_fast():
-    """No interval meets a 1e-300 target, so every level doubles.  The rule
-    must stop at its interval cap with a usage error, not exhaust memory."""
-    proc = _cli_process(
-        ["metrics", "--preset", "atomic", "--method", "adaptive-simpson", "--tolerance", "1e-300"],
-        timeout=20,
-    )
-    assert proc.returncode == EXIT_USAGE
-    assert proc.stdout == ""
-    assert proc.stderr.splitlines() == [
-        "usage error: cannot evaluate this operating point: quadrature did not "
-        "converge within 1048576 intervals; the tolerance may be below what "
-        "rounding can reach"
-    ]
+def test_adaptive_simpson_unreachable_tolerance_fails_fast(monkeypatch, capsys):
+    """The residual reruns Simpson at a hundredth of --tolerance, which
+    cannot converge below 1e-15.  metrics refuses such a tolerance with a
+    usage error before it integrates anything."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("adaptive Simpson ran")
+
+    monkeypatch.setattr(pulses, "adaptive_simpson_mean", refuse)
+    for tolerance in ("1e-300", "1e-14", "9.9e-14"):
+        argv = ["metrics", "--preset", "atomic", "--method", "adaptive-simpson",
+                "--tolerance", tolerance]
+        assert run(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "usage error: cannot evaluate this operating point: the residual reruns "
+            f"adaptive Simpson at a hundredth of the tolerance; {float(tolerance):g} is "
+            "below 1e-13, where that rerun cannot converge"
+        ]
 
 
 def test_metrics_byte_determinism(capsys):
@@ -564,7 +582,7 @@ def test_sweep_failed_point_still_emits_row(tmp_path, capsys):
 def test_sweep_degenerate_rule_gives_nan_rows(capsys):
     # numpy's 371-node rule has all-zero weights, which would read as p = 1, F = 0
     code = run(["sweep", "--axis", "coupling", "--values", "3", "--bandwidth", "0.1",
-                "--nodes", "371"])
+                "--nodes", "371", "--method", "gauss-hermite"])
     assert code == EXIT_OK
     captured = capsys.readouterr()
     row = captured.out.strip().splitlines()[1].split(",")
@@ -576,6 +594,8 @@ def test_sweep_degenerate_rule_gives_nan_rows(capsys):
 # A 40 x 30 log grid, g/kappa 0.1-20 plus a g = 1e200 row of NaN, bandwidth
 # 0.01-10 kappa (the wide-pulse corner), gamma = kappa/2.  The sha256 of its
 # stdout pins every byte the CSV writer emits, not only the parsed values.
+# The default rule's rows agree with the benchmark's trapezoid reference to
+# 2.1e-13; Gauss-Hermite's miss it by up to 0.067 in this corner.
 PINNED_COUPLINGS = ",".join(f"{0.1 * 200 ** (i / 38):.4g}" for i in range(39)) + ",1e200"
 PINNED_BANDWIDTHS = ",".join(f"{0.01 * 1000 ** (j / 29):.4g}" for j in range(30))
 
@@ -583,8 +603,11 @@ PINNED_BANDWIDTHS = ",".join(f"{0.01 * 1000 ** (j / 29):.4g}" for j in range(30)
 @pytest.mark.parametrize(
     "extra, digest",
     [
-        ([], "949083cf6dba3413710ff69b133829392cf3fd18d25e4f7ed09b04b27a3f9aa7"),
-        (["--nodes", "65"], "59a7b660f9826c659aa5fa9695d880a59a6e66ea76d6db588b1869e051a5ea4d"),
+        (["--method", "gauss-hermite"],
+         "949083cf6dba3413710ff69b133829392cf3fd18d25e4f7ed09b04b27a3f9aa7"),
+        (["--method", "gauss-hermite", "--nodes", "65"],
+         "59a7b660f9826c659aa5fa9695d880a59a6e66ea76d6db588b1869e051a5ea4d"),
+        ([], "f9b5052b456b11774dc6d741306e6ed4f9b2fcdbc27f910500523d932eda953e"),
     ],
 )
 def test_sweep_stdout_is_pinned(extra, digest, capsys):

@@ -10,16 +10,19 @@ from cavityswap import pulses
 from cavityswap.cavity import AtomBranch, CavityParams, response_arrays
 from cavityswap.pulses import (
     ADAPTIVE_SIMPSON,
+    EXACT,
     GAUSS_HERMITE,
     OverlapSet,
     PulseSpec,
     QuadratureConfig,
     QuadratureError,
     adaptive_simpson_mean,
+    faddeeva,
     gate_metrics,
     gauss_hermite_mean,
     metrics_residual,
     overlaps,
+    SweepRow,
     spectral_density,
     sweep,
 )
@@ -314,6 +317,9 @@ def test_quadrature_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(tolerance=1e-3)
     with pytest.raises(ValueError):
+        QuadratureConfig(order=7)
+    assert QuadratureConfig().method == EXACT
+    with pytest.raises(ValueError):
         PulseSpec(0.0)
     with pytest.raises(ValueError):
         PulseSpec(-0.1)
@@ -451,7 +457,7 @@ def test_batched_kernel_matches_scalar_path_exactly():
     bandwidths = [1e-3, 0.1, 10.0]
     for gamma in (0.0, 1.0):
         for nodes in (8, 63, 64, 185):
-            quad = QuadratureConfig(nodes=nodes)
+            quad = QuadratureConfig(method=GAUSS_HERMITE, nodes=nodes)
             rows = sweep(couplings, bandwidths, gamma, quad)
             assert [(r.g_over_kappa, r.bandwidth_over_kappa) for r in rows] == [
                 (g, dw) for g in couplings for dw in bandwidths
@@ -464,8 +470,9 @@ def test_batched_kernel_matches_scalar_path_exactly():
                 assert overlaps(params, PulseSpec(row.bandwidth_over_kappa), quad) == expected
     mixed = CavityParams(3.0, 0.0, 1.0, 2.0, 0.0, 1.0)
     expected, p, f = _scalar_path(mixed, 0.1, 63)
-    assert overlaps(mixed, PulseSpec(0.1), QuadratureConfig(nodes=63)) == expected
-    result = gate_metrics(mixed, PulseSpec(0.1), QuadratureConfig(nodes=63))
+    quad = QuadratureConfig(method=GAUSS_HERMITE, nodes=63)
+    assert overlaps(mixed, PulseSpec(0.1), quad) == expected
+    result = gate_metrics(mixed, PulseSpec(0.1), quad)
     assert (result.loss_probability, result.fidelity) == (p, f)
 
 
@@ -493,11 +500,11 @@ def test_degenerate_hermite_rule_is_rejected():
     for nodes in (371, 372):
         with pytest.raises(ValueError, match="degenerate"):
             gauss_hermite_mean(lambda w: np.ones_like(w), 0.1, nodes)
-    (row,) = sweep([3.0], [0.1], quad=QuadratureConfig(nodes=371))
+    (row,) = sweep([3.0], [0.1], quad=QuadratureConfig(method=GAUSS_HERMITE, nodes=371))
     assert math.isnan(row.loss_probability) and math.isnan(row.fidelity)
     assert "371-node Gauss-Hermite rule is degenerate" in row.error
     with pytest.raises(ValueError, match="400-node"):
-        metrics_residual(ATOMIC, PulseSpec(0.1), QuadratureConfig(nodes=200))
+        metrics_residual(ATOMIC, PulseSpec(0.1), QuadratureConfig(method=GAUSS_HERMITE, nodes=200))
 
 
 def test_hermite_rule_is_numpys_rule_mirrored(monkeypatch):
@@ -528,3 +535,126 @@ def test_sweep_rejects_empty_grid():
         sweep([], [0.1])
     with pytest.raises(ValueError):
         sweep([3.0], [])
+
+
+# ---------------------------------------------------------------------------
+# the exact rule
+
+
+def test_faddeeva_matches_scipy_wofz():
+    special = pytest.importorskip("scipy.special")
+    rng = np.random.default_rng(3)
+    n = 100_000
+    re = np.exp(rng.uniform(math.log(1e-8), math.log(1e8), n)) * rng.choice([-1.0, 1.0], n)
+    im = np.exp(rng.uniform(math.log(1e-10), math.log(1e8), n))
+    edges = np.array([0.0, 1e-8, 1.0, 5.0, 8.0, 30.0, 1e4, 1e8])
+    edge_im = np.array([1e-10, 1e-3, 1.0, 10.0, 1e8])
+    z = np.concatenate([re + 1j * im, (edges[:, None] + 1j * edge_im).ravel(),
+                        (-edges[:, None] + 1j * edge_im).ravel()])
+    reference = special.wofz(z)
+    relative = np.abs(faddeeva(z) - reference) / np.abs(reference)
+    assert float(np.max(relative)) <= 5e-14
+
+
+def test_weideman_coefficients_match_fft():
+    """The direct cosine sum gives Weideman's FFT-built coefficients."""
+    for order in (8, 36, 72):
+        m = 2 * order
+        scale = math.sqrt(order / math.sqrt(2.0))
+        t = scale * np.tan(np.arange(-m + 1, m) * math.pi / (2 * m))
+        f = np.concatenate([[0.0], np.exp(-t * t) * (scale * scale + t * t)])
+        fft = np.real(np.fft.fft(np.fft.fftshift(f))) / (2 * m)
+        got_scale, got = pulses._weideman(order)
+        assert got_scale == scale
+        assert np.max(np.abs(got - fft[1 : order + 1])) <= 2e-15
+
+
+def _coincident_coupling(kappa, gamma):
+    """The g at which the two poles of the Coupled branch coincide."""
+    return abs(kappa - gamma / 2.0) / 2.0
+
+
+def test_coincident_poles_fall_back_to_simpson(monkeypatch):
+    """At exactly coincident poles the partial fractions are 0/0; the point
+    is averaged by adaptive Simpson at the config's tolerance instead, and
+    only such points are."""
+    g = _coincident_coupling(1.0, 1.0)
+    assert 4.0 * g * g - (1.0 - 0.5) ** 2 == 0.0
+    point = (np.array([g]), np.array([1.0]), np.array([1.0]), np.array([0.1]))
+    exact = pulses._port_averages(QuadratureConfig(), "r", *point)
+    simpson = pulses._port_averages(QuadratureConfig(method=ADAPTIVE_SIMPSON), "r", *point)
+    assert np.array_equal(exact[0], simpson[0]) and np.array_equal(exact[1], simpson[1])
+    params = CavityParams.symmetric(g, 1.0, 1.0)
+    result = gate_metrics(params, PulseSpec(0.1))
+    reference = gate_metrics(params, PulseSpec(0.1), QuadratureConfig(method=ADAPTIVE_SIMPSON))
+    assert abs(result.loss_probability - reference.loss_probability) <= 1e-11
+    assert abs(result.fidelity - reference.fidelity) <= 1e-11
+
+    calls = []
+    counted = pulses.adaptive_simpson_mean
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return counted(*args, **kwargs)
+
+    monkeypatch.setattr(pulses, "adaptive_simpson_mean", counting)
+    # relative pole separations 2e-3 and 5e-4, each side of the cut
+    b = 1.5
+    for delta, expected in ((2e-3, 0), (5e-4, 2)):
+        for sign in (1.0, -1.0):
+            calls.clear()
+            g = math.sqrt((0.25 + sign * (delta * b) ** 2) / 4.0)
+            gate_metrics(CavityParams.symmetric(g, 1.0, 1.0), PulseSpec(0.1))
+            # both polarizations share one set of rates, averaged twice
+            assert len(calls) == 2 * expected
+
+
+def test_exact_sweep_rows_equal_gate_metrics():
+    """Batching does not move a bit under the exact rule either: each row is
+    its point's gate_metrics with ==, at g = 0, gamma = 0, coincident poles
+    and wide pulses, and metrics_residual reports the same metrics."""
+    couplings = [0.0, 1e-3, _coincident_coupling(1.0, 0.5), 3.0, 20.0]
+    bandwidths = [1e-3, 0.1, 10.0]
+    for gamma in (0.0, 0.5):
+        for row in sweep(couplings, bandwidths, gamma):
+            params = CavityParams.symmetric(row.g_over_kappa, 1.0, gamma)
+            point = gate_metrics(params, PulseSpec(row.bandwidth_over_kappa))
+            assert row.error == ""
+            assert (row.loss_probability, row.fidelity) == (point.loss_probability, point.fidelity)
+    result, residual = metrics_residual(ATOMIC, PulseSpec(0.1))
+    assert result == gate_metrics(ATOMIC, PulseSpec(0.1))
+    assert residual <= 1e-13
+
+
+def test_exact_rule_matches_gauss_hermite_where_it_converges():
+    # narrow pulses against the pole widths: GH64 is converged there
+    for params, dw in ((ATOMIC, 0.1), (SOLID_STATE, 0.1 * SOLID_STATE.g_h**2)):
+        exact = gate_metrics(params, PulseSpec(dw))
+        hermite = gate_metrics(params, PulseSpec(dw), QuadratureConfig(method=GAUSS_HERMITE))
+        assert abs(exact.loss_probability - hermite.loss_probability) <= 1e-12
+        assert abs(exact.fidelity - hermite.fidelity) <= 1e-12
+
+
+def test_simpson_sweep_reevaluates_only_failing_points(monkeypatch):
+    """A point whose Simpson integral fails spoils only itself: the batch
+    goes on, and only that point is evaluated again on its own."""
+    calls = []
+    counted = pulses.gate_metrics
+
+    def counting(params, *args, **kwargs):
+        calls.append(params.g_h)
+        return counted(params, *args, **kwargs)
+
+    monkeypatch.setattr(pulses, "gate_metrics", counting)
+    simpson = QuadratureConfig(method=ADAPTIVE_SIMPSON)
+    rows = sweep([2.0, 1e200], [0.05, 0.1], 0.5, simpson)
+    assert calls == [1e200, 1e200]
+    assert [bool(row.error) for row in rows] == [False, False, True, True]
+    assert all("not finite" in row.error for row in rows[2:])
+
+
+def test_sweep_rows_are_sweep_row_tuples():
+    rows = sweep([3.0, 1e200], [0.1])
+    assert all(type(row) is SweepRow for row in rows)
+    assert rows[0].error == "" and rows[0]._fields[-1] == "error"
+    assert rows[1].error == "reflect_prob_h = nan outside [0, 1]"

@@ -1,12 +1,13 @@
-"""Property tests of the Gauss-Hermite pulse-average kernel over edge
-parameters: gamma = 0, g = 0, wide and narrow pulses, odd and even rules."""
+"""Property tests of the pulse-average kernels over edge parameters:
+gamma = 0, g = 0, wide and narrow pulses, near-coincident poles, and odd and
+even Gauss-Hermite rules."""
 import math
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from cavityswap import cavity, pulses  # noqa: E402
 
@@ -49,9 +50,81 @@ def test_half_node_kernel_equals_full_node_evaluation(points, nodes):
     """Evaluating the coefficients at the nodes omega >= 0 and mirroring them
     by conjugation must not move a bit of either port's averages."""
     g, kappa, gamma, bandwidth = np.array(points, dtype=float).T
-    quad = pulses.QuadratureConfig(nodes=nodes)
+    quad = pulses.QuadratureConfig(method=pulses.GAUSS_HERMITE, nodes=nodes)
     for port in ("r", "t"):
         power, overlap = pulses._port_averages(quad, port, g, kappa, gamma, bandwidth)
         full_power, full_overlap = _full_node_averages(nodes, port, g, kappa, gamma, bandwidth)
         assert np.array_equal(power, full_power)
         assert np.array_equal(overlap, full_overlap)
+
+
+def _strip_trapezoid(port, g, kappa, gamma, bandwidth):
+    """(E|c|^2, E c) of one point by the trapezoid rule on a uniform grid.
+
+    The integrand is analytic in a strip around the real axis as wide as
+    the nearest pole's distance, so the error falls like
+    exp(-2 pi strip / step); twelve steps per strip (or per bandwidth, if
+    narrower) put it far below rounding.  The window spans five bandwidths
+    each side, outside which the density's mass is below 1e-21.
+    """
+    if g == 0.0:
+        strip = kappa
+    else:
+        b = kappa + gamma / 2.0
+        d = 4.0 * g * g - (kappa - gamma / 2.0) ** 2
+        # the pole nearest the axis, without cancellation
+        strip = b / 2.0 if d >= 0.0 else (kappa * gamma / 2.0 + g * g) / ((b + math.sqrt(-d)) / 2.0)
+    step = min(strip, bandwidth) / 12.0
+    half = math.ceil(5.0 * bandwidth / step)
+    omega = np.arange(-half, half + 1) * step
+    weight = step * pulses.spectral_density(omega, bandwidth)
+    (amp,) = cavity.coefficients(g, kappa, gamma, omega, port)
+    return float(np.sum(weight * np.abs(amp) ** 2)), complex(np.sum(weight * amp))
+
+
+def _generic_point():
+    # rates relative to kappa; the narrowest feature, a pole g^2/kappa from
+    # the axis at gamma = 0, stays within 1e-4 of the widest pulse, which
+    # bounds the reference's grid
+    return st.tuples(
+        st.one_of(st.just(0.0), _log_uniform(0.1, 20.0)),  # g / kappa
+        _log_uniform(0.1, 10.0),  # kappa
+        st.one_of(st.just(0.0), _log_uniform(0.05, 4.0)),  # gamma / kappa
+        _log_uniform(1e-3, 30.0),  # bandwidth / kappa
+    ).map(lambda p: (p[0] * p[1], p[1], p[2] * p[1], p[3] * p[1]))
+
+
+def _near_coincident_point():
+    # relative pole separation delta, on either side of the coincidence
+    # 4 g^2 = (kappa - gamma/2)^2: poles mirrored about the imaginary axis,
+    # or both on it
+    def build(args):
+        kappa, gamma_ratio, delta, side, bandwidth = args
+        gamma = gamma_ratio * kappa
+        b = kappa + gamma / 2.0
+        g = math.sqrt(((kappa - gamma / 2.0) ** 2 + side * (delta * b) ** 2) / 4.0)
+        return g, kappa, gamma, bandwidth * kappa
+
+    return st.tuples(
+        _log_uniform(0.1, 10.0),
+        st.floats(0.05, 1.9),
+        _log_uniform(1e-8, 1e-2),
+        st.sampled_from([1.0, -1.0]),
+        _log_uniform(1e-2, 3.0),
+    ).map(build)
+
+
+@settings(max_examples=60)
+@given(point=st.one_of(_generic_point(), _near_coincident_point()))
+def test_exact_averages_match_strip_trapezoid(point):
+    """The exact rule's averages of r and t, near-coincident points (which
+    fall back to adaptive Simpson, here at 1e-14) included, agree with the
+    trapezoid reference to 1e-12 in E|c|^2 and in E c."""
+    g, kappa, gamma, bandwidth = point
+    quad = pulses.QuadratureConfig(tolerance=1e-14)
+    for port in ("r", "t"):
+        power, overlap = pulses._port_averages(quad, port, *np.array([point]).T)
+        mean = complex(overlap[0]) * math.sqrt(power[0])
+        ref_power, ref_mean = _strip_trapezoid(port, g, kappa, gamma, bandwidth)
+        assert abs(power[0] - ref_power) <= 1e-12
+        assert abs(mean - ref_mean) <= 1e-12
