@@ -90,12 +90,11 @@ def coefficients(g, kappa, gamma, omega, parts: str = "rtm") -> tuple[np.ndarray
     identically, which also makes this the Decoupled branch.  The others use
     the dressed form with numerator and denominator multiplied through by
     (i*omega - gamma/2), so the removable singularity at omega = 0,
-    gamma = 0 needs no special casing.
+    gamma = 0 needs no special casing unless g^2 underflows.
 
     For real rates every coefficient satisfies c(-omega) = conj(c(omega)),
     bit for bit up to the sign of a zero part: negating omega flips signs
-    through the same operations.  Pulse averages over a symmetric rule rely
-    on this.
+    through the same operations.
     """
     g, kappa, gamma, omega = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (g, kappa, gamma, omega))
@@ -136,6 +135,12 @@ def _dressed(g, kappa, gamma, omega, parts):
     g2 = g * g
     d = i_omega - gamma / 2.0
     denom = (kappa - i_omega) * d - g2
+    if not g2.all():
+        # g^2 underflows for 0 < g below about 1e-162, and omega = 0 at
+        # gamma = 0 is then 0/0; its limit is (-1, 0, 0), as for every g > 0,
+        # and g^2 = 1 gives it
+        g2 = np.where((denom == 0.0) & (gamma == 0.0), 1.0, g2)
+        denom = (kappa - i_omega) * d - g2
     out = []
     for part in parts:
         if part == "r":

@@ -74,9 +74,7 @@ def _resolve_params(args) -> Preset:
 
 def _quad_config(args) -> QuadratureConfig:
     try:
-        return QuadratureConfig(
-            method=args.method, nodes=args.nodes, tolerance=args.tolerance
-        )
+        return QuadratureConfig(method=args.method, tolerance=args.tolerance)
     except ValueError as exc:
         raise UsageError(str(exc))
 
@@ -161,12 +159,12 @@ def cmd_metrics(args) -> int:
     try:
         result, residual = pulses.metrics_residual(params, pulse, quad)
     except (ValueError, ArithmeticError) as exc:
-        # e.g. --nodes past what numpy's rule survives: the residual doubles it
+        # e.g. NaN averages at g = 1e200, or an integral Simpson cannot resolve
         raise UsageError(f"cannot evaluate this operating point: {exc}")
     inputs = asdict(params)  # field order is the echo order
     if point.name is not None:
         inputs["preset"] = point.name
-    inputs.update(bandwidth=bandwidth, method=quad.method, nodes=quad.nodes)
+    inputs.update(bandwidth=bandwidth, method=quad.method)
     outputs = {
         "loss_probability": result.loss_probability,
         "fidelity": result.fidelity,
@@ -387,7 +385,9 @@ def build_parser() -> _Parser:
         choices=pulses.METHODS,
         default=pulses.EXACT,
     )
-    quad_parent.add_argument("--nodes", type=int, default=64)
+    # the node count of a quadrature rule the package no longer has:
+    # still accepted, so that scripts passing it keep working, and ignored
+    quad_parent.add_argument("--nodes", type=int, help=argparse.SUPPRESS)
     quad_parent.add_argument("--tolerance", type=float, default=1e-12)
 
     p = sub.add_parser("coeffs", parents=[params_parent], help="spectral response table")

@@ -14,17 +14,14 @@ mean of 1/(omega - w_k) is conj(i sqrt(pi) w(conj(w_k)/s) / s), s = dw/sqrt(2),
 where w is the Faddeeva function.  w comes from Weideman's rational
 approximation (SIAM J. Numer. Anal. 31:1497, 1994), about 2e-14 relative
 error at its default 36 terms.  Where the two poles nearly coincide the
-partial fractions cancel, and such points fall back to adaptive Simpson.
-Gauss-Hermite quadrature and an adaptive Simpson rule over a finite window
-stay selectable as structurally independent cross-checks.  All three run
-through one batched path: the exact rule and Gauss-Hermite evaluate whole
-grids of operating points in blocks, and adaptive Simpson evaluates each
-point's bisection tree one level at a time, with the same result as the
-depth-first recursion.  The Hermite rule is symmetric and the coefficients
-satisfy c(-omega) = conj(c(omega)), so Gauss-Hermite evaluates them at the
-nodes omega >= 0 only and mirrors them, with the same bytes as a full
-evaluation.  Under every rule the Decoupled branch, which sees the bare
-cavity, is averaged once per distinct (kappa, bandwidth).
+partial fractions cancel, and such points fall back to adaptive Simpson
+over a finite window, which also stays selectable as a structurally
+independent cross-check.  Both rules run through one batched path: the
+exact rule evaluates whole grids of operating points in blocks, and
+adaptive Simpson evaluates each point's bisection tree one level at a time,
+with the same result as the depth-first recursion.  Under either rule the
+Decoupled branch, which sees the bare cavity, is averaged once per distinct
+(kappa, bandwidth).
 """
 from __future__ import annotations
 
@@ -40,9 +37,8 @@ from . import cavity
 from .cavity import CavityParams
 
 EXACT = "exact"
-GAUSS_HERMITE = "gauss-hermite"
 ADAPTIVE_SIMPSON = "adaptive-simpson"
-METHODS = (EXACT, GAUSS_HERMITE, ADAPTIVE_SIMPSON)
+METHODS = (EXACT, ADAPTIVE_SIMPSON)
 
 
 class QuadratureError(ArithmeticError):
@@ -76,21 +72,18 @@ class PulseSpec:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Averaging rule selection.  Each setting applies to its own rule only:
-    ``nodes`` to Gauss-Hermite; ``tolerance``, the absolute error target, to
-    adaptive Simpson and to the exact rule's fallback points; ``order``, the
-    number of terms of the Faddeeva approximation, to the exact rule."""
+    """Averaging rule selection.  ``tolerance``, the absolute error target,
+    applies to adaptive Simpson and to the exact rule's fallback points;
+    ``order``, the number of terms of the Faddeeva approximation, to the
+    exact rule only."""
 
     method: str = EXACT
-    nodes: int = 64
     tolerance: float = 1e-12
     order: int = 36
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown quadrature method {self.method!r}")
-        if self.nodes < 8:
-            raise ValueError("gauss-hermite needs at least 8 nodes")
         if not (0.0 < self.tolerance <= 1e-4):
             raise ValueError("tolerance must lie in (0, 1e-4]")
         if self.order < 8:
@@ -105,51 +98,6 @@ def spectral_density(omega, bandwidth: float):
     omega = np.asarray(omega, dtype=float)
     norm = math.sqrt(2.0 / (math.pi * bandwidth * bandwidth))
     return norm * np.exp(-2.0 * omega * omega / (bandwidth * bandwidth))
-
-
-@lru_cache(maxsize=16)
-def _checked_hermgauss(n: int):
-    # numpy's weights underflow to zero from n = 371 and overflow to NaN from
-    # n = 372; larger n is refused before numpy builds an n x n matrix, and a
-    # degenerate rule is cached as None so it is rejected cheaply
-    if n > 372:
-        return None
-    with np.errstate(all="ignore"):
-        x, w = np.polynomial.hermite.hermgauss(n)
-    # the upper half (from the middle node, 0.0, for odd n) and its mirror
-    # image, so that x[i] == -x[n-1-i] and w[i] == w[n-1-i] hold by
-    # construction, as _port_averages needs; numpy symmetrizes its rule
-    # itself, so this is numpy's rule bit for bit
-    half = n // 2
-    x = np.concatenate([-x[::-1][:half], x[half:]])
-    w = np.concatenate([w[::-1][:half], w[half:]])
-    if np.all(np.isfinite(w)) and abs(np.sum(w) - math.sqrt(math.pi)) <= 1e-12:
-        return x, w
-    return None
-
-
-def _hermgauss(n: int):
-    rule = _checked_hermgauss(n)
-    if rule is None:
-        raise ValueError(
-            f"the {n}-node Gauss-Hermite rule is degenerate: numpy's weights "
-            "are not finite or do not sum to sqrt(pi)"
-        )
-    return rule
-
-
-def gauss_hermite_mean(
-    func: Callable[[np.ndarray], np.ndarray], bandwidth: float, nodes: int = 64
-) -> complex:
-    """Mean of func under the Gaussian spectral density.
-
-    Substituting w = dw * x / sqrt(2) turns the density into the Hermite
-    weight exp(-x^2), so the mean is sum_i w_i func(dw x_i / sqrt(2)) / sqrt(pi) —
-    exact for polynomial func, spectrally convergent for analytic func.
-    """
-    x, w = _hermgauss(nodes)
-    values = func(bandwidth * x / math.sqrt(2.0))
-    return complex(np.sum(w * values) / math.sqrt(math.pi))
 
 
 @lru_cache(maxsize=4)
@@ -399,13 +347,13 @@ def _branch_averages(g, kappa, gamma, bandwidth, quad: QuadratureConfig, isolate
 def _port_averages(quad, port, g, kappa, gamma, bandwidth, isolate=False):
     """(survival probability, normalized mode overlap) of the coefficient
     named by ``port`` at each point, under the rule ``quad`` picks: the exact
-    rule and Gauss-Hermite block by block, adaptive Simpson point by point.
-    Over- and underflow at unphysical points is not warned about here;
-    _within_bounds flags the values it leaves."""
+    rule block by block, adaptive Simpson point by point.  Over- and
+    underflow at unphysical points is not warned about here; _within_bounds
+    flags the values it leaves."""
     g, kappa, gamma, bandwidth = np.broadcast_arrays(g, kappa, gamma, bandwidth)
-    power = np.empty(len(bandwidth))
-    mean = np.empty(len(bandwidth), dtype=complex)
     if quad.method == EXACT:
+        power = np.empty(len(bandwidth))
+        mean = np.empty(len(bandwidth), dtype=complex)
         separation = np.empty(len(bandwidth))
         # two poles per point
         step = _BLOCK_VALUES // 2
@@ -420,22 +368,6 @@ def _port_averages(quad, port, g, kappa, gamma, bandwidth, isolate=False):
             power[near], mean[near] = _simpson_means(
                 quad.tolerance, port, g[near], kappa[near], gamma[near], bandwidth[near], isolate
             )
-    elif quad.method == GAUSS_HERMITE:
-        x, w = _hermgauss(quad.nodes)
-        # x[i] == -x[n-1-i], and for real rates c(-omega) is conj(c(omega))
-        # bit for bit (see cavity.coefficients): the coefficient is evaluated
-        # at the nodes omega >= 0 only (at 0 itself for odd n) and mirrored.
-        # The sums still run over every node in order, so they round as over
-        # a full evaluation.
-        half = len(x) // 2
-        step = max(1, _BLOCK_VALUES // len(x))
-        with np.errstate(all="ignore"):
-            for start in range(0, len(bandwidth), step):
-                s = slice(start, start + step)
-                omega = bandwidth[s, None] * x[half:] / math.sqrt(2.0)
-                (amp,) = cavity.coefficients(g[s, None], kappa[s, None], gamma[s, None], omega, port)
-                power[s] = np.sum(w * _mirrored(np.abs(amp) ** 2, half), axis=-1) / math.sqrt(math.pi)
-                mean[s] = np.sum(w * _mirrored(amp, half, np.conjugate), axis=-1) / math.sqrt(math.pi)
     else:
         power, mean = _simpson_means(quad.tolerance, port, g, kappa, gamma, bandwidth, isolate)
     overlap = np.empty(len(bandwidth), dtype=complex)
@@ -475,10 +407,12 @@ def _exact_means(port, g, kappa, gamma, bandwidth, order):
 
     t = kappa (i omega - gamma/2) / ((omega - w_0)(omega - w_1)) has the
     poles w = (-i b +- sqrt(4 g^2 - (kappa - gamma/2)^2)) / 2, b = kappa +
-    gamma/2, both in the lower half-plane; at g = 0 it is the bare cavity's
-    i kappa / (omega + i kappa), as in cavity.coefficients.  With c = c0 +
-    sum_k A_k / (omega - w_k), c0 = -1 for r and 0 for t, and e_k the mean of
-    1/(omega - w_k):
+    gamma/2, both in the lower half-plane.  At g = 0 it is the bare cavity's
+    i kappa / (omega + i kappa), as in cavity.coefficients, and so it is
+    taken where kappa gamma/2 + g^2 rounds to zero (at gamma = 0, for g
+    below about 1e-162): one pole then sits at 0 with zero residue, a dip
+    narrower than rounding.  With c = c0 + sum_k A_k / (omega - w_k), c0 = -1
+    for r and 0 for t, and e_k the mean of 1/(omega - w_k):
 
         E c = c0 + sum_k A_k e_k
         E|c|^2 = |c0|^2 + 2 Re sum_k A_k e_k conj(c(conj w_k))
@@ -486,7 +420,7 @@ def _exact_means(port, g, kappa, gamma, bandwidth, order):
     the second by partial fractions of c(omega) conj(c(omega)), whose poles
     in the upper half-plane are the mirror images conj w_k; c is taken there
     in closed form.  Both sums cancel as the poles meet, so the separation
-    |w_0 - w_1| / |w_0 + w_1| comes back too (inf at g = 0).
+    |w_0 - w_1| / |w_0 + w_1| comes back too (inf for the bare cavity).
     """
     b = kappa + gamma / 2.0
     d = 4.0 * g * g - (kappa - gamma / 2.0) ** 2
@@ -507,7 +441,7 @@ def _exact_means(port, g, kappa, gamma, bandwidth, order):
     t_mirror = kappa[:, None] * (1j * mirror - gamma[:, None] / 2.0) / (
         (mirror - poles[:, :1]) * (mirror - poles[:, 1:])
     )
-    bare = (g == 0.0)[:, None]
+    bare = ((g == 0.0) | (small == 0.0))[:, None]
     if bare.any():
         # one pole, -i kappa, with residue i kappa, and t(i kappa) = 1/2
         poles = np.where(bare, -1j * kappa[:, None], poles)
@@ -523,16 +457,6 @@ def _exact_means(port, g, kappa, gamma, bandwidth, order):
     power = np.maximum(power, 0.0)
     separation = np.where(bare[:, 0], math.inf, root / b)
     return power, mean, separation
-
-
-def _mirrored(upper, half, reflect=np.positive):
-    """Values at every node of a symmetric rule from those at its nodes
-    omega >= 0, on the last axis of ``upper``: the first ``half`` are the
-    upper ones reversed, passed through ``reflect``."""
-    full = np.empty(upper.shape[:-1] + (half + upper.shape[-1],), dtype=upper.dtype)
-    full[..., half:] = upper
-    reflect(upper[..., ::-1][..., :half], out=full[..., :half])
-    return full
 
 
 def _within_bounds(reflect_prob, reflect_overlap, transmit_prob, transmit_overlap):
@@ -603,15 +527,13 @@ def metrics_residual(
     when the rule's resolution is increased.
 
     Twice the Faddeeva order for the exact rule (points that fall back to
-    Simpson are resolved by its own error test and do not move), twice the
-    node count for Gauss-Hermite, tolerance/100 for adaptive Simpson; serves
-    as the reported quadrature residual.  An adaptive Simpson tolerance below
-    1e-13 is refused before any integration, since its rerun cannot converge.
+    Simpson are resolved by its own error test and do not move), and
+    tolerance/100 for adaptive Simpson; serves as the reported quadrature
+    residual.  An adaptive Simpson tolerance below 1e-13 is refused before
+    any integration, since its rerun cannot converge.
     """
     if quad.method == EXACT:
         finer = replace(quad, order=2 * quad.order)
-    elif quad.method == GAUSS_HERMITE:
-        finer = replace(quad, nodes=2 * quad.nodes)
     elif quad.tolerance < _MIN_RESIDUAL_TOLERANCE:
         raise ValueError(
             f"the residual reruns adaptive Simpson at a hundredth of the tolerance; "

@@ -72,8 +72,9 @@ def test_zero_coupling_equals_decoupled():
 
 def test_lossless_resonance_sign_flip():
     # gamma = 0 at line center: full reflection with a pi phase, no leakage,
-    # and no 0/0 trouble even though the emitter denominator vanishes
-    for g in (0.05, 1.0, 7.0):
+    # and no 0/0 trouble even though the emitter denominator vanishes, nor
+    # where g^2 underflows to zero
+    for g in (0.05, 1.0, 7.0, 1e-170, 1e-200):
         params = CavityParams.symmetric(g, 1.0, 0.0)
         resp = response(params, "h", AtomBranch.COUPLED, 0.0)
         assert resp.r == pytest.approx(-1.0, abs=1e-14)

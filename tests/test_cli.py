@@ -5,6 +5,7 @@ import importlib
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -222,52 +223,45 @@ def test_metrics_usage_errors(capsys):
     assert run(["metrics", "--bandwidth", "0.1"]) == EXIT_USAGE
 
 
-def test_metrics_degenerate_residual_rule_is_usage_error(capsys):
-    # the residual doubles --nodes; numpy's 400-node rule has NaN weights
-    gauss_hermite = ["--method", "gauss-hermite"]
-    assert run(["metrics", "--preset", "atomic", "--nodes", "200", *gauss_hermite]) == EXIT_USAGE
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    err = captured.err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("usage error:")
-    assert "400-node Gauss-Hermite rule is degenerate" in err[0]
+def test_gauss_hermite_is_a_usage_error(capsys):
+    argv = ["metrics", "--preset", "atomic", "--method", "gauss-hermite"]
+    err = _assert_one_usage_error(argv, capsys)
+    assert "invalid choice: 'gauss-hermite'" in err
 
 
-def test_nodes_apply_to_gauss_hermite_only(capsys):
-    # --nodes stays accepted under every rule; the exact default ignores it
-    assert run(["metrics", "--preset", "atomic", "--nodes", "200"]) == EXIT_OK
-    with_nodes = capsys.readouterr().out
+def test_nodes_are_accepted_and_ignored(capsys):
+    """--nodes, the node count of the removed Gauss-Hermite rule, is still
+    accepted so that scripts passing it keep working; it changes no byte
+    and is not echoed."""
     assert run(["metrics", "--preset", "atomic"]) == EXIT_OK
     plain = capsys.readouterr().out
-    assert with_nodes.replace("# nodes = 200", "# nodes = 64") == plain
-    assert "# method = exact" in plain
+    assert "nodes" not in plain
+    sweep = ["sweep", "--axis", "coupling", "--values", "0.5,3,9", "--bandwidth", "0.05,2"]
+    assert run(sweep) == EXIT_OK
+    swept = capsys.readouterr().out
+    for nodes in ("3", "64", "200", "100000"):
+        assert run(["metrics", "--preset", "atomic", "--nodes", nodes]) == EXIT_OK
+        assert capsys.readouterr().out == plain
+        assert run([*sweep, "--nodes", nodes]) == EXIT_OK
+        assert capsys.readouterr().out == swept
+    for command in ("metrics", "sweep"):
+        with pytest.raises(SystemExit):
+            run([command, "--help"])
+        assert "--nodes" not in capsys.readouterr().out
 
 
-def test_node_counts_past_numpys_rule_are_refused_unbuilt(monkeypatch, capsys):
-    # numpy builds an n x n companion matrix, 74.5 GiB at 100 000 nodes;
-    # here any call above 372 nodes fails instead of allocating
-    real = np.polynomial.hermite.hermgauss
-
-    def hermgauss(n):
-        assert n <= 372, f"hermgauss({n}) called"
-        return real(n)
-
-    monkeypatch.setattr(np.polynomial.hermite, "hermgauss", hermgauss)
-    pulses._checked_hermgauss.cache_clear()
-    gauss_hermite = ["--method", "gauss-hermite"]
-    assert run(["metrics", "--preset", "atomic", "--nodes", "100000", *gauss_hermite]) == EXIT_USAGE
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    err = captured.err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("usage error:")
-    assert "100000-node Gauss-Hermite rule is degenerate" in err[0]
-    code = run(["sweep", "--axis", "coupling", "--values", "3", "--bandwidth", "0.1",
-                "--nodes", "30000", *gauss_hermite])
-    assert code == EXIT_OK
-    captured = capsys.readouterr()
-    row = captured.out.strip().splitlines()[1].split(",")
-    assert math.isnan(float(row[2])) and math.isnan(float(row[3]))
-    assert "30000-node Gauss-Hermite rule is degenerate" in captured.err
+def test_readme_metrics_example_matches_stdout(capsys):
+    """Every line of the README's metrics example other than the elision
+    "..." appears, in order, in the stdout of the command it shows."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    start = readme.index("```text\n", readme.index("### metrics")) + len("```text\n")
+    command, *shown = readme[start:readme.index("\n```", start)].splitlines()
+    assert command.startswith("$ cavityswap metrics ")
+    assert run(shlex.split(command)[2:]) == EXIT_OK
+    printed = iter(capsys.readouterr().out.splitlines())
+    for line in shown:
+        # `in` consumes the iterator up to the match, so order is checked too
+        assert line == "..." or line in printed, line
 
 
 def test_metrics_evaluates_the_pulse_averages_twice(monkeypatch, capsys):
@@ -296,7 +290,6 @@ SIMPSON_METRICS_PLAIN = """\
 # preset = atomic
 # bandwidth = 0.1
 # method = adaptive-simpson
-# nodes = 64
 loss_probability = 1.300342336e-02
 fidelity = 9.975193282e-01
 quadrature_residual = 1.820765760e-14
@@ -314,7 +307,6 @@ SIMPSON_METRICS_JSON = """\
     "kappa_h": 1.0,
     "kappa_v": 1.0,
     "method": "adaptive-simpson",
-    "nodes": 64,
     "preset": "atomic"
   },
   "outputs": {
@@ -364,7 +356,7 @@ def _cli_process(args, timeout):
 
 def test_adaptive_simpson_non_finite_point_fails_fast():
     """g = 1e200 makes the integrand NaN.  Simpson used to bisect such a
-    point toward 2**48 intervals; it must fail as Gauss-Hermite does."""
+    point toward 2**48 intervals; it must fail at once instead."""
     simpson = ["--bandwidth", "0.1", "--method", "adaptive-simpson"]
     proc = _cli_process(["metrics", "--g", "1e200", *simpson], timeout=20)
     assert proc.returncode == EXIT_USAGE
@@ -579,23 +571,11 @@ def test_sweep_failed_point_still_emits_row(tmp_path, capsys):
     assert math.isnan(float(bad[2])) and math.isnan(float(bad[3]))
 
 
-def test_sweep_degenerate_rule_gives_nan_rows(capsys):
-    # numpy's 371-node rule has all-zero weights, which would read as p = 1, F = 0
-    code = run(["sweep", "--axis", "coupling", "--values", "3", "--bandwidth", "0.1",
-                "--nodes", "371", "--method", "gauss-hermite"])
-    assert code == EXIT_OK
-    captured = capsys.readouterr()
-    row = captured.out.strip().splitlines()[1].split(",")
-    assert math.isnan(float(row[2])) and math.isnan(float(row[3]))
-    assert "warning: point g=3 dw=0.1 failed:" in captured.err
-    assert "371-node Gauss-Hermite rule is degenerate" in captured.err
-
-
 # A 40 x 30 log grid, g/kappa 0.1-20 plus a g = 1e200 row of NaN, bandwidth
 # 0.01-10 kappa (the wide-pulse corner), gamma = kappa/2.  The sha256 of its
 # stdout pins every byte the CSV writer emits, not only the parsed values.
 # The default rule's rows agree with the benchmark's trapezoid reference to
-# 2.1e-13; Gauss-Hermite's miss it by up to 0.067 in this corner.
+# 2.1e-13.  Naming the rule and passing the ignored --nodes change no byte.
 PINNED_COUPLINGS = ",".join(f"{0.1 * 200 ** (i / 38):.4g}" for i in range(39)) + ",1e200"
 PINNED_BANDWIDTHS = ",".join(f"{0.01 * 1000 ** (j / 29):.4g}" for j in range(30))
 
@@ -603,10 +583,10 @@ PINNED_BANDWIDTHS = ",".join(f"{0.01 * 1000 ** (j / 29):.4g}" for j in range(30)
 @pytest.mark.parametrize(
     "extra, digest",
     [
-        (["--method", "gauss-hermite"],
-         "949083cf6dba3413710ff69b133829392cf3fd18d25e4f7ed09b04b27a3f9aa7"),
-        (["--method", "gauss-hermite", "--nodes", "65"],
-         "59a7b660f9826c659aa5fa9695d880a59a6e66ea76d6db588b1869e051a5ea4d"),
+        (["--method", "exact"],
+         "f9b5052b456b11774dc6d741306e6ed4f9b2fcdbc27f910500523d932eda953e"),
+        (["--nodes", "65"],
+         "f9b5052b456b11774dc6d741306e6ed4f9b2fcdbc27f910500523d932eda953e"),
         ([], "f9b5052b456b11774dc6d741306e6ed4f9b2fcdbc27f910500523d932eda953e"),
     ],
 )

@@ -11,7 +11,6 @@ from cavityswap.cavity import AtomBranch, CavityParams, response_arrays
 from cavityswap.pulses import (
     ADAPTIVE_SIMPSON,
     EXACT,
-    GAUSS_HERMITE,
     OverlapSet,
     PulseSpec,
     QuadratureConfig,
@@ -19,7 +18,6 @@ from cavityswap.pulses import (
     adaptive_simpson_mean,
     faddeeva,
     gate_metrics,
-    gauss_hermite_mean,
     metrics_residual,
     overlaps,
     SweepRow,
@@ -42,39 +40,18 @@ def test_spectral_density_is_normalized():
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
-def test_gauss_hermite_against_trapezoid():
-    """The Hermite rule must agree with a dense brute-force integral of the
-    actual reflection integrand."""
-    dw = 0.1
-
-    def integrand(w):
-        r, _, _ = response_arrays(ATOMIC, "h", AtomBranch.COUPLED, w)
-        return np.abs(r) ** 2
-
-    omega = np.linspace(-8.0 * dw, 8.0 * dw, 200001)
-    brute = _trapezoid(integrand(omega) * spectral_density(omega, dw), omega)
-    gh = gauss_hermite_mean(integrand, dw)
-    assert gh.imag == 0.0
-    assert gh.real == pytest.approx(brute, abs=1e-10)
-
-
-def test_gauss_hermite_exact_on_polynomials():
-    # degree-5 polynomial: the 64-node rule is exact to roundoff
-    dw = 0.3
-    poly = lambda w: 2.0 - w + 3.0 * w**2 + w**5
-    # Gaussian moments: E[w^2] = dw^2/4, odd moments vanish
-    expected = 2.0 + 3.0 * dw**2 / 4.0
-    assert gauss_hermite_mean(poly, dw).real == pytest.approx(expected, abs=1e-14)
-
-
 def test_adaptive_simpson_agrees_with_hermite():
+    """Simpson's E t of the bare cavity against the exact rule's."""
     def integrand(w):
         _, t, _ = response_arrays(ATOMIC, "h", AtomBranch.DECOUPLED, w)
         return t
 
-    gh = gauss_hermite_mean(integrand, 0.1)
+    _, exact, _ = pulses._exact_means(
+        "t", np.array([0.0]), np.array([ATOMIC.kappa_h]), np.array([ATOMIC.gamma_h]),
+        np.array([0.1]), 36,
+    )
     simpson = adaptive_simpson_mean(integrand, 0.1, 1e-13)
-    assert abs(gh - simpson) <= 1e-11
+    assert abs(exact[0] - simpson) <= 1e-11
 
 
 def _recursive_simpson_mean(
@@ -310,8 +287,8 @@ def test_simpson_sweep_matches_per_point_metrics():
 def test_quadrature_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(method="trapezoid")
-    with pytest.raises(ValueError):
-        QuadratureConfig(nodes=4)
+    with pytest.raises(TypeError):
+        QuadratureConfig(nodes=64)
     with pytest.raises(ValueError):
         QuadratureConfig(tolerance=0.0)
     with pytest.raises(ValueError):
@@ -429,51 +406,15 @@ def test_sweep_marks_failed_points():
     assert all(math.isfinite(r.loss_probability) for r in good)
 
 
-def _scalar_path(params, bandwidth, nodes):
-    """(OverlapSet, p, F) the per-point way: every average its own
-    gauss_hermite_mean call, the metrics plain Python arithmetic."""
-    v = {}
-    for pol in ("h", "v"):
-        for branch, name in ((AtomBranch.COUPLED, "reflect"), (AtomBranch.DECOUPLED, "transmit")):
-
-            def amplitude(w, pol=pol, branch=branch):
-                r, t, _ = response_arrays(params, pol, branch, w)
-                return r if branch is AtomBranch.COUPLED else t
-
-            power = gauss_hermite_mean(lambda w: np.abs(amplitude(w)) ** 2, bandwidth, nodes).real
-            mean = gauss_hermite_mean(amplitude, bandwidth, nodes)
-            v[f"{name}_prob_{pol}"] = power
-            v[f"{name}_overlap_{pol}"] = mean / math.sqrt(power) if power > 0.0 else 0.0j
-    p = 1.0 - (v["transmit_prob_h"] * v["transmit_prob_v"] + v["reflect_prob_h"] * v["reflect_prob_v"]) / 2.0
-    f = abs(v["reflect_overlap_h"] * v["reflect_overlap_v"] + v["transmit_overlap_h"] * v["transmit_overlap_v"]) ** 2 / 4.0
-    return OverlapSet(**v), min(max(p, 0.0), 1.0), min(max(f, 0.0), 1.0)
-
-
-def test_batched_kernel_matches_scalar_path_exactly():
-    """Batching must not move a single bit: the sweep and overlaps() against
-    the per-point computation, with ==.  An odd node count puts a node at
-    omega = 0; g = 0 takes the bare-cavity form inside a batch."""
-    couplings = [0.0, 1e-3, 3.0, 20.0]
-    bandwidths = [1e-3, 0.1, 10.0]
-    for gamma in (0.0, 1.0):
-        for nodes in (8, 63, 64, 185):
-            quad = QuadratureConfig(method=GAUSS_HERMITE, nodes=nodes)
-            rows = sweep(couplings, bandwidths, gamma, quad)
-            assert [(r.g_over_kappa, r.bandwidth_over_kappa) for r in rows] == [
-                (g, dw) for g in couplings for dw in bandwidths
-            ]
-            for row in rows:
-                params = CavityParams.symmetric(row.g_over_kappa, 1.0, gamma)
-                expected, p, f = _scalar_path(params, row.bandwidth_over_kappa, nodes)
-                assert row.error == ""
-                assert (row.loss_probability, row.fidelity) == (p, f)
-                assert overlaps(params, PulseSpec(row.bandwidth_over_kappa), quad) == expected
-    mixed = CavityParams(3.0, 0.0, 1.0, 2.0, 0.0, 1.0)
-    expected, p, f = _scalar_path(mixed, 0.1, 63)
-    quad = QuadratureConfig(method=GAUSS_HERMITE, nodes=63)
-    assert overlaps(mixed, PulseSpec(0.1), quad) == expected
-    result = gate_metrics(mixed, PulseSpec(0.1), quad)
-    assert (result.loss_probability, result.fidelity) == (p, f)
+def test_mixed_point_equals_its_single_polarization_points():
+    """overlaps() averages both polarizations of a point in one batch, g = 0
+    in one of them; each must equal that polarization evaluated alone, with
+    ==."""
+    mixed = overlaps(CavityParams(3.0, 0.0, 1.0, 2.0, 0.0, 1.0), PulseSpec(0.1))
+    for pol, rates in (("h", (3.0, 1.0, 0.0)), ("v", (0.0, 2.0, 1.0))):
+        alone = overlaps(CavityParams.symmetric(*rates), PulseSpec(0.1))
+        for name in ("reflect_prob", "transmit_prob", "reflect_overlap", "transmit_overlap"):
+            assert getattr(mixed, f"{name}_{pol}") == getattr(alone, f"{name}_h")
 
 
 def test_metrics_rounds_like_the_scalar_expressions():
@@ -492,42 +433,6 @@ def test_metrics_rounds_like_the_scalar_expressions():
         f = abs(ov.reflect_overlap_h * ov.reflect_overlap_v + ov.transmit_overlap_h * ov.transmit_overlap_v) ** 2 / 4.0
         result = pulses.metrics(ov)
         assert (result.loss_probability, result.fidelity) == (min(max(p, 0.0), 1.0), min(max(f, 0.0), 1.0))
-
-
-def test_degenerate_hermite_rule_is_rejected():
-    # numpy's weights are all zero at 371 nodes and NaN from 372: the rule
-    # must be refused, never turned into p = 1, F = 0
-    for nodes in (371, 372):
-        with pytest.raises(ValueError, match="degenerate"):
-            gauss_hermite_mean(lambda w: np.ones_like(w), 0.1, nodes)
-    (row,) = sweep([3.0], [0.1], quad=QuadratureConfig(method=GAUSS_HERMITE, nodes=371))
-    assert math.isnan(row.loss_probability) and math.isnan(row.fidelity)
-    assert "371-node Gauss-Hermite rule is degenerate" in row.error
-    with pytest.raises(ValueError, match="400-node"):
-        metrics_residual(ATOMIC, PulseSpec(0.1), QuadratureConfig(method=GAUSS_HERMITE, nodes=200))
-
-
-def test_hermite_rule_is_numpys_rule_mirrored(monkeypatch):
-    """The rule is built by mirroring numpy's upper half, so that the
-    half-node kernel's symmetry holds by construction; it must still be
-    numpy's full rule bit for bit, with the middle node of odd n at +0.0."""
-    numpy_rules = {}
-    real = np.polynomial.hermite.hermgauss
-
-    def recording(n):
-        numpy_rules[n] = real(n)
-        return numpy_rules[n]
-
-    monkeypatch.setattr(np.polynomial.hermite, "hermgauss", recording)
-    pulses._checked_hermgauss.cache_clear()
-    for n in range(8, 371):
-        x, w = pulses._hermgauss(n)
-        numpy_x, numpy_w = numpy_rules[n]
-        assert x.tobytes() == numpy_x.tobytes() and w.tobytes() == numpy_w.tobytes()
-        assert np.array_equal(x, -x[::-1]) and w[::-1].tobytes() == w.tobytes()
-        if n % 2:
-            assert x[n // 2] == 0.0 and not np.signbit(x[n // 2])
-    pulses._checked_hermgauss.cache_clear()
 
 
 def test_sweep_rejects_empty_grid():
@@ -611,9 +516,10 @@ def test_coincident_poles_fall_back_to_simpson(monkeypatch):
 
 def test_exact_sweep_rows_equal_gate_metrics():
     """Batching does not move a bit under the exact rule either: each row is
-    its point's gate_metrics with ==, at g = 0, gamma = 0, coincident poles
-    and wide pulses, and metrics_residual reports the same metrics."""
-    couplings = [0.0, 1e-3, _coincident_coupling(1.0, 0.5), 3.0, 20.0]
+    its point's gate_metrics with ==, at g = 0, g whose square underflows,
+    gamma = 0, coincident poles and wide pulses, and metrics_residual
+    reports the same metrics."""
+    couplings = [0.0, 1e-200, 1e-170, 1e-3, _coincident_coupling(1.0, 0.5), 3.0, 20.0]
     bandwidths = [1e-3, 0.1, 10.0]
     for gamma in (0.0, 0.5):
         for row in sweep(couplings, bandwidths, gamma):
@@ -626,13 +532,23 @@ def test_exact_sweep_rows_equal_gate_metrics():
     assert residual <= 1e-13
 
 
+def test_underflowing_coupling_gives_the_bare_cavity():
+    """g^2 underflows below about 1e-162, and at gamma = 0 the dip is then
+    narrower than rounding: the averages are the bare cavity's, as at g = 0,
+    with no NaN and no warning."""
+    bare = overlaps(CavityParams.symmetric(0.0, 1.0, 0.0), PulseSpec(0.1))
+    for g in (1e-200, 1e-170):
+        assert overlaps(CavityParams.symmetric(g, 1.0, 0.0), PulseSpec(0.1)) == bare
+
+
 def test_exact_rule_matches_gauss_hermite_where_it_converges():
-    # narrow pulses against the pole widths: GH64 is converged there
+    """The exact rule against adaptive Simpson at 1e-13, at both presets."""
+    simpson = QuadratureConfig(method=ADAPTIVE_SIMPSON, tolerance=1e-13)
     for params, dw in ((ATOMIC, 0.1), (SOLID_STATE, 0.1 * SOLID_STATE.g_h**2)):
         exact = gate_metrics(params, PulseSpec(dw))
-        hermite = gate_metrics(params, PulseSpec(dw), QuadratureConfig(method=GAUSS_HERMITE))
-        assert abs(exact.loss_probability - hermite.loss_probability) <= 1e-12
-        assert abs(exact.fidelity - hermite.fidelity) <= 1e-12
+        reference = gate_metrics(params, PulseSpec(dw), simpson)
+        assert abs(exact.loss_probability - reference.loss_probability) <= 1e-12
+        assert abs(exact.fidelity - reference.fidelity) <= 1e-12
 
 
 def test_simpson_sweep_reevaluates_only_failing_points(monkeypatch):
