@@ -14,6 +14,7 @@ homogeneous in the rates.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -135,12 +136,17 @@ def _dressed(g, kappa, gamma, omega, parts):
     g2 = g * g
     d = i_omega - gamma / 2.0
     denom = (kappa - i_omega) * d - g2
-    if not g2.all():
-        # g^2 underflows for 0 < g below about 1e-162, and omega = 0 at
-        # gamma = 0 is then 0/0; its limit is (-1, 0, 0), as for every g > 0,
-        # and g^2 = 1 gives it
+    limit = None
+    if (g2 < sys.float_info.min).any():
+        # g^2 is subnormal for 0 < g below about 1.5e-154 and zero below
+        # 1e-162, and at omega = 0 the denominator -(kappa gamma/2 + g^2)
+        # can then be too: 0/0, or a complex division that overflows.  Where
+        # it is zero at gamma = 0 the limit is (-1, 0, 0), as for every g > 0,
+        # and g^2 = 1 gives it; the other such points take _resonance_limit
         g2 = np.where((denom == 0.0) & (gamma == 0.0), 1.0, g2)
         denom = (kappa - i_omega) * d - g2
+        limit = (omega == 0.0) & (np.abs(denom) < sys.float_info.min)
+        denom = np.where(limit, 1.0, denom)
     out = []
     for part in parts:
         if part == "r":
@@ -149,7 +155,32 @@ def _dressed(g, kappa, gamma, omega, parts):
             out.append(kappa * d / denom)
         else:
             out.append(1j * np.sqrt(kappa * gamma) * g / denom)
+    if limit is not None and limit.any():
+        values = dict(zip("rtm", _resonance_limit(g, kappa, gamma)))
+        out = [np.where(limit, values[part], value) for part, value in zip(parts, out)]
     return tuple(out)
+
+
+def _resonance_limit(g, kappa, gamma):
+    """(R, T, m) at omega = 0 as functions of rho = kappa gamma / (2 g^2):
+    -1/(1 + rho), rho/(1 + rho) and -i sqrt(2 rho)/(1 + rho).
+
+    rho is formed from the rates scaled by powers of two, which leaves it
+    unchanged, such that kappa and g are O(1): it under- or overflows only
+    where its own value is out of range, and the forms used for rho >= 1
+    still give the limits at rho = inf.
+    """
+    _, k_exp = np.frexp(kappa)
+    _, g_exp = np.frexp(g)
+    with np.errstate(all="ignore"):
+        rho = (np.ldexp(kappa, -k_exp) * np.ldexp(gamma, k_exp - 2 * g_exp)
+               / (2.0 * np.ldexp(g, -g_exp) ** 2))
+        large = rho >= 1.0
+        r = -1.0 / (1.0 + rho)
+        t = np.where(large, 1.0 / (1.0 / rho + 1.0), rho / (1.0 + rho))
+        m = np.where(large, math.sqrt(2.0) / (1.0 / np.sqrt(rho) + np.sqrt(rho)),
+                     np.sqrt(2.0 * rho) / (1.0 + rho))
+    return r, t, -1j * m
 
 
 def response_arrays(

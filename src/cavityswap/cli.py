@@ -91,11 +91,9 @@ def _emit_text(out_path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit_csv(out_path, header, rows, text_columns=0) -> None:
-    # one % template per row, cheaper than a format call per cell; the first
-    # text_columns cells of each row arrive already formatted
-    columns = len(header.split(","))
-    row_format = ",".join(["%s"] * text_columns + ["%.12e"] * (columns - text_columns))
+def _emit_csv(out_path, header, rows) -> None:
+    # one % template per row, cheaper than a format call per cell
+    row_format = ",".join(["%.12e"] * len(header.split(",")))
     lines = [header]
     lines.extend(row_format % tuple(row) for row in rows)
     _emit_text(out_path, "\n".join(lines) + "\n")
@@ -244,26 +242,22 @@ def cmd_sweep(args) -> int:
     if len(couplings) * len(bandwidths) > MAX_GRID_POINTS:  # before the grid is built
         raise UsageError(f"the sweep grid would exceed {MAX_GRID_POINTS} points")
     quad = _quad_config(args)
-    rows = pulses.sweep(couplings, bandwidths, args.gamma, quad)
-    for row in rows:
-        if row.error:
-            print(
-                f"warning: point g={row.g_over_kappa:g} dw={row.bandwidth_over_kappa:g} "
-                f"failed: {row.error}",
-                file=sys.stderr,
-            )
-    # the rows run over the product of the sorted axes, g-major: each g and
-    # bandwidth is formatted once, and each row formats only p and F
-    n = len(bandwidths)
-    g_cells = ["%.12e" % row.g_over_kappa for row in rows[::n]]
-    dw_cells = ["%.12e" % row.bandwidth_over_kappa for row in rows[:n]]
-    table = zip(
-        [cell for cell in g_cells for _ in range(n)],
-        dw_cells * len(g_cells),
-        [row.loss_probability for row in rows],
-        [row.fidelity for row in rows],
+    couplings, bandwidths, loss, fidelity, errors = pulses._sweep_columns(
+        couplings, bandwidths, args.gamma, quad
     )
-    _emit_csv(args.out, _SWEEP_HEADER, table, text_columns=2)
+    g_values, dw_values = couplings.tolist(), bandwidths.tolist()
+    for i, j, error in errors:
+        print(f"warning: point g={g_values[i]:g} dw={dw_values[j]:g} failed: {error}", file=sys.stderr)
+    # the rows run over the product of the sorted axes, g-major: each g and
+    # bandwidth is formatted once, and one template fills p and F of every row
+    dw_cells = ["%.12e," % value for value in dw_values]
+    prefixes = [g_cell + dw_cell for g_cell in ("%.12e," % value for value in g_values)
+                for dw_cell in dw_cells]
+    cells = [None] * (3 * len(prefixes))
+    cells[::3] = prefixes
+    cells[1::3] = loss.ravel().tolist()
+    cells[2::3] = fidelity.ravel().tolist()
+    _emit_text(args.out, _SWEEP_HEADER + "\n" + ("%s%.12e,%.12e\n" * len(prefixes)) % tuple(cells))
     if args.out:
         script = _PLOT_SCRIPT % {
             "csv": os.path.basename(args.out),

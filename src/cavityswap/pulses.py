@@ -16,12 +16,13 @@ approximation (SIAM J. Numer. Anal. 31:1497, 1994), about 2e-14 relative
 error at its default 36 terms.  Where the two poles nearly coincide the
 partial fractions cancel, and such points fall back to adaptive Simpson
 over a finite window, which also stays selectable as a structurally
-independent cross-check.  Both rules run through one batched path: the
-exact rule evaluates whole grids of operating points in blocks, and
-adaptive Simpson evaluates each point's bisection tree one level at a time,
-with the same result as the depth-first recursion.  Under either rule the
-Decoupled branch, which sees the bare cavity, is averaged once per distinct
-(kappa, bandwidth).
+independent cross-check.  Both rules run through one batched path over a
+grid of rate rows (g, kappa, gamma) x bandwidths: the exact rule does its
+pole algebra once per rate row and evaluates w per (row, bandwidth) in
+blocks of rows, and adaptive Simpson evaluates each point's bisection tree
+one level at a time, with the same result as the depth-first recursion.
+Under either rule the Decoupled branch, which sees the bare cavity, adds
+one rate row per distinct kappa.
 """
 from __future__ import annotations
 
@@ -323,54 +324,63 @@ _COINCIDENT = 1e-3
 
 
 def _branch_averages(g, kappa, gamma, bandwidth, quad: QuadratureConfig, isolate=False):
-    """Pulse averages at many single-polarization points, under ``quad``.
+    """Pulse averages over a grid of single-polarization points, under ``quad``.
 
-    g, kappa, gamma and bandwidth are equal-length 1-D float arrays, one
-    operating point per entry.  Returns (reflect_prob, reflect_overlap,
-    transmit_prob, transmit_overlap): the survival probability and
-    normalized mode overlap of the Coupled branch, judged at the reflected
-    port, and of the Decoupled branch, judged at the transmitted port.  Each
-    entry is what the rule gives for that point alone.  With ``isolate`` a
-    point whose Simpson integral fails gets NaN averages instead of raising.
+    g, kappa and gamma are equal-length 1-D float arrays, one rate row per
+    entry; bandwidth is a 1-D float array.  Returns (reflect_prob,
+    reflect_overlap, transmit_prob, transmit_overlap), each of shape (rate
+    rows, bandwidths): the survival probability and normalized mode overlap
+    of the Coupled branch, judged at the reflected port, and of the
+    Decoupled branch, judged at the transmitted port.  Each entry is what
+    the rule gives for that point alone.  With ``isolate`` a point whose
+    Simpson integral fails gets NaN averages instead of raising.
     """
-    reflect = _port_averages(quad, "r", g, kappa, gamma, bandwidth, isolate)
     # the Decoupled branch sees the bare cavity: only kappa and the bandwidth
-    # matter.  Packed as kappa + i*bandwidth the pairs dedupe in a 1-D
-    # np.unique, about 10x faster than np.unique(axis=1) on a 100x100 grid.
-    pairs, index = np.unique(kappa + 1j * bandwidth, return_inverse=True)
-    transmit_prob, transmit_overlap = _port_averages(
-        quad, "t", 0.0, pairs.real, 0.0, pairs.imag, isolate
+    # matter, so it adds one row per distinct kappa below the Coupled rows
+    kappas = kappa.tolist()
+    position = {value: len(kappas) + i for i, value in enumerate(dict.fromkeys(kappas))}
+    bare = np.zeros(len(position))
+    power, overlap = _port_averages(
+        quad, "r" * len(kappas) + "t" * len(position),
+        np.concatenate([g, bare]), np.concatenate([kappa, list(position)]),
+        np.concatenate([gamma, bare]), bandwidth, isolate,
     )
-    return (*reflect, transmit_prob[index], transmit_overlap[index])
+    index = [position[value] for value in kappas]
+    return power[: len(kappas)], overlap[: len(kappas)], power[index], overlap[index]
 
 
-def _port_averages(quad, port, g, kappa, gamma, bandwidth, isolate=False):
-    """(survival probability, normalized mode overlap) of the coefficient
-    named by ``port`` at each point, under the rule ``quad`` picks: the exact
-    rule block by block, adaptive Simpson point by point.  Over- and
-    underflow at unphysical points is not warned about here; _within_bounds
-    flags the values it leaves."""
-    g, kappa, gamma, bandwidth = np.broadcast_arrays(g, kappa, gamma, bandwidth)
+def _port_averages(quad, ports, g, kappa, gamma, bandwidth, isolate=False):
+    """(survival probability, normalized mode overlap) over the grid of rate
+    rows (g, kappa, gamma) x bandwidths, of shape (rows, bandwidths).
+    ``ports`` names the coefficient of each row, "r" or "t".  The rule
+    ``quad`` picks runs block by block (exact) or point by point (adaptive
+    Simpson).  Over- and underflow at unphysical points is not warned about
+    here; _within_bounds flags the values it leaves."""
     if quad.method == EXACT:
-        power = np.empty(len(bandwidth))
-        mean = np.empty(len(bandwidth), dtype=complex)
-        separation = np.empty(len(bandwidth))
-        # two poles per point
-        step = _BLOCK_VALUES // 2
+        power = np.empty((len(g), len(bandwidth)))
+        mean = np.empty((len(g), len(bandwidth)), dtype=complex)
+        # blocks of whole rate rows, two poles per point; a row wider than
+        # a block is cut into bandwidth blocks
+        columns = min(len(bandwidth), _BLOCK_VALUES // 2)
+        rows = max(1, _BLOCK_VALUES // (2 * columns))
         with np.errstate(all="ignore"):
-            for start in range(0, len(bandwidth), step):
-                s = slice(start, start + step)
-                power[s], mean[s], separation[s] = _exact_means(
-                    port, g[s], kappa[s], gamma[s], bandwidth[s], quad.order
-                )
+            *terms, separation = _pole_terms(ports, g, kappa, gamma)
+            for r in range(0, len(g), rows):
+                block = [term[r : r + rows] for term in terms]
+                for c in range(0, len(bandwidth), columns):
+                    cells = (slice(r, r + rows), slice(c, c + columns))
+                    power[cells], mean[cells] = _exact_means(
+                        *block, bandwidth[c : c + columns], quad.order
+                    )
         near = np.flatnonzero(separation < _COINCIDENT)
         if near.size:
             power[near], mean[near] = _simpson_means(
-                quad.tolerance, port, g[near], kappa[near], gamma[near], bandwidth[near], isolate
+                quad.tolerance, [ports[i] for i in near], g[near], kappa[near], gamma[near],
+                bandwidth, isolate,
             )
     else:
-        power, mean = _simpson_means(quad.tolerance, port, g, kappa, gamma, bandwidth, isolate)
-    overlap = np.empty(len(bandwidth), dtype=complex)
+        power, mean = _simpson_means(quad.tolerance, ports, g, kappa, gamma, bandwidth, isolate)
+    overlap = np.empty(power.shape, dtype=complex)
     with np.errstate(all="ignore"):
         positive = power > 0.0
         root = np.sqrt(np.where(positive, power, 1.0))
@@ -381,29 +391,35 @@ def _port_averages(quad, port, g, kappa, gamma, bandwidth, isolate=False):
     return power, overlap
 
 
-def _simpson_means(tolerance, port, g, kappa, gamma, bandwidth, isolate):
-    """(E|c|^2, E c) by adaptive Simpson, one point at a time.  A point whose
-    integral fails raises, or with ``isolate`` gets NaN and the others go on."""
-    power = np.empty(len(bandwidth))
-    mean = np.empty(len(bandwidth), dtype=complex)
-    points = zip(g.tolist(), kappa.tolist(), gamma.tolist(), bandwidth.tolist())
-    for i, (*rates, dw) in enumerate(points):
+def _simpson_means(tolerance, ports, g, kappa, gamma, bandwidth, isolate):
+    """(E|c|^2, E c) by adaptive Simpson over the grid of rate rows x
+    bandwidths, one point at a time.  A point whose integral fails raises,
+    or with ``isolate`` gets NaN and the others go on."""
+    power = np.empty((len(g), len(bandwidth)))
+    mean = np.empty((len(g), len(bandwidth)), dtype=complex)
+    for i, (port, *rates) in enumerate(zip(ports, g.tolist(), kappa.tolist(), gamma.tolist())):
 
         def amplitude(omega):
             return cavity.coefficients(*rates, omega, port)[0]
 
-        try:
-            power[i] = adaptive_simpson_mean(lambda w: np.abs(amplitude(w)) ** 2, dw, tolerance).real
-            mean[i] = adaptive_simpson_mean(amplitude, dw, tolerance)
-        except QuadratureError:
-            if not isolate:
-                raise
-            power[i] = mean[i] = math.nan
+        for j, dw in enumerate(bandwidth.tolist()):
+            try:
+                power[i, j] = adaptive_simpson_mean(
+                    lambda w: np.abs(amplitude(w)) ** 2, dw, tolerance
+                ).real
+                mean[i, j] = adaptive_simpson_mean(amplitude, dw, tolerance)
+            except QuadratureError:
+                if not isolate:
+                    raise
+                power[i, j] = mean[i, j] = math.nan
     return power, mean
 
 
-def _exact_means(port, g, kappa, gamma, bandwidth, order):
-    """(E|c|^2, E c, relative pole separation) in closed form, c = r or t.
+def _pole_terms(ports, g, kappa, gamma):
+    """The bandwidth-free half of the exact rule, per rate row: (c0, mirror
+    poles conj w_k, residues A_k, conj(c(conj w_k)), relative pole
+    separation), c = r or t as ``ports`` names it.  c0 has shape (rows, 1),
+    the next three (rows, 2).
 
     t = kappa (i omega - gamma/2) / ((omega - w_0)(omega - w_1)) has the
     poles w = (-i b +- sqrt(4 g^2 - (kappa - gamma/2)^2)) / 2, b = kappa +
@@ -411,15 +427,9 @@ def _exact_means(port, g, kappa, gamma, bandwidth, order):
     i kappa / (omega + i kappa), as in cavity.coefficients, and so it is
     taken where kappa gamma/2 + g^2 rounds to zero (at gamma = 0, for g
     below about 1e-162): one pole then sits at 0 with zero residue, a dip
-    narrower than rounding.  With c = c0 + sum_k A_k / (omega - w_k), c0 = -1
-    for r and 0 for t, and e_k the mean of 1/(omega - w_k):
-
-        E c = c0 + sum_k A_k e_k
-        E|c|^2 = |c0|^2 + 2 Re sum_k A_k e_k conj(c(conj w_k))
-
-    the second by partial fractions of c(omega) conj(c(omega)), whose poles
-    in the upper half-plane are the mirror images conj w_k; c is taken there
-    in closed form.  Both sums cancel as the poles meet, so the separation
+    narrower than rounding.  c = c0 + sum_k A_k / (omega - w_k), c0 = -1
+    for r and 0 for t; c is taken at the mirror poles in closed form.  The
+    partial fractions cancel as the poles meet, so the separation
     |w_0 - w_1| / |w_0 + w_1| comes back too (inf for the bare cavity).
     """
     b = kappa + gamma / 2.0
@@ -448,21 +458,45 @@ def _exact_means(port, g, kappa, gamma, bandwidth, order):
         mirror = poles.conj()
         residues = np.where(bare, [1j, 0.0] * kappa[:, None], residues)
         t_mirror = np.where(bare, 0.5, t_mirror)
-    c0 = -1.0 if port == "r" else 0.0
-    s = (bandwidth / math.sqrt(2.0))[:, None]
-    weighted = residues * (np.conj(faddeeva(mirror / s, order)) * (-1j * math.sqrt(math.pi)) / s)
-    mean = c0 + np.sum(weighted, axis=-1)
-    power = c0 * c0 + 2.0 * np.sum(weighted * np.conj(t_mirror + c0), axis=-1).real
-    # true powers below the roundoff of these sums can come out negative
-    power = np.maximum(power, 0.0)
+    c0 = np.array([[-1.0 if port == "r" else 0.0] for port in ports])
     separation = np.where(bare[:, 0], math.inf, root / b)
-    return power, mean, separation
+    return c0, mirror, residues, np.conj(t_mirror + c0), separation
+
+
+def _exact_means(c0, mirror, residues, conj_mirror_values, bandwidth, order):
+    """(E|c|^2, E c) in closed form over rate rows x bandwidths, from the
+    _pole_terms of the rows.  With e_k the mean of 1/(omega - w_k):
+
+        E c = c0 + sum_k A_k e_k
+        E|c|^2 = |c0|^2 + 2 Re sum_k A_k e_k conj(c(conj w_k))
+
+    the second by partial fractions of c(omega) conj(c(omega)), whose poles
+    in the upper half-plane are the mirror images conj w_k.
+    """
+
+    def spread(term):
+        # a contiguous copy along the bandwidths: numpy's complex multiply
+        # takes a fused loop for contiguous operands only
+        return np.repeat(term[:, None, :], len(bandwidth), axis=1)
+
+    # Every point must round as it does on its own, so each complex product
+    # has both factors contiguous and a named right factor: numpy computes
+    # a product whose right factor is a large temporary in that temporary's
+    # buffer with the factors swapped, which rounds differently.
+    s = (bandwidth / math.sqrt(2.0))[:, None]
+    means = np.conj(faddeeva(spread(mirror) / s, order)) * (-1j * math.sqrt(math.pi)) / s
+    weighted = spread(residues) * means
+    mirror_values = spread(conj_mirror_values)
+    mean = c0 + np.sum(weighted, axis=-1)
+    power = c0 * c0 + 2.0 * np.sum(weighted * mirror_values, axis=-1).real
+    # true powers below the roundoff of these sums can come out negative
+    return np.maximum(power, 0.0), mean
 
 
 def _within_bounds(reflect_prob, reflect_overlap, transmit_prob, transmit_overlap):
     """Mask of the points whose averages OverlapSet accepts (NaN fails).
     Their p and F are then finite, so GateMetrics accepts them as well."""
-    ok = np.ones(len(reflect_prob), dtype=bool)
+    ok = np.ones(reflect_prob.shape, dtype=bool)
     for prob, overlap in ((reflect_prob, reflect_overlap), (transmit_prob, transmit_overlap)):
         ok &= (prob >= 0.0) & (prob <= _SLACK)
         ok &= np.hypot(overlap.real, overlap.imag) <= _SLACK
@@ -472,10 +506,12 @@ def _within_bounds(reflect_prob, reflect_overlap, transmit_prob, transmit_overla
 def overlaps(
     params: CavityParams, pulse: PulseSpec, quad: QuadratureConfig = DEFAULT_QUAD
 ) -> OverlapSet:
-    """All eight pulse-averaged quantities for the given operating point."""
+    """All eight pulse-averaged quantities for the given operating point:
+    the grid of the two polarizations' rates x one bandwidth."""
     g, kappa, gamma = np.array([params.rates("h"), params.rates("v")], dtype=float).T
-    r0, xi0, t1, xi1 = _branch_averages(g, kappa, gamma, np.full(2, pulse.bandwidth), quad)
-    return OverlapSet(*r0.tolist(), *t1.tolist(), *xi0.tolist(), *xi1.tolist())
+    averages = _branch_averages(g, kappa, gamma, np.array([pulse.bandwidth]), quad)
+    r0, xi0, t1, xi1 = (column[:, 0].tolist() for column in averages)
+    return OverlapSet(*r0, *t1, *xi0, *xi1)
 
 
 def _loss_and_fidelity(
@@ -492,7 +528,7 @@ def _loss_and_fidelity(
     im = (a.real * b.imag + a.imag * b.real) + (c.real * d.imag + c.imag * d.real)
     modulus = np.hypot(re, im)
     # Python's float ** 2 is libm pow, which can differ from x * x in the last bit
-    f = np.array([value**2 for value in modulus.tolist()]) / 4.0
+    f = np.array([value**2 for value in modulus.ravel().tolist()]).reshape(modulus.shape) / 4.0
     # clamp 1e-16-level roundoff at ideal operating points
     return np.clip(p, 0.0, 1.0), np.clip(f, 0.0, 1.0)
 
@@ -563,21 +599,16 @@ class SweepRow(NamedTuple):
     error: str = ""
 
 
-def sweep(
-    coupling_values: Sequence[float],
-    bandwidth_values: Sequence[float],
-    gamma_over_kappa: float = 1.0,
-    quad: QuadratureConfig = DEFAULT_QUAD,
-) -> list[SweepRow]:
-    """Metrics over the (g/kappa) x (bandwidth/kappa) grid.
+def _sweep_columns(coupling_values, bandwidth_values, gamma_over_kappa, quad):
+    """The sweep by columns: (couplings, bandwidths, loss, fidelity, errors).
 
-    Rows come back sorted lexicographically by (g/kappa, bandwidth/kappa)
-    regardless of input order.  gamma defaults to kappa, the convention used
-    throughout the symmetric sweeps.  The grid is evaluated as one batch, in
-    which a failing Simpson integral spoils its own point only; a point the
-    batch cannot vouch for (every point, if the batch raises) is evaluated
-    again on its own, so it fails with exactly the error gate_metrics raises
-    for it.
+    couplings and bandwidths are the sorted axes, loss and fidelity arrays
+    of shape (couplings, bandwidths), and errors lists (i, j, message) for
+    each failed point in row-major order; its metrics are NaN.  The valid
+    part of the grid is evaluated as one batch, in which a failing Simpson
+    integral spoils its own point only; a point the batch cannot vouch for
+    (every point, if the batch raises) is evaluated again on its own, so it
+    fails with exactly the error gate_metrics raises for it.
     """
     if len(coupling_values) == 0 or len(bandwidth_values) == 0:
         raise ValueError("sweep grids must be non-empty")
@@ -587,42 +618,68 @@ def sweep(
     bandwidths = np.sort(np.asarray(bandwidth_values, dtype=float), kind="stable")
     if not (np.all(np.isfinite(couplings)) and np.all(np.isfinite(bandwidths))):
         raise ValueError("sweep grid values must be finite")
-    g = np.repeat(couplings, len(bandwidths))
-    dw = np.tile(bandwidths, len(couplings))
-
-    def evaluate(g, dw):
-        try:
-            params = CavityParams.symmetric(g, 1.0, gamma_over_kappa)
-            result = gate_metrics(params, PulseSpec(dw), quad)
-            return SweepRow(g, dw, result.loss_probability, result.fidelity)
-        except (ValueError, ArithmeticError) as exc:
-            return SweepRow(g, dw, math.nan, math.nan, error=str(exc))
-
+    shape = (len(couplings), len(bandwidths))
+    loss = np.full(shape, math.nan)
+    fidelity = np.full(shape, math.nan)
+    ok = np.zeros(shape, dtype=bool)
     gamma = float(gamma_over_kappa)
-    # points CavityParams or PulseSpec would reject are left to evaluate()
-    ok = (g >= 0.0) & (dw > 0.0) & (math.isfinite(gamma) and gamma >= 0.0)
-    batch = np.flatnonzero(ok)
-    loss = np.full(len(g), math.nan)
-    fidelity = np.full(len(g), math.nan)
-    try:
-        averages = _branch_averages(
-            g[batch], np.ones(batch.size), np.full(batch.size, gamma), dw[batch], quad, isolate=True
-        )
-        # symmetric rates: both polarizations see the same averages
-        rp, ro, tp, to = averages
-        p, f = _loss_and_fidelity(rp, rp, tp, tp, ro, ro, to, to)
-    except (ValueError, ArithmeticError):  # e.g. an unresolved integral: evaluate() reports it
-        ok[:] = False
-    else:
-        ok[batch] = _within_bounds(*averages)
-        loss[batch] = p
-        fidelity[batch] = f
+    # rows and columns CavityParams or PulseSpec would reject are left to
+    # the point-by-point pass
+    rows = np.flatnonzero(couplings >= 0.0)
+    columns = np.flatnonzero(bandwidths > 0.0)
+    if rows.size and columns.size and math.isfinite(gamma) and gamma >= 0.0:
+        try:
+            averages = _branch_averages(
+                couplings[rows], np.ones(rows.size), np.full(rows.size, gamma),
+                bandwidths[columns], quad, isolate=True,
+            )
+            # symmetric rates: both polarizations see the same averages
+            rp, ro, tp, to = averages
+            p, f = _loss_and_fidelity(rp, rp, tp, tp, ro, ro, to, to)
+        except (ValueError, ArithmeticError):  # e.g. an unresolved integral
+            pass
+        else:
+            cells = np.ix_(rows, columns)
+            ok[cells] = _within_bounds(*averages)
+            loss[cells] = p
+            fidelity[cells] = f
+    errors = []
+    for i, j in np.argwhere(~ok).tolist():
+        try:
+            params = CavityParams.symmetric(float(couplings[i]), 1.0, gamma_over_kappa)
+            result = gate_metrics(params, PulseSpec(float(bandwidths[j])), quad)
+            loss[i, j], fidelity[i, j] = result.loss_probability, result.fidelity
+        except (ValueError, ArithmeticError) as exc:
+            loss[i, j] = fidelity[i, j] = math.nan
+            errors.append((i, j, str(exc)))
+    return couplings, bandwidths, loss, fidelity, errors
+
+
+def sweep(
+    coupling_values: Sequence[float],
+    bandwidth_values: Sequence[float],
+    gamma_over_kappa: float = 1.0,
+    quad: QuadratureConfig = DEFAULT_QUAD,
+) -> list[SweepRow]:
+    """Metrics over the (g/kappa) x (bandwidth/kappa) grid, one SweepRow per
+    point.
+
+    Rows come back sorted lexicographically by (g/kappa, bandwidth/kappa)
+    regardless of input order.  gamma defaults to kappa, the convention used
+    throughout the symmetric sweeps.  The grid is evaluated as one batch
+    (see _sweep_columns), and each row is its point's gate_metrics, bit for
+    bit, or carries the error gate_metrics raises for it.
+    """
+    couplings, bandwidths, loss, fidelity, errors = _sweep_columns(
+        coupling_values, bandwidth_values, gamma_over_kappa, quad
+    )
+    n = len(bandwidths)
     # repeated as objects, the rows share one float per axis value; built by
     # tuple.__new__ from C, without the Python frame of SweepRow's __new__
-    g_values = np.repeat(couplings.astype(object), len(bandwidths)).tolist()
+    g_values = np.repeat(couplings.astype(object), n).tolist()
     dw_values = np.tile(bandwidths.astype(object), len(couplings)).tolist()
-    cells = zip(g_values, dw_values, loss.tolist(), fidelity.tolist(), repeat(""))
+    cells = zip(g_values, dw_values, loss.ravel().tolist(), fidelity.ravel().tolist(), repeat(""))
     rows = list(map(tuple.__new__, repeat(SweepRow), cells))
-    for i in np.flatnonzero(~ok).tolist():
-        rows[i] = evaluate(rows[i].g_over_kappa, rows[i].bandwidth_over_kappa)
+    for i, j, error in errors:
+        rows[i * n + j] = rows[i * n + j]._replace(error=error)
     return rows

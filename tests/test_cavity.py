@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from cavityswap import cavity
 from cavityswap.cavity import AtomBranch, CavityParams, response, response_arrays
 from cavityswap.invariants import _random_rates
 
@@ -80,6 +81,33 @@ def test_lossless_resonance_sign_flip():
         assert resp.r == pytest.approx(-1.0, abs=1e-14)
         assert resp.t == pytest.approx(0.0, abs=1e-14)
         assert resp.m == 0
+
+
+def test_resonance_with_subnormal_denominator():
+    """Where g^2 and kappa gamma/2 are subnormal or round to zero, omega = 0
+    is 0/0 or a complex division that overflows.  The coefficients there
+    must be the limit in rho = kappa gamma / (2 g^2), -1/(1 + rho),
+    rho/(1 + rho) and -i sqrt(2 rho)/(1 + rho), with no warning; at
+    rho = inf the limit is the bare cavity's (0, 1, 0)."""
+    cases = [
+        # g, kappa, gamma, rho to 16 digits (50-digit reference)
+        (1e-200, 1.0, 5e-324, 2.4703282292062328e76),
+        (1e-170, 3.0, 1e-323, 1.4821969375237397e17),  # denominator subnormal, not 0
+        (1e-155, 1e-10, 1e-300, 0.5),
+        (1e-158, 1.0, 0.0, 0.0),
+        (5e-324, 0.5, 5e-324, float("inf")),  # rho overflows
+    ]
+    for g, kappa, gamma, rho in cases:
+        r, t, m = cavity.coefficients(g, kappa, gamma, np.array([0.0]))
+        if rho == float("inf"):
+            want = (0.0, 1.0, 0.0)
+        else:
+            want = (-1.0 / (1.0 + rho), rho / (1.0 + rho), -np.sqrt(2.0 * rho) / (1.0 + rho))
+        assert r[0] == pytest.approx(want[0], rel=1e-13, abs=1e-300)
+        assert t[0] == pytest.approx(want[1], rel=1e-13, abs=1e-300)
+        assert m[0].real == 0.0
+        assert m[0].imag == pytest.approx(want[2], rel=1e-13, abs=1e-160)
+        assert abs(abs(r[0]) ** 2 + abs(t[0]) ** 2 + abs(m[0]) ** 2 - 1.0) <= 1e-15
 
 
 def test_far_detuned_asymptotics():

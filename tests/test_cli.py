@@ -449,6 +449,23 @@ def test_coeffs_stdout_matches_file(tmp_path, capsys):
     assert streamed == out.read_text()
 
 
+def test_coeffs_resonance_with_underflowing_rates(capsys):
+    """g^2 and kappa gamma/2 both round to zero here, so omega = 0 is 0/0
+    in the dressed formula.  The row there is the finite limit,
+    flux-conserving to rounding, with no RuntimeWarning (which this suite
+    turns into an error)."""
+    argv = ["coeffs", "--g", "1e-200", "--gamma", "5e-324", "--omega-start", "-0.5",
+            "--omega-stop", "0.5", "--omega-step", "0.5"]
+    assert run(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert "Warning" not in captured.err
+    rows = [[float(cell) for cell in line.split(",")] for line in captured.out.splitlines()[1:]]
+    assert [row[0] for row in rows] == [-0.5, 0.0, 0.5]
+    assert all(math.isfinite(cell) for row in rows for cell in row)
+    assert rows[1][3] == 1.0 and abs(rows[1][1]) <= 1e-76
+    assert all(abs(row[7]) <= 1e-12 for row in rows)
+
+
 def test_coeffs_bad_range():
     assert run(["coeffs", "--preset", "atomic", "--omega-start", "1", "--omega-stop", "-1"]) \
         == EXIT_USAGE
@@ -539,9 +556,10 @@ def test_sweep_grid_cap_is_checked_before_the_grid_is_built(capsys, monkeypatch)
 
     def record_size(couplings, bandwidths, *args):
         sizes.append(len(couplings) * len(bandwidths))
-        return []
+        empty = np.empty(0)
+        return empty, empty, np.empty((0, 0)), np.empty((0, 0)), []
 
-    monkeypatch.setattr(cli.pulses, "sweep", record_size)
+    monkeypatch.setattr(cli.pulses, "_sweep_columns", record_size)
     # 10^10 points, and one row of 100 over the cap
     _assert_one_usage_error(["sweep", "--axis", "coupling", "--values", "1:2:100000",
                              "--bandwidth", "0.01:0.1:100000"], capsys)
@@ -580,23 +598,40 @@ PINNED_COUPLINGS = ",".join(f"{0.1 * 200 ** (i / 38):.4g}" for i in range(39)) +
 PINNED_BANDWIDTHS = ",".join(f"{0.01 * 1000 ** (j / 29):.4g}" for j in range(30))
 
 
+PINNED_SWEEP = ["sweep", "--axis", "coupling", "--values", PINNED_COUPLINGS,
+                "--bandwidth", PINNED_BANDWIDTHS, "--gamma", "0.5"]
+PINNED_SWEEP_DIGEST = "f9b5052b456b11774dc6d741306e6ed4f9b2fcdbc27f910500523d932eda953e"
+
+
 @pytest.mark.parametrize(
     "extra, digest",
     [
-        (["--method", "exact"],
-         "f9b5052b456b11774dc6d741306e6ed4f9b2fcdbc27f910500523d932eda953e"),
-        (["--nodes", "65"],
-         "f9b5052b456b11774dc6d741306e6ed4f9b2fcdbc27f910500523d932eda953e"),
-        ([], "f9b5052b456b11774dc6d741306e6ed4f9b2fcdbc27f910500523d932eda953e"),
+        (["--method", "exact"], PINNED_SWEEP_DIGEST),
+        (["--nodes", "65"], PINNED_SWEEP_DIGEST),
+        ([], PINNED_SWEEP_DIGEST),
     ],
 )
 def test_sweep_stdout_is_pinned(extra, digest, capsys):
-    argv = ["sweep", "--axis", "coupling", "--values", PINNED_COUPLINGS,
-            "--bandwidth", PINNED_BANDWIDTHS, "--gamma", "0.5", *extra]
-    assert run(argv) == EXIT_OK
+    assert run([*PINNED_SWEEP, *extra]) == EXIT_OK
     out = capsys.readouterr().out
     assert len(out.splitlines()) == 1 + 40 * 30
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_sweep_file_matches_stdout(tmp_path, capsys):
+    """--out writes the bytes that stdout gets, NaN row included, and the
+    failed points warn the same way either way."""
+    assert run(PINNED_SWEEP) == EXIT_OK
+    streamed = capsys.readouterr()
+    out = tmp_path / "grid.csv"
+    assert run([*PINNED_SWEEP, "--out", str(out)]) == EXIT_OK
+    written = capsys.readouterr()
+    assert out.read_bytes() == streamed.out.encode()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_SWEEP_DIGEST
+    assert written.out == ""
+    warnings = [line for line in streamed.err.splitlines() if line.startswith("warning:")]
+    assert len(warnings) == 30 and all("g=1e+200" in line for line in warnings)
+    assert [line for line in written.err.splitlines() if line.startswith("warning:")] == warnings
 
 
 def test_sweep_single_point_matches_metrics(capsys):

@@ -46,12 +46,12 @@ def test_adaptive_simpson_agrees_with_hermite():
         _, t, _ = response_arrays(ATOMIC, "h", AtomBranch.DECOUPLED, w)
         return t
 
-    _, exact, _ = pulses._exact_means(
-        "t", np.array([0.0]), np.array([ATOMIC.kappa_h]), np.array([ATOMIC.gamma_h]),
-        np.array([0.1]), 36,
+    *terms, _ = pulses._pole_terms(
+        "t", np.array([0.0]), np.array([ATOMIC.kappa_h]), np.array([ATOMIC.gamma_h])
     )
+    _, exact = pulses._exact_means(*terms, np.array([0.1]), 36)
     simpson = adaptive_simpson_mean(integrand, 0.1, 1e-13)
-    assert abs(exact[0] - simpson) <= 1e-11
+    assert abs(exact[0, 0] - simpson) <= 1e-11
 
 
 def _recursive_simpson_mean(
@@ -530,6 +530,20 @@ def test_exact_sweep_rows_equal_gate_metrics():
     result, residual = metrics_residual(ATOMIC, PulseSpec(0.1))
     assert result == gate_metrics(ATOMIC, PulseSpec(0.1))
     assert residual <= 1e-13
+
+
+def test_full_kernel_blocks_round_as_single_rows():
+    """A grid that fills whole kernel blocks gives each row exactly what its
+    coupling gives alone.  At 2 x 64 x 128 = _BLOCK_VALUES complex values
+    a temporary holds 256 KB, from which size numpy evaluates a product
+    whose right factor is a temporary in that buffer with the factors
+    swapped, and the complex multiply then rounds differently."""
+    couplings = np.geomspace(0.1, 20.0, 64)
+    bandwidths = np.geomspace(0.01, 10.0, 128)
+    assert 2 * couplings.size * bandwidths.size == pulses._BLOCK_VALUES
+    rows = sweep(couplings, bandwidths, 0.7)
+    for i, g in enumerate(couplings.tolist()):
+        assert rows[i * bandwidths.size : (i + 1) * bandwidths.size] == sweep([g], bandwidths, 0.7)
 
 
 def test_underflowing_coupling_gives_the_bare_cavity():

@@ -1,5 +1,6 @@
 """Property tests of the pulse-average kernels over edge parameters:
-gamma = 0, g = 0, wide and narrow pulses and near-coincident poles."""
+gamma = 0, g = 0, g whose square underflows, wide and narrow pulses and
+near-coincident poles."""
 import math
 
 import numpy as np
@@ -80,8 +81,50 @@ def test_exact_averages_match_strip_trapezoid(point):
     g, kappa, gamma, bandwidth = point
     quad = pulses.QuadratureConfig(tolerance=1e-14)
     for port in ("r", "t"):
-        power, overlap = pulses._port_averages(quad, port, *np.array([point]).T)
-        mean = complex(overlap[0]) * math.sqrt(power[0])
+        power, overlap = pulses._port_averages(
+            quad, port, *np.array([point[:3]]).T, np.array([bandwidth])
+        )
+        mean = complex(overlap[0, 0]) * math.sqrt(power[0, 0])
         ref_power, ref_mean = _strip_trapezoid(port, g, kappa, gamma, bandwidth)
-        assert abs(power[0] - ref_power) <= 1e-12
+        assert abs(power[0, 0] - ref_power) <= 1e-12
         assert abs(mean - ref_mean) <= 1e-12
+
+
+def _sweep_axes():
+    """(couplings, bandwidths, gamma): short axes in any order, values
+    repeated, drawing g = 0, g = 1e-200 (g^2 underflows), the coupling at
+    which the poles coincide (a Simpson fallback row inside the grid) and
+    pulses up to 10 kappa wide."""
+
+    def build(args):
+        gamma, picks, pool, bandwidths = args
+        coincident = abs(1.0 - gamma / 2.0) / 2.0
+        values = [0.0, 1e-200, coincident, *pool]
+        return [values[i % len(values)] for i in picks], bandwidths, gamma
+
+    return st.tuples(
+        st.one_of(st.just(0.0), _log_uniform(0.05, 2.0)),  # gamma / kappa
+        st.lists(st.integers(0, 7), min_size=1, max_size=6),
+        st.lists(_log_uniform(0.01, 20.0), min_size=1, max_size=5),
+        st.lists(
+            st.one_of(_log_uniform(1e-3, 10.0), st.just(10.0)), min_size=1, max_size=4
+        ).flatmap(lambda dw: st.permutations(dw + dw[:1])),
+    ).map(build)
+
+
+@settings(max_examples=25, deadline=None)
+@given(axes=_sweep_axes())
+def test_sweep_rows_equal_their_gate_metrics(axes):
+    """The grid kernel changes no bit: every sweep row, over axes in any
+    order and with repeats, is its own point's gate_metrics with ==, in the
+    sorted order."""
+    couplings, bandwidths, gamma = axes
+    rows = pulses.sweep(couplings, bandwidths, gamma)
+    assert [(row.g_over_kappa, row.bandwidth_over_kappa) for row in rows] == [
+        (g, dw) for g in sorted(couplings) for dw in sorted(bandwidths)
+    ]
+    for row in rows:
+        params = cavity.CavityParams.symmetric(row.g_over_kappa, 1.0, gamma)
+        point = pulses.gate_metrics(params, pulses.PulseSpec(row.bandwidth_over_kappa))
+        assert row.error == ""
+        assert (row.loss_probability, row.fidelity) == (point.loss_probability, point.fidelity)
