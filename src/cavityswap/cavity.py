@@ -131,22 +131,31 @@ def _bare(kappa, omega, parts):
     return tuple(out)
 
 
+_SQRT_MIN = 2.0**-511  # the smallest normal double is its square
+
+
 def _dressed(g, kappa, gamma, omega, parts):
     i_omega = 1j * omega
     g2 = g * g
     d = i_omega - gamma / 2.0
     denom = (kappa - i_omega) * d - g2
-    limit = None
-    if (g2 < sys.float_info.min).any():
-        # g^2 is subnormal for 0 < g below about 1.5e-154 and zero below
-        # 1e-162, and at omega = 0 the denominator -(kappa gamma/2 + g^2)
-        # can then be too: 0/0, or a complex division that overflows.  Where
-        # it is zero at gamma = 0 the limit is (-1, 0, 0), as for every g > 0,
-        # and g^2 = 1 gives it; the other such points take _resonance_limit
-        g2 = np.where((denom == 0.0) & (gamma == 0.0), 1.0, g2)
+    limit = rescale = None
+    if (np.minimum(g, kappa) < _SQRT_MIN).any():
+        # g^2 is subnormal for 0 < g below 2**-511 (zero below 1e-162), and
+        # only then, or for kappa below 2**-511, can the denominator be small
+        # enough that the complex division overflows, or is 0/0.  At omega =
+        # 0, where it is zero at gamma = 0, the limit is (-1, 0, 0), as for
+        # every g > 0, and g^2 = 1 gives it; the other such points take
+        # _resonance_limit.  Elsewhere the forms, homogeneous of degree 0 in
+        # the rates, are evaluated again with every rate scaled by the power
+        # of two that brings the largest near 2**500: the scaled denominator
+        # is at least 2**-129, so that call does not come back here
+        g2 = np.where((denom == 0.0) & (gamma == 0.0) & (omega == 0.0), 1.0, g2)
         denom = (kappa - i_omega) * d - g2
-        limit = (omega == 0.0) & (np.abs(denom) < sys.float_info.min)
-        denom = np.where(limit, 1.0, denom)
+        tiny = np.abs(denom) < sys.float_info.min
+        limit = tiny & (omega == 0.0)
+        rescale = tiny & (omega != 0.0)
+        denom = np.where(tiny, 1.0, denom)
     out = []
     for part in parts:
         if part == "r":
@@ -158,6 +167,12 @@ def _dressed(g, kappa, gamma, omega, parts):
     if limit is not None and limit.any():
         values = dict(zip("rtm", _resonance_limit(g, kappa, gamma)))
         out = [np.where(limit, values[part], value) for part, value in zip(parts, out)]
+    if rescale is not None and rescale.any():
+        rates = [a[rescale] for a in (g, kappa, gamma, omega)]
+        _, top = np.frexp(np.maximum.reduce([np.abs(a) for a in rates]))
+        scaled = _dressed(*(np.ldexp(a, 500 - top) for a in rates), parts)
+        for value, fixed in zip(out, scaled):
+            value[rescale] = fixed
     return tuple(out)
 
 

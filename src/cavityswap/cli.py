@@ -16,6 +16,8 @@ seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import math
 import os
@@ -83,20 +85,142 @@ def _quad_config(args) -> QuadratureConfig:
 # output plumbing
 
 
-def _emit_text(out_path: str | None, text: str) -> None:
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+@contextlib.contextmanager
+def _writer(out_path: str | None):
+    """A write function for the --out file, or for stdout when it is omitted."""
+    if not out_path:
+        yield sys.stdout.write
+        return
+    with open(out_path, "w") as fh:
+        yield fh.write
 
 
-def _emit_csv(out_path, header, rows) -> None:
-    # one % template per row, cheaper than a format call per cell
-    row_format = ",".join(["%.12e"] * len(header.split(",")))
-    lines = [header]
-    lines.extend(row_format % tuple(row) for row in rows)
-    _emit_text(out_path, "\n".join(lines) + "\n")
+# '%.12e' cells from arrays, byte for byte what printf writes.  A finite |x|
+# in [1e-30, 1e30) is scaled to the 13-digit integer part of its mantissa,
+# x * 10**(12 - e), by at most two correctly rounded products or quotients
+# with exact powers of ten, so the scaled value m is within m * 2**-52 of
+# the true one.  Where m lies within m * 2**-50 of a half, rint could round
+# the other way than printf (every exact decimal tie lands there); those
+# cells, zeros, non-finite values and values outside the range take
+# Python's own '%.12e'.
+_FAST_RANGE = (1e-30, 1e30)
+# x * 10**(12 - e) as x * up / down * more, with up, down and more exact
+# powers of ten of which at most two differ from 1, for each e =
+# floor(log10|x|) the range gives: -31 ... 30, as log10 rounds
+_E_MIN = -31
+_POW10 = [float(10**k) for k in range(23)]
+_SCALE_UP, _SCALE_DOWN, _SCALE_MORE = np.array([
+    [_POW10[min(k, 22)] if k >= 0 else 1.0, _POW10[-k] if k < 0 else 1.0,
+     _POW10[k - 22] if k > 22 else 1.0]
+    for k in (12 - e for e in range(_E_MIN, 31))
+]).T.copy()
+
+
+def _word(text: str) -> int:
+    return int.from_bytes(text.encode(), "little")
+
+
+# A cell is five little-endian uint32 words, each looked up in one table: a
+# zero byte, the sign byte (zero for a positive value), the leading digit
+# and the point; three words of four digits; "e-dd" or "e+dd".  The table
+# is built from small arrays, which leave glibc's mmap threshold and so the
+# heap as they were.
+_n = np.arange(10_000, dtype=np.uint32)
+_WORDS = np.concatenate([
+    sum((_n // 10 ** (3 - i) % 10 + ord("0")) << 8 * i for i in range(4)),  # "0000" ... "9999"
+    [_word(f"\0{sign}{d}.") for sign in ("\0", "-") for d in range(10)],
+    [_word(f"e{e:+03d}") for e in range(-99, 100)],
+]).astype("<u4")
+del _n
+_HEAD = 10_000  # + leading digit, + 10 if negative
+_EXPONENT = _HEAD + 20 + 99  # + exponent
+# the leading digit and the three groups as floor(digits / divisor), less
+# ten thousand times the one before
+_GROUP_DIVISORS = np.array([1e12, 1e8, 1e4, 1.0])[:, None]
+_CELL = 20  # the widest '%.12e' cell, as in -1.000000000000e+200
+
+
+def _e12_cells(values: np.ndarray) -> np.ndarray:
+    """The '%.12e' cells of float64 values as a uint8 matrix, one cell per
+    row, right-aligned behind zero bytes to the widest cell."""
+    magnitude = np.abs(values)
+    fast = (magnitude >= _FAST_RANGE[0]) & (magnitude < _FAST_RANGE[1])
+    magnitude[~fast] = 1.0
+    exponent = np.floor(np.log10(magnitude)).astype(np.intp)
+    index = exponent - _E_MIN
+    mantissa = magnitude * _SCALE_UP[index] / _SCALE_DOWN[index] * _SCALE_MORE[index]
+    digits = np.rint(mantissa)
+    # log10 rounds, so the exponent can be one off next to a power of ten
+    fast &= (mantissa >= 1e12) & (mantissa < 1e13)
+    fast &= np.abs(mantissa - digits) < 0.5 - mantissa * 2.0**-50
+    carry = np.flatnonzero(digits == 1e13)
+    digits[carry] = 1e12
+    exponent[carry] += 1
+    negative = np.signbit(values)
+    # every quotient is exact: the digits are integers below 2**53
+    words = np.empty((5, len(values)), np.intp)
+    words[:4] = np.floor(digits / _GROUP_DIVISORS)
+    words[1:4] -= 10_000 * words[:3]
+    words[0] += _HEAD + 10 * negative
+    words[4] = exponent + _EXPONENT
+    cells = _WORDS.take(words.T).view(np.uint8)
+    width = 19 if (negative & fast).any() else 18 if fast.any() else 0
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        # "%20.12e" right-aligns each cell in _CELL characters with spaces,
+        # which no cell holds
+        texts = ("%20.12e" * slow.size % tuple(values[slow].tolist())).encode()
+        padded = np.frombuffer(texts.replace(b" ", b"\0"), np.uint8).reshape(-1, _CELL)
+        width = max(width, int(np.count_nonzero(padded, axis=1).max()))
+        cells[slow] = padded
+    return cells[:, _CELL - width:]
+
+
+# rows per block: the working buffers stay small next to a whole grid
+_CSV_BLOCK_ROWS = 1024
+
+
+def _emit_csv(out_path, header, columns) -> None:
+    """Write a CSV of '%.12e' cells in blocks of rows.
+
+    Each column is a pair (values, repeat) of a float array and a run
+    length: row r holds values[(r // repeat) % len(values)], so a grid
+    axis is formatted once and its cells repeated or tiled, and the
+    columns with a value per row are formatted a block at a time.
+    """
+    n_rows = max(len(values) * repeat for values, repeat in columns)
+    axes = [None if len(values) == n_rows else np.ascontiguousarray(_e12_cells(values))
+            for values, _ in columns]
+    per_row = [values for values, _ in columns if len(values) == n_rows]
+    with _writer(out_path) as write:
+        write(header + "\n")
+        for start in range(0, n_rows, _CSV_BLOCK_ROWS):
+            stop = min(start + _CSV_BLOCK_ROWS, n_rows)
+            rows = np.arange(start, stop)
+            # one formatter call for every per-row column of the block
+            own = iter(np.split(_e12_cells(np.concatenate([v[start:stop] for v in per_row])),
+                                len(per_row)))
+            write(_joined([
+                next(own) if axis is None else axis.take(rows // repeat % len(axis), axis=0)
+                for (_, repeat), axis in zip(columns, axes)
+            ]))
+
+
+def _joined(parts) -> str:
+    """Rows of comma-separated cells from one cell matrix per column."""
+    widths = [part.shape[1] for part in parts]
+    block = np.empty((len(parts[0]), sum(widths) + len(widths)), np.uint8)
+    column = 0
+    for part, width in zip(parts, widths):
+        block[:, column:column + width] = part
+        block[:, column + width] = ord(",")
+        column += width + 1
+    block[:, -1] = ord("\n")
+    text = block.tobytes()
+    # only a cell narrower than its column leaves zero bytes
+    if b"\0" in text:
+        text = text.replace(b"\0", b"")
+    return text.decode("ascii")
 
 
 def _emit_report(fmt, command, inputs, outputs, residual=None, seed=None) -> None:
@@ -140,8 +264,8 @@ def cmd_coeffs(args) -> int:
     omega = np.arange(start, end, step)
     r, t, m = cavity.response_arrays(params, args.pol, branch, omega)
     residual = np.abs(r) ** 2 + np.abs(t) ** 2 + np.abs(m) ** 2 - 1.0
-    rows = zip(omega, r.real, r.imag, t.real, t.imag, m.real, m.imag, residual)
-    _emit_csv(args.out, _COEFFS_HEADER, rows)
+    columns = (omega, r.real, r.imag, t.real, t.imag, m.real, m.imag, residual)
+    _emit_csv(args.out, _COEFFS_HEADER, [(column, 1) for column in columns])
     return EXIT_OK
 
 
@@ -248,16 +372,10 @@ def cmd_sweep(args) -> int:
     g_values, dw_values = couplings.tolist(), bandwidths.tolist()
     for i, j, error in errors:
         print(f"warning: point g={g_values[i]:g} dw={dw_values[j]:g} failed: {error}", file=sys.stderr)
-    # the rows run over the product of the sorted axes, g-major: each g and
-    # bandwidth is formatted once, and one template fills p and F of every row
-    dw_cells = ["%.12e," % value for value in dw_values]
-    prefixes = [g_cell + dw_cell for g_cell in ("%.12e," % value for value in g_values)
-                for dw_cell in dw_cells]
-    cells = [None] * (3 * len(prefixes))
-    cells[::3] = prefixes
-    cells[1::3] = loss.ravel().tolist()
-    cells[2::3] = fidelity.ravel().tolist()
-    _emit_text(args.out, _SWEEP_HEADER + "\n" + ("%s%.12e,%.12e\n" * len(prefixes)) % tuple(cells))
+    # the rows run over the product of the sorted axes, g-major
+    _emit_csv(args.out, _SWEEP_HEADER, [
+        (couplings, len(bandwidths)), (bandwidths, 1), (loss.ravel(), 1), (fidelity.ravel(), 1),
+    ])
     if args.out:
         script = _PLOT_SCRIPT % {
             "csv": os.path.basename(args.out),
@@ -362,7 +480,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The one parser of the process: parse_args leaves it unchanged."""
     parser = _Parser(prog="cavityswap", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -527,8 +527,9 @@ def _loss_and_fidelity(
     re = (a.real * b.real - a.imag * b.imag) + (c.real * d.real - c.imag * d.imag)
     im = (a.real * b.imag + a.imag * b.real) + (c.real * d.imag + c.imag * d.real)
     modulus = np.hypot(re, im)
-    # Python's float ** 2 is libm pow, which can differ from x * x in the last bit
-    f = np.array([value**2 for value in modulus.ravel().tolist()]).reshape(modulus.shape) / 4.0
+    # libm pow, as Python's float ** 2 is: it can differ from x * x in the last bit
+    squares = map(math.pow, modulus.ravel().tolist(), repeat(2.0))
+    f = np.fromiter(squares, float, modulus.size).reshape(modulus.shape) / 4.0
     # clamp 1e-16-level roundoff at ideal operating points
     return np.clip(p, 0.0, 1.0), np.clip(f, 0.0, 1.0)
 

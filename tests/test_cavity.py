@@ -110,6 +110,38 @@ def test_resonance_with_subnormal_denominator():
         assert abs(abs(r[0]) ** 2 + abs(t[0]) ** 2 + abs(m[0]) ** 2 - 1.0) <= 1e-15
 
 
+def test_subnormal_denominator_off_resonance():
+    """Away from omega = 0 a subnormal denominator, where g^2 or kappa is
+    below the normal range, is a complex division that overflows.  The
+    coefficients there must match a 50-digit evaluation of the same forms
+    and conserve flux, with no warning (this suite turns RuntimeWarnings
+    into errors)."""
+    mpmath = pytest.importorskip("mpmath")
+    cases = [
+        # g, kappa, gamma, omega
+        (1e-158, 1.0, 0.0, 1e-320),
+        (1e-200, 1.0, 5e-324, 1e-320),
+        (1e-200, 1.0, 5e-324, -1e-320),
+        (1e-170, 0.25, 0.0, 5e-324),  # kappa omega and g^2 both round to zero
+        (3e-160, 2.0, 1e-310, 4e-318),
+        (1e-155, 1e-10, 1e-300, -3e-310),
+        (1.0, 5e-324, 0.0, 1.0),  # kappa below the normal range, omega = g
+    ]
+    for g, kappa, gamma, omega in cases:
+        got = cavity.coefficients(g, kappa, gamma, np.array([omega]))
+        with mpmath.workdps(50):
+            g_, kappa_, gamma_, omega_ = map(mpmath.mpf, (g, kappa, gamma, omega))
+            i_omega = mpmath.mpc(0, omega_)
+            d = i_omega - gamma_ / 2
+            denom = (kappa_ - i_omega) * d - g_**2
+            want = [(i_omega * d + g_**2) / denom, kappa_ * d / denom,
+                    mpmath.mpc(0, 1) * mpmath.sqrt(kappa_ * gamma_) * g_ / denom]
+        for value, reference in zip(got, want):
+            assert abs(mpmath.mpc(value[0]) - reference) <= 1e-14 * abs(reference)
+        r, t, m = (value[0] for value in got)
+        assert abs(abs(r) ** 2 + abs(t) ** 2 + abs(m) ** 2 - 1.0) <= 1e-15
+
+
 def test_far_detuned_asymptotics():
     params = ATOMIC
     for omega in (-1e3, 1e3):

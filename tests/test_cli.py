@@ -497,13 +497,34 @@ def test_coeffs_decoupled_resonance_row(tmp_path):
 
 
 def test_csv_cells_format_as_per_cell_fstrings(capsys):
-    """One % template per row must print every cell as f"{float(v):.12e}" did."""
+    """The column writer must print every cell as f"{float(v):.12e}" did."""
     values = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308, -1.5, 1 / 3]
     rows = [tuple(values), tuple(np.float64(v) for v in values), tuple(np.array(values)[::-1])]
     header = ",".join(f"c{i}" for i in range(len(values)))
-    cli._emit_csv(None, header, iter(rows))
+    cli._emit_csv(None, header, [(np.array(column), 1) for column in zip(*rows)])
     expected = [header] + [",".join(f"{float(v):.12e}" for v in row) for row in rows]
     assert capsys.readouterr().out == "\n".join(expected) + "\n"
+
+
+def e12_texts(values):
+    """The cells of cli._e12_cells as strings, their zero-byte padding dropped."""
+    cells = cli._e12_cells(np.array(values, dtype=float))
+    return [row[row != 0].tobytes().decode() for row in cells]
+
+
+def test_e12_cells_at_the_edges():
+    """Cells next to a carry, on an exact decimal tie, at the ends of the
+    double range and on both sides of the cut-offs of the vectorized range
+    must be printf's."""
+    values = [
+        9.9999999999995, 9.99999999999949, 1.0001220703125,  # 1 + 2**-13, a tie
+        5e-324, 1e308, -1e308, 2.2250738585072014e-308, 1e100, 1e99, 1e-99, 1e-100,
+    ]
+    for cut in cli._FAST_RANGE:
+        values += [cut, -cut, np.nextafter(cut, 0.0), np.nextafter(cut, np.inf)]
+    powers = [10.0**k for k in range(-31, 31)]
+    values += powers + [np.nextafter(power, 0.0) for power in powers]
+    assert e12_texts(values) == ["%.12e" % value for value in values]
 
 
 def test_sweep_csv_and_plot_sidecar(tmp_path):
