@@ -134,28 +134,25 @@ def _bare(kappa, omega, parts):
 _SQRT_MIN = 2.0**-511  # the smallest normal double is its square
 
 
-def _dressed(g, kappa, gamma, omega, parts):
+def _dressed(g, kappa, gamma, omega, parts, scaled=False):
     i_omega = 1j * omega
     g2 = g * g
     d = i_omega - gamma / 2.0
     denom = (kappa - i_omega) * d - g2
-    limit = rescale = None
-    if (np.minimum(g, kappa) < _SQRT_MIN).any():
+    rescale = None
+    if not scaled and (np.minimum(g, kappa) < _SQRT_MIN).any():
         # g^2 is subnormal for 0 < g below 2**-511 (zero below 1e-162), and
         # only then, or for kappa below 2**-511, can the denominator be small
         # enough that the complex division overflows, or is 0/0.  At omega =
-        # 0, where it is zero at gamma = 0, the limit is (-1, 0, 0), as for
-        # every g > 0, and g^2 = 1 gives it; the other such points take
-        # _resonance_limit.  Elsewhere the forms, homogeneous of degree 0 in
-        # the rates, are evaluated again with every rate scaled by the power
-        # of two that brings the largest near 2**500: the scaled denominator
-        # is at least 2**-129, so that call does not come back here
+        # 0 and gamma = 0, where it is zero, the limit is (-1, 0, 0), as for
+        # every g > 0, and g^2 = 1 gives it.  Elsewhere the forms, homogeneous
+        # of degree 0 in the rates, are evaluated once more with every rate
+        # scaled by the power of two that brings the largest near 2**500; for
+        # kappa > 0 the scaled denominator is then normal
         g2 = np.where((denom == 0.0) & (gamma == 0.0) & (omega == 0.0), 1.0, g2)
         denom = (kappa - i_omega) * d - g2
-        tiny = np.abs(denom) < sys.float_info.min
-        limit = tiny & (omega == 0.0)
-        rescale = tiny & (omega != 0.0)
-        denom = np.where(tiny, 1.0, denom)
+        rescale = np.abs(denom) < sys.float_info.min
+        denom = np.where(rescale, 1.0, denom)
     out = []
     for part in parts:
         if part == "r":
@@ -164,38 +161,13 @@ def _dressed(g, kappa, gamma, omega, parts):
             out.append(kappa * d / denom)
         else:
             out.append(1j * np.sqrt(kappa * gamma) * g / denom)
-    if limit is not None and limit.any():
-        values = dict(zip("rtm", _resonance_limit(g, kappa, gamma)))
-        out = [np.where(limit, values[part], value) for part, value in zip(parts, out)]
     if rescale is not None and rescale.any():
         rates = [a[rescale] for a in (g, kappa, gamma, omega)]
         _, top = np.frexp(np.maximum.reduce([np.abs(a) for a in rates]))
-        scaled = _dressed(*(np.ldexp(a, 500 - top) for a in rates), parts)
-        for value, fixed in zip(out, scaled):
-            value[rescale] = fixed
+        fixed = _dressed(*(np.ldexp(a, 500 - top) for a in rates), parts, scaled=True)
+        for value, scaled_value in zip(out, fixed):
+            value[rescale] = scaled_value
     return tuple(out)
-
-
-def _resonance_limit(g, kappa, gamma):
-    """(R, T, m) at omega = 0 as functions of rho = kappa gamma / (2 g^2):
-    -1/(1 + rho), rho/(1 + rho) and -i sqrt(2 rho)/(1 + rho).
-
-    rho is formed from the rates scaled by powers of two, which leaves it
-    unchanged, such that kappa and g are O(1): it under- or overflows only
-    where its own value is out of range, and the forms used for rho >= 1
-    still give the limits at rho = inf.
-    """
-    _, k_exp = np.frexp(kappa)
-    _, g_exp = np.frexp(g)
-    with np.errstate(all="ignore"):
-        rho = (np.ldexp(kappa, -k_exp) * np.ldexp(gamma, k_exp - 2 * g_exp)
-               / (2.0 * np.ldexp(g, -g_exp) ** 2))
-        large = rho >= 1.0
-        r = -1.0 / (1.0 + rho)
-        t = np.where(large, 1.0 / (1.0 / rho + 1.0), rho / (1.0 + rho))
-        m = np.where(large, math.sqrt(2.0) / (1.0 / np.sqrt(rho) + np.sqrt(rho)),
-                     np.sqrt(2.0 * rho) / (1.0 + rho))
-    return r, t, -1j * m
 
 
 def response_arrays(

@@ -142,6 +142,15 @@ def test_subnormal_denominator_off_resonance():
         assert abs(abs(r) ** 2 + abs(t) ** 2 + abs(m) ** 2 - 1.0) <= 1e-15
 
 
+def test_zero_denominator_outside_the_parameter_domain():
+    """kappa = gamma = 0 with omega = g makes the denominator exactly zero at
+    every scale.  The scaled evaluation runs once, so the result is
+    non-finite, not a RecursionError."""
+    with np.errstate(all="ignore"):
+        r, t, m = cavity.coefficients(1.0, 0.0, 0.0, np.array([1.0]))
+    assert not np.isfinite(r[0])
+
+
 def test_far_detuned_asymptotics():
     params = ATOMIC
     for omega in (-1e3, 1e3):
