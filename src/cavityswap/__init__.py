@@ -49,9 +49,10 @@ from .pulses import (
     PulseSpec,
     QuadratureConfig,
     QuadratureError,
+    SweepGrid,
     gate_metrics,
     overlaps,
-    sweep,
+    sweep_grid,
 )
 
 __version__ = "0.1.0"
@@ -76,6 +77,7 @@ __all__ = [
     "Sdag",
     "SearchSpaceError",
     "SpectralResponse",
+    "SweepGrid",
     "SynthesisResult",
     "X",
     "Z",
@@ -100,6 +102,6 @@ __all__ = [
     "response_arrays",
     "run",
     "swap_test",
-    "sweep",
+    "sweep_grid",
     "synthesize",
 ]

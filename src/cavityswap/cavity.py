@@ -120,6 +120,10 @@ def coefficients(g, kappa, gamma, omega, parts: str = "rtm") -> tuple[np.ndarray
 
 def _bare(kappa, omega, parts):
     denom = kappa - 1j * omega
+    tiny = np.abs(denom) < sys.float_info.min
+    if tiny.any():  # the complex division would overflow there
+        kappa, omega = np.where(tiny, _scaled(kappa, omega), (kappa, omega))
+        denom = kappa - 1j * omega
     out = []
     for part in parts:
         if part == "r":
@@ -129,6 +133,13 @@ def _bare(kappa, omega, parts):
         else:
             out.append(np.zeros_like(denom))
     return tuple(out)
+
+
+def _scaled(*rates):
+    """The rates scaled by the power of two that brings the largest near
+    2**500, which leaves the forms, homogeneous of degree 0, unchanged."""
+    _, top = np.frexp(np.maximum.reduce([np.abs(a) for a in rates]))
+    return [np.ldexp(a, 500 - top) for a in rates]
 
 
 _SQRT_MIN = 2.0**-511  # the smallest normal double is its square
@@ -163,8 +174,7 @@ def _dressed(g, kappa, gamma, omega, parts, scaled=False):
             out.append(1j * np.sqrt(kappa * gamma) * g / denom)
     if rescale is not None and rescale.any():
         rates = [a[rescale] for a in (g, kappa, gamma, omega)]
-        _, top = np.frexp(np.maximum.reduce([np.abs(a) for a in rates]))
-        fixed = _dressed(*(np.ldexp(a, 500 - top) for a in rates), parts, scaled=True)
+        fixed = _dressed(*_scaled(*rates), parts, scaled=True)
         for value, scaled_value in zip(out, fixed):
             value[rescale] = scaled_value
     return tuple(out)

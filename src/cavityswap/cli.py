@@ -21,6 +21,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import asdict
@@ -366,7 +367,7 @@ def cmd_sweep(args) -> int:
     if len(couplings) * len(bandwidths) > MAX_GRID_POINTS:  # before the grid is built
         raise UsageError(f"the sweep grid would exceed {MAX_GRID_POINTS} points")
     quad = _quad_config(args)
-    couplings, bandwidths, loss, fidelity, errors = pulses._sweep_columns(
+    couplings, bandwidths, loss, fidelity, errors = pulses.sweep_grid(
         couplings, bandwidths, args.gamma, quad
     )
     g_values, dw_values = couplings.tolist(), bandwidths.tolist()
@@ -476,6 +477,12 @@ def cmd_verify(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern, set per instance, has no exponent: "-1e-3"
+        # would read as an option instead of a value
+        self._negative_number_matcher = re.compile(r"^-(?:\d+|\d*\.\d+)(?:[eE][-+]?\d+)?$")
+
     def error(self, message):  # argparse would exit 2; the contract wants 1
         raise UsageError(message)
 

@@ -397,6 +397,10 @@ def _simpson_means(tolerance, ports, g, kappa, gamma, bandwidth, isolate):
     or with ``isolate`` gets NaN and the others go on."""
     power = np.empty((len(g), len(bandwidth)))
     mean = np.empty((len(g), len(bandwidth)), dtype=complex)
+    with np.errstate(over="ignore"):
+        # as in _pole_terms, rows where kappa gamma/2 + g^2 rounds to zero
+        # are the bare cavity: their dip is narrower than rounding
+        g = np.where(kappa * gamma / 2.0 + g * g == 0.0, 0.0, g)
     for i, (port, *rates) in enumerate(zip(ports, g.tolist(), kappa.tolist(), gamma.tolist())):
 
         def amplitude(omega):
@@ -587,34 +591,35 @@ def metrics_residual(
     )
 
 
-class SweepRow(NamedTuple):
-    """One operating point of a parameter sweep.  A non-empty ``error`` marks
-    a failed evaluation (metrics are NaN there), kept so grid rows are never
-    silently dropped.  A NamedTuple: immutable, and cheap enough to build
-    once per grid point."""
+class SweepGrid(NamedTuple):
+    """The result of sweep_grid, by columns: the sorted axes, loss and
+    fidelity of shape (couplings, bandwidths), and (i, j, message) per
+    failed point in row-major order."""
 
-    g_over_kappa: float
-    bandwidth_over_kappa: float
-    loss_probability: float
-    fidelity: float
-    error: str = ""
+    couplings: np.ndarray
+    bandwidths: np.ndarray
+    loss: np.ndarray
+    fidelity: np.ndarray
+    errors: list[tuple[int, int, str]]
 
 
-def _sweep_columns(coupling_values, bandwidth_values, gamma_over_kappa, quad):
-    """The sweep by columns: (couplings, bandwidths, loss, fidelity, errors).
+def sweep_grid(
+    coupling_values: Sequence[float], bandwidth_values: Sequence[float],
+    gamma_over_kappa: float = 1.0, quad: QuadratureConfig = DEFAULT_QUAD,
+) -> SweepGrid:
+    """Metrics over the (g/kappa) x (bandwidth/kappa) grid at kappa = 1,
+    gamma defaulting to kappa as in the symmetric sweeps.
 
-    couplings and bandwidths are the sorted axes, loss and fidelity arrays
-    of shape (couplings, bandwidths), and errors lists (i, j, message) for
-    each failed point in row-major order; its metrics are NaN.  The valid
-    part of the grid is evaluated as one batch, in which a failing Simpson
-    integral spoils its own point only; a point the batch cannot vouch for
-    (every point, if the batch raises) is evaluated again on its own, so it
-    fails with exactly the error gate_metrics raises for it.
+    Both axes come back sorted by a stable sort, as sorted() would (0.0 and
+    -0.0 keep their input order).  Each cell equals (==) its point's
+    gate_metrics, or is NaN with an entry in ``errors`` that carries
+    exactly the error gate_metrics raises there.  The valid part of the
+    grid is evaluated as one batch, in which a failing Simpson integral
+    spoils its own point only; a point the batch cannot vouch for (every
+    point, if the batch raises) is evaluated again on its own.
     """
     if len(coupling_values) == 0 or len(bandwidth_values) == 0:
         raise ValueError("sweep grids must be non-empty")
-    # a stable sort, as sorted() is: equal values such as 0.0 and -0.0 keep
-    # their input order
     couplings = np.sort(np.asarray(coupling_values, dtype=float), kind="stable")
     bandwidths = np.sort(np.asarray(bandwidth_values, dtype=float), kind="stable")
     if not (np.all(np.isfinite(couplings)) and np.all(np.isfinite(bandwidths))):
@@ -653,34 +658,4 @@ def _sweep_columns(coupling_values, bandwidth_values, gamma_over_kappa, quad):
         except (ValueError, ArithmeticError) as exc:
             loss[i, j] = fidelity[i, j] = math.nan
             errors.append((i, j, str(exc)))
-    return couplings, bandwidths, loss, fidelity, errors
-
-
-def sweep(
-    coupling_values: Sequence[float],
-    bandwidth_values: Sequence[float],
-    gamma_over_kappa: float = 1.0,
-    quad: QuadratureConfig = DEFAULT_QUAD,
-) -> list[SweepRow]:
-    """Metrics over the (g/kappa) x (bandwidth/kappa) grid, one SweepRow per
-    point.
-
-    Rows come back sorted lexicographically by (g/kappa, bandwidth/kappa)
-    regardless of input order.  gamma defaults to kappa, the convention used
-    throughout the symmetric sweeps.  The grid is evaluated as one batch
-    (see _sweep_columns), and each row is its point's gate_metrics, bit for
-    bit, or carries the error gate_metrics raises for it.
-    """
-    couplings, bandwidths, loss, fidelity, errors = _sweep_columns(
-        coupling_values, bandwidth_values, gamma_over_kappa, quad
-    )
-    n = len(bandwidths)
-    # repeated as objects, the rows share one float per axis value; built by
-    # tuple.__new__ from C, without the Python frame of SweepRow's __new__
-    g_values = np.repeat(couplings.astype(object), n).tolist()
-    dw_values = np.tile(bandwidths.astype(object), len(couplings)).tolist()
-    cells = zip(g_values, dw_values, loss.ravel().tolist(), fidelity.ravel().tolist(), repeat(""))
-    rows = list(map(tuple.__new__, repeat(SweepRow), cells))
-    for i, j, error in errors:
-        rows[i * n + j] = rows[i * n + j]._replace(error=error)
-    return rows
+    return SweepGrid(couplings, bandwidths, loss, fidelity, errors)

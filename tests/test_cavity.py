@@ -1,4 +1,6 @@
 """Single-photon spectral response of the two-sided cavity."""
+import math
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,26 @@ def test_subnormal_denominator_off_resonance():
             assert abs(mpmath.mpc(value[0]) - reference) <= 1e-14 * abs(reference)
         r, t, m = (value[0] for value in got)
         assert abs(abs(r) ** 2 + abs(t) ** 2 + abs(m) ** 2 - 1.0) <= 1e-15
+
+
+def test_bare_cavity_with_a_subnormal_denominator():
+    """kappa - i omega can be subnormal in the bare form too, and dividing by
+    it overflows.  Those points are evaluated at rates scaled by a power of
+    two: finite, flux-conserving and equal to the point scaled by 2**600,
+    with no warning.  A point with a normal denominator keeps the bytes of
+    the direct division."""
+    rates = (0.0, 3.7e-309, 2.1e-169, 9.0e-316)
+    got = cavity.coefficients(*rates)
+    assert all(np.isfinite(value) for value in got)
+    r, t, m = map(complex, got)
+    assert abs(abs(r) ** 2 + abs(t) ** 2 + abs(m) ** 2 - 1.0) <= 1e-12
+    scaled = cavity.coefficients(*(math.ldexp(rate, 600) for rate in rates))
+    for value, reference in zip(got, scaled):
+        assert complex(value) == pytest.approx(complex(reference), abs=1e-15)
+    kappa, omega = np.array([3.7e-309, 0.7]), np.array([9.0e-316, 0.3])
+    r, t, _ = cavity.coefficients(0.0, kappa, 0.0, omega)
+    denom = kappa[1:] - 1j * omega[1:]
+    assert (r[1], t[1]) == ((1j * omega[1:] / denom)[0], (kappa[1:] / denom)[0])
 
 
 def test_zero_denominator_outside_the_parameter_domain():

@@ -346,6 +346,19 @@ def test_adaptive_simpson_stdout_is_pinned(capsys):
     assert capsys.readouterr().out == SIMPSON_SWEEP
 
 
+def test_adaptive_simpson_takes_an_underflowing_coupling_as_the_bare_cavity(capsys):
+    """At gamma = 0 and g = 1e-200, g^2 rounds to zero and the dip at omega =
+    0 is narrower than rounding: Simpson averages the bare cavity there, as
+    the exact rule does, rather than bisecting the jump until it fails."""
+    argv = ["metrics", "--g", "1e-200", "--gamma", "0", "--bandwidth", "0.1", "--format", "json"]
+    assert run([*argv, "--method", "adaptive-simpson"]) == EXIT_OK
+    simpson = json.loads(capsys.readouterr().out)["outputs"]
+    assert run(argv) == EXIT_OK
+    exact = json.loads(capsys.readouterr().out)["outputs"]
+    for key in ("loss_probability", "fidelity"):
+        assert abs(simpson[key] - exact[key]) <= 1e-12
+
+
 def _cli_process(args, timeout):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
     return subprocess.run(
@@ -466,6 +479,19 @@ def test_coeffs_resonance_with_underflowing_rates(capsys):
     assert all(abs(row[7]) <= 1e-12 for row in rows)
 
 
+def test_negative_exponent_values_are_values(capsys):
+    """'-1e-3' is a value to argparse as '-0.001' is; a comma list that
+    starts with a minus sign still reads as an option."""
+    argv = ["coeffs", "--preset", "atomic", "--omega-stop", "1e-3", "--omega-step", "1e-3"]
+    assert run([*argv, "--omega-start=-1e-3"]) == EXIT_OK
+    expected = capsys.readouterr().out
+    assert run([*argv, "--omega-start", "-1e-3"]) == EXIT_OK
+    assert capsys.readouterr().out == expected
+    assert len(expected.splitlines()) == 4
+    error = _assert_one_usage_error(["sweep", "--axis", "bandwidth", "--values", "-0.1,0.2"], capsys)
+    assert "expected one argument" in error
+
+
 def test_coeffs_bad_range():
     assert run(["coeffs", "--preset", "atomic", "--omega-start", "1", "--omega-stop", "-1"]) \
         == EXIT_USAGE
@@ -580,7 +606,7 @@ def test_sweep_grid_cap_is_checked_before_the_grid_is_built(capsys, monkeypatch)
         empty = np.empty(0)
         return empty, empty, np.empty((0, 0)), np.empty((0, 0)), []
 
-    monkeypatch.setattr(cli.pulses, "_sweep_columns", record_size)
+    monkeypatch.setattr(cli.pulses, "sweep_grid", record_size)
     # 10^10 points, and one row of 100 over the cap
     _assert_one_usage_error(["sweep", "--axis", "coupling", "--values", "1:2:100000",
                              "--bandwidth", "0.01:0.1:100000"], capsys)

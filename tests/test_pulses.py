@@ -20,9 +20,8 @@ from cavityswap.pulses import (
     gate_metrics,
     metrics_residual,
     overlaps,
-    SweepRow,
     spectral_density,
-    sweep,
+    sweep_grid,
 )
 
 ATOMIC = CavityParams.symmetric(32.0 / 4.2, 1.0, 2.6 / 4.2)
@@ -257,31 +256,30 @@ def test_simpson_integrates_each_decoupled_branch_once(monkeypatch):
 
 
 def test_simpson_sweep_matches_per_point_metrics():
-    """A Simpson sweep row is the point's own gate_metrics, bit for bit.
+    """A Simpson sweep cell is the point's own gate_metrics, bit for bit.
     g = 1e200 makes the batch raise: every point is evaluated again on its
-    own, and the failing rows keep their place, NaN metrics and the error
+    own, and the failing cells keep their place, NaN metrics and the error
     gate_metrics raises."""
     simpson = QuadratureConfig(method=ADAPTIVE_SIMPSON)
     couplings, bandwidths = [1e200, 0.0, 3.0], [0.3, 0.05]
-    rows = sweep(couplings, bandwidths, 0.5, simpson)
-    assert [(r.g_over_kappa, r.bandwidth_over_kappa) for r in rows] == [
-        (g, dw) for g in sorted(couplings) for dw in sorted(bandwidths)
-    ]
-    for row in rows:
-        params = CavityParams.symmetric(row.g_over_kappa, 1.0, 0.5)
-        if row.g_over_kappa == 1e200:
-            with pytest.raises(QuadratureError) as info:
-                gate_metrics(params, PulseSpec(row.bandwidth_over_kappa), simpson)
-            assert row.error == str(info.value)
-            assert "not finite" in row.error
-            assert math.isnan(row.loss_probability) and math.isnan(row.fidelity)
-        else:
-            point = gate_metrics(params, PulseSpec(row.bandwidth_over_kappa), simpson)
-            assert row.error == ""
-            assert (row.loss_probability, row.fidelity) == (
-                point.loss_probability,
-                point.fidelity,
-            )
+    grid = sweep_grid(couplings, bandwidths, 0.5, simpson)
+    assert grid.couplings.tolist() == sorted(couplings)
+    assert grid.bandwidths.tolist() == sorted(bandwidths)
+    failed = {(i, j): error for i, j, error in grid.errors}
+    for i, g in enumerate(grid.couplings.tolist()):
+        params = CavityParams.symmetric(g, 1.0, 0.5)
+        for j, dw in enumerate(grid.bandwidths.tolist()):
+            cell = (grid.loss[i, j], grid.fidelity[i, j])
+            if g == 1e200:
+                with pytest.raises(QuadratureError) as info:
+                    gate_metrics(params, PulseSpec(dw), simpson)
+                assert failed[i, j] == str(info.value)
+                assert "not finite" in failed[i, j]
+                assert math.isnan(cell[0]) and math.isnan(cell[1])
+            else:
+                point = gate_metrics(params, PulseSpec(dw), simpson)
+                assert (i, j) not in failed
+                assert cell == (point.loss_probability, point.fidelity)
 
 
 def test_quadrature_config_validation():
@@ -379,31 +377,33 @@ def test_overlap_set_validation():
 
 
 def test_sweep_rows_sorted_and_complete():
-    rows = sweep([6.0, 3.0], [0.1, 0.05])
-    keys = [(r.g_over_kappa, r.bandwidth_over_kappa) for r in rows]
-    assert keys == [(3.0, 0.05), (3.0, 0.1), (6.0, 0.05), (6.0, 0.1)]
-    assert all(r.error == "" for r in rows)
+    grid = sweep_grid([6.0, 3.0], [0.1, 0.05])
+    assert grid.couplings.tolist() == [3.0, 6.0]
+    assert grid.bandwidths.tolist() == [0.05, 0.1]
+    assert grid.loss.shape == grid.fidelity.shape == (2, 2)
+    assert grid.errors == []
     point = gate_metrics(CavityParams.symmetric(6.0, 1.0, 1.0), PulseSpec(0.1))
-    assert rows[3].loss_probability == pytest.approx(point.loss_probability, abs=1e-14)
-    assert rows[3].fidelity == pytest.approx(point.fidelity, abs=1e-14)
+    assert grid.loss[1, 1] == pytest.approx(point.loss_probability, abs=1e-14)
+    assert grid.fidelity[1, 1] == pytest.approx(point.fidelity, abs=1e-14)
 
 
 def test_sweep_marks_failed_points():
     # g = 1e200 overflows g^2 and the averages turn NaN; a negative g and a
     # zero bandwidth are rejected by CavityParams and PulseSpec
-    rows = pulses.sweep([1e200, 3.0, -1.0], [0.1, 0.0])
-    assert len(rows) == 6
-    keys = [(r.g_over_kappa, r.bandwidth_over_kappa) for r in rows]
-    assert keys == [(-1.0, 0.0), (-1.0, 0.1), (3.0, 0.0), (3.0, 0.1), (1e200, 0.0), (1e200, 0.1)]
-    bad = [r for r in rows if r.error]
-    assert len(bad) == 5
-    assert all(math.isnan(r.loss_probability) and math.isnan(r.fidelity) for r in bad)
-    assert rows[0].error == rows[1].error == "coupling rates must be >= 0"
-    assert rows[2].error == rows[4].error == "bandwidth must be positive and finite, got 0.0"
-    assert rows[5].error == "reflect_prob_h = nan outside [0, 1]"
-    good = [r for r in rows if not r.error]
-    assert [(r.g_over_kappa, r.bandwidth_over_kappa) for r in good] == [(3.0, 0.1)]
-    assert all(math.isfinite(r.loss_probability) for r in good)
+    grid = sweep_grid([1e200, 3.0, -1.0], [0.1, 0.0])
+    assert grid.couplings.tolist() == [-1.0, 3.0, 1e200]
+    assert grid.bandwidths.tolist() == [0.0, 0.1]
+    # one entry per failed point, in row-major order
+    assert grid.errors == [
+        (0, 0, "coupling rates must be >= 0"),
+        (0, 1, "coupling rates must be >= 0"),
+        (1, 0, "bandwidth must be positive and finite, got 0.0"),
+        (2, 0, "bandwidth must be positive and finite, got 0.0"),
+        (2, 1, "reflect_prob_h = nan outside [0, 1]"),
+    ]
+    failed = [[True, True], [True, False], [True, True]]
+    assert np.isnan(grid.loss).tolist() == np.isnan(grid.fidelity).tolist() == failed
+    assert math.isfinite(grid.loss[1, 1]) and math.isfinite(grid.fidelity[1, 1])
 
 
 def test_mixed_point_equals_its_single_polarization_points():
@@ -437,9 +437,9 @@ def test_metrics_rounds_like_the_scalar_expressions():
 
 def test_sweep_rejects_empty_grid():
     with pytest.raises(ValueError):
-        sweep([], [0.1])
+        sweep_grid([], [0.1])
     with pytest.raises(ValueError):
-        sweep([3.0], [])
+        sweep_grid([3.0], [])
 
 
 # ---------------------------------------------------------------------------
@@ -515,18 +515,21 @@ def test_coincident_poles_fall_back_to_simpson(monkeypatch):
 
 
 def test_exact_sweep_rows_equal_gate_metrics():
-    """Batching does not move a bit under the exact rule either: each row is
-    its point's gate_metrics with ==, at g = 0, g whose square underflows,
-    gamma = 0, coincident poles and wide pulses, and metrics_residual
-    reports the same metrics."""
+    """Batching does not move a bit under the exact rule either: each cell
+    is its point's gate_metrics with ==, at g = 0, g whose square
+    underflows, gamma = 0, coincident poles and wide pulses, and
+    metrics_residual reports the same metrics."""
     couplings = [0.0, 1e-200, 1e-170, 1e-3, _coincident_coupling(1.0, 0.5), 3.0, 20.0]
     bandwidths = [1e-3, 0.1, 10.0]
     for gamma in (0.0, 0.5):
-        for row in sweep(couplings, bandwidths, gamma):
-            params = CavityParams.symmetric(row.g_over_kappa, 1.0, gamma)
-            point = gate_metrics(params, PulseSpec(row.bandwidth_over_kappa))
-            assert row.error == ""
-            assert (row.loss_probability, row.fidelity) == (point.loss_probability, point.fidelity)
+        grid = sweep_grid(couplings, bandwidths, gamma)
+        assert grid.errors == []
+        for i, g in enumerate(grid.couplings.tolist()):
+            for j, dw in enumerate(grid.bandwidths.tolist()):
+                point = gate_metrics(CavityParams.symmetric(g, 1.0, gamma), PulseSpec(dw))
+                assert (grid.loss[i, j], grid.fidelity[i, j]) == (
+                    point.loss_probability, point.fidelity,
+                )
     result, residual = metrics_residual(ATOMIC, PulseSpec(0.1))
     assert result == gate_metrics(ATOMIC, PulseSpec(0.1))
     assert residual <= 1e-13
@@ -534,16 +537,18 @@ def test_exact_sweep_rows_equal_gate_metrics():
 
 def test_full_kernel_blocks_round_as_single_rows():
     """A grid that fills whole kernel blocks gives each row exactly what its
-    coupling gives alone.  At 2 x 64 x 128 = _BLOCK_VALUES complex values
+    coupling gives alone, byte for byte.  At 2 x 64 x 128 = _BLOCK_VALUES complex values
     a temporary holds 256 KB, from which size numpy evaluates a product
     whose right factor is a temporary in that buffer with the factors
     swapped, and the complex multiply then rounds differently."""
     couplings = np.geomspace(0.1, 20.0, 64)
     bandwidths = np.geomspace(0.01, 10.0, 128)
     assert 2 * couplings.size * bandwidths.size == pulses._BLOCK_VALUES
-    rows = sweep(couplings, bandwidths, 0.7)
+    grid = sweep_grid(couplings, bandwidths, 0.7)
     for i, g in enumerate(couplings.tolist()):
-        assert rows[i * bandwidths.size : (i + 1) * bandwidths.size] == sweep([g], bandwidths, 0.7)
+        alone = sweep_grid([g], bandwidths, 0.7)
+        assert grid.loss[i].tobytes() == alone.loss[0].tobytes()
+        assert grid.fidelity[i].tobytes() == alone.fidelity[0].tobytes()
 
 
 def test_underflowing_coupling_gives_the_bare_cavity():
@@ -555,7 +560,7 @@ def test_underflowing_coupling_gives_the_bare_cavity():
         assert overlaps(CavityParams.symmetric(g, 1.0, 0.0), PulseSpec(0.1)) == bare
 
 
-def test_exact_rule_matches_gauss_hermite_where_it_converges():
+def test_exact_rule_matches_adaptive_simpson_at_the_presets():
     """The exact rule against adaptive Simpson at 1e-13, at both presets."""
     simpson = QuadratureConfig(method=ADAPTIVE_SIMPSON, tolerance=1e-13)
     for params, dw in ((ATOMIC, 0.1), (SOLID_STATE, 0.1 * SOLID_STATE.g_h**2)):
@@ -577,14 +582,7 @@ def test_simpson_sweep_reevaluates_only_failing_points(monkeypatch):
 
     monkeypatch.setattr(pulses, "gate_metrics", counting)
     simpson = QuadratureConfig(method=ADAPTIVE_SIMPSON)
-    rows = sweep([2.0, 1e200], [0.05, 0.1], 0.5, simpson)
+    grid = sweep_grid([2.0, 1e200], [0.05, 0.1], 0.5, simpson)
     assert calls == [1e200, 1e200]
-    assert [bool(row.error) for row in rows] == [False, False, True, True]
-    assert all("not finite" in row.error for row in rows[2:])
-
-
-def test_sweep_rows_are_sweep_row_tuples():
-    rows = sweep([3.0, 1e200], [0.1])
-    assert all(type(row) is SweepRow for row in rows)
-    assert rows[0].error == "" and rows[0]._fields[-1] == "error"
-    assert rows[1].error == "reflect_prob_h = nan outside [0, 1]"
+    assert [(i, j) for i, j, _ in grid.errors] == [(1, 0), (1, 1)]
+    assert all("not finite" in error for *_, error in grid.errors)

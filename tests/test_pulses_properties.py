@@ -115,16 +115,16 @@ def _sweep_axes():
 @settings(max_examples=25, deadline=None)
 @given(axes=_sweep_axes())
 def test_sweep_rows_equal_their_gate_metrics(axes):
-    """The grid kernel changes no bit: every sweep row, over axes in any
-    order and with repeats, is its own point's gate_metrics with ==, in the
-    sorted order."""
+    """The grid kernel changes no bit: every sweep cell, over axes in any
+    order and with repeats, is its own point's gate_metrics with ==, on the
+    sorted axes."""
     couplings, bandwidths, gamma = axes
-    rows = pulses.sweep(couplings, bandwidths, gamma)
-    assert [(row.g_over_kappa, row.bandwidth_over_kappa) for row in rows] == [
-        (g, dw) for g in sorted(couplings) for dw in sorted(bandwidths)
-    ]
-    for row in rows:
-        params = cavity.CavityParams.symmetric(row.g_over_kappa, 1.0, gamma)
-        point = pulses.gate_metrics(params, pulses.PulseSpec(row.bandwidth_over_kappa))
-        assert row.error == ""
-        assert (row.loss_probability, row.fidelity) == (point.loss_probability, point.fidelity)
+    grid = pulses.sweep_grid(couplings, bandwidths, gamma)
+    assert grid.couplings.tolist() == sorted(couplings)
+    assert grid.bandwidths.tolist() == sorted(bandwidths)
+    assert grid.errors == []
+    for i, g in enumerate(grid.couplings.tolist()):
+        params = cavity.CavityParams.symmetric(g, 1.0, gamma)
+        for j, dw in enumerate(grid.bandwidths.tolist()):
+            point = pulses.gate_metrics(params, pulses.PulseSpec(dw))
+            assert (grid.loss[i, j], grid.fidelity[i, j]) == (point.loss_probability, point.fidelity)
