@@ -539,16 +539,34 @@ _CORRECTION_TEXT = tuple(
 
 _GUARD = 100_000_000
 
-# The phase-class key of a matrix: the matrix times the conjugate phase of its
-# reference entry (the first, in flat order, of modulus above _KEY_REF), each
-# real and imaginary part rounded to a grid of spacing _KEY_GRID, hashed to
-# 64 bits.  Equal keys only propose candidates; every use confirms them
+# The phase-class key of a matrix or vector: it times the conjugate phase of
+# its reference entry (the first, in flat order, of modulus above _KEY_REF),
+# each real and imaginary part rounded to a grid of spacing _KEY_GRID, hashed
+# to 64 bits.  Equal keys only propose candidates; every use confirms them
 # exactly, so two grids that share a hash cost one failed confirmation.
+# Prefix classes key whole matrices.  The full-operator search keys each
+# middle M and each query Q by its image of _SKETCH alone: Q within eps of a
+# phase times M, entrywise, puts Q v within eps |v|_1 of that phase times
+# M v, so the search keys at that radius.
 _KEY_REF = 0.3
 _KEY_GRID = 2.0**-8
 # multipliers of the hash, one per pair of grid values: powers of an odd
 # constant modulo 2^64, so all odd
 _KEY_MIX = np.array([pow(0x9E3779B97F4A7C15, i, 2**64) for i in range(1, 65)], dtype=np.uint64)
+# A unit vector with unequal moduli and unrelated phases, so that distinct
+# middle classes have distinct images: a basis vector or the uniform vector
+# maps many of them to one key
+_SKETCH = np.array([
+    complex(0.22292075373578038, -0.054768657872202364),
+    complex(-0.05157484668762511, -0.32287215262986263),
+    complex(-0.24618398370122935, -0.06523618486952638),
+    complex(-0.04641036886700771, 0.2720597919802662),
+    complex(0.24099309443526287, 0.383205372833425),
+    complex(0.27751183921663564, -0.05307301308246318),
+    complex(-0.35486482584214285, -0.03595006035006595),
+    complex(0.40019295321427156, 0.3567045378146365),
+])
+_SKETCH_L1 = math.fsum(map(abs, _SKETCH.tolist()))
 # a phase-class member equals its representative up to phase within this
 _CLASS_TOL = 1e-12
 # Lookups and representative tests widen their tolerance by this much.  After
@@ -654,11 +672,11 @@ def _member_rows(members: np.ndarray, offsets: np.ndarray, classes: np.ndarray):
 
 
 def _stable(scaled: np.ndarray, ref: np.ndarray, mag: np.ndarray, eps: float) -> np.ndarray:
-    # rows (unitary matrices) whose key every matrix within eps of them, up
-    # to phase, shares: that matrix picks the same reference entry, whose
-    # phase then differs by at most 2 eps / _KEY_REF, so no coordinate moves
-    # by more than eps (1 + 2 / _KEY_REF) and none may lie that close to a
-    # rounding edge
+    # rows (unitary matrices, or unit vectors: entries of modulus at most 1)
+    # whose key every row within eps of them, up to phase, shares: that row
+    # picks the same reference entry, whose phase then differs by at most
+    # 2 eps / _KEY_REF, so no coordinate moves by more than eps (1 + 2 /
+    # _KEY_REF) and none may lie that close to a rounding edge
     shift = eps * (1.0 + 2.0 / _KEY_REF) / _KEY_GRID
     clear = np.all(0.5 - np.abs(scaled - np.rint(scaled)) > shift, axis=1)
     up_to_ref = np.arange(mag.shape[1]) <= ref[:, None]
@@ -754,45 +772,46 @@ def _confirm(cands: np.ndarray, test, layers, staged) -> list:
 def _search_full(target, k, layers, staged, cswap8, tol):
     """Meet in the middle for an 8x8 target.  L_k . M . L_0 matches T only if
     the middle M = C . L_{k-1} ... L_1 . C is within 8 tol of the query
-    L_k^+ . T . L_0^+ up to phase (|A E B|_max <= 8 |E|_max for 8x8
-    unitaries A, B), so the queries, a block of final layers at a time, are
-    looked up by key among the middles' phase classes.  A middle whose key
-    is not stable at that tolerance is screened against every query
-    instead, by least squares (_near).  Each proposed candidate is confirmed
-    by _matches_full on its own operator."""
+    Q = L_k^+ . T . L_0^+ up to phase (|A E B|_max <= 8 |E|_max for 8x8
+    unitaries A, B).  Each middle and each query is keyed by its image of
+    the unit vector v = _SKETCH alone: Q within eps of a phase times M,
+    entrywise, puts Q v within eps |v|_1 of that phase times M v.  So the
+    queries' images, a block of final layers at a time, are looked up by
+    key at that radius among the middle classes' images.  A middle whose
+    key is not stable at that radius is screened against every query
+    image instead, by least squares (_near).  Each proposed candidate is
+    confirmed by _matches_full on its own operator."""
     test = functools.partial(_matches_full, target=target, tol=tol)
     n = len(layers)
     if k == 0:
         yield _confirm(np.arange(n)[:, None], test, layers, staged), n
         return
     reps, members, offsets = yield from _prefix_classes(cswap8, k - 1, staged)
-    eps = 8.0 * tol + _CLASS_SLACK
-    scaled, ref, mag = _phase_canonical(reps)
+    eps = (8.0 * tol + _CLASS_SLACK) * _SKETCH_L1
+    images = reps @ _SKETCH
+    scaled, ref, mag = _phase_canonical(images)
     stable = np.nonzero(_stable(scaled, ref, mag, eps))[0]
     keys = _keys(scaled[stable])
     order = np.argsort(keys, kind="stable")
     table, table_ids = keys[order], stable[order]
     loose = np.setdiff1d(np.arange(len(reps)), stable)
-    loose_dag = _unit_rows(reps[loose]).conj().T
-    right = np.matmul(target, layers.conj().transpose(0, 2, 1))  # T . L_0^+
+    loose_dag = _unit_rows(images[loose, None]).conj().T
+    # T . L_0^+ . v for every first layer, as rows
+    right = np.matmul(layers.conj().transpose(0, 2, 1), _SKETCH) @ target.T
     per = max(1, _PRODUCT_BLOCK // n)
     for lo in range(0, n, per):
-        lasts = range(lo, min(lo + per, n))
-        queries = np.empty((len(lasts), n) + target.shape, dtype=complex)
-        for j, last in enumerate(lasts):
-            np.matmul(layers[last].conj().T, right, out=queries[j])
-        queries = queries.reshape((-1,) + target.shape)  # last-major, then first
+        # row u . conj(L) is (L^+ . u) as a row: last-major, then first
+        queries = np.matmul(right, layers[lo : lo + per].conj()).reshape(-1, len(_SKETCH))
         query_keys = _keys(_phase_canonical(queries)[0])
         left = np.searchsorted(table, query_keys)
         counts = np.searchsorted(table, query_keys, side="right") - left
         query = np.repeat(np.arange(len(queries)), counts)
         middle = table_ids[_ranges(left, counts)]
         if loose.size:
-            # a query within eps of a phase times M, entrywise, is within
-            # target.size * eps^2 of it in squared Frobenius norm, and no
-            # nearer to that phase times M than to the nearest multiple of M
-            q = queries.reshape(len(queries), target.size)
-            near_q, near_j = np.nonzero(_near(q, loose_dag, target.size * eps**2))
+            # an image within eps of a phase times M v, entrywise, is within
+            # 8 eps^2 of it in squared norm, and no nearer to that phase
+            # times M v than to the nearest multiple of M v
+            near_q, near_j = np.nonzero(_near(queries, loose_dag, len(_SKETCH) * eps**2))
             query = np.concatenate((query, near_q))
             middle = np.concatenate((middle, loose[near_j]))
         rows, counts = _member_rows(members, offsets, middle)
@@ -926,12 +945,15 @@ def synthesize(
     Each layer's operator is the Kronecker product of its gates' 2x2
     matrices.  The search runs on phase classes of partial products, built
     a block of whole layers at a time, and meets in the middle: an 8x8
-    target is looked up among the middle products, and for a 4x4 target
-    each prefix class is screened against the target with the final layer
-    undone.  The screens only propose candidates.  Every reported match is
-    confirmed on its own operator by its exact rule alone: full-operator
-    and feed-forward matches pass the rule of ``equivalent_up_to_phase``,
-    measurement-free photon maps the factorization residual.
+    target is looked up among the middle products, each keyed by its image
+    of one fixed unit vector v (a query within eps of a middle, entrywise,
+    has an image within eps |v|_1 of the middle's, the radius of the
+    lookup), and for a 4x4 target each prefix class is screened against the
+    target with the final layer undone.  The screens only propose
+    candidates.  Every reported match is confirmed on its own operator by
+    its exact rule alone: full-operator and feed-forward matches pass the
+    rule of ``equivalent_up_to_phase``, measurement-free photon maps the
+    factorization residual.
 
     A ``time_budget`` (seconds, positive) makes the search stop early with
     ``truncated`` set, keeping the matches confirmed so far; the budget is

@@ -1,7 +1,9 @@
 """Bounded search over layered CSWAP circuits."""
 import hashlib
 import itertools
+import json
 import math
+import os
 import time
 
 import numpy as np
@@ -21,8 +23,10 @@ from cavityswap.circuits import (
     synthesize,
 )
 from test_circuits import HADAMARD, PHASE_S, cswap_permutation, kron_all
+from test_phase_classes import block_classes, staged_layers
 
 FULL_SET = ("I", "Z", "S", "Sdag", "H")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 LITERAL_1Q = {
     "I": np.eye(2),
@@ -330,3 +334,51 @@ def test_matches_do_not_depend_on_the_order_classes_are_found(cpf_feedforward):
     )
     fed = synthesize(cpf_target(), 2, backwards, allow_feedforward=True)
     assert sorted(match_lines(fed)) == sorted(match_lines(cpf_feedforward))
+
+
+@pytest.mark.parametrize("kinds,depth,count", [
+    (FULL_SET, 1, 125), (FULL_SET, 2, 5525),
+    (circuits._SYNTH_KINDS, 1, 216), (circuits._SYNTH_KINDS, 2, 25272),
+])
+def test_sketch_keys_separate_the_middle_classes(kinds, depth, count):
+    """The full-operator search keys each middle class by its image of
+    _SKETCH; two classes sharing a key would cost a failed confirmation per
+    member and query.  Every class keeps a key of its own, as with the
+    whole-matrix keys.  A symmetric vector fails: the basis vector e_0 gives
+    8 keys for the 125 depth-1 classes, the uniform vector 1 984 for the
+    5 525 depth-2 ones."""
+    cswap8 = circuits.gate_matrix(circuits._SYNTH_CSWAP, 3)
+    reps = block_classes(cswap8, depth, staged_layers(kinds))[0]  # C . L_depth ... L_1 . C
+    assert len(reps) == count
+    whole = circuits._keys(circuits._phase_canonical(reps)[0])
+    sketch = circuits._keys(circuits._phase_canonical(reps @ circuits._SKETCH)[0])
+    assert len(np.unique(whole)) == len(np.unique(sketch)) == count
+
+
+def test_sketch_is_a_unit_vector():
+    # the keying radius (8 tol + _CLASS_SLACK) |v|_1 and the stability test
+    # both assume |v|_2 = 1, so that an image's entries have modulus <= 1
+    assert math.fsum(abs(x) ** 2 for x in circuits._SKETCH) == pytest.approx(1.0, abs=1e-15)
+
+
+def planted_pool():
+    with open(os.path.join(ROOT, "perfbench", "pins.json")) as f:
+        return [entry["layers"] for entry in json.load(f)["planted_pool"]]
+
+
+@pytest.mark.parametrize(
+    "layers", planted_pool(), ids=lambda layers: ";".join(map(",".join, layers))
+)
+def test_full_search_confirms_no_false_proposal(layers):
+    """Each candidate the full-operator search forms is a match: no query's
+    image key lands on a class whose operator then fails confirmation.  A
+    sketch with too few distinct images forms more candidates than matches:
+    the uniform vector does on every target here."""
+    result = synthesize(planted_unitary(layers), 2, FULL_SET)
+    assert result.matches and result.evaluated == len(result.matches)
+
+
+@pytest.mark.parametrize("gates", [FULL_SET, ("I", "Z")])
+def test_czz_search_confirms_no_false_proposal(gates):
+    result = synthesize(czz_target(), 2, gates)
+    assert result.matches and result.evaluated == len(result.matches)

@@ -11,7 +11,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from cavityswap.circuits import (  # noqa: E402
+    _CLASS_SLACK,
     _KEY_GRID,
+    _SKETCH,
+    _SKETCH_L1,
+    _phase_canonical,
+    _stable,
     CSWAP,
     Circuit,
     Gate,
@@ -145,19 +150,81 @@ def test_feedforward_placements_match_brute_force(kinds, k, target):
     assert result.evaluated == len(want)
 
 
+# the planted outer pair of the one-CSWAP searches below, as operators: for
+# it the query L_1^+ . T . L_0^+ is the CSWAP itself, moved by whatever the
+# target adds
+OUTER_KINDS = ("H", "S")
+FIRST, LAST = (
+    circuit_unitary(circuit_gates([layer]), 3) for layer in (("H", "S", "H"), ("S", "H", "S"))
+)
+PLANTED_LINE = "H,S,H;S,H,S|None"
+
+
+def rule_residual(U, V):
+    """max |U - e^{i phi} V| at the phase equivalent_up_to_phase picks."""
+    flat = np.argmax(np.abs(U) * np.abs(V))
+    z = U.flat[flat] * np.conj(V.flat[flat])
+    return np.max(np.abs(U - z / abs(z) * V))
+
+
 @pytest.mark.parametrize("tol", [TOL, 0.5 * _KEY_GRID, _KEY_GRID])
 def test_query_on_a_rounding_edge_matches_brute_force(tol):
-    # for the planted outer pair the query L_1^+ . T . L_0^+ is the CSWAP
-    # itself; moving one of its zero entries by half a grid step puts that
-    # keyed coordinate exactly on a rounding edge
-    kinds = ("H", "S")
-    first, last = ("H", "S", "H"), ("S", "H", "S")
-    query = circuit_unitary([CSWAP(0, 1, 2)], 3)
-    query[0, 1] += 0.5 * _KEY_GRID
-    target = (
-        circuit_unitary(circuit_gates([last]), 3) @ query @ circuit_unitary(circuit_gates([first]), 3)
-    )
-    result = synthesize(target, 1, kinds, tol=tol)
-    want = brute_force(target, 1, kinds, False, tol)
+    """The full-operator search keys a query by its phase-normalized image
+    of the sketch.  The CSWAP query's image gets one coordinate (the real
+    part of the last entry, past the reference entry) moved onto a rounding
+    edge, k + 1/2 grid steps from zero, by adding to the last row of the
+    query a multiple of conj(v): only that entry of the image moves, and the
+    phase reference does not.  Rounding noise in forming the query decides
+    that coordinate's grid value, so the query's key may or may not be its
+    middle's; the result must equal brute force either way."""
+    cswap = circuit_unitary([CSWAP(0, 1, 2)], 3)
+    scaled, ref, _ = _phase_canonical((cswap @ _SKETCH)[None])
+    entry = len(_SKETCH) - 1
+    assert ref[0] < entry
+    coordinate = scaled[0, 2 * entry]
+    step = math.floor(coordinate) + 0.5 - coordinate  # in grid units
+    # the image entry moves by step grid units in the normalized frame
+    reference = (cswap @ _SKETCH)[ref[0]]
+    query = cswap.copy()
+    query[entry] += step * _KEY_GRID * (reference / abs(reference)) * _SKETCH.conj()
+    target = LAST @ query @ FIRST
+    # on the edge as the search sees the query, up to its rounding
+    image = LAST.conj().T @ (target @ (FIRST.conj().T @ _SKETCH))
+    edge = _phase_canonical(image[None])[0][0, 2 * entry]
+    assert abs(abs(edge - math.floor(edge)) - 0.5) < 1e-9
+    result = synthesize(target, 1, OUTER_KINDS, tol=tol)
+    want = brute_force(target, 1, OUTER_KINDS, False, tol)
     assert sorted(match_lines(result)) == want
-    assert ("H,S,H;S,H,S|None" in want) == (tol >= 0.5 * _KEY_GRID)
+    assert (PLANTED_LINE in want) == (tol >= 0.5 * _KEY_GRID)
+
+
+# at 1e-5 the CSWAP middle's image key is no longer stable
+@pytest.mark.parametrize("tol", [TOL, 1e-5])
+def test_planted_circuit_at_the_widened_radius_is_found(tol):
+    """Every entry of the query L_1^+ . T . L_0^+ moves by delta from the
+    CSWAP, with the phase conj(v_j) / |v_j| down column j, so that every
+    coordinate of its image of the sketch v moves by delta |v|_1: the
+    farthest an entrywise move of delta can carry it.  delta is scaled so
+    that the planted circuit sits at 0.9 tol; the shift is then about
+    1.01 tol.  At the loose tolerance the CSWAP middle is screened by least
+    squares, and a screen whose radius on the image falls below that shift
+    misses the planted circuit: a radius of 0.9 tol in place of
+    (8 tol + _CLASS_SLACK) |v|_1 fails here, and so does keying the middle
+    without the stability test.  At 1e-9 the middle is keyed, and a table
+    and queries keyed by different vectors miss it."""
+    cswap = circuit_unitary([CSWAP(0, 1, 2)], 3)
+    eps = (8.0 * tol + _CLASS_SLACK) * _SKETCH_L1
+    stable = _stable(*_phase_canonical((cswap @ _SKETCH)[None]), eps)[0]
+    assert stable == (tol == TOL)
+    planted = LAST @ cswap @ FIRST
+    pattern = np.ones((8, 1)) * (_SKETCH.conj() / np.abs(_SKETCH))
+    # the image moves by delta |v|_1 in every coordinate
+    assert np.allclose(pattern @ _SKETCH, _SKETCH_L1)
+    unit = 1e-3 * tol
+    delta = 0.9 * tol * unit / rule_residual(planted, LAST @ (cswap + unit * pattern) @ FIRST)
+    target = LAST @ (cswap + delta * pattern) @ FIRST
+    assert rule_residual(planted, target) == pytest.approx(0.9 * tol, rel=1e-3)
+    result = synthesize(target, 1, OUTER_KINDS, tol=tol)
+    want = brute_force(target, 1, OUTER_KINDS, False, tol)
+    assert PLANTED_LINE in want
+    assert sorted(match_lines(result)) == want
