@@ -544,10 +544,13 @@ _GUARD = 100_000_000
 # each real and imaginary part rounded to a grid of spacing _KEY_GRID, hashed
 # to 64 bits.  Equal keys only propose candidates; every use confirms them
 # exactly, so two grids that share a hash cost one failed confirmation.
-# Prefix classes key whole matrices.  The full-operator search keys each
-# middle M and each query Q by its image of _SKETCH alone: Q within eps of a
-# phase times M, entrywise, puts Q v within eps |v|_1 of that phase times
-# M v, so the search keys at that radius.
+# Every key is of an image of _SKETCH, not of a whole matrix.  A prefix
+# product joins the class of its key's first product only after a check
+# of all its entries, and is a class of its own otherwise, so classes that
+# share an image key stay apart.  The full-operator search keys each middle
+# M and each query Q: Q within eps of a phase times M, entrywise, puts Q v
+# within eps |v|_1 of that phase times M v, so the search keys at that
+# radius.
 _KEY_REF = 0.3
 _KEY_GRID = 2.0**-8
 # multipliers of the hash, one per pair of grid values: powers of an odd
@@ -688,12 +691,16 @@ def _stable(scaled: np.ndarray, ref: np.ndarray, mag: np.ndarray, eps: float) ->
 def _prefix_classes(start: np.ndarray, depth: int, staged: np.ndarray):
     """Phase classes of staged[l_{depth-1}] ... staged[l_0] . start over all
     layer tuples, built one depth at a time from the representatives of the
-    depth before.  The products of a depth, ordered by layer and then by
-    the class they extend, are formed and keyed in blocks of whole layers.
-    The classes partition the layer tuples.  A key's first product is the
-    representative of its class; a later product with that key joins it
-    when it equals the representative up to phase within _CLASS_TOL, and
-    is a class of its own otherwise.  Each class lists its members in
+    depth before.  The products of a depth are ordered by layer and then by
+    the class they extend.  Each is keyed by its image of _SKETCH, formed
+    as stage . (R v) from its class's image R v, and a key's first product
+    is the representative of its class.  The products themselves are formed
+    in blocks of whole layers, one matrix product per block.  A later
+    product P with a key joins the key's first class when it lies within
+    _CLASS_TOL, entrywise, of z / |z| times that representative R, z =
+    <R v, P v>, and is a class of its own otherwise: a key is only a
+    proposal, so distinct classes that share an image key stay apart.  The
+    classes partition the layer tuples, and each lists its members in
     product order; class ids follow no promised order.  A search step
     generator (one empty step per block); it returns the representatives,
     the member layer tuples in application order as one int array grouped
@@ -701,46 +708,43 @@ def _prefix_classes(start: np.ndarray, depth: int, staged: np.ndarray):
     reps = start[None]
     members = np.zeros((1, 0), dtype=np.intp)
     offsets = np.array([0, 1])
-    shape = start.shape
     for _ in range(depth):
         n = len(reps)
         per = max(1, _PRODUCT_BLOCK // n)  # whole layers per block
-        classes = np.empty(len(staged) * n, dtype=np.intp)  # of product layer * n + i
+        sketched = reps @ _SKETCH  # the images R v
+        blocks = range(0, len(staged), per)
+
+        def images(lo):
+            # stage . (R v) for each product of a block, in product order
+            return np.matmul(sketched, staged[lo : lo + per].transpose(0, 2, 1)).reshape(-1, 8)
+
+        # the class of product layer * n + i by its key alone, and whether
+        # it is its key's first; products that miss their key's
+        # representative get classes from count on
+        classes, fresh = _key_classes(
+            np.concatenate([_keys(_phase_canonical(images(lo))[0]) for lo in blocks])
+        )
+        count = np.count_nonzero(fresh)
         # room for a class per product; rows never written are never touched
-        new_reps = np.empty((len(staged) * n,) + shape, dtype=complex)
-        count = 0
-        known = np.empty(0, dtype=np.uint64)  # sorted first keys, and their classes
-        known_ids = np.empty(0, dtype=np.intp)
-        for lo in range(0, len(staged), per):
+        new_reps = np.empty((len(classes), 8, 8), dtype=complex)
+        columns = reps.transpose(1, 0, 2).reshape(8, 8 * n)  # column c of reps[i] at i * 8 + c
+        for lo in blocks:
             layers = staged[lo : lo + per]
-            products = np.empty((len(layers), n) + shape, dtype=complex)
-            for j, stage in enumerate(layers):
-                np.matmul(stage, reps, out=products[j])
-            products = products.reshape((-1,) + shape)
-            keys, first, inverse = np.unique(
-                _keys(_phase_canonical(products)[0]), return_index=True, return_inverse=True
-            )
-            at = np.searchsorted(known, keys)
-            seen = at < len(known)
-            seen[seen] = known[at[seen]] == keys[seen]
-            ids = np.empty(len(keys), dtype=np.intp)
-            ids[seen] = known_ids[at[seen]]
-            fresh = np.nonzero(~seen)[0]
-            ids[fresh] = count + np.arange(len(fresh))
-            new_reps[count : count + len(fresh)] = products[first[fresh]]
-            count += len(fresh)
-            # each product against its key's representative; one that misses
-            # it is a class of its own
-            block = ids[inverse]
-            odd = np.nonzero(~_phase_equiv_batch(products, new_reps[block], _CLASS_TOL))[0]
-            block[odd] = count + np.arange(len(odd))
+            # one matrix product gives [layer, row, i, column]
+            products = (layers.reshape(-1, 8) @ columns).reshape(len(layers), 8, n, 8)
+            products = products.transpose(0, 2, 1, 3).reshape(-1, 8, 8)
+            at = lo * n + np.arange(len(products))
+            first = fresh[at]
+            new_reps[classes[at[first]]] = products[first]
+            # each later product against its key's representative; one that
+            # misses it is a class of its own
+            at, products = at[~first], products[~first]
+            odd = np.nonzero(
+                ~_within_phase(products, new_reps[classes[at]], images(lo)[~first])
+            )[0]
+            classes[at[odd]] = count + np.arange(len(odd))
             new_reps[count : count + len(odd)] = products[odd]
             count += len(odd)
-            classes[lo * n : lo * n + len(products)] = block
-            # only a key's first class takes its later products
-            slot = np.searchsorted(known, keys[fresh])
-            known = np.insert(known, slot, keys[fresh])
-            known_ids = np.insert(known_ids, slot, ids[fresh])
             yield [], 0
         # members of each class in product order: a stable sort by class
         grouped = np.argsort(classes, kind="stable")
@@ -750,6 +754,29 @@ def _prefix_classes(start: np.ndarray, depth: int, staged: np.ndarray):
         offsets = ends[np.searchsorted(classes[grouped], np.arange(count + 1))]
         reps = new_reps[:count]
     return reps, members, offsets
+
+
+def _key_classes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # one class per distinct key, numbered in the order of first occurrence:
+    # each entry's class, and whether it is its key's first
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    fresh = np.zeros(len(keys), dtype=bool)
+    fresh[first] = True
+    return (np.cumsum(fresh) - 1)[first[inverse]], fresh
+
+
+def _within_phase(P: np.ndarray, R: np.ndarray, pv: np.ndarray) -> np.ndarray:
+    # each P within _CLASS_TOL, entrywise, of z / |z| times its R, z = <R v,
+    # P v> with P v given as pv (|R v| = 1); squared moduli of the
+    # difference as re^2 + im^2 on a real view
+    z = np.einsum("ij,ij->i", (R @ _SKETCH).conj(), pv)
+    mag = np.abs(z)
+    mag[mag == 0.0] = np.inf  # no phase: a zero multiple of R
+    diff = R * (z / mag)[:, None, None]
+    np.subtract(P, diff, out=diff)
+    sq = diff.view(np.float64)
+    sq *= sq
+    return np.max(sq[..., ::2] + sq[..., 1::2], axis=(1, 2)) <= _CLASS_TOL**2
 
 
 def _confirm(cands: np.ndarray, test, layers, staged) -> list:
@@ -825,11 +852,13 @@ def _near(X: np.ndarray, Q_dag: np.ndarray, bound: float) -> np.ndarray:
     # [row of X, row of Q]: min over complex z of |X - z Q|_F^2 <= bound,
     # for rows of Q of norm 1 or 0, given as Q_dag = Q.conj().T (formed once
     # per table by the caller).  That minimum is |X|^2 - |<Q, X>|^2; the
-    # 1e-12 terms absorb rounding in the difference
-    overlap = np.abs(X @ Q_dag)
+    # 1e-12 terms absorb rounding in the difference.  Squared moduli are
+    # re^2 + im^2 on real views
+    overlap = (X @ Q_dag).view(np.float64)
     overlap *= overlap
-    xn = np.sum(np.abs(X) ** 2, axis=1)
-    return overlap >= (xn * (1.0 - 1e-12) - bound - 1e-12)[:, None]
+    x = X.view(np.float64)
+    xn = np.einsum("ij,ij->i", x, x)
+    return overlap[:, ::2] + overlap[:, 1::2] >= (xn * (1.0 - 1e-12) - bound - 1e-12)[:, None]
 
 
 def _unit_rows(A: np.ndarray) -> np.ndarray:
@@ -850,7 +879,12 @@ def _search_photon(target, k, kinds, photon, layers, staged, feedforward, tol):
     W = sum_j a[o, j] Q_j with Q_j = (P[j, :, 0, :] + P[j, :, 1, :]) / sqrt2;
     after a correction D it equals T up to scale and phase exactly when W
     is proportional to B^+ . D^+ . T, with the same B for both outcomes.
-    Each proposed member and final layer is confirmed at tol on its own
+    The prefix classes are keyed by image, but a product joins one only
+    within _CLASS_TOL, entrywise, of a phase times its representative, so
+    each member's operator stays within the _CLASS_SLACK that the screening
+    radius assumes.  The screens square moduli as re^2 + im^2 on real views
+    and take the corrections D as the outer columns of their table.  Each
+    proposed member and final layer is confirmed at tol on its own
     operator."""
     reps, members, offsets = yield from _prefix_classes(np.eye(8, dtype=complex), k, staged)
 
@@ -866,8 +900,9 @@ def _search_photon(target, k, kinds, photon, layers, staged, feedforward, tol):
     peak = np.max(np.abs(target))
     unit = target / peak if peak > 0.0 else target
     free_dag = _unit_rows(np.matmul(photon_dag, unit)).conj().T  # (B^+ . T)^+
+    # correction-major: (B^+ . D^+ . T)^+ for each D, then B
     fed_dag = _unit_rows(
-        np.matmul(photon_dag[:, None], _CORRECTION_DIAGONALS[:, :, None] * unit)
+        np.matmul(photon_dag, (_CORRECTION_DIAGONALS[:, :, None] * unit)[:, None])
     ).conj().T
     # an atom-diagonal final gate only rephases each W: one family
     families: dict[int, list[int]] = {}
@@ -910,10 +945,13 @@ def _search_photon(target, k, kinds, photon, layers, staged, feedforward, tol):
         if feedforward:
             Q = (P[:, :, :, 0] + P[:, :, :, 1]) * _SQRT1_2  # [class, j, 4, 4]
             W = np.einsum("fom,nmxy->nfoxy", atoms, Q).reshape(-1, 16)
-            live = np.sum(np.abs(W) ** 2, axis=1) >= alive
-            near = _near(W, fed_dag, bound) & live[:, None]
-            # some correction for each outcome, the same B for both
-            both = near.reshape(n, len(atoms), 2, n2, 4).any(axis=4).all(axis=2)
+            w = W.view(np.float64)
+            live = (np.einsum("ij,ij->i", w, w) >= alive).reshape(n, len(atoms), 2).all(axis=2)
+            # some correction for each outcome, the same B for both; the
+            # corrections, outer columns of fed_dag, are ORed as views
+            near = _near(W, fed_dag, bound).reshape(n, len(atoms), 2, 4, n2)
+            some = near[:, :, :, 0] | near[:, :, :, 1] | near[:, :, :, 2] | near[:, :, :, 3]
+            both = some[:, :, 0] & some[:, :, 1] & live[:, :, None]
             c, f, p = np.nonzero(both)
             t, a = np.nonzero(in_family[f])
             cands = expand(lo + c[t], atom_offset[a] + p[t])

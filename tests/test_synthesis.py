@@ -291,11 +291,16 @@ def test_planted_match_list_is_pinned(layers, found, want):
     assert (len(lines), digest(lines)) == (found, want)
 
 
+# the printed lines of synthesize --target cpf --cswaps 2 --feedforward
+PINNED_CPF_FEEDFORWARD = (
+    2048, "73020c328b7176b1eae12e1db49c09f5850b580df38003f4c1dde5ec419bfb84"
+)
+
+
 def test_cli_match_lists_are_pinned(cpf_feedforward):
     czz = synthesize(czz_target(), 2, ("I", "Z"))
     for result, found, want in [
-        (cpf_feedforward, 2048,
-         "73020c328b7176b1eae12e1db49c09f5850b580df38003f4c1dde5ec419bfb84"),
+        (cpf_feedforward, *PINNED_CPF_FEEDFORWARD),
         (czz, 32, "6097560689d8563afb3b597b99a37cffa9c6ce13c1180866729705492c210581"),
     ]:
         lines = [format_circuit(m.circuit) for m in result.matches]
@@ -353,6 +358,79 @@ def test_sketch_keys_separate_the_middle_classes(kinds, depth, count):
     whole = circuits._keys(circuits._phase_canonical(reps)[0])
     sketch = circuits._keys(circuits._phase_canonical(reps @ circuits._SKETCH)[0])
     assert len(np.unique(whole)) == len(np.unique(sketch)) == count
+
+
+@pytest.mark.parametrize("sketch,count", [
+    (np.full(8, 8**-0.5, dtype=complex), 8657), (np.eye(8, dtype=complex)[0], 15474),
+], ids=["uniform", "e0"])
+def test_prefix_classes_that_share_an_image_key_stay_apart(monkeypatch, sketch, count):
+    """Prefix products are keyed by their image of _SKETCH.  A symmetric
+    vector gives inequivalent products one key: the uniform vector and e_0
+    turn the 5 525 depth-2 classes into 8 657 and 15 474.  Each later
+    product with a key is checked on all its entries before it joins, so
+    the classes stay phase classes and the search finds the same circuits."""
+    monkeypatch.setattr(circuits, "_SKETCH", sketch)
+    monkeypatch.setattr(circuits, "_SKETCH_L1", math.fsum(map(abs, sketch.tolist())))
+    staged = staged_layers(FULL_SET)
+    every = sorted(itertools.product(range(len(staged)), repeat=2))
+    for start in (np.eye(8, dtype=complex), circuits.gate_matrix(circuits._SYNTH_CSWAP, 3)):
+        reps, members, offsets = block_classes(start, 2, staged)
+        assert len(reps) == count
+        assert sorted(map(tuple, members.tolist())) == every
+        formed = np.matmul(staged[members[:, 1]], np.matmul(staged[members[:, 0]], start))
+        rep_of = np.repeat(np.arange(len(reps)), np.diff(offsets))
+        # the rule of equivalent_up_to_phase, over all members at once
+        assert circuits._phase_equiv_batch(formed, reps[rep_of], circuits._CLASS_TOL).all()
+    result = synthesize(cpf_target(), 2, FULL_SET, allow_feedforward=True)
+    lines = [format_circuit(m.circuit) for m in result.matches]
+    assert (len(lines), digest(lines)) == PINNED_CPF_FEEDFORWARD
+
+
+@pytest.mark.parametrize("bound", [0.5, 1e-3])
+def test_near_is_the_least_squares_distance(bound):
+    """_near(X, Q^+, bound)[i, j] says min over complex z of |X_i - z Q_j|^2
+    <= bound, for table rows Q_j of norm 1 or 0.  The minimum is |X_i|^2 -
+    |<Q_j, X_i>|^2, taken here in Python complex arithmetic, over seeded
+    rows, zero rows and a zero table row, rows proportional to a table row,
+    and rows placed a relative 1e-6 inside and outside the bound."""
+    rng = np.random.default_rng(23)
+
+    def gaussian(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    Q = gaussian(5, 16)
+    Q /= np.linalg.norm(Q, axis=1, keepdims=True)
+    Q[2] = 0.0
+    rows = [gaussian(16) * 10.0 ** rng.uniform(-2.0, 0.5) for _ in range(40)]
+    zero = [len(rows), len(rows) + 1]
+    rows += [np.zeros(16, dtype=complex)] * 2
+    proportional, placed = [], []  # (row, table row), (row, table row, inside)
+    for j in (0, 1, 3, 4):
+        z = complex(*rng.normal(size=2))
+        proportional.append((len(rows), j))
+        rows.append(z * Q[j])
+        # a unit vector orthogonal to Q_j, at squared distance bound (1 -+ 1e-6)
+        u = gaussian(16)
+        u -= np.vdot(Q[j], u) * Q[j]
+        u /= np.linalg.norm(u)
+        for inside in (True, False):
+            placed.append((len(rows), j, inside))
+            rows.append(z * Q[j] + math.sqrt(bound * (1.0 + (-1e-6 if inside else 1e-6))) * u)
+    X = np.array(rows)
+
+    def distance(x, q):
+        x, q = x.tolist(), q.tolist()
+        overlap = sum(a.conjugate() * b for a, b in zip(q, x))
+        return sum(abs(b) ** 2 for b in x) - abs(overlap) ** 2
+
+    table = [[distance(x, q) for q in Q] for x in X]
+    # no row lies within rounding of the bound, so the definition decides
+    assert min(abs(d - bound) for row in table for d in row) > 1e-9 * bound
+    got = circuits._near(X, Q.conj().T, bound)
+    assert got.tolist() == [[d <= bound for d in row] for row in table]
+    assert got[zero].all()
+    assert all(got[i, j] for i, j in proportional)
+    assert all(got[i, j] == inside for i, j, inside in placed)
 
 
 def test_sketch_is_a_unit_vector():
