@@ -7,15 +7,15 @@ per-branch survival probabilities and mode-overlap amplitudes, which combine
 into the two figures of merit: the loss probability and the fidelity of the
 entangled output.
 
-Averaging rules.  The default, ``exact``, needs no quadrature: each
-coefficient is rational in omega with at most two poles w_k in the lower
-half-plane, t = sum_k A_k / (omega - w_k) and r = t - 1, and the Gaussian
-mean of 1/(omega - w_k) is conj(i sqrt(pi) w(conj(w_k)/s) / s), s = dw/sqrt(2),
-where w is the Faddeeva function.  w comes from Weideman's rational
-approximation (SIAM J. Numer. Anal. 31:1497, 1994), about 2e-14 relative
-error at its default 36 terms.  Where the two poles nearly coincide the
-partial fractions cancel, and such points fall back to adaptive Simpson
-over a finite window, which also stays selectable as a structurally
+Averaging rules.  The default, ``exact``, needs no quadrature: r = t - 1
+and t = kappa u(omega) / ((omega - w_0)(omega - w_1)), u(w) = i w - gamma/2,
+with both poles in the lower half-plane, so E t is kappa times the divided
+difference over the poles of u(w) e(w), e(w) = E[1/(omega - w)] =
+conj(i sqrt(pi) w(conj(w)/s) / s), s = dw/sqrt(2), w the Faddeeva function:
+one formula at every pole separation.  w and its divided difference come
+from one Horner loop over Weideman's rational approximation (SIAM J. Numer.
+Anal. 31:1497, 1994), about 2e-14 relative error at its default 36 terms.
+Adaptive Simpson over a finite window stays selectable as a structurally
 independent cross-check.  Both rules run through one batched path over a
 grid of rate rows (g, kappa, gamma) x bandwidths: the exact rule does its
 pole algebra once per rate row and evaluates w per (row, bandwidth) in
@@ -74,9 +74,8 @@ class PulseSpec:
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Averaging rule selection.  ``tolerance``, the absolute error target,
-    applies to adaptive Simpson and to the exact rule's fallback points;
-    ``order``, the number of terms of the Faddeeva approximation, to the
-    exact rule only."""
+    applies to adaptive Simpson only; ``order``, the number of terms of the
+    Faddeeva approximation, to the exact rule only."""
 
     method: str = EXACT
     tolerance: float = 1e-12
@@ -130,15 +129,36 @@ def faddeeva(z, order: int = 36) -> np.ndarray:
     of the ``order`` coefficients.  At 36 terms it agrees with scipy's wofz
     to 5e-14 relative from |z| = 1e-8 to 1e8, down to the real axis.
     """
-    scale, coefficients = _weideman(order)
     z = np.asarray(z, dtype=complex)
-    den = scale - 1j * z
-    mapped = (scale + 1j * z) / den
-    p = np.full(z.shape, coefficients[-1], dtype=complex)
-    for coefficient in coefficients[-2::-1]:
-        p *= mapped
+    return _faddeeva_pair(z, z, order)[0]
+
+
+def _faddeeva_pair(z0, z1, order: int):
+    """(w(z1), (w(z0) - w(z1)) / (z0 - z1)), the second w'(z1) where z0 ==
+    z1, without cancellation: dp <- dp Z1 + p(Z0), beside p's Horner loop,
+    gives p's divided difference, p(Z1) = p(Z0) - (Z0 - Z1) dp, and with
+    q = 1/(L - iz), q0 - q1 = i (z0 - z1) q0 q1 = (Z0 - Z1) / 2L."""
+    scale, coefficients = _weideman(order)
+    den0 = scale - 1j * z0
+    den1 = scale - 1j * z1
+    mapped0 = (scale + 1j * z0) / den0
+    mapped1 = (scale + 1j * z1) / den1
+    p = np.full(z0.shape, coefficients[-1], dtype=complex)
+    dp = np.zeros(z0.shape, dtype=complex)
+    for coefficient in coefficients[-2::-1].tolist():
+        dp *= mapped1
+        dp += p
+        p *= mapped0
         p += coefficient
-    return 2.0 * p / (den * den) + (1.0 / math.sqrt(math.pi)) / den
+    # as in _exact_means, every complex product has a named right factor
+    both = den0 * den1
+    square = den1 * den1
+    step = (z0 - z1) / both
+    q_sum = (den0 + den1) / both
+    p1 = p - dp * step * (2j * scale)
+    value = 2.0 * p1 / square + (1.0 / math.sqrt(math.pi)) / den1
+    inner = 2.0 * p * q_sum + (4.0 * scale) * dp / square
+    return value, 1j * (inner + 1.0 / math.sqrt(math.pi)) / both
 
 
 def _simpson(fa, fm, fb, h):
@@ -314,14 +334,6 @@ class GateMetrics:
 # working set of a large grid stays near that of a single point.
 _BLOCK_VALUES = 2**14
 
-# Below this relative pole separation the exact rule's partial fractions
-# cancel too far, and the point falls back to adaptive Simpson.  Poles off
-# the imaginary axis (4 g^2 > (kappa - gamma/2)^2) are mirror images across
-# it, w_1 = -conj(w_0), so their w values are conjugate bit for bit and
-# nothing is lost down to a separation of 1e-8; poles on the imaginary axis
-# lose about 3e-16 / delta in each average (both measured against mpmath).
-_COINCIDENT = 1e-3
-
 
 def _branch_averages(g, kappa, gamma, bandwidth, quad: QuadratureConfig, isolate=False):
     """Pulse averages over a grid of single-polarization points, under ``quad``.
@@ -359,12 +371,11 @@ def _port_averages(quad, ports, g, kappa, gamma, bandwidth, isolate=False):
     if quad.method == EXACT:
         power = np.empty((len(g), len(bandwidth)))
         mean = np.empty((len(g), len(bandwidth)), dtype=complex)
-        # blocks of whole rate rows, two poles per point; a row wider than
-        # a block is cut into bandwidth blocks
-        columns = min(len(bandwidth), _BLOCK_VALUES // 2)
-        rows = max(1, _BLOCK_VALUES // (2 * columns))
+        # blocks of whole rate rows; a row wider than a block is cut
+        columns = min(len(bandwidth), _BLOCK_VALUES)
+        rows = max(1, _BLOCK_VALUES // columns)
         with np.errstate(all="ignore"):
-            *terms, separation = _pole_terms(ports, g, kappa, gamma)
+            terms = _pole_terms(ports, g, kappa, gamma)
             for r in range(0, len(g), rows):
                 block = [term[r : r + rows] for term in terms]
                 for c in range(0, len(bandwidth), columns):
@@ -372,12 +383,6 @@ def _port_averages(quad, ports, g, kappa, gamma, bandwidth, isolate=False):
                     power[cells], mean[cells] = _exact_means(
                         *block, bandwidth[c : c + columns], quad.order
                     )
-        near = np.flatnonzero(separation < _COINCIDENT)
-        if near.size:
-            power[near], mean[near] = _simpson_means(
-                quad.tolerance, [ports[i] for i in near], g[near], kappa[near], gamma[near],
-                bandwidth, isolate,
-            )
     else:
         power, mean = _simpson_means(quad.tolerance, ports, g, kappa, gamma, bandwidth, isolate)
     overlap = np.empty(power.shape, dtype=complex)
@@ -420,79 +425,75 @@ def _simpson_means(tolerance, ports, g, kappa, gamma, bandwidth, isolate):
 
 
 def _pole_terms(ports, g, kappa, gamma):
-    """The bandwidth-free half of the exact rule, per rate row: (c0, mirror
-    poles conj w_k, residues A_k, conj(c(conj w_k)), relative pole
-    separation), c = r or t as ``ports`` names it.  c0 has shape (rows, 1),
-    the next three (rows, 2).
-
-    t = kappa (i omega - gamma/2) / ((omega - w_0)(omega - w_1)) has the
-    poles w = (-i b +- sqrt(4 g^2 - (kappa - gamma/2)^2)) / 2, b = kappa +
-    gamma/2, both in the lower half-plane.  At g = 0 it is the bare cavity's
-    i kappa / (omega + i kappa), as in cavity.coefficients, and so it is
-    taken where kappa gamma/2 + g^2 rounds to zero (at gamma = 0, for g
-    below about 1e-162): one pole then sits at 0 with zero residue, a dip
-    narrower than rounding.  c = c0 + sum_k A_k / (omega - w_k), c0 = -1
-    for r and 0 for t; c is taken at the mirror poles in closed form.  The
-    partial fractions cancel as the poles meet, so the separation
-    |w_0 - w_1| / |w_0 + w_1| comes back too (inf for the bare cavity).
+    """The bandwidth-free half of the exact rule, per rate row: (c0 = -1 for
+    r and 0 for t, as ``ports`` names c, kappa, mirror poles a0 = conj w_0
+    and a1 = conj w_1, kappa u(w_0), A, B).  t's poles are w = (-i b +-
+    sqrt(4 g^2 - (kappa - gamma/2)^2)) / 2, b = kappa + gamma/2.  Where
+    kappa gamma/2 + g^2 rounds to zero (g = 0, or at gamma = 0 g below about
+    1e-162) the row is the bare cavity i kappa / (omega + i kappa), as in
+    cavity.coefficients, taken as g = 0, gamma = 2 kappa: both poles and the
+    zero of u sit at -i kappa and cancel exactly.  The poles are ordered so
+    that |u(w_0)| <= |u(w_1)|: a pole near the real axis, where
+    1/(w - conj w) is large, is then w_0, whose terms carry the small u(w_0).
     """
+    bare = kappa * gamma / 2.0 + g * g == 0.0
+    g = np.where(bare, 0.0, g)
+    gamma = np.where(bare, 2.0 * kappa, gamma)
     b = kappa + gamma / 2.0
     d = 4.0 * g * g - (kappa - gamma / 2.0) ** 2
     root = np.sqrt(np.abs(d))
-    # off the imaginary axis the poles are (+-root - i b)/2; on it they are
-    # -i u, u = (b +- root)/2, the smaller as c/u_big when root would cancel
-    # most of b
+    # off the imaginary axis the poles are (+-root - i b)/2, with equal
+    # |u|; on it they are -i y, y = (b +- root)/2, the smaller as c/y_big
+    # when root would cancel most of b, and |u(-i y)| = |y - gamma/2|
     big = (b + root) / 2.0
     small = np.where(root > b / 2.0, (kappa * gamma / 2.0 + g * g) / big, (b - root) / 2.0)
-    split = (d >= 0.0)[:, None]
-    poles = np.where(
-        split,
-        np.stack([(root - 1j * b) / 2.0, (-root - 1j * b) / 2.0], axis=-1),
-        np.stack([-1j * big, -1j * small], axis=-1),
-    )
-    residues = kappa[:, None] * (1j * poles - gamma[:, None] / 2.0) / (poles - poles[:, ::-1])
-    mirror = poles.conj()
-    t_mirror = kappa[:, None] * (1j * mirror - gamma[:, None] / 2.0) / (
-        (mirror - poles[:, :1]) * (mirror - poles[:, 1:])
-    )
-    bare = ((g == 0.0) | (small == 0.0))[:, None]
-    if bare.any():
-        # one pole, -i kappa, with residue i kappa, and t(i kappa) = 1/2
-        poles = np.where(bare, -1j * kappa[:, None], poles)
-        mirror = poles.conj()
-        residues = np.where(bare, [1j, 0.0] * kappa[:, None], residues)
-        t_mirror = np.where(bare, 0.5, t_mirror)
-    c0 = np.array([[-1.0 if port == "r" else 0.0] for port in ports])
-    separation = np.where(bare[:, 0], math.inf, root / b)
-    return c0, mirror, residues, np.conj(t_mirror + c0), separation
+    first = np.abs(small - gamma / 2.0) <= np.abs(big - gamma / 2.0)
+    split = d >= 0.0
+    w0 = np.where(split, (root - 1j * b) / 2.0, -1j * np.where(first, small, big))
+    w1 = np.where(split, (-root - 1j * b) / 2.0, -1j * np.where(first, big, small))
+    a0, a1 = w0.conj(), w1.conj()
+    c0 = np.array([-1.0 if port == "r" else 0.0 for port in ports])
+    # G(w) = c0 + kappa v(w) H(w) with v(w) = -i w - gamma/2 and H(w) =
+    # 1/((w - a0)(w - a1)), so D[G] = i kappa H(w_1) (2 b v(w_0) H(w_0) - 1);
+    # v H and kappa H are formed by division, never nearing 1/kappa^2, and
+    # each complex product has a named right factor, as in _exact_means
+    vh0 = (-1j * w0 - gamma / 2.0) / (w0 - a0) / (w0 - a1)
+    kh1 = kappa / (w1 - a0) / (w1 - a1)
+    u0 = 1j * w0 - gamma / 2.0
+    k0 = kappa * u0
+    g0 = c0 + kappa * vh0
+    slope = 2.0 * b * vh0 - 1.0
+    # B = kappa u(w_0) D[G] + i kappa G(w_1), with i kappa factored out
+    inner = u0 * slope + (-1j * w1 - gamma / 2.0)
+    return c0, kappa, a0, a1, k0, k0 * g0, 1j * kappa * (c0 + kh1 * inner)
 
 
-def _exact_means(c0, mirror, residues, conj_mirror_values, bandwidth, order):
+def _exact_means(c0, kappa, a0, a1, k0, a, b, bandwidth, order):
     """(E|c|^2, E c) in closed form over rate rows x bandwidths, from the
-    _pole_terms of the rows.  With e_k the mean of 1/(omega - w_k):
+    _pole_terms of the rows.  With D the divided difference over the poles,
+    e(w) = E[1/(omega - w)] and G(w) = conj(c(conj w)), conj(c) on the axis:
 
-        E c = c0 + sum_k A_k e_k
-        E|c|^2 = |c0|^2 + 2 Re sum_k A_k e_k conj(c(conj w_k))
-
-    the second by partial fractions of c(omega) conj(c(omega)), whose poles
-    in the upper half-plane are the mirror images conj w_k.
+        E c = c0 + kappa (u(w_0) D[e] + i e(w_1))
+        E|c|^2 = c0^2 + 2 Re kappa (u(w_0) (D[e] G(w_0) + e(w_1) D[G]) + i e(w_1) G(w_1))
+               = c0^2 + 2 Re (D[e] A + e(w_1) B)
     """
 
     def spread(term):
         # a contiguous copy along the bandwidths: numpy's complex multiply
         # takes a fused loop for contiguous operands only
-        return np.repeat(term[:, None, :], len(bandwidth), axis=1)
+        return np.repeat(term[:, None], len(bandwidth), axis=1)
 
     # Every point must round as it does on its own, so each complex product
     # has both factors contiguous and a named right factor: numpy computes
     # a product whose right factor is a large temporary in that temporary's
     # buffer with the factors swapped, which rounds differently.
-    s = (bandwidth / math.sqrt(2.0))[:, None]
-    means = np.conj(faddeeva(spread(mirror) / s, order)) * (-1j * math.sqrt(math.pi)) / s
-    weighted = spread(residues) * means
-    mirror_values = spread(conj_mirror_values)
-    mean = c0 + np.sum(weighted, axis=-1)
-    power = c0 * c0 + 2.0 * np.sum(weighted * mirror_values, axis=-1).real
+    s = bandwidth / math.sqrt(2.0)
+    value, difference = _faddeeva_pair(spread(a0) / s, spread(a1) / s, order)
+    e1 = np.conj(value) * (-1j * math.sqrt(math.pi)) / s
+    de = np.conj(difference) * (-1j * math.sqrt(math.pi)) / s / s
+    k0, a, b = spread(k0), spread(a), spread(b)
+    mean = c0[:, None] + k0 * de + (1j * kappa[:, None]) * e1
+    power = c0[:, None] ** 2 + 2.0 * (de * a + e1 * b).real
     # true powers below the roundoff of these sums can come out negative
     return np.maximum(power, 0.0), mean
 
@@ -567,11 +568,10 @@ def metrics_residual(
     """The metrics under ``quad``, and their max change in (loss, fidelity)
     when the rule's resolution is increased.
 
-    Twice the Faddeeva order for the exact rule (points that fall back to
-    Simpson are resolved by its own error test and do not move), and
-    tolerance/100 for adaptive Simpson; serves as the reported quadrature
-    residual.  An adaptive Simpson tolerance below 1e-13 is refused before
-    any integration, since its rerun cannot converge.
+    Twice the Faddeeva order for the exact rule, and tolerance/100 for
+    adaptive Simpson; serves as the reported quadrature residual.  An
+    adaptive Simpson tolerance below 1e-13 is refused before any
+    integration, since its rerun cannot converge.
     """
     if quad.method == EXACT:
         finer = replace(quad, order=2 * quad.order)

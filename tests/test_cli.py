@@ -214,6 +214,14 @@ def test_metrics_explicit_rates_and_zero_coupling(capsys):
     assert float(loss.split(" = ")[1]) == pytest.approx(0.5, abs=1e-6)
 
 
+def test_metrics_at_coincident_poles(capsys):
+    """4 g^2 = (kappa - gamma/2)^2: the two poles of the Coupled branch
+    coincide.  A 30-digit mpmath quadrature gives F = 0.8097553740599527."""
+    assert run(["metrics", "--g", "0.125", "--kappa", "1", "--gamma", "1.5",
+                "--bandwidth", "0.022"]) == EXIT_OK
+    assert "fidelity = 8.097553741e-01" in capsys.readouterr().out.splitlines()
+
+
 def test_metrics_usage_errors(capsys):
     assert run(["metrics", "--preset", "nonexistent"]) == EXIT_USAGE
     assert "unknown preset" in capsys.readouterr().err
@@ -647,7 +655,7 @@ PINNED_BANDWIDTHS = ",".join(f"{0.01 * 1000 ** (j / 29):.4g}" for j in range(30)
 
 PINNED_SWEEP = ["sweep", "--axis", "coupling", "--values", PINNED_COUPLINGS,
                 "--bandwidth", PINNED_BANDWIDTHS, "--gamma", "0.5"]
-PINNED_SWEEP_DIGEST = "f9b5052b456b11774dc6d741306e6ed4f9b2fcdbc27f910500523d932eda953e"
+PINNED_SWEEP_DIGEST = "716fa24a2723db4c309dbe4a519ff178b02721a041fc69e378aaded616c33751"
 
 
 @pytest.mark.parametrize(

@@ -39,18 +39,19 @@ def test_spectral_density_is_normalized():
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
-def test_adaptive_simpson_agrees_with_hermite():
+def test_adaptive_simpson_agrees_with_the_exact_rule_on_the_bare_cavity():
     """Simpson's E t of the bare cavity against the exact rule's."""
     def integrand(w):
         _, t, _ = response_arrays(ATOMIC, "h", AtomBranch.DECOUPLED, w)
         return t
 
-    *terms, _ = pulses._pole_terms(
-        "t", np.array([0.0]), np.array([ATOMIC.kappa_h]), np.array([ATOMIC.gamma_h])
+    power, overlap = pulses._port_averages(
+        QuadratureConfig(), "t", np.array([0.0]), np.array([ATOMIC.kappa_h]),
+        np.array([ATOMIC.gamma_h]), np.array([0.1]),
     )
-    _, exact = pulses._exact_means(*terms, np.array([0.1]), 36)
+    exact = overlap[0, 0] * math.sqrt(power[0, 0])
     simpson = adaptive_simpson_mean(integrand, 0.1, 1e-13)
-    assert abs(exact[0, 0] - simpson) <= 1e-11
+    assert abs(exact - simpson) <= 1e-11
 
 
 def _recursive_simpson_mean(
@@ -446,19 +447,50 @@ def test_sweep_rejects_empty_grid():
 # the exact rule
 
 
-def test_faddeeva_matches_scipy_wofz():
-    special = pytest.importorskip("scipy.special")
+def _faddeeva_sample():
     rng = np.random.default_rng(3)
     n = 100_000
     re = np.exp(rng.uniform(math.log(1e-8), math.log(1e8), n)) * rng.choice([-1.0, 1.0], n)
     im = np.exp(rng.uniform(math.log(1e-10), math.log(1e8), n))
     edges = np.array([0.0, 1e-8, 1.0, 5.0, 8.0, 30.0, 1e4, 1e8])
     edge_im = np.array([1e-10, 1e-3, 1.0, 10.0, 1e8])
-    z = np.concatenate([re + 1j * im, (edges[:, None] + 1j * edge_im).ravel(),
-                        (-edges[:, None] + 1j * edge_im).ravel()])
+    return np.concatenate([re + 1j * im, (edges[:, None] + 1j * edge_im).ravel(),
+                           (-edges[:, None] + 1j * edge_im).ravel()])
+
+
+def test_faddeeva_matches_scipy_wofz():
+    special = pytest.importorskip("scipy.special")
+    z = _faddeeva_sample()
     reference = special.wofz(z)
     relative = np.abs(faddeeva(z) - reference) / np.abs(reference)
     assert float(np.max(relative)) <= 5e-14
+
+
+def test_faddeeva_pair_matches_scipy_wofz():
+    """w(z1), the divided difference at well-separated pairs, and at
+    z0 == z1 the derivative w'(z) = -2z w(z) + 2i/sqrt(pi), each to 1e-13
+    relative.  The references are kept where wofz gives them without
+    cancellation: pairs whose w values differ by at least half the larger,
+    and derivatives at least a tenth of the larger term."""
+    special = pytest.importorskip("scipy.special")
+    z0 = _faddeeva_sample()
+    z1 = np.roll(z0, 1)
+    w0, w1 = special.wofz(z0), special.wofz(z1)
+    value, difference = pulses._faddeeva_pair(z0, z1, 36)
+    assert float(np.max(np.abs(value - w1) / np.abs(w1))) <= 1e-13
+    apart = np.abs(w0 - w1) >= 0.5 * np.maximum(np.abs(w0), np.abs(w1))
+    assert np.count_nonzero(apart) > 50_000
+    reference = (w0 - w1)[apart] / (z0 - z1)[apart]
+    assert float(np.max(np.abs(difference[apart] - reference) / np.abs(reference))) <= 1e-13
+
+    value, derivative = pulses._faddeeva_pair(z0, z0, 36)
+    assert np.array_equal(value, faddeeva(z0))
+    term = -2.0 * z0 * w0
+    reference = term + 2j / math.sqrt(math.pi)
+    clean = np.abs(reference) >= 0.1 * np.maximum(np.abs(term), 2.0 / math.sqrt(math.pi))
+    assert np.count_nonzero(clean) > 20_000
+    relative = np.abs(derivative - reference)[clean] / np.abs(reference[clean])
+    assert float(np.max(relative)) <= 1e-13
 
 
 def test_weideman_coefficients_match_fft():
@@ -479,22 +511,30 @@ def _coincident_coupling(kappa, gamma):
     return abs(kappa - gamma / 2.0) / 2.0
 
 
-def test_coincident_poles_fall_back_to_simpson(monkeypatch):
-    """At exactly coincident poles the partial fractions are 0/0; the point
-    is averaged by adaptive Simpson at the config's tolerance instead, and
-    only such points are."""
-    g = _coincident_coupling(1.0, 1.0)
-    assert 4.0 * g * g - (1.0 - 0.5) ** 2 == 0.0
-    point = (np.array([g]), np.array([1.0]), np.array([1.0]), np.array([0.1]))
-    exact = pulses._port_averages(QuadratureConfig(), "r", *point)
-    simpson = pulses._port_averages(QuadratureConfig(method=ADAPTIVE_SIMPSON), "r", *point)
-    assert np.array_equal(exact[0], simpson[0]) and np.array_equal(exact[1], simpson[1])
-    params = CavityParams.symmetric(g, 1.0, 1.0)
-    result = gate_metrics(params, PulseSpec(0.1))
-    reference = gate_metrics(params, PulseSpec(0.1), QuadratureConfig(method=ADAPTIVE_SIMPSON))
-    assert abs(result.loss_probability - reference.loss_probability) <= 1e-11
-    assert abs(result.fidelity - reference.fidelity) <= 1e-11
+def _mpmath_t_averages(g, kappa, gamma, bandwidth):
+    """(E|t|^2, E t) of the Coupled branch by 30-digit mpmath quadrature."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        g, kappa, gamma, dw = (mpmath.mpf(x) for x in (g, kappa, gamma, bandwidth))
+        norm = mpmath.sqrt(2 / (mpmath.pi * dw * dw))
 
+        def t(w):
+            d = 1j * w - gamma / 2
+            return kappa * d / ((kappa - 1j * w) * d - g * g)
+
+        def weighted(f):
+            return lambda w: norm * mpmath.exp(-2 * w * w / (dw * dw)) * f(w)
+
+        window = [-12 * dw, 0, 12 * dw]
+        power = mpmath.quad(weighted(lambda w: abs(t(w)) ** 2), window)
+        return float(power), complex(mpmath.quad(weighted(t), window))
+
+
+def test_coincident_poles_take_the_exact_rule(monkeypatch):
+    """At exactly coincident poles and at relative separations 2e-3, 5e-4
+    and 1e-8, on the imaginary axis and off it, the exact rule calls no
+    adaptive Simpson and its averages of r and t agree with 30-digit
+    mpmath to 1e-13 in E|c|^2 and in E c (r = t - 1 gives r's)."""
     calls = []
     counted = pulses.adaptive_simpson_mean
 
@@ -503,15 +543,27 @@ def test_coincident_poles_fall_back_to_simpson(monkeypatch):
         return counted(*args, **kwargs)
 
     monkeypatch.setattr(pulses, "adaptive_simpson_mean", counting)
-    # relative pole separations 2e-3 and 5e-4, each side of the cut
     b = 1.5
-    for delta, expected in ((2e-3, 0), (5e-4, 2)):
-        for sign in (1.0, -1.0):
-            calls.clear()
-            g = math.sqrt((0.25 + sign * (delta * b) ** 2) / 4.0)
-            gate_metrics(CavityParams.symmetric(g, 1.0, 1.0), PulseSpec(0.1))
-            # both polarizations share one set of rates, averaged twice
-            assert len(calls) == 2 * expected
+    g = _coincident_coupling(1.0, 1.0)
+    assert 4.0 * g * g - (1.0 - 0.5) ** 2 == 0.0
+    couplings = [g]
+    for delta in (2e-3, 5e-4, 1e-8):
+        for sign in (1.0, -1.0):  # poles off the imaginary axis, or on it
+            couplings.append(math.sqrt((0.25 + sign * (delta * b) ** 2) / 4.0))
+    for g in couplings:
+        point = [np.array([value]) for value in (g, 1.0, 1.0, 0.1)]
+        power_t, mean_t = _mpmath_t_averages(g, 1.0, 1.0, 0.1)
+        references = {
+            "t": (power_t, mean_t),
+            "r": (1.0 - 2.0 * mean_t.real + power_t, mean_t - 1.0),
+        }
+        for port, (ref_power, ref_mean) in references.items():
+            power, overlap = pulses._port_averages(QuadratureConfig(), port, *point)
+            mean = overlap[0, 0] * math.sqrt(power[0, 0])
+            assert abs(power[0, 0] - ref_power) <= 1e-13
+            assert abs(mean - ref_mean) <= 1e-13
+        gate_metrics(CavityParams.symmetric(g, 1.0, 1.0), PulseSpec(0.1))
+    assert calls == []
 
 
 def test_exact_sweep_rows_equal_gate_metrics():
@@ -537,18 +589,24 @@ def test_exact_sweep_rows_equal_gate_metrics():
 
 def test_full_kernel_blocks_round_as_single_rows():
     """A grid that fills whole kernel blocks gives each row exactly what its
-    coupling gives alone, byte for byte.  At 2 x 64 x 128 = _BLOCK_VALUES complex values
-    a temporary holds 256 KB, from which size numpy evaluates a product
-    whose right factor is a temporary in that buffer with the factors
-    swapped, and the complex multiply then rounds differently."""
-    couplings = np.geomspace(0.1, 20.0, 64)
+    coupling gives alone, byte for byte, in the averages and in the
+    metrics.  At 128 x 128 = _BLOCK_VALUES complex values a temporary holds
+    256 KB, from which size numpy evaluates a product whose right factor is
+    a temporary in that buffer with the factors swapped, and the complex
+    multiply then rounds the imaginary part differently."""
+    couplings = np.geomspace(0.1, 20.0, 128)
     bandwidths = np.geomspace(0.01, 10.0, 128)
-    assert 2 * couplings.size * bandwidths.size == pulses._BLOCK_VALUES
+    assert couplings.size * bandwidths.size == pulses._BLOCK_VALUES
     grid = sweep_grid(couplings, bandwidths, 0.7)
+    rates = (couplings, np.ones(couplings.size), np.full(couplings.size, 0.7))
+    block = pulses._port_averages(QuadratureConfig(), "r" * couplings.size, *rates, bandwidths)
     for i, g in enumerate(couplings.tolist()):
         alone = sweep_grid([g], bandwidths, 0.7)
         assert grid.loss[i].tobytes() == alone.loss[0].tobytes()
         assert grid.fidelity[i].tobytes() == alone.fidelity[0].tobytes()
+        row = pulses._port_averages(QuadratureConfig(), "r", *(x[i : i + 1] for x in rates),
+                                    bandwidths)
+        assert [x[i].tobytes() for x in block] == [x[0].tobytes() for x in row]
 
 
 def test_underflowing_coupling_gives_the_bare_cavity():

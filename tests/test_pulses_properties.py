@@ -75,26 +75,24 @@ def _near_coincident_point():
 @settings(max_examples=60)
 @given(point=st.one_of(_generic_point(), _near_coincident_point()))
 def test_exact_averages_match_strip_trapezoid(point):
-    """The exact rule's averages of r and t, near-coincident points (which
-    fall back to adaptive Simpson, here at 1e-14) included, agree with the
-    trapezoid reference to 1e-12 in E|c|^2 and in E c."""
+    """The exact rule's averages of r and t, near-coincident points
+    included, agree with the trapezoid reference to 1e-14 in E|c|^2 and in
+    E c."""
     g, kappa, gamma, bandwidth = point
-    quad = pulses.QuadratureConfig(tolerance=1e-14)
     for port in ("r", "t"):
         power, overlap = pulses._port_averages(
-            quad, port, *np.array([point[:3]]).T, np.array([bandwidth])
+            pulses.DEFAULT_QUAD, port, *np.array([point[:3]]).T, np.array([bandwidth])
         )
         mean = complex(overlap[0, 0]) * math.sqrt(power[0, 0])
         ref_power, ref_mean = _strip_trapezoid(port, g, kappa, gamma, bandwidth)
-        assert abs(power[0, 0] - ref_power) <= 1e-12
-        assert abs(mean - ref_mean) <= 1e-12
+        assert abs(power[0, 0] - ref_power) <= 1e-14
+        assert abs(mean - ref_mean) <= 1e-14
 
 
 def _sweep_axes():
     """(couplings, bandwidths, gamma): short axes in any order, values
     repeated, drawing g = 0, g = 1e-200 (g^2 underflows), the coupling at
-    which the poles coincide (a Simpson fallback row inside the grid) and
-    pulses up to 10 kappa wide."""
+    which the poles coincide and pulses up to 10 kappa wide."""
 
     def build(args):
         gamma, picks, pool, bandwidths = args
