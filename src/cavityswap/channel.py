@@ -46,12 +46,12 @@ class OutputDensity:
         object.__setattr__(self, "matrix", mat)
         if mat.shape != (_DIM, _DIM):
             raise ValueError(f"density matrix must be {_DIM}x{_DIM}")
-        if np.max(np.abs(mat - mat.conj().T)) > 1e-10:
+        if not np.max(np.abs(mat - mat.conj().T)) <= 1e-10:
             raise ValueError("density matrix is not Hermitian")
         trace = float(np.trace(mat).real)
-        if abs(trace - 1.0) > 1e-10:
+        if not abs(trace - 1.0) <= 1e-10:
             raise ValueError(f"density matrix trace {trace!r} deviates from 1")
-        if float(np.linalg.eigvalsh(mat)[0]) < -1e-10:
+        if not float(np.linalg.eigvalsh(mat)[0]) >= -1e-10:
             raise ValueError("density matrix has a negative eigenvalue")
 
 
@@ -59,36 +59,30 @@ def _normalized_pair(amp, label):
     pair = np.asarray(amp, dtype=complex).reshape(-1)
     if pair.shape != (2,):
         raise ValueError(f"{label} must be a length-2 (h, v) amplitude pair")
-    if abs(np.linalg.norm(pair) - 1.0) > 1e-12:
+    if not abs(np.linalg.norm(pair) - 1.0) <= 1e-12:
         raise ValueError(f"{label} amplitudes must be normalized")
     return pair
 
 
-def _branch_fields(ov, branch, pol):
-    # (survival probability, mode overlap): atomic branch 0 reflects, 1 transmits
+def _port_state(ov, branch, pair):
+    """One photon's (h, v) pair at one output port in one atomic branch,
+    over pol x mode: its surviving amplitudes (nominal and distorted), the
+    diagonal weights of its lost mode, and its ideal output.  Branch 0
+    reflects the photon, branch 1 transmits it."""
+    alive = np.zeros(_PORT_DIM, dtype=complex)
+    lost = np.zeros(_PORT_DIM)
+    ideal = np.zeros(_PORT_DIM, dtype=complex)
     key = "reflect" if branch == 0 else "transmit"
-    return getattr(ov, f"{key}_prob_{pol}"), getattr(ov, f"{key}_overlap_{pol}")
-
-
-def _survivor_vector(ov, branch, pair):
-    """6-vector of the surviving photon amplitude at one output port."""
-    out = np.zeros(_PORT_DIM, dtype=complex)
-    for qi, pol in enumerate(("h", "v")):
-        prob, xi = _branch_fields(ov, branch, pol)
+    for qi, pol in enumerate("hv"):
+        prob = getattr(ov, f"{key}_prob_{pol}")
+        xi = getattr(ov, f"{key}_overlap_{pol}")
         s = math.sqrt(prob)
         chi = math.sqrt(max(0.0, 1.0 - abs(xi) ** 2))
-        out[3 * qi + MODE_IDEAL] = pair[qi] * s * xi
-        out[3 * qi + MODE_DISTORTED] = pair[qi] * s * chi
-    return out
-
-
-def _lost_diagonal(ov, branch, pair):
-    """6x6 diagonal weight of the lost component at one output port."""
-    diag = np.zeros(_PORT_DIM)
-    for qi, pol in enumerate(("h", "v")):
-        prob, _ = _branch_fields(ov, branch, pol)
-        diag[3 * qi + MODE_LOST] = abs(pair[qi]) ** 2 * (1.0 - prob)
-    return np.diag(diag).astype(complex)
+        alive[3 * qi + MODE_IDEAL] = pair[qi] * s * xi
+        alive[3 * qi + MODE_DISTORTED] = pair[qi] * s * chi
+        lost[3 * qi + MODE_LOST] = abs(pair[qi]) ** 2 * (1.0 - prob)
+        ideal[3 * qi + MODE_IDEAL] = pair[qi]
+    return alive, np.diag(lost), ideal
 
 
 def apply_noisy_cswap(
@@ -109,63 +103,36 @@ def apply_noisy_cswap(
     right = _normalized_pair(photon_right, "photon_right")
     atom_amp = _normalized_pair(atom, "atom")
 
-    rho = np.zeros((_DIM, _DIM), dtype=complex)
-
-    # both-photons-survive component: coherent across atomic branches
+    blocks = np.zeros((2, _PORT_DIM**2, 2, _PORT_DIM**2), dtype=complex)
     psi = np.zeros(_DIM, dtype=complex)
-    survivors = {}
-    for b in (0, 1):
-        # branch 0 keeps ports, branch 1 exchanges their contents
-        at_left, at_right = (left, right) if b == 0 else (right, left)
-        s_left = _survivor_vector(ov, b, at_left)
-        s_right = _survivor_vector(ov, b, at_right)
-        survivors[b] = (s_left, s_right, at_left, at_right)
-        atom_ket = np.zeros(2, dtype=complex)
-        atom_ket[b] = atom_amp[b]
-        psi += np.kron(atom_ket, np.kron(s_left, s_right))
-    rho += np.outer(psi, psi.conj())
-
-    # loss sectors: diagonal in (branch, loss pattern); the surviving photon
-    # keeps its coherence
-    for b in (0, 1):
-        s_left, s_right, at_left, at_right = survivors[b]
-        weight = abs(atom_amp[b]) ** 2
-        atom_proj = np.zeros((2, 2), dtype=complex)
-        atom_proj[b, b] = 1.0
-        lost_left = _lost_diagonal(ov, b, at_left)
-        lost_right = _lost_diagonal(ov, b, at_right)
-        alive_left = np.outer(s_left, s_left.conj())
-        alive_right = np.outer(s_right, s_right.conj())
-        rho += weight * np.kron(atom_proj, np.kron(lost_left, alive_right))
-        rho += weight * np.kron(atom_proj, np.kron(alive_left, lost_right))
-        rho += weight * np.kron(atom_proj, np.kron(lost_left, lost_right))
-
     targets = []
-    for b in (0, 1):
-        _, _, at_left, at_right = survivors[b]
-        atom_ket = np.zeros(2, dtype=complex)
-        atom_ket[b] = 1.0
-        port_left = np.zeros(_PORT_DIM, dtype=complex)
-        port_right = np.zeros(_PORT_DIM, dtype=complex)
-        for qi in range(2):
-            port_left[3 * qi + MODE_IDEAL] = at_left[qi]
-            port_right[3 * qi + MODE_IDEAL] = at_right[qi]
-        targets.append(np.kron(atom_ket, np.kron(port_left, port_right)))
+    # branch 0 keeps the ports, branch 1 exchanges their contents
+    for b, (at_left, at_right) in enumerate(((left, right), (right, left))):
+        alive_l, lost_l, ideal_l = _port_state(ov, b, at_left)
+        alive_r, lost_r, ideal_r = _port_state(ov, b, at_right)
+        unit = np.eye(2, dtype=complex)[b]
+        # both photons survive: coherent across the branches
+        psi += np.kron(atom_amp * unit, np.kron(alive_l, alive_r))
+        # the environment records a loss, so the loss sectors (left, right or
+        # both lost) are classical in the branch and the loss pattern, and a
+        # surviving photon keeps its coherence.  Their supports are disjoint,
+        # so these sums are exact
+        blocks[b, :, b, :] += abs(atom_amp[b]) ** 2 * (
+            np.kron(lost_l, np.outer(alive_r, alive_r.conj()) + lost_r)
+            + np.kron(np.outer(alive_l, alive_l.conj()), lost_r)
+        )
+        targets.append(np.kron(unit, np.kron(ideal_l, ideal_r)))
+    rho = blocks.reshape(_DIM, _DIM) + np.outer(psi, psi.conj())
+    return OutputDensity(rho, tuple(targets))
 
-    return OutputDensity(rho, (targets[0], targets[1]))
 
-
-def _presence_diag() -> np.ndarray:
-    """Diagonal of the both-photons-present projector."""
-    keep = np.ones(3)
-    keep[MODE_LOST] = 0.0
-    port = np.repeat(keep[None, :], 2, axis=0).reshape(-1)  # pol x mode
-    return np.kron(np.ones(2), np.kron(port, port))
+# diagonal of the both-photons-present projector
+_PRESENT = np.tile(np.kron(*2 * [np.arange(_PORT_DIM) % 3 != MODE_LOST]), 2).astype(float)
 
 
 def loss_probability(rho: OutputDensity) -> float:
     """Probability that at least one photon was lost."""
-    present = float(np.sum(np.diag(rho.matrix).real * _presence_diag()))
+    present = float(np.sum(np.diag(rho.matrix).real * _PRESENT))
     return min(max(1.0 - present, 0.0), 1.0)
 
 
@@ -177,21 +144,14 @@ def fidelity(rho: OutputDensity) -> float:
     which the closed-form metric from the pulse averages is recovered.
     """
     mat = rho.matrix
-    psi0, psi1 = rho.branch_targets
-    blocks = mat.reshape(2, _PORT_DIM**2, 2, _PORT_DIM**2)
-    # port-space presence diagonal (identical for both atom values)
-    presence = _presence_diag().reshape(2, -1)[0]
     weights = []
-    for b in (0, 1):
-        block = blocks[b, :, b, :]
-        total = float(np.trace(block).real)
-        surviving = float(np.sum(np.diag(block).real * presence))
-        weights.append(surviving / total if total > 0.0 else 0.0)
+    for diagonal, present in zip(np.diag(mat).reshape(2, -1), _PRESENT.reshape(2, -1)):
+        total = float(np.sum(diagonal).real)
+        weights.append(float(np.sum(diagonal.real * present)) / total if total > 0.0 else 0.0)
     value = 0.0j
-    for b, psi_b in ((0, psi0), (1, psi1)):
-        for bp, psi_bp in ((0, psi0), (1, psi1)):
-            w = math.sqrt(weights[b] * weights[bp])
-            if w <= 0.0:
-                continue
-            value += np.vdot(psi_b, mat @ psi_bp) / w
+    for psi_b, weight_b in zip(rho.branch_targets, weights):
+        for psi_bp, weight_bp in zip(rho.branch_targets, weights):
+            w = math.sqrt(weight_b * weight_bp)
+            if w > 0.0:
+                value += np.vdot(psi_b, mat @ psi_bp) / w
     return min(max(0.5 * value.real, 0.0), 1.0)

@@ -50,7 +50,7 @@ class PureState:
                 f"amplitude vector length {amps.shape[0]} does not match {self.num_wires} wires"
             )
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:
             raise ValueError(f"state norm {norm!r} deviates from 1 by more than 1e-12")
 
 
@@ -372,7 +372,7 @@ def cpf_feedforward(state: PureState) -> list[BranchOutcome]:
         full = PureState(np.kron(PLUS, state.amplitudes), 3)
     elif state.num_wires == 3:
         tensor = state.amplitudes.reshape(2, 4)
-        if np.max(np.abs(tensor[0] - tensor[1])) > 1e-12:
+        if not np.max(np.abs(tensor[0] - tensor[1])) <= 1e-12:
             raise ValueError("atom wire must enter as (|0>+|1>)/sqrt(2), unentangled")
         full = state
     else:

@@ -27,6 +27,7 @@ one rate row per distinct kappa.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from itertools import repeat
@@ -208,12 +209,12 @@ def adaptive_simpson_mean(
     norm = math.sqrt(2.0 / (math.pi * bandwidth * bandwidth))
 
     def weighted(w):
-        # math.exp per node: np.exp can differ from it in the last bit
-        arg = -2.0 * w * w / (bandwidth * bandwidth)
-        weight = norm * np.array([math.exp(x) for x in arg.tolist()])
         # numpy does not warn about over- or underflow here; the check below
         # rejects whatever non-finite values they leave
         with np.errstate(all="ignore"):
+            # math.exp per node: np.exp can differ from it in the last bit
+            arg = -2.0 * w * w / (bandwidth * bandwidth)
+            weight = norm * np.array([math.exp(x) for x in arg.tolist()])
             out = np.asarray(func(w), dtype=complex) * weight
         bad = ~np.isfinite(out)
         if bad.any():
@@ -314,7 +315,7 @@ class OverlapSet:
             "transmit_overlap_h",
             "transmit_overlap_v",
         ):
-            if abs(getattr(self, name)) > _SLACK:
+            if not abs(getattr(self, name)) <= _SLACK:
                 raise ValueError(f"|{name}| exceeds 1")
 
 
@@ -403,9 +404,9 @@ def _simpson_means(tolerance, ports, g, kappa, gamma, bandwidth, isolate):
     power = np.empty((len(g), len(bandwidth)))
     mean = np.empty((len(g), len(bandwidth)), dtype=complex)
     with np.errstate(over="ignore"):
-        # as in _pole_terms, rows where kappa gamma/2 + g^2 rounds to zero
-        # are the bare cavity: their dip is narrower than rounding
-        g = np.where(kappa * gamma / 2.0 + g * g == 0.0, 0.0, g)
+        # as in _pole_terms, rows where kappa gamma/2 + g^2 is zero or
+        # subnormal are the bare cavity: their dip is narrower than rounding
+        g = np.where(kappa * gamma / 2.0 + g * g < sys.float_info.min, 0.0, g)
     for i, (port, *rates) in enumerate(zip(ports, g.tolist(), kappa.tolist(), gamma.tolist())):
 
         def amplitude(omega):
@@ -429,14 +430,14 @@ def _pole_terms(ports, g, kappa, gamma):
     r and 0 for t, as ``ports`` names c, kappa, mirror poles a0 = conj w_0
     and a1 = conj w_1, kappa u(w_0), A, B).  t's poles are w = (-i b +-
     sqrt(4 g^2 - (kappa - gamma/2)^2)) / 2, b = kappa + gamma/2.  Where
-    kappa gamma/2 + g^2 rounds to zero (g = 0, or at gamma = 0 g below about
-    1e-162) the row is the bare cavity i kappa / (omega + i kappa), as in
+    kappa gamma/2 + g^2 is zero or subnormal (g = 0, or at gamma = 0 g below
+    2**-511, about 1.5e-154) the row is the bare cavity i kappa / (omega + i kappa), as in
     cavity.coefficients, taken as g = 0, gamma = 2 kappa: both poles and the
     zero of u sit at -i kappa and cancel exactly.  The poles are ordered so
     that |u(w_0)| <= |u(w_1)|: a pole near the real axis, where
     1/(w - conj w) is large, is then w_0, whose terms carry the small u(w_0).
     """
-    bare = kappa * gamma / 2.0 + g * g == 0.0
+    bare = kappa * gamma / 2.0 + g * g < sys.float_info.min
     g = np.where(bare, 0.0, g)
     gamma = np.where(bare, 2.0 * kappa, gamma)
     b = kappa + gamma / 2.0

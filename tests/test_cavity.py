@@ -200,6 +200,26 @@ def test_scalar_matches_arrays():
         assert resp.r == r[i] and resp.t == t[i] and resp.m == m[i]
 
 
+def test_mixed_bare_and_dressed_rates_match_scalar_calls():
+    """A rate array mixing g = 0 and g > 0 splits into the bare and dressed
+    forms; every element is its own scalar call, bit for bit."""
+    g = np.array([0.0, 0.5, 0.0, 7.6, 1e-200, 0.0])
+    kappa = np.array([1.0, 2.0, 0.3, 1.0, 1.0, 1e-300])
+    gamma = np.array([0.0, 0.6, 1.0, 0.62, 0.0, 0.0])
+    omega = np.array([0.2, -0.1, 0.0, 0.0, 1e-3, 1e-310])
+    arrays = cavity.coefficients(g, kappa, gamma, omega)
+    for i in range(len(g)):
+        scalars = cavity.coefficients(g[i], kappa[i], gamma[i], omega[i])
+        for array, scalar in zip(arrays, scalars):
+            assert array[i].tobytes() == scalar.tobytes()
+
+
+def test_coefficients_reject_non_finite_detunings():
+    for omega in ([0.0, np.inf], [np.nan], -np.inf):
+        with pytest.raises(ValueError, match="omega must be finite"):
+            cavity.coefficients(1.0, 1.0, 0.5, omega)
+
+
 def test_parameter_validation():
     with pytest.raises(ValueError):
         CavityParams.symmetric(-1.0, 1.0, 0.1)

@@ -4,7 +4,7 @@ import pytest
 
 from cavityswap import pulses
 from cavityswap.cavity import CavityParams
-from cavityswap.channel import apply_noisy_cswap, fidelity, loss_probability
+from cavityswap.channel import OutputDensity, apply_noisy_cswap, fidelity, loss_probability
 from cavityswap.pulses import OverlapSet, PulseSpec
 
 ATOMIC = CavityParams.symmetric(32.0 / 4.2, 1.0, 2.6 / 4.2)
@@ -97,3 +97,39 @@ def test_input_validation():
         apply_noisy_cswap(PERFECT, photon_left=(0.0, 0.0))
     with pytest.raises(ValueError):
         apply_noisy_cswap(PERFECT, atom=(1.0, 0.0, 0.0))
+    for kwargs in ({"photon_left": (np.nan, 0.0)}, {"photon_right": (0.0, np.nan)},
+                   {"atom": (np.nan, 1.0)}):
+        with pytest.raises(ValueError, match="must be normalized"):
+            apply_noisy_cswap(PERFECT, **kwargs)
+
+
+def test_a_dead_branch_drops_out_of_the_fidelity():
+    # every photon is lost with the atom in |0>: that branch has no
+    # survivors to renormalize, and only the perfect branch 1 counts
+    rho = apply_noisy_cswap(OverlapSet(0, 0, 1, 1, 0, 0, 1, 1))
+    assert loss_probability(rho) == pytest.approx(0.5, abs=1e-15)
+    assert fidelity(rho) == pytest.approx(0.25, abs=1e-15)
+
+
+def test_output_density_rejects_a_nan_entry():
+    matrix = apply_noisy_cswap(PERFECT).matrix.copy()
+    matrix[0, 1] = np.nan
+    with pytest.raises(ValueError, match="not Hermitian"):
+        OutputDensity(matrix, apply_noisy_cswap(PERFECT).branch_targets)
+
+
+def test_output_density_rejects_a_nan_trace():
+    # a Hermitian diagonal whose sum overflows both ways: the trace is NaN
+    matrix = np.zeros((72, 72), dtype=complex)
+    matrix[np.arange(4), np.arange(4)] = [1e308, 1e308, -1e308, -1e308]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(np.trace(matrix).real)
+        with pytest.raises(ValueError, match="trace nan deviates"):
+            OutputDensity(matrix, apply_noisy_cswap(PERFECT).branch_targets)
+
+
+def test_output_density_rejects_a_nan_eigenvalue(monkeypatch):
+    rho = apply_noisy_cswap(PERFECT)
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda mat: np.full(len(mat), np.nan))
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        OutputDensity(rho.matrix, rho.branch_targets)

@@ -90,6 +90,8 @@ def test_state_validation():
         PureState(np.array([1.0, 0.0, 0.0]), 2)
     with pytest.raises(ValueError):
         PureState(np.array([1.0, 1.0]), 1)  # unnormalized
+    with pytest.raises(ValueError, match="state norm nan"):
+        PureState(np.array([np.nan, 0.0]), 1)
     with pytest.raises(ValueError):
         basis_state([])
     with pytest.raises(ValueError):
@@ -272,6 +274,11 @@ def test_cpf_feedforward_accepts_three_wire_input():
 def test_cpf_feedforward_rejects_wrong_atom_state():
     with pytest.raises(ValueError):
         cpf_feedforward(product_state((1, 0), (1, 0), (0, 1)))
+    # PureState refuses NaN, but its amplitude array stays writable
+    state = PureState(np.kron(PLUS, basis_state([0, 1]).amplitudes), 3)
+    state.amplitudes[0] = np.nan
+    with pytest.raises(ValueError, match="atom wire"):
+        cpf_feedforward(state)
 
 
 # ---------------------------------------------------------------------------

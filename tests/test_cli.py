@@ -395,6 +395,33 @@ def test_adaptive_simpson_non_finite_point_fails_fast():
     assert "RuntimeWarning" not in proc.stderr
 
 
+def test_adaptive_simpson_wide_pulse_fails_without_warnings(capsys):
+    """At bandwidth 1e200 the Gaussian weight's exponent overflows: the
+    point fails with one usage error and no RuntimeWarning."""
+    argv = ["metrics", "--preset", "atomic", "--bandwidth", "1e200",
+            "--method", "adaptive-simpson"]
+    assert _assert_one_usage_error(argv, capsys) == (
+        "usage error: cannot evaluate this operating point: "
+        "integrand is not finite at omega = -6e+200"
+    )
+
+
+def test_zero_tolerance_is_a_usage_error(capsys):
+    argv = ["metrics", "--preset", "atomic", "--method", "adaptive-simpson", "--tolerance", "0"]
+    assert _assert_one_usage_error(argv, capsys) == "usage error: tolerance must lie in (0, 1e-4]"
+
+
+def test_subnormal_coupling_term_metrics_are_the_bare_cavity(capsys):
+    """At gamma = 0 and g = 1e-160, g^2 is subnormal: metrics prints the bare
+    cavity's averages, as at g = 0, instead of failing on NaN."""
+    outputs = []
+    for g in ("1e-160", "0"):
+        argv = ["metrics", "--g", g, "--gamma", "0", "--bandwidth", "0.1", "--format", "json"]
+        assert run(argv) == EXIT_OK
+        outputs.append(json.loads(capsys.readouterr().out)["outputs"])
+    assert outputs[0] == outputs[1]
+
+
 def test_adaptive_simpson_unreachable_tolerance_fails_fast(monkeypatch, capsys):
     """The residual reruns Simpson at a hundredth of --tolerance, which
     cannot converge below 1e-15.  metrics refuses such a tolerance with a
@@ -599,10 +626,13 @@ def test_sweep_linspace_grammar(capsys):
     assert dws == pytest.approx([0.1, 0.15, 0.2])
 
 
-def test_sweep_bad_values():
+def test_sweep_bad_values(capsys):
+    # a list that starts with "-" needs the "=" form to reach the value check
+    assert _assert_one_usage_error(
+        ["sweep", "--axis", "bandwidth", "--values=-0.1,0.2"], capsys
+    ) == "usage error: --values values must be positive and finite"
     assert run(["sweep", "--axis", "bandwidth", "--values", "0.3:0.1:5"]) == EXIT_USAGE
     assert run(["sweep", "--axis", "bandwidth", "--values", "abc"]) == EXIT_USAGE
-    assert run(["sweep", "--axis", "bandwidth", "--values", "-0.1,0.2"]) == EXIT_USAGE
     assert run(["sweep", "--axis", "coupling", "--values", "3", "--gamma", "-1"]) == EXIT_USAGE
 
 

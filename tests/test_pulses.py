@@ -258,9 +258,8 @@ def test_simpson_integrates_each_decoupled_branch_once(monkeypatch):
 
 def test_simpson_sweep_matches_per_point_metrics():
     """A Simpson sweep cell is the point's own gate_metrics, bit for bit.
-    g = 1e200 makes the batch raise: every point is evaluated again on its
-    own, and the failing cells keep their place, NaN metrics and the error
-    gate_metrics raises."""
+    g = 1e200 makes its own integrals fail: those cells keep their place,
+    NaN metrics and the error gate_metrics raises."""
     simpson = QuadratureConfig(method=ADAPTIVE_SIMPSON)
     couplings, bandwidths = [1e200, 0.0, 3.0], [0.3, 0.05]
     grid = sweep_grid(couplings, bandwidths, 0.5, simpson)
@@ -375,6 +374,9 @@ def test_overlap_set_validation():
         OverlapSet(**{**good, "transmit_prob_v": -0.1})
     with pytest.raises(ValueError):
         OverlapSet(**{**good, "reflect_overlap_h": 1.2 + 0j})
+    for name in ("reflect_prob_v", "reflect_overlap_h", "transmit_overlap_v"):
+        with pytest.raises(ValueError, match=name):
+            OverlapSet(**{**good, name: math.nan})
 
 
 def test_sweep_rows_sorted_and_complete():
@@ -618,6 +620,26 @@ def test_underflowing_coupling_gives_the_bare_cavity():
         assert overlaps(CavityParams.symmetric(g, 1.0, 0.0), PulseSpec(0.1)) == bare
 
 
+def test_subnormal_coupling_term_gives_the_bare_cavity():
+    """kappa gamma/2 + g^2 is subnormal but not zero at gamma = 0 for g
+    between about 1e-162 and 1.5e-154, and at g = 0 for gamma below about
+    2e-308: the dip is as far below rounding as at zero, and both rules
+    average the bare cavity there instead of returning NaN."""
+    pulse = PulseSpec(0.1)
+    for quad in (QuadratureConfig(), QuadratureConfig(method=ADAPTIVE_SIMPSON)):
+        bare = gate_metrics(CavityParams.symmetric(0.0, 1.0, 0.0), pulse, quad)
+        assert bare.loss_probability == pytest.approx(5.024753226e-01, abs=1e-10)
+        assert bare.fidelity == pytest.approx(0.25, abs=1e-13)
+        for params in (CavityParams.symmetric(1e-160, 1.0, 0.0),
+                       CavityParams.symmetric(1e-155, 1.0, 0.0),
+                       CavityParams.symmetric(0.0, 1.0, 1e-310)):
+            assert gate_metrics(params, pulse, quad) == bare
+        grid = sweep_grid([1e-160, 1e-158, 1e-155], [0.1], 0.0, quad)
+        assert grid.errors == []
+        assert grid.loss.ravel().tolist() == [bare.loss_probability] * 3
+        assert grid.fidelity.ravel().tolist() == [bare.fidelity] * 3
+
+
 def test_exact_rule_matches_adaptive_simpson_at_the_presets():
     """The exact rule against adaptive Simpson at 1e-13, at both presets."""
     simpson = QuadratureConfig(method=ADAPTIVE_SIMPSON, tolerance=1e-13)
@@ -644,3 +666,16 @@ def test_simpson_sweep_reevaluates_only_failing_points(monkeypatch):
     assert calls == [1e200, 1e200]
     assert [(i, j) for i, j, _ in grid.errors] == [(1, 0), (1, 1)]
     assert all("not finite" in error for *_, error in grid.errors)
+
+
+def test_simpson_sweep_point_pass_keeps_its_successes():
+    """Bandwidth 1e308 puts the Simpson window at infinity, which makes the
+    whole batch raise: the 0.1 cell then comes from the point-by-point pass
+    and equals its gate_metrics.  The weight exponent overflows there
+    without a RuntimeWarning."""
+    simpson = QuadratureConfig(method=ADAPTIVE_SIMPSON)
+    grid = sweep_grid([0.3], [0.1, 1e308], 1.0, simpson)
+    point = gate_metrics(CavityParams.symmetric(0.3, 1.0, 1.0), PulseSpec(0.1), simpson)
+    assert grid.loss[0, 0] == point.loss_probability
+    assert grid.fidelity[0, 0] == point.fidelity
+    assert grid.errors == [(0, 1, "omega must be finite")]
