@@ -87,22 +87,32 @@ def coefficients(g, kappa, gamma, omega, parts: str = "rtm") -> tuple[np.ndarray
 
     ``parts`` names the coefficients to compute and return, in that order;
     a caller that needs one of them skips the others' complex divisions.
-    Entries with g = 0 take the bare-cavity form: the emitter term vanishes
-    identically, which also makes this the Decoupled branch.  The others use
-    the dressed form with numerator and denominator multiplied through by
-    (i*omega - gamma/2), so the removable singularity at omega = 0,
-    gamma = 0 needs no special casing unless g^2 underflows.
+    The forms are homogeneous of degree 0 in (g, kappa, gamma, omega), so
+    every point is evaluated once, with its four values scaled by the power
+    of two that brings the largest of those its form reads near 2**500.
+    Scaling by a power of two is exact; at that scale no product overflows,
+    and values down to 2**-1000 of the largest keep normal squares.
+    Entries with g = 0 take the bare-cavity form, which does not read
+    gamma: the emitter term vanishes identically, which also makes this
+    the Decoupled branch.  The others use the dressed form with
+    numerator and denominator multiplied through by (i*omega - gamma/2), so
+    the removable singularity at omega = 0, gamma = 0 needs no special
+    casing unless g^2 underflows.
 
     For real rates every coefficient satisfies c(-omega) = conj(c(omega)),
     bit for bit up to the sign of a zero part: negating omega flips signs
     through the same operations.
     """
-    g, kappa, gamma, omega = np.broadcast_arrays(
-        *(np.asarray(a, dtype=float) for a in (g, kappa, gamma, omega))
-    )
-    if not np.all(np.isfinite(omega)):
+    arrays = [np.asarray(a, dtype=float) for a in (g, kappa, gamma, omega)]
+    point = np.empty((4, *np.broadcast(*arrays).shape))  # the four broadcast to one shape
+    for i, array in enumerate(arrays):
+        point[i] = array
+    if not np.isfinite(point[3]).all():
         raise ValueError("omega must be finite")
-    bare = g == 0.0
+    bare = point[0] == 0.0
+    point[2] = np.where(bare, 0.0, point[2])  # the bare form does not read gamma
+    _, top = np.frexp(np.abs(point).max(axis=0))
+    g, kappa, gamma, omega = np.ldexp(point, 500 - top)
     if bare.all():
         return _bare(kappa, omega, parts)
     if not bare.any():
@@ -120,10 +130,6 @@ def coefficients(g, kappa, gamma, omega, parts: str = "rtm") -> tuple[np.ndarray
 
 def _bare(kappa, omega, parts):
     denom = kappa - 1j * omega
-    tiny = np.abs(denom) < sys.float_info.min
-    if tiny.any():  # the complex division would overflow there
-        kappa, omega = np.where(tiny, _scaled(kappa, omega), (kappa, omega))
-        denom = kappa - 1j * omega
     out = []
     for part in parts:
         if part == "r":
@@ -135,35 +141,16 @@ def _bare(kappa, omega, parts):
     return tuple(out)
 
 
-def _scaled(*rates):
-    """The rates scaled by the power of two that brings the largest near
-    2**500, which leaves the forms, homogeneous of degree 0, unchanged."""
-    _, top = np.frexp(np.maximum.reduce([np.abs(a) for a in rates]))
-    return [np.ldexp(a, 500 - top) for a in rates]
-
-
-_SQRT_MIN = 2.0**-511  # the smallest normal double is its square
-
-
-def _dressed(g, kappa, gamma, omega, parts, scaled=False):
+def _dressed(g, kappa, gamma, omega, parts):
     i_omega = 1j * omega
-    g2 = g * g
     d = i_omega - gamma / 2.0
+    # At omega = 0 and gamma = 0 the denominator is -g^2, which is subnormal
+    # or zero for g below about 2**-1000 of kappa, where the complex division
+    # overflows or is 0/0.  The limit there is (-1, 0, 0), as for every
+    # g > 0, and g^2 = 1 gives it.
+    g2 = g * g
+    g2 = np.where((omega == 0.0) & (gamma == 0.0) & (g2 < sys.float_info.min), 1.0, g2)
     denom = (kappa - i_omega) * d - g2
-    rescale = None
-    if not scaled and (np.minimum(g, kappa) < _SQRT_MIN).any():
-        # g^2 is subnormal for 0 < g below 2**-511 (zero below 1e-162), and
-        # only then, or for kappa below 2**-511, can the denominator be small
-        # enough that the complex division overflows, or is 0/0.  At omega =
-        # 0 and gamma = 0, where it is zero, the limit is (-1, 0, 0), as for
-        # every g > 0, and g^2 = 1 gives it.  Elsewhere the forms, homogeneous
-        # of degree 0 in the rates, are evaluated once more with every rate
-        # scaled by the power of two that brings the largest near 2**500; for
-        # kappa > 0 the scaled denominator is then normal
-        g2 = np.where((denom == 0.0) & (gamma == 0.0) & (omega == 0.0), 1.0, g2)
-        denom = (kappa - i_omega) * d - g2
-        rescale = np.abs(denom) < sys.float_info.min
-        denom = np.where(rescale, 1.0, denom)
     out = []
     for part in parts:
         if part == "r":
@@ -172,11 +159,6 @@ def _dressed(g, kappa, gamma, omega, parts, scaled=False):
             out.append(kappa * d / denom)
         else:
             out.append(1j * np.sqrt(kappa * gamma) * g / denom)
-    if rescale is not None and rescale.any():
-        rates = [a[rescale] for a in (g, kappa, gamma, omega)]
-        fixed = _dressed(*_scaled(*rates), parts, scaled=True)
-        for value, scaled_value in zip(out, fixed):
-            value[rescale] = scaled_value
     return tuple(out)
 
 

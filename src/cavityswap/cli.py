@@ -237,10 +237,7 @@ def _emit_report(fmt, command, inputs, outputs, residual=None, seed=None) -> Non
     if seed is not None:
         sys.stdout.write(f"# seed = {seed}\n")
     for key, value in outputs.items():
-        if isinstance(value, float):
-            sys.stdout.write(f"{key} = {value:.9e}\n")
-        else:
-            sys.stdout.write(f"{key} = {value}\n")
+        sys.stdout.write(f"{key} = {value:.9e}\n")
     if residual is not None:
         sys.stdout.write(f"quadrature_residual = {residual:.9e}\n")
 
@@ -362,8 +359,8 @@ def cmd_sweep(args) -> int:
         couplings = values
         bandwidths = _parse_value_list(args.bandwidth or "0.05,0.1", "--bandwidth")
         x_col, family_col = "g_over_kappa", "dw_over_kappa"
-    if args.gamma <= 0 or not math.isfinite(args.gamma):
-        raise UsageError("--gamma must be positive (units of kappa)")
+    if not (args.gamma >= 0 and math.isfinite(args.gamma)):
+        raise UsageError("--gamma must be non-negative and finite (units of kappa)")
     if len(couplings) * len(bandwidths) > MAX_GRID_POINTS:  # before the grid is built
         raise UsageError(f"the sweep grid would exceed {MAX_GRID_POINTS} points")
     quad = _quad_config(args)

@@ -368,23 +368,29 @@ def _port_averages(quad, ports, g, kappa, gamma, bandwidth, isolate=False):
     ``ports`` names the coefficient of each row, "r" or "t".  The rule
     ``quad`` picks runs block by block (exact) or point by point (adaptive
     Simpson).  Over- and underflow at unphysical points is not warned about
-    here; _within_bounds flags the values it leaves."""
+    here; _within_bounds flags the values it leaves.  The exact rule works
+    in the units, a power of two from the caller's and so exact, that put
+    each row's kappa in [1, 2); adaptive Simpson in the caller's, so that
+    its errors name omega in them."""
+    shift = 1 - np.frexp(kappa)[1]
+    units = [np.ldexp(a, shift) for a in (g, kappa, gamma)]
     if quad.method == EXACT:
         power = np.empty((len(g), len(bandwidth)))
         mean = np.empty((len(g), len(bandwidth)), dtype=complex)
+        widths = np.ldexp(bandwidth, shift[:, None])
         # blocks of whole rate rows; a row wider than a block is cut
         columns = min(len(bandwidth), _BLOCK_VALUES)
         rows = max(1, _BLOCK_VALUES // columns)
         with np.errstate(all="ignore"):
-            terms = _pole_terms(ports, g, kappa, gamma)
+            terms = _pole_terms(ports, *units)
             for r in range(0, len(g), rows):
                 block = [term[r : r + rows] for term in terms]
                 for c in range(0, len(bandwidth), columns):
                     cells = (slice(r, r + rows), slice(c, c + columns))
-                    power[cells], mean[cells] = _exact_means(
-                        *block, bandwidth[c : c + columns], quad.order
-                    )
+                    power[cells], mean[cells] = _exact_means(*block, widths[cells], quad.order)
     else:
+        with np.errstate(over="ignore"):
+            g = np.where(_bare_rows(*units), 0.0, g)
         power, mean = _simpson_means(quad.tolerance, ports, g, kappa, gamma, bandwidth, isolate)
     overlap = np.empty(power.shape, dtype=complex)
     with np.errstate(all="ignore"):
@@ -403,10 +409,6 @@ def _simpson_means(tolerance, ports, g, kappa, gamma, bandwidth, isolate):
     or with ``isolate`` gets NaN and the others go on."""
     power = np.empty((len(g), len(bandwidth)))
     mean = np.empty((len(g), len(bandwidth)), dtype=complex)
-    with np.errstate(over="ignore"):
-        # as in _pole_terms, rows where kappa gamma/2 + g^2 is zero or
-        # subnormal are the bare cavity: their dip is narrower than rounding
-        g = np.where(kappa * gamma / 2.0 + g * g < sys.float_info.min, 0.0, g)
     for i, (port, *rates) in enumerate(zip(ports, g.tolist(), kappa.tolist(), gamma.tolist())):
 
         def amplitude(omega):
@@ -425,19 +427,26 @@ def _simpson_means(tolerance, ports, g, kappa, gamma, bandwidth, isolate):
     return power, mean
 
 
+def _bare_rows(g, kappa, gamma):
+    """Rows, in units that put kappa in [1, 2), where kappa gamma/2 + g^2 is
+    zero or subnormal (g = 0, or at gamma = 0 g below about 1.5e-154 kappa):
+    the dip is narrower than rounding, and both rules take the bare cavity
+    i kappa / (omega + i kappa), as cavity.coefficients does at g = 0."""
+    return kappa * gamma / 2.0 + g * g < sys.float_info.min
+
+
 def _pole_terms(ports, g, kappa, gamma):
-    """The bandwidth-free half of the exact rule, per rate row: (c0 = -1 for
-    r and 0 for t, as ``ports`` names c, kappa, mirror poles a0 = conj w_0
-    and a1 = conj w_1, kappa u(w_0), A, B).  t's poles are w = (-i b +-
-    sqrt(4 g^2 - (kappa - gamma/2)^2)) / 2, b = kappa + gamma/2.  Where
-    kappa gamma/2 + g^2 is zero or subnormal (g = 0, or at gamma = 0 g below
-    2**-511, about 1.5e-154) the row is the bare cavity i kappa / (omega + i kappa), as in
-    cavity.coefficients, taken as g = 0, gamma = 2 kappa: both poles and the
-    zero of u sit at -i kappa and cancel exactly.  The poles are ordered so
-    that |u(w_0)| <= |u(w_1)|: a pole near the real axis, where
-    1/(w - conj w) is large, is then w_0, whose terms carry the small u(w_0).
+    """The bandwidth-free half of the exact rule, per rate row in the units
+    that put its kappa in [1, 2): (c0 = -1 for r and 0 for t, as ``ports``
+    names c, kappa, mirror poles a0 = conj w_0 and a1 = conj w_1, kappa
+    u(w_0), A, B).  t's poles are w = (-i b +- sqrt(4 g^2 - (kappa -
+    gamma/2)^2)) / 2, b = kappa + gamma/2.  _bare_rows are taken as g = 0,
+    gamma = 2 kappa: both poles and the zero of u sit at -i kappa and
+    cancel exactly.  The poles are ordered so that |u(w_0)| <= |u(w_1)|: a
+    pole near the real axis, where 1/(w - conj w) is large, is then w_0,
+    whose terms carry the small u(w_0).
     """
-    bare = kappa * gamma / 2.0 + g * g < sys.float_info.min
+    bare = _bare_rows(g, kappa, gamma)
     g = np.where(bare, 0.0, g)
     gamma = np.where(bare, 2.0 * kappa, gamma)
     b = kappa + gamma / 2.0
@@ -471,7 +480,8 @@ def _pole_terms(ports, g, kappa, gamma):
 
 def _exact_means(c0, kappa, a0, a1, k0, a, b, bandwidth, order):
     """(E|c|^2, E c) in closed form over rate rows x bandwidths, from the
-    _pole_terms of the rows.  With D the divided difference over the poles,
+    _pole_terms of the rows and the block of each row's bandwidths, in that
+    row's units.  With D the divided difference over the poles,
     e(w) = E[1/(omega - w)] and G(w) = conj(c(conj w)), conj(c) on the axis:
 
         E c = c0 + kappa (u(w_0) D[e] + i e(w_1))
@@ -482,7 +492,7 @@ def _exact_means(c0, kappa, a0, a1, k0, a, b, bandwidth, order):
     def spread(term):
         # a contiguous copy along the bandwidths: numpy's complex multiply
         # takes a fused loop for contiguous operands only
-        return np.repeat(term[:, None], len(bandwidth), axis=1)
+        return np.repeat(term[:, None], bandwidth.shape[1], axis=1)
 
     # Every point must round as it does on its own, so each complex product
     # has both factors contiguous and a named right factor: numpy computes

@@ -214,6 +214,17 @@ def test_mixed_bare_and_dressed_rates_match_scalar_calls():
             assert array[i].tobytes() == scalar.tobytes()
 
 
+def test_bare_cavity_scale_ignores_gamma():
+    """The bare form does not read gamma, so a g = 0 point takes its scale
+    from kappa and omega alone: a huge gamma there changes no bit."""
+    omega = np.array([-1e-3, 0.0, 0.5, 1e3])
+    want = cavity.coefficients(0.0, 1e-300, 0.0, omega * 1e-300)
+    got = cavity.coefficients(0.0, 1e-300, 1e300, omega * 1e-300)
+    for a, b in zip(want, got):
+        assert a.tobytes() == b.tobytes()
+    assert all(np.all(np.isfinite(c)) for c in got)
+
+
 def test_coefficients_reject_non_finite_detunings():
     for omega in ([0.0, np.inf], [np.nan], -np.inf):
         with pytest.raises(ValueError, match="omega must be finite"):

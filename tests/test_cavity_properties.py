@@ -1,15 +1,15 @@
 """Property tests of the spectral response over valid rates: flux
-conservation and conjugate symmetry, with g = 0, gamma = 0 and detunings far
-off resonance included."""
+conservation, conjugate symmetry and homogeneity, with g = 0, gamma = 0 and
+detunings far off resonance included."""
 import math
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import example, given, strategies as st  # noqa: E402
 
-from cavityswap.cavity import AtomBranch, CavityParams, response_arrays  # noqa: E402
+from cavityswap.cavity import AtomBranch, CavityParams, coefficients, response_arrays  # noqa: E402
 
 
 def _log_uniform(lo, hi):
@@ -43,3 +43,32 @@ def test_flux_conservation_and_conjugate_symmetry(params, detunings):
             assert np.max(np.abs(rm - rp.conj())) <= 1e-12
             assert np.max(np.abs(tm - tp.conj())) <= 1e-12
             assert np.max(np.abs(mm + mp.conj())) <= 1e-12
+
+
+# normal detunings in units of kappa, and zero
+_normal_detunings = st.lists(
+    st.one_of(
+        st.just(0.0),
+        st.tuples(st.sampled_from([-1.0, 1.0]), _log_uniform(1e-3, 1e4)).map(lambda p: p[0] * p[1]),
+    ),
+    min_size=1, max_size=8,
+)
+
+
+@given(
+    rates=st.tuples(_couplings, _log_uniform(1e-3, 1e3), _couplings),
+    detunings=_normal_detunings,
+    k=st.integers(-900, 900),
+)
+@example(rates=(1.0, 1.0, 1.0), detunings=[0.0, 1.0], k=900)
+@example(rates=(1e-3, 1.0, 0.0), detunings=[0.0, -1e-3], k=-900)
+def test_coefficients_are_homogeneous_bit_for_bit(rates, detunings, k):
+    """coefficients(2**k x) == coefficients(x) bit for bit, while the scaled
+    rates and detunings stay normal: every point is evaluated at one
+    power-of-two scale, whatever its own."""
+    g, kappa, gamma = rates
+    omega = np.array(detunings) * kappa
+    want = coefficients(g, kappa, gamma, omega)
+    got = coefficients(*(math.ldexp(x, k) for x in rates), np.ldexp(omega, k))
+    for a, b in zip(want, got):
+        assert a.tobytes() == b.tobytes()

@@ -133,3 +133,8 @@ def test_output_density_rejects_a_nan_eigenvalue(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda mat: np.full(len(mat), np.nan))
     with pytest.raises(ValueError, match="negative eigenvalue"):
         OutputDensity(rho.matrix, rho.branch_targets)
+
+
+def test_output_density_shape_is_checked():
+    with pytest.raises(ValueError, match="density matrix must be 72x72"):
+        OutputDensity(np.eye(2), (np.zeros(72), np.zeros(72)))

@@ -25,6 +25,7 @@ from cavityswap.circuits import (
     cswap_multi,
     czz_target,
     equivalent_up_to_phase,
+    format_circuit,
     gate_matrix,
     measure,
     product_state,
@@ -98,6 +99,30 @@ def test_state_validation():
         basis_state([0] * 30)  # guarded before any allocation
     with pytest.raises(ValueError):
         basis_state([0, 2])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: PureState(np.array([1.0, 0.0]), 0), r"wire count must be in \[1, "),
+        (lambda: product_state([1.0, 0.0, 0.0]), "length-2 amplitude pair"),
+        (lambda: Gate("X", (-1,)), "wire indices must be non-negative"),
+        (lambda: ClassicallyControlled((0, 2), (X(1),)), "condition bit must be 0 or 1"),
+        (lambda: Circuit([H(0), "H(1)"]), "unsupported circuit step 'H\\(1\\)'"),
+        (lambda: measure(basis_state([0, 1]), 2), "wire 2 out of range"),
+        (lambda: cpf_feedforward(basis_state([0])), "expected a 2-wire photon state"),
+    ],
+    ids=["wire-count", "factor-length", "negative-wire", "condition-bit", "step-type",
+         "measured-wire", "cpf-wires"],
+)
+def test_invalid_arguments_raise(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_format_circuit_renders_phase_angles():
+    circuit = Circuit([Phase(0.25, 1), H(0), Measurement(0), ClassicallyControlled((0, 1), (X(1),))])
+    assert format_circuit(circuit) == "Phase(0.25,1) ; H(0) ; measure(0) ; on1:[X(1)]"
 
 
 def test_gate_validation():

@@ -376,21 +376,22 @@ def _cli_process(args, timeout):
 
 
 def test_adaptive_simpson_non_finite_point_fails_fast():
-    """g = 1e200 makes the integrand NaN.  Simpson used to bisect such a
-    point toward 2**48 intervals; it must fail at once instead."""
-    simpson = ["--bandwidth", "0.1", "--method", "adaptive-simpson"]
-    proc = _cli_process(["metrics", "--g", "1e200", *simpson], timeout=20)
+    """At bandwidth 1e-160 the density's norm overflows and the integrand
+    is not finite.  Simpson used to bisect such a point toward 2**48
+    intervals; it must fail at once instead."""
+    simpson = ["--bandwidth", "1e-160", "--method", "adaptive-simpson"]
+    proc = _cli_process(["metrics", "--g", "2", *simpson], timeout=20)
     assert proc.returncode == EXIT_USAGE
     assert proc.stdout == ""
     assert proc.stderr.splitlines() == [
         "usage error: cannot evaluate this operating point: "
-        "integrand is not finite at omega = -0.6"
+        "integrand is not finite at omega = -6e-160"
     ]
-    proc = _cli_process(["sweep", "--axis", "coupling", "--values", "1e200", *simpson], timeout=20)
+    proc = _cli_process(["sweep", "--axis", "coupling", "--values", "2", *simpson], timeout=20)
     assert proc.returncode == EXIT_OK
-    assert proc.stdout.splitlines()[1] == "1.000000000000e+200,1.000000000000e-01,nan,nan"
+    assert proc.stdout.splitlines()[1] == "2.000000000000e+00,1.000000000000e-160,nan,nan"
     assert proc.stderr.splitlines()[0] == (
-        "warning: point g=1e+200 dw=0.1 failed: integrand is not finite at omega = -0.6"
+        "warning: point g=2 dw=1e-160 failed: integrand is not finite at omega = -6e-160"
     )
     assert "RuntimeWarning" not in proc.stderr
 
@@ -514,6 +515,22 @@ def test_coeffs_resonance_with_underflowing_rates(capsys):
     assert all(abs(row[7]) <= 1e-12 for row in rows)
 
 
+def test_coeffs_at_a_huge_coupling_reflect_perfectly(capsys):
+    """At g = 1e200 kappa the dressed cavity reflects perfectly off and on
+    resonance: every row prints R = -1, T = 0 and a zero residual, with no
+    RuntimeWarning, though g^2 overflows in the caller's units."""
+    argv = ["coeffs", "--g", "1e200", "--gamma", "0.5", "--omega-start", "-1",
+            "--omega-stop", "1", "--omega-step", "1"]
+    assert run(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert "Warning" not in captured.err
+    rows = [[float(cell) for cell in line.split(",")] for line in captured.out.splitlines()[1:]]
+    assert [row[0] for row in rows] == [-1.0, 0.0, 1.0]
+    for row in rows:
+        assert row[1:5] == [-1.0, 0.0, 0.0, 0.0]
+        assert row[7] == 0.0
+
+
 def test_negative_exponent_values_are_values(capsys):
     """'-1e-3' is a value to argparse as '-0.001' is; a comma list that
     starts with a minus sign still reads as an option."""
@@ -634,6 +651,24 @@ def test_sweep_bad_values(capsys):
     assert run(["sweep", "--axis", "bandwidth", "--values", "0.3:0.1:5"]) == EXIT_USAGE
     assert run(["sweep", "--axis", "bandwidth", "--values", "abc"]) == EXIT_USAGE
     assert run(["sweep", "--axis", "coupling", "--values", "3", "--gamma", "-1"]) == EXIT_USAGE
+
+
+def test_sweep_accepts_gamma_zero(capsys):
+    """gamma = 0, metrics' default, is a valid sweep: each cell prints its
+    point's gate_metrics.  Negative and non-finite gamma stay usage errors."""
+    argv = ["sweep", "--axis", "coupling", "--values", "0.3,2,6", "--bandwidth", "0.05,0.1"]
+    assert run([*argv, "--gamma", "0"]) == EXIT_OK
+    rows = capsys.readouterr().out.splitlines()[1:]
+    expected = []
+    for g in (0.3, 2.0, 6.0):
+        for dw in (0.05, 0.1):
+            point = pulses.gate_metrics(CavityParams.symmetric(g, 1.0, 0.0), pulses.PulseSpec(dw))
+            expected.append(f"{g:.12e},{dw:.12e},{point.loss_probability:.12e},{point.fidelity:.12e}")
+    assert rows == expected
+    for gamma in ("-0.5", "nan", "inf"):
+        assert _assert_one_usage_error([*argv, "--gamma", gamma], capsys) == (
+            "usage error: --gamma must be non-negative and finite (units of kappa)"
+        )
 
 
 def test_sweep_grid_cap_is_checked_before_the_grid_is_built(capsys, monkeypatch):

@@ -173,9 +173,9 @@ def test_adaptive_simpson_rejects_non_finite_integrand():
         adaptive_simpson_mean(spike, 0.1)
     assert info.value.residual == math.inf
     simpson = QuadratureConfig(method=ADAPTIVE_SIMPSON)
-    for g in (1e200, 1e155):  # g^2 overflows
-        with pytest.raises(QuadratureError, match="not finite"):
-            overlaps(CavityParams.symmetric(g, 1.0, 1.0), PulseSpec(0.1), simpson)
+    for g in (0.0, 3.0):  # the density's norm overflows: dw^2 is subnormal
+        with pytest.raises(QuadratureError, match=r"not finite at omega = -6e-160$"):
+            overlaps(CavityParams.symmetric(g, 1.0, 1.0), PulseSpec(1e-160), simpson)
 
 
 def test_adaptive_simpson_caps_the_tree(monkeypatch):
@@ -258,10 +258,11 @@ def test_simpson_integrates_each_decoupled_branch_once(monkeypatch):
 
 def test_simpson_sweep_matches_per_point_metrics():
     """A Simpson sweep cell is the point's own gate_metrics, bit for bit.
-    g = 1e200 makes its own integrals fail: those cells keep their place,
-    NaN metrics and the error gate_metrics raises."""
+    Bandwidth 1e-160, whose square is subnormal, makes its own integrals
+    fail: those cells keep their place, NaN metrics and the error
+    gate_metrics raises.  g = 1e200 evaluates under Simpson."""
     simpson = QuadratureConfig(method=ADAPTIVE_SIMPSON)
-    couplings, bandwidths = [1e200, 0.0, 3.0], [0.3, 0.05]
+    couplings, bandwidths = [1e200, 0.0, 3.0], [0.3, 1e-160]
     grid = sweep_grid(couplings, bandwidths, 0.5, simpson)
     assert grid.couplings.tolist() == sorted(couplings)
     assert grid.bandwidths.tolist() == sorted(bandwidths)
@@ -270,7 +271,7 @@ def test_simpson_sweep_matches_per_point_metrics():
         params = CavityParams.symmetric(g, 1.0, 0.5)
         for j, dw in enumerate(grid.bandwidths.tolist()):
             cell = (grid.loss[i, j], grid.fidelity[i, j])
-            if g == 1e200:
+            if dw == 1e-160:
                 with pytest.raises(QuadratureError) as info:
                     gate_metrics(params, PulseSpec(dw), simpson)
                 assert failed[i, j] == str(info.value)
@@ -436,6 +437,19 @@ def test_metrics_rounds_like_the_scalar_expressions():
         f = abs(ov.reflect_overlap_h * ov.reflect_overlap_v + ov.transmit_overlap_h * ov.transmit_overlap_v) ** 2 / 4.0
         result = pulses.metrics(ov)
         assert (result.loss_probability, result.fidelity) == (min(max(p, 0.0), 1.0), min(max(f, 0.0), 1.0))
+
+
+def test_sweep_rejects_non_finite_values():
+    for couplings, bandwidths in (([1.0, math.nan], [0.1]), ([1.0], [0.1, math.inf])):
+        with pytest.raises(ValueError, match="sweep grid values must be finite"):
+            sweep_grid(couplings, bandwidths)
+
+
+def test_gate_metrics_bounds():
+    assert pulses.GateMetrics(0.0, 1.0) == pulses.GateMetrics(0.0, 1.0)
+    for loss, fidelity in ((1.5, 0.5), (0.5, -0.1), (math.nan, 0.5)):
+        with pytest.raises(ValueError, match="must lie in"):
+            pulses.GateMetrics(loss, fidelity)
 
 
 def test_sweep_rejects_empty_grid():
@@ -640,6 +654,19 @@ def test_subnormal_coupling_term_gives_the_bare_cavity():
         assert grid.fidelity.ravel().tolist() == [bare.fidelity] * 3
 
 
+def test_both_rules_take_bare_rows_in_kappa_units():
+    """At kappa = 2**-531 the atomic point's g^2 and kappa gamma/2 are zero
+    in the caller's units but not in units of kappa: both rules average the
+    coupled cavity there, bit for bit as at kappa = 1, and not the bare one.
+    The pulse is 2**20 kappa wide, so that its square stays normal."""
+    for quad in (QuadratureConfig(), QuadratureConfig(method=ADAPTIVE_SIMPSON)):
+        want = gate_metrics(ATOMIC, PulseSpec(2.0**20), quad)
+        tiny = CavityParams.symmetric(*(math.ldexp(x, -531) for x in (ATOMIC.g_h, 1.0, ATOMIC.gamma_h)))
+        assert gate_metrics(tiny, PulseSpec(2.0**-511), quad) == want
+        bare = gate_metrics(CavityParams.symmetric(0.0, 1.0, 0.0), PulseSpec(2.0**20), quad)
+        assert abs(want.loss_probability - bare.loss_probability) > 1e-7
+
+
 def test_exact_rule_matches_adaptive_simpson_at_the_presets():
     """The exact rule against adaptive Simpson at 1e-13, at both presets."""
     simpson = QuadratureConfig(method=ADAPTIVE_SIMPSON, tolerance=1e-13)
@@ -662,9 +689,9 @@ def test_simpson_sweep_reevaluates_only_failing_points(monkeypatch):
 
     monkeypatch.setattr(pulses, "gate_metrics", counting)
     simpson = QuadratureConfig(method=ADAPTIVE_SIMPSON)
-    grid = sweep_grid([2.0, 1e200], [0.05, 0.1], 0.5, simpson)
-    assert calls == [1e200, 1e200]
-    assert [(i, j) for i, j, _ in grid.errors] == [(1, 0), (1, 1)]
+    grid = sweep_grid([2.0, 3.0], [1e-160, 0.1], 0.5, simpson)
+    assert calls == [2.0, 3.0]
+    assert [(i, j) for i, j, _ in grid.errors] == [(0, 0), (1, 0)]
     assert all("not finite" in error for *_, error in grid.errors)
 
 

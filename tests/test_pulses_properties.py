@@ -1,13 +1,13 @@
 """Property tests of the pulse-average kernels over edge parameters:
-gamma = 0, g = 0, g whose square underflows, wide and narrow pulses and
-near-coincident poles."""
+gamma = 0, g = 0, g whose square underflows, wide and narrow pulses,
+near-coincident poles and rates at any power-of-two scale."""
 import math
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from cavityswap import cavity, pulses  # noqa: E402
 
@@ -126,3 +126,23 @@ def test_sweep_rows_equal_their_gate_metrics(axes):
         for j, dw in enumerate(grid.bandwidths.tolist()):
             point = pulses.gate_metrics(params, pulses.PulseSpec(dw))
             assert (grid.loss[i, j], grid.fidelity[i, j]) == (point.loss_probability, point.fidelity)
+
+
+_ATOMIC_POINT = (32.0 / 4.2, 1.0, 2.6 / 4.2, 0.1)
+
+
+@given(h=_generic_point(), v=_generic_point(), k=st.integers(-1000, 1000))
+@example(h=_ATOMIC_POINT, v=_ATOMIC_POINT, k=520)
+@example(h=_ATOMIC_POINT, v=_ATOMIC_POINT, k=-550)
+def test_gate_metrics_are_homogeneous_bit_for_bit(h, v, k):
+    """The metrics are homogeneous of degree 0 in the rates and the
+    bandwidth, and the exact rule evaluates each rate row in units of its
+    kappa: scaling a point by 2**k, with every input still normal, changes
+    no bit."""
+
+    def at_scale(k):
+        rates = (h[0], v[0], h[1], v[1], h[2], v[2])
+        params = cavity.CavityParams(*(math.ldexp(x, k) for x in rates))
+        return pulses.gate_metrics(params, pulses.PulseSpec(math.ldexp(h[3], k)))
+
+    assert at_scale(k) == at_scale(0)
