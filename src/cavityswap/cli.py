@@ -6,7 +6,8 @@ point), sweep (parameter grids to CSV plus a plot sidecar), verify
 synthesize (bounded circuit search).  Presets and preset files live in
 :mod:`cavityswap.presets`, the invariants that verify runs in
 :mod:`cavityswap.invariants`; this module parses flags, formats output and
-maps errors to exit codes.
+maps errors to exit codes.  circuits and invariants are imported only by the
+subcommands that run them.
 
 Exit codes: 0 success, 1 usage, 2 I/O, 3 verification failure, 4 time-budget
 truncation.  Wall-clock timing goes to stderr only, so stdout and file
@@ -28,7 +29,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import cavity, circuits, invariants, pulses
+from . import cavity, pulses
 from .cavity import AtomBranch
 from .presets import BUILTIN_PRESETS, Preset, UsageError, _pair, load_preset, parse_bandwidth
 from .pulses import PulseSpec, QuadratureConfig
@@ -57,15 +58,16 @@ def _resolve_params(args) -> Preset:
     """The operating point from exactly one source: a built-in preset, a
     preset file, or explicit rate flags."""
     explicit = any(flag is not None for flag in (args.g, args.kappa, args.gamma))
-    if sum(map(bool, (args.preset, args.preset_file, explicit))) > 1:
+    # an empty --preset= or --preset-file= is a source too, and fails as one
+    if sum((args.preset is not None, args.preset_file is not None, explicit)) > 1:
         raise UsageError("give one of --preset, --preset-file or --g/--kappa/--gamma")
-    if args.preset:
+    if args.preset is not None:
         if args.preset not in BUILTIN_PRESETS:
             raise UsageError(
                 f"unknown preset {args.preset!r}; built-ins: {sorted(BUILTIN_PRESETS)}"
             )
         return BUILTIN_PRESETS[args.preset]
-    if args.preset_file:
+    if args.preset_file is not None:
         return load_preset(args.preset_file)
     if args.g is None:
         raise UsageError("provide --preset, --preset-file, or explicit --g/--kappa/--gamma")
@@ -279,7 +281,7 @@ def cmd_metrics(args) -> int:
     try:
         result, residual = pulses.metrics_residual(params, pulse, quad)
     except (ValueError, ArithmeticError) as exc:
-        # e.g. NaN averages at g = 1e200, or an integral Simpson cannot resolve
+        # e.g. NaN averages at bandwidth 1e-160, or an integral Simpson cannot resolve
         raise UsageError(f"cannot evaluate this operating point: {exc}")
     inputs = asdict(params)  # field order is the echo order
     if point.name is not None:
@@ -386,6 +388,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_fingerprint(args) -> int:
+    from . import circuits
+
     if not (1 <= args.n <= 8):
         raise UsageError("--n must be between 1 and 8")
     if args.trials < 1:
@@ -418,6 +422,8 @@ def cmd_fingerprint(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
+    from . import circuits
+
     target = circuits.cpf_target() if args.target == "cpf" else circuits.czz_target()
     gate_set = tuple(part.strip() for part in args.gates.split(",") if part.strip())
     try:
@@ -442,6 +448,8 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import invariants
+
     checks = [
         (name, check)
         for suite, entries in invariants.VERIFY_CHECKS.items()

@@ -370,9 +370,10 @@ def _port_averages(quad, ports, g, kappa, gamma, bandwidth, isolate=False):
     Simpson).  Over- and underflow at unphysical points is not warned about
     here; _within_bounds flags the values it leaves.  The exact rule works
     in the units, a power of two from the caller's and so exact, that put
-    each row's kappa in [1, 2); adaptive Simpson in the caller's, so that
+    each row's largest rate, max(g, kappa, gamma), in [1, 2), so that no
+    square of a rate overflows; adaptive Simpson in the caller's, so that
     its errors name omega in them."""
-    shift = 1 - np.frexp(kappa)[1]
+    shift = 1 - np.frexp(np.maximum(np.maximum(g, kappa), gamma))[1]
     units = [np.ldexp(a, shift) for a in (g, kappa, gamma)]
     if quad.method == EXACT:
         power = np.empty((len(g), len(bandwidth)))
@@ -428,18 +429,19 @@ def _simpson_means(tolerance, ports, g, kappa, gamma, bandwidth, isolate):
 
 
 def _bare_rows(g, kappa, gamma):
-    """Rows, in units that put kappa in [1, 2), where kappa gamma/2 + g^2 is
-    zero or subnormal (g = 0, or at gamma = 0 g below about 1.5e-154 kappa):
-    the dip is narrower than rounding, and both rules take the bare cavity
-    i kappa / (omega + i kappa), as cavity.coefficients does at g = 0."""
+    """Rows, in units that put the largest rate in [1, 2), where kappa
+    gamma/2 + g^2 is zero or subnormal (g = 0, or at gamma = 0 g below
+    about 1.5e-154 kappa): the dip is narrower than rounding, and both rules
+    take the bare cavity i kappa / (omega + i kappa), as cavity.coefficients
+    does at g = 0."""
     return kappa * gamma / 2.0 + g * g < sys.float_info.min
 
 
 def _pole_terms(ports, g, kappa, gamma):
     """The bandwidth-free half of the exact rule, per rate row in the units
-    that put its kappa in [1, 2): (c0 = -1 for r and 0 for t, as ``ports``
-    names c, kappa, mirror poles a0 = conj w_0 and a1 = conj w_1, kappa
-    u(w_0), A, B).  t's poles are w = (-i b +- sqrt(4 g^2 - (kappa -
+    that put its largest rate in [1, 2): (c0 = -1 for r and 0 for t, as
+    ``ports`` names c, kappa, mirror poles a0 = conj w_0 and a1 = conj w_1,
+    kappa u(w_0), A, B).  t's poles are w = (-i b +- sqrt(4 g^2 - (kappa -
     gamma/2)^2)) / 2, b = kappa + gamma/2.  _bare_rows are taken as g = 0,
     gamma = 2 kappa: both poles and the zero of u sit at -i kappa and
     cancel exactly.  The poles are ordered so that |u(w_0)| <= |u(w_1)|: a

@@ -392,22 +392,26 @@ def test_sweep_rows_sorted_and_complete():
 
 
 def test_sweep_marks_failed_points():
-    # g = 1e200 overflows g^2 and the averages turn NaN; a negative g and a
-    # zero bandwidth are rejected by CavityParams and PulseSpec
-    grid = sweep_grid([1e200, 3.0, -1.0], [0.1, 0.0])
+    # bandwidth 1e-160 overflows the Faddeeva evaluation and the averages
+    # turn NaN; a negative g and a zero bandwidth are rejected by
+    # CavityParams and PulseSpec; g = 1e200 evaluates
+    grid = sweep_grid([1e200, 3.0, -1.0], [0.1, 0.0, 1e-160])
     assert grid.couplings.tolist() == [-1.0, 3.0, 1e200]
-    assert grid.bandwidths.tolist() == [0.0, 0.1]
+    assert grid.bandwidths.tolist() == [0.0, 1e-160, 0.1]
     # one entry per failed point, in row-major order
     assert grid.errors == [
         (0, 0, "coupling rates must be >= 0"),
         (0, 1, "coupling rates must be >= 0"),
+        (0, 2, "coupling rates must be >= 0"),
         (1, 0, "bandwidth must be positive and finite, got 0.0"),
+        (1, 1, "reflect_prob_h = nan outside [0, 1]"),
         (2, 0, "bandwidth must be positive and finite, got 0.0"),
         (2, 1, "reflect_prob_h = nan outside [0, 1]"),
     ]
-    failed = [[True, True], [True, False], [True, True]]
+    failed = [[True, True, True], [True, True, False], [True, True, False]]
     assert np.isnan(grid.loss).tolist() == np.isnan(grid.fidelity).tolist() == failed
-    assert math.isfinite(grid.loss[1, 1]) and math.isfinite(grid.fidelity[1, 1])
+    for i in (1, 2):
+        assert math.isfinite(grid.loss[i, 2]) and math.isfinite(grid.fidelity[i, 2])
 
 
 def test_mixed_point_equals_its_single_polarization_points():
