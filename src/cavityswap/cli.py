@@ -32,7 +32,7 @@ import numpy as np
 from . import cavity, pulses
 from .cavity import AtomBranch
 from .presets import BUILTIN_PRESETS, Preset, UsageError, _pair, load_preset, parse_bandwidth
-from .pulses import PulseSpec, QuadratureConfig
+from .pulses import PulseSpec
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -75,13 +75,6 @@ def _resolve_params(args) -> Preset:
         None, _pair(args.g, "--g"), _pair(args.kappa or "1", "--kappa"),
         _pair(args.gamma or "0", "--gamma"),
     )
-
-
-def _quad_config(args) -> QuadratureConfig:
-    try:
-        return QuadratureConfig(method=args.method, tolerance=args.tolerance)
-    except ValueError as exc:
-        raise UsageError(str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -276,17 +269,16 @@ def cmd_metrics(args) -> int:
     if bandwidth_text is None:
         raise UsageError("--bandwidth is required when no preset supplies a rule")
     bandwidth = parse_bandwidth(bandwidth_text, params)
-    quad = _quad_config(args)
     pulse = PulseSpec(bandwidth)
     try:
-        result, residual = pulses.metrics_residual(params, pulse, quad)
+        result, residual = pulses.metrics_residual(params, pulse)
     except (ValueError, ArithmeticError) as exc:
-        # e.g. NaN averages at bandwidth 1e-160, or an integral Simpson cannot resolve
+        # e.g. the exact rule's NaN averages at bandwidth 1e-160
         raise UsageError(f"cannot evaluate this operating point: {exc}")
     inputs = asdict(params)  # field order is the echo order
     if point.name is not None:
         inputs["preset"] = point.name
-    inputs.update(bandwidth=bandwidth, method=quad.method)
+    inputs.update(bandwidth=bandwidth, method=args.method)
     outputs = {
         "loss_probability": result.loss_probability,
         "fidelity": result.fidelity,
@@ -365,9 +357,8 @@ def cmd_sweep(args) -> int:
         raise UsageError("--gamma must be non-negative and finite (units of kappa)")
     if len(couplings) * len(bandwidths) > MAX_GRID_POINTS:  # before the grid is built
         raise UsageError(f"the sweep grid would exceed {MAX_GRID_POINTS} points")
-    quad = _quad_config(args)
     couplings, bandwidths, loss, fidelity, errors = pulses.sweep_grid(
-        couplings, bandwidths, args.gamma, quad
+        couplings, bandwidths, args.gamma
     )
     g_values, dw_values = couplings.tolist(), bandwidths.tolist()
     for i, j, error in errors:
@@ -506,15 +497,12 @@ def build_parser() -> _Parser:
     params_parent.add_argument("--gamma", help="emission rate (default 0)")
 
     quad_parent = _Parser(add_help=False)
-    quad_parent.add_argument(
-        "--method",
-        choices=pulses.METHODS,
-        default=pulses.EXACT,
-    )
+    # the one rule the commands run; adaptive Simpson, the reference that
+    # verify checks it against, is reached through the Python API only
+    quad_parent.add_argument("--method", choices=[pulses.EXACT], default=pulses.EXACT)
     # the node count of a quadrature rule the package no longer has:
     # still accepted, so that scripts passing it keep working, and ignored
     quad_parent.add_argument("--nodes", type=int, help=argparse.SUPPRESS)
-    quad_parent.add_argument("--tolerance", type=float, default=1e-12)
 
     p = sub.add_parser("coeffs", parents=[params_parent], help="spectral response table")
     p.add_argument("--branch", choices=["coupled", "decoupled"], default="coupled")

@@ -228,7 +228,7 @@ def _check_order_doubling():
     for preset in presets.BUILTIN_PRESETS.values():
         params = preset.cavity_params()
         pulse = PulseSpec(presets.parse_bandwidth(preset.bandwidth_rule, params))
-        _, residual = pulses.metrics_residual(params, pulse, QuadratureConfig())
+        _, residual = pulses.metrics_residual(params, pulse)
         _require(residual <= 1e-10, f"doubling the resolution moves metrics by {residual:.3e}")
 
 

@@ -15,20 +15,21 @@ conj(i sqrt(pi) w(conj(w)/s) / s), s = dw/sqrt(2), w the Faddeeva function:
 one formula at every pole separation.  w and its divided difference come
 from one Horner loop over Weideman's rational approximation (SIAM J. Numer.
 Anal. 31:1497, 1994), about 2e-14 relative error at its default 36 terms.
-Adaptive Simpson over a finite window stays selectable as a structurally
-independent cross-check.  Both rules run through one batched path over a
-grid of rate rows (g, kappa, gamma) x bandwidths: the exact rule does its
-pole algebra once per rate row and evaluates w per (row, bandwidth) in
-blocks of rows, and adaptive Simpson evaluates each point's bisection tree
-one level at a time, with the same result as the depth-first recursion.
-Under either rule the Decoupled branch, which sees the bare cavity, adds
-one rate row per distinct kappa.
+It is the rule that sweep_grid and metrics_residual run.  Adaptive
+Simpson over a finite window stays as a structurally independent reference,
+reached through a QuadratureConfig passed to overlaps or gate_metrics.  Both
+rules run through one batched path over a grid of rate rows (g, kappa,
+gamma) x bandwidths: the exact rule does its pole algebra once per rate row
+and evaluates w per (row, bandwidth) in blocks of rows, and adaptive Simpson
+evaluates each point's bisection tree one level at a time, with the same
+result as the depth-first recursion.  Under either rule the Decoupled
+branch, which sees the bare cavity, adds one rate row per distinct kappa.
 """
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import repeat
 from typing import Callable, NamedTuple, Sequence
@@ -200,8 +201,9 @@ def adaptive_simpson_mean(
     memory grows with the widest level rather than with the depth, and the
     values kept for the final sum grow with the number of intervals.
 
-    Raises QuadratureError if an interval reaches depth 48 unresolved, if
-    the tree would exceed _MAX_INTERVALS intervals (a tolerance below what
+    Raises QuadratureError if an interval reaches depth 48 unresolved, its
+    estimate above 15·tol/2**48 (``residual`` is the worst over 15), if the
+    tree would exceed _MAX_INTERVALS intervals (a tolerance below what
     rounding can reach splits every interval on every level), or at once if
     the weighted integrand is not finite at a node, which no bisection could
     resolve.
@@ -229,7 +231,6 @@ def adaptive_simpson_mean(
     m = np.zeros(1)
     fa, fm, fb = np.split(weighted(np.concatenate([a, m, b])), 3)
     whole = _simpson(fa, fm, fb, b - a)
-    unresolved = 0.0
     levels = []
     intervals = 0
     for depth in range(48, -1, -1):
@@ -249,9 +250,14 @@ def adaptive_simpson_mean(
         delta = pair - whole
         err = np.hypot(delta.real, delta.imag)
         done = err <= 15.0 * tol
-        if depth <= 0:  # the depth limit: keep the worst unresolved estimate
-            unresolved = float(np.max(err[~done], initial=0.0)) / 15.0
-            done[:] = True
+        if depth == 0 and not done.all():
+            worst = float(np.max(err[~done]))
+            raise QuadratureError(
+                worst / 15.0,
+                f"quadrature did not converge: {np.count_nonzero(~done)} intervals unresolved "
+                f"at the depth limit 48, worst local estimate {worst:.3e} above its target "
+                f"15*tol/2**48 = {15.0 * tol:.3e}",
+            )
         # part by part, as Python divides a complex by a float; numpy's
         # complex division multiplies by 1/15 instead
         delta.real /= 15.0
@@ -275,8 +281,6 @@ def adaptive_simpson_mean(
         half = len(total) // 2
         value[~done] = total[:half] + total[half:]
         total = value
-    if unresolved > 0.0:
-        raise QuadratureError(unresolved)
     return complex(total[0])
 
 
@@ -336,7 +340,7 @@ class GateMetrics:
 _BLOCK_VALUES = 2**14
 
 
-def _branch_averages(g, kappa, gamma, bandwidth, quad: QuadratureConfig, isolate=False):
+def _branch_averages(g, kappa, gamma, bandwidth, quad: QuadratureConfig):
     """Pulse averages over a grid of single-polarization points, under ``quad``.
 
     g, kappa and gamma are equal-length 1-D float arrays, one rate row per
@@ -345,8 +349,7 @@ def _branch_averages(g, kappa, gamma, bandwidth, quad: QuadratureConfig, isolate
     rows, bandwidths): the survival probability and normalized mode overlap
     of the Coupled branch, judged at the reflected port, and of the
     Decoupled branch, judged at the transmitted port.  Each entry is what
-    the rule gives for that point alone.  With ``isolate`` a point whose
-    Simpson integral fails gets NaN averages instead of raising.
+    the rule gives for that point alone.
     """
     # the Decoupled branch sees the bare cavity: only kappa and the bandwidth
     # matter, so it adds one row per distinct kappa below the Coupled rows
@@ -356,23 +359,23 @@ def _branch_averages(g, kappa, gamma, bandwidth, quad: QuadratureConfig, isolate
     power, overlap = _port_averages(
         quad, "r" * len(kappas) + "t" * len(position),
         np.concatenate([g, bare]), np.concatenate([kappa, list(position)]),
-        np.concatenate([gamma, bare]), bandwidth, isolate,
+        np.concatenate([gamma, bare]), bandwidth,
     )
     index = [position[value] for value in kappas]
     return power[: len(kappas)], overlap[: len(kappas)], power[index], overlap[index]
 
 
-def _port_averages(quad, ports, g, kappa, gamma, bandwidth, isolate=False):
+def _port_averages(quad, ports, g, kappa, gamma, bandwidth):
     """(survival probability, normalized mode overlap) over the grid of rate
     rows (g, kappa, gamma) x bandwidths, of shape (rows, bandwidths).
     ``ports`` names the coefficient of each row, "r" or "t".  The rule
     ``quad`` picks runs block by block (exact) or point by point (adaptive
-    Simpson).  Over- and underflow at unphysical points is not warned about
-    here; _within_bounds flags the values it leaves.  The exact rule works
-    in the units, a power of two from the caller's and so exact, that put
-    each row's largest rate, max(g, kappa, gamma), in [1, 2), so that no
-    square of a rate overflows; adaptive Simpson in the caller's, so that
-    its errors name omega in them."""
+    Simpson, which raises where an integral fails).  Over- and underflow at
+    unphysical points is not warned about here; _within_bounds flags the
+    values it leaves.  The exact rule works in the units, a power of two
+    from the caller's and so exact, that put each row's largest rate,
+    max(g, kappa, gamma), in [1, 2), so that no square of a rate overflows;
+    adaptive Simpson in the caller's, so that its errors name omega in them."""
     shift = 1 - np.frexp(np.maximum(np.maximum(g, kappa), gamma))[1]
     units = [np.ldexp(a, shift) for a in (g, kappa, gamma)]
     if quad.method == EXACT:
@@ -392,7 +395,7 @@ def _port_averages(quad, ports, g, kappa, gamma, bandwidth, isolate=False):
     else:
         with np.errstate(over="ignore"):
             g = np.where(_bare_rows(*units), 0.0, g)
-        power, mean = _simpson_means(quad.tolerance, ports, g, kappa, gamma, bandwidth, isolate)
+        power, mean = _simpson_means(quad.tolerance, ports, g, kappa, gamma, bandwidth)
     overlap = np.empty(power.shape, dtype=complex)
     with np.errstate(all="ignore"):
         positive = power > 0.0
@@ -404,10 +407,9 @@ def _port_averages(quad, ports, g, kappa, gamma, bandwidth, isolate=False):
     return power, overlap
 
 
-def _simpson_means(tolerance, ports, g, kappa, gamma, bandwidth, isolate):
+def _simpson_means(tolerance, ports, g, kappa, gamma, bandwidth):
     """(E|c|^2, E c) by adaptive Simpson over the grid of rate rows x
-    bandwidths, one point at a time.  A point whose integral fails raises,
-    or with ``isolate`` gets NaN and the others go on."""
+    bandwidths, one point at a time."""
     power = np.empty((len(g), len(bandwidth)))
     mean = np.empty((len(g), len(bandwidth)), dtype=complex)
     for i, (port, *rates) in enumerate(zip(ports, g.tolist(), kappa.tolist(), gamma.tolist())):
@@ -416,15 +418,10 @@ def _simpson_means(tolerance, ports, g, kappa, gamma, bandwidth, isolate):
             return cavity.coefficients(*rates, omega, port)[0]
 
         for j, dw in enumerate(bandwidth.tolist()):
-            try:
-                power[i, j] = adaptive_simpson_mean(
-                    lambda w: np.abs(amplitude(w)) ** 2, dw, tolerance
-                ).real
-                mean[i, j] = adaptive_simpson_mean(amplitude, dw, tolerance)
-            except QuadratureError:
-                if not isolate:
-                    raise
-                power[i, j] = mean[i, j] = math.nan
+            power[i, j] = adaptive_simpson_mean(
+                lambda w: np.abs(amplitude(w)) ** 2, dw, tolerance
+            ).real
+            mean[i, j] = adaptive_simpson_mean(amplitude, dw, tolerance)
     return power, mean
 
 
@@ -569,35 +566,12 @@ def gate_metrics(
     return metrics(overlaps(params, pulse, quad))
 
 
-# The residual reruns adaptive Simpson at a hundredth of its tolerance, and
-# below 1e-15 the presets' integrals no longer converge: rounding stops the
-# bisection short of the target.
-_MIN_RESIDUAL_TOLERANCE = 1e-13
-
-
-def metrics_residual(
-    params: CavityParams, pulse: PulseSpec, quad: QuadratureConfig = DEFAULT_QUAD
-) -> tuple[GateMetrics, float]:
-    """The metrics under ``quad``, and their max change in (loss, fidelity)
-    when the rule's resolution is increased.
-
-    Twice the Faddeeva order for the exact rule, and tolerance/100 for
-    adaptive Simpson; serves as the reported quadrature residual.  An
-    adaptive Simpson tolerance below 1e-13 is refused before any
-    integration, since its rerun cannot converge.
-    """
-    if quad.method == EXACT:
-        finer = replace(quad, order=2 * quad.order)
-    elif quad.tolerance < _MIN_RESIDUAL_TOLERANCE:
-        raise ValueError(
-            f"the residual reruns adaptive Simpson at a hundredth of the tolerance; "
-            f"{quad.tolerance:g} is below {_MIN_RESIDUAL_TOLERANCE:g}, where that rerun "
-            "cannot converge"
-        )
-    else:
-        finer = replace(quad, tolerance=quad.tolerance / 100.0)
-    coarse = gate_metrics(params, pulse, quad)
-    fine = gate_metrics(params, pulse, finer)
+def metrics_residual(params: CavityParams, pulse: PulseSpec) -> tuple[GateMetrics, float]:
+    """The metrics under the exact rule, and their max change in (loss,
+    fidelity) when the Faddeeva order doubles from 36 to 72 terms: the
+    reported quadrature residual."""
+    coarse = gate_metrics(params, pulse)
+    fine = gate_metrics(params, pulse, QuadratureConfig(order=2 * DEFAULT_QUAD.order))
     return coarse, max(
         abs(coarse.loss_probability - fine.loss_probability),
         abs(coarse.fidelity - fine.fidelity),
@@ -618,18 +592,17 @@ class SweepGrid(NamedTuple):
 
 def sweep_grid(
     coupling_values: Sequence[float], bandwidth_values: Sequence[float],
-    gamma_over_kappa: float = 1.0, quad: QuadratureConfig = DEFAULT_QUAD,
+    gamma_over_kappa: float = 1.0,
 ) -> SweepGrid:
-    """Metrics over the (g/kappa) x (bandwidth/kappa) grid at kappa = 1,
-    gamma defaulting to kappa as in the symmetric sweeps.
+    """Metrics under the exact rule over the (g/kappa) x (bandwidth/kappa)
+    grid at kappa = 1, gamma defaulting to kappa as in the symmetric sweeps.
 
     Both axes come back sorted by a stable sort, as sorted() would (0.0 and
     -0.0 keep their input order).  Each cell equals (==) its point's
     gate_metrics, or is NaN with an entry in ``errors`` that carries
     exactly the error gate_metrics raises there.  The valid part of the
-    grid is evaluated as one batch, in which a failing Simpson integral
-    spoils its own point only; a point the batch cannot vouch for (every
-    point, if the batch raises) is evaluated again on its own.
+    grid is evaluated as one batch, which raises nowhere; a point it
+    leaves out or puts out of bounds (NaN included) is evaluated alone.
     """
     if len(coupling_values) == 0 or len(bandwidth_values) == 0:
         raise ValueError("sweep grids must be non-empty")
@@ -647,26 +620,20 @@ def sweep_grid(
     rows = np.flatnonzero(couplings >= 0.0)
     columns = np.flatnonzero(bandwidths > 0.0)
     if rows.size and columns.size and math.isfinite(gamma) and gamma >= 0.0:
-        try:
-            averages = _branch_averages(
-                couplings[rows], np.ones(rows.size), np.full(rows.size, gamma),
-                bandwidths[columns], quad, isolate=True,
-            )
-            # symmetric rates: both polarizations see the same averages
-            rp, ro, tp, to = averages
-            p, f = _loss_and_fidelity(rp, rp, tp, tp, ro, ro, to, to)
-        except (ValueError, ArithmeticError):  # e.g. an unresolved integral
-            pass
-        else:
-            cells = np.ix_(rows, columns)
-            ok[cells] = _within_bounds(*averages)
-            loss[cells] = p
-            fidelity[cells] = f
+        averages = _branch_averages(
+            couplings[rows], np.ones(rows.size), np.full(rows.size, gamma),
+            bandwidths[columns], DEFAULT_QUAD,
+        )
+        # symmetric rates: both polarizations see the same averages
+        rp, ro, tp, to = averages
+        cells = np.ix_(rows, columns)
+        ok[cells] = _within_bounds(*averages)
+        loss[cells], fidelity[cells] = _loss_and_fidelity(rp, rp, tp, tp, ro, ro, to, to)
     errors = []
     for i, j in np.argwhere(~ok).tolist():
         try:
             params = CavityParams.symmetric(float(couplings[i]), 1.0, gamma_over_kappa)
-            result = gate_metrics(params, PulseSpec(float(bandwidths[j])), quad)
+            result = gate_metrics(params, PulseSpec(float(bandwidths[j])))
             loss[i, j], fidelity[i, j] = result.loss_probability, result.fidelity
         except (ValueError, ArithmeticError) as exc:
             loss[i, j] = fidelity[i, j] = math.nan

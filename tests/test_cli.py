@@ -18,6 +18,9 @@ from cavityswap.cavity import AtomBranch, CavityParams
 from cavityswap.cli import EXIT_BUDGET, EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, run
 from cavityswap.presets import BUILTIN_PRESETS, UsageError, parse_bandwidth
 
+# the reference rule, reached through the Python API only
+SIMPSON = pulses.QuadratureConfig(method=pulses.ADAPTIVE_SIMPSON)
+
 
 def read_csv(path):
     lines = path.read_text().strip().splitlines()
@@ -145,6 +148,12 @@ def test_rejected_inputs_are_one_usage_error(tmp_path, capsys, monkeypatch):
         ["metrics", "--preset-file", _preset_file(tmp_path, "triple", g=[1, 2, 3])],
         ["metrics", "--preset-file", _preset_file(tmp_path, "zero-kappa", kappa=0)],
         ["metrics", "--preset-file", str(bare)],
+        # adaptive Simpson is a Python-API reference only, and --tolerance,
+        # its error target, went with it from the command line
+        ["metrics", "--preset", "atomic", "--method", "adaptive-simpson"],
+        ["sweep", "--axis", "coupling", "--values", "2", "--method", "adaptive-simpson"],
+        ["metrics", "--preset", "atomic", "--tolerance", "0"],
+        ["sweep", "--axis", "coupling", "--values", "2", "--tolerance", "1e-12"],
     ]
     for argv in cases:
         _assert_one_usage_error(argv, capsys)
@@ -240,21 +249,37 @@ def test_metrics_usage_errors(capsys):
 
 def test_metrics_at_huge_couplings_under_the_exact_rule(capsys):
     """Each rate row is scaled by its largest rate, so no square of a rate
-    overflows: g = 1e200 kappa prints what adaptive Simpson prints in every
-    digit, and a v row with g_v = 4e200 kappa_v evaluates."""
-    argv = ["metrics", "--g", "1e200", "--bandwidth", "0.1"]
-    printed = {}
-    for method in ("exact", "adaptive-simpson"):
-        assert run([*argv, "--method", method]) == EXIT_OK
-        lines = capsys.readouterr().out.splitlines()
-        printed[method] = [line for line in lines if line.startswith(("loss", "fidelity"))]
-    assert printed["exact"] == printed["adaptive-simpson"] == [
+    overflows: g = 1e200 kappa prints adaptive Simpson's gate_metrics in
+    every printed digit, and a v row with g_v = 4e200 kappa_v evaluates."""
+    assert run(["metrics", "--g", "1e200", "--bandwidth", "0.1"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    simpson = pulses.gate_metrics(
+        CavityParams.symmetric(1e200, 1.0, 0.0), pulses.PulseSpec(0.1), SIMPSON
+    )
+    assert [line for line in lines if line.startswith(("loss", "fidelity"))] == [
+        f"loss_probability = {simpson.loss_probability:.9e}",
+        f"fidelity = {simpson.fidelity:.9e}",
+    ] == [
         "loss_probability = 2.478401491e-03",
         "fidelity = 9.975200591e-01",
     ]
     assert run(["metrics", "--g", "5,4", "--kappa", "1,1e-200", "--gamma", "0.1,1e-201",
                 "--bandwidth", "0.1"]) == EXIT_OK
     assert "loss_probability = 5.019963986e-01" in capsys.readouterr().out.splitlines()
+
+
+def test_help_offers_only_the_exact_rule(capsys):
+    """The exact rule is the only choice of --method, and --tolerance, the
+    error target of adaptive Simpson, is gone with it."""
+    for command in ("metrics", "sweep"):
+        with pytest.raises(SystemExit):
+            run([command, "--help"])
+        out = capsys.readouterr().out
+        assert "--method {exact}" in out
+        assert "--tolerance" not in out
+    argv = ["metrics", "--preset", "atomic", "--method", "adaptive-simpson"]
+    err = _assert_one_usage_error(argv, capsys)
+    assert "invalid choice: 'adaptive-simpson' (choose from 'exact')" in err
 
 
 def test_gauss_hermite_is_a_usage_error(capsys):
@@ -312,130 +337,64 @@ def test_metrics_evaluates_the_pulse_averages_twice(monkeypatch, capsys):
     assert len(calls) == 2
 
 
-# stdout of the depth-first adaptive Simpson rule, which the level-by-level
-# rule must reproduce byte for byte
-SIMPSON_METRICS_PLAIN = """\
-# g_h = 7.619047619047619
-# g_v = 7.619047619047619
-# kappa_h = 1.0
-# kappa_v = 1.0
-# gamma_h = 0.6190476190476191
-# gamma_v = 0.6190476190476191
-# preset = atomic
-# bandwidth = 0.1
-# method = adaptive-simpson
-loss_probability = 1.300342336e-02
-fidelity = 9.975193282e-01
-quadrature_residual = 1.820765760e-14
-"""
-
-SIMPSON_METRICS_JSON = """\
-{
-  "command": "metrics",
-  "inputs": {
-    "bandwidth": 0.1,
-    "g_h": 7.619047619047619,
-    "g_v": 7.619047619047619,
-    "gamma_h": 0.6190476190476191,
-    "gamma_v": 0.6190476190476191,
-    "kappa_h": 1.0,
-    "kappa_v": 1.0,
-    "method": "adaptive-simpson",
-    "preset": "atomic"
-  },
-  "outputs": {
-    "fidelity": 0.9975193281792225,
-    "loss_probability": 0.013003423359003397
-  },
-  "quadrature_residual": 1.8207657603852567e-14,
-  "seed": null
-}
-"""
-
-SIMPSON_SWEEP = """\
-g_over_kappa,dw_over_kappa,p,F
-2.000000000000e+00,2.000000000000e-02,1.879618566160e-01,9.998956919992e-01
-2.000000000000e+00,5.000000000000e-02,1.885350572730e-01,9.993491306982e-01
-2.000000000000e+00,1.000000000000e-01,1.905669912759e-01,9.974114217900e-01
-2.000000000000e+00,3.000000000000e-01,2.109125518425e-01,9.779941167147e-01
-5.000000000000e+00,2.000000000000e-02,3.817767964532e-02,9.998998817610e-01
-5.000000000000e+00,5.000000000000e-02,3.870359718455e-02,9.993753236407e-01
-5.000000000000e+00,1.000000000000e-01,4.056638417407e-02,9.975162934718e-01
-5.000000000000e+00,3.000000000000e-01,5.908026839771e-02,9.789482924804e-01
-9.000000000000e+00,2.000000000000e-02,1.225749534089e-02,9.999000175218e-01
-9.000000000000e+00,5.000000000000e-02,1.278139911131e-02,9.993761720306e-01
-9.000000000000e+00,1.000000000000e-01,1.463699067704e-02,9.975196854106e-01
-9.000000000000e+00,3.000000000000e-01,3.307379200846e-02,9.789786815455e-01
-"""
+# '%.12e' of adaptive Simpson's gate_metrics on the grid g/kappa in (2, 5,
+# 9) x dw/kappa in (0.02, 0.05, 0.1, 0.3) at gamma = kappa, g-major: the
+# cells `sweep --method adaptive-simpson` printed before that flag went
+SIMPSON_CELLS = [
+    ("1.879618566160e-01", "9.998956919992e-01"),
+    ("1.885350572730e-01", "9.993491306982e-01"),
+    ("1.905669912759e-01", "9.974114217900e-01"),
+    ("2.109125518425e-01", "9.779941167147e-01"),
+    ("3.817767964532e-02", "9.998998817610e-01"),
+    ("3.870359718455e-02", "9.993753236407e-01"),
+    ("4.056638417407e-02", "9.975162934718e-01"),
+    ("5.908026839771e-02", "9.789482924804e-01"),
+    ("1.225749534089e-02", "9.999000175218e-01"),
+    ("1.278139911131e-02", "9.993761720306e-01"),
+    ("1.463699067704e-02", "9.975196854106e-01"),
+    ("3.307379200846e-02", "9.789786815455e-01"),
+]
 
 
-def test_adaptive_simpson_stdout_is_pinned(capsys):
-    metrics = ["metrics", "--preset", "atomic", "--method", "adaptive-simpson"]
-    assert run(metrics) == EXIT_OK
-    assert capsys.readouterr().out == SIMPSON_METRICS_PLAIN
-    assert run(metrics + ["--format", "json"]) == EXIT_OK
-    assert capsys.readouterr().out == SIMPSON_METRICS_JSON
-    assert run(["sweep", "--axis", "coupling", "--values", "2,5,9", "--bandwidth",
-                "0.02,0.05,0.1,0.3", "--method", "adaptive-simpson"]) == EXIT_OK
-    assert capsys.readouterr().out == SIMPSON_SWEEP
+def test_adaptive_simpson_stdout_is_pinned():
+    """The level-by-level Simpson rule reproduces the depth-first one byte
+    for byte: its gate_metrics are pinned at the atomic preset, and at each
+    cell of the grid whose Simpson sweep stdout was pinned, to '%.12e'."""
+    atomic = BUILTIN_PRESETS["atomic"].cavity_params()
+    result = pulses.gate_metrics(atomic, pulses.PulseSpec(0.1), SIMPSON)
+    assert (result.loss_probability, result.fidelity) == (
+        0.013003423359003397, 0.9975193281792225,
+    )
+    points = [(g, dw) for g in (2.0, 5.0, 9.0) for dw in (0.02, 0.05, 0.1, 0.3)]
+    for (g, dw), cell in zip(points, SIMPSON_CELLS):
+        result = pulses.gate_metrics(
+            CavityParams.symmetric(g, 1.0, 1.0), pulses.PulseSpec(dw), SIMPSON
+        )
+        assert ("%.12e" % result.loss_probability, "%.12e" % result.fidelity) == cell
 
 
 def test_adaptive_simpson_takes_an_underflowing_coupling_as_the_bare_cavity(capsys):
     """At gamma = 0 and g = 1e-200, g^2 rounds to zero and the dip at omega =
     0 is narrower than rounding: Simpson averages the bare cavity there, as
-    the exact rule does, rather than bisecting the jump until it fails."""
+    the exact rule that metrics runs does, rather than bisecting the jump
+    until it fails."""
     argv = ["metrics", "--g", "1e-200", "--gamma", "0", "--bandwidth", "0.1", "--format", "json"]
-    assert run([*argv, "--method", "adaptive-simpson"]) == EXIT_OK
-    simpson = json.loads(capsys.readouterr().out)["outputs"]
     assert run(argv) == EXIT_OK
     exact = json.loads(capsys.readouterr().out)["outputs"]
-    for key in ("loss_probability", "fidelity"):
-        assert abs(simpson[key] - exact[key]) <= 1e-12
-
-
-def _cli_process(args, timeout):
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
-    return subprocess.run(
-        [sys.executable, "-m", "cavityswap.cli", *args],
-        capture_output=True, text=True, env=env, timeout=timeout,
+    simpson = pulses.gate_metrics(
+        CavityParams.symmetric(1e-200, 1.0, 0.0), pulses.PulseSpec(0.1), SIMPSON
     )
+    assert abs(simpson.loss_probability - exact["loss_probability"]) <= 1e-12
+    assert abs(simpson.fidelity - exact["fidelity"]) <= 1e-12
 
 
-def test_adaptive_simpson_non_finite_point_fails_fast():
-    """At bandwidth 1e-160 the density's norm overflows and the integrand
-    is not finite.  Simpson used to bisect such a point toward 2**48
-    intervals; it must fail at once instead."""
-    simpson = ["--bandwidth", "1e-160", "--method", "adaptive-simpson"]
-    proc = _cli_process(["metrics", "--g", "2", *simpson], timeout=20)
-    assert proc.returncode == EXIT_USAGE
-    assert proc.stdout == ""
-    assert proc.stderr.splitlines() == [
-        "usage error: cannot evaluate this operating point: "
-        "integrand is not finite at omega = -6e-160"
-    ]
-    proc = _cli_process(["sweep", "--axis", "coupling", "--values", "2", *simpson], timeout=20)
-    assert proc.returncode == EXIT_OK
-    assert proc.stdout.splitlines()[1] == "2.000000000000e+00,1.000000000000e-160,nan,nan"
-    assert proc.stderr.splitlines()[0] == (
-        "warning: point g=2 dw=1e-160 failed: integrand is not finite at omega = -6e-160"
-    )
-    assert "RuntimeWarning" not in proc.stderr
-
-
-def test_adaptive_simpson_wide_pulse_fails_without_warnings(capsys):
-    """At bandwidth 1e200 the Gaussian weight's exponent overflows: the
-    point fails with one usage error and no RuntimeWarning."""
-    argv = ["metrics", "--preset", "atomic", "--bandwidth", "1e200",
-            "--method", "adaptive-simpson"]
-    assert _assert_one_usage_error(argv, capsys) == (
-        "usage error: cannot evaluate this operating point: "
-        "integrand is not finite at omega = -6e+200"
-    )
-
-
-def test_zero_tolerance_is_a_usage_error(capsys):
-    argv = ["metrics", "--preset", "atomic", "--method", "adaptive-simpson", "--tolerance", "0"]
-    assert _assert_one_usage_error(argv, capsys) == "usage error: tolerance must lie in (0, 1e-4]"
+def test_adaptive_simpson_wide_pulse_fails_without_warnings():
+    """At bandwidth 1e200 the Gaussian weight's exponent overflows: Simpson
+    fails at once with one QuadratureError and no RuntimeWarning."""
+    atomic = BUILTIN_PRESETS["atomic"].cavity_params()
+    with pytest.raises(pulses.QuadratureError) as info:
+        pulses.gate_metrics(atomic, pulses.PulseSpec(1e200), SIMPSON)
+    assert str(info.value) == "integrand is not finite at omega = -6e+200"
 
 
 def test_subnormal_coupling_term_metrics_are_the_bare_cavity(capsys):
@@ -447,28 +406,6 @@ def test_subnormal_coupling_term_metrics_are_the_bare_cavity(capsys):
         assert run(argv) == EXIT_OK
         outputs.append(json.loads(capsys.readouterr().out)["outputs"])
     assert outputs[0] == outputs[1]
-
-
-def test_adaptive_simpson_unreachable_tolerance_fails_fast(monkeypatch, capsys):
-    """The residual reruns Simpson at a hundredth of --tolerance, which
-    cannot converge below 1e-15.  metrics refuses such a tolerance with a
-    usage error before it integrates anything."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("adaptive Simpson ran")
-
-    monkeypatch.setattr(pulses, "adaptive_simpson_mean", refuse)
-    for tolerance in ("1e-300", "1e-14", "9.9e-14"):
-        argv = ["metrics", "--preset", "atomic", "--method", "adaptive-simpson",
-                "--tolerance", tolerance]
-        assert run(argv) == EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines() == [
-            "usage error: cannot evaluate this operating point: the residual reruns "
-            f"adaptive Simpson at a hundredth of the tolerance; {float(tolerance):g} is "
-            "below 1e-13, where that rerun cannot converge"
-        ]
 
 
 def test_metrics_byte_determinism(capsys):

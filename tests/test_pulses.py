@@ -165,6 +165,22 @@ def test_adaptive_simpson_reports_unresolved_error():
     assert info.value.residual == reference.value.residual
 
 
+def test_adaptive_simpson_names_the_depth_limit_it_missed():
+    """The v row's dip, about 1e-200 wide, is far narrower than the pulse,
+    and two intervals reach depth 48 unresolved.  Their residual, the worst
+    estimate over 15, is below the 1e-12 tolerance, so the message names
+    the limit, their count, the worst local estimate and the local target
+    15 tol / 2**48 that it missed."""
+    params = CavityParams(5.0, 4.0, 1.0, 1e-200, 0.1, 1e-201)
+    with pytest.raises(QuadratureError) as info:
+        gate_metrics(params, PulseSpec(0.1), QuadratureConfig(method=ADAPTIVE_SIMPSON))
+    assert str(info.value) == (
+        "quadrature did not converge: 2 intervals unresolved at the depth limit 48, "
+        "worst local estimate 2.835e-15 above its target 15*tol/2**48 = 5.329e-26"
+    )
+    assert info.value.residual == 1.8897702621787136e-16
+
+
 def test_adaptive_simpson_rejects_non_finite_integrand():
     # NaN never meets the error test: the rule must stop at once, not bisect
     # toward 2**48 intervals
@@ -257,13 +273,15 @@ def test_simpson_integrates_each_decoupled_branch_once(monkeypatch):
 
 
 def test_simpson_sweep_matches_per_point_metrics():
-    """A Simpson sweep cell is the point's own gate_metrics, bit for bit.
-    Bandwidth 1e-160, whose square is subnormal, makes its own integrals
-    fail: those cells keep their place, NaN metrics and the error
-    gate_metrics raises.  g = 1e200 evaluates under Simpson."""
+    """A sweep cell is its point's own gate_metrics under the exact rule,
+    bit for bit, and adaptive Simpson's gate_metrics there, the reference
+    sweeps no longer run, agrees to 1e-12: g = 1e200 evaluates under both.
+    Bandwidth 1e-160, whose square is subnormal, fails under both: the
+    cells keep their place, NaN metrics and the error gate_metrics raises,
+    and Simpson's integrand is not finite."""
     simpson = QuadratureConfig(method=ADAPTIVE_SIMPSON)
     couplings, bandwidths = [1e200, 0.0, 3.0], [0.3, 1e-160]
-    grid = sweep_grid(couplings, bandwidths, 0.5, simpson)
+    grid = sweep_grid(couplings, bandwidths, 0.5)
     assert grid.couplings.tolist() == sorted(couplings)
     assert grid.bandwidths.tolist() == sorted(bandwidths)
     failed = {(i, j): error for i, j, error in grid.errors}
@@ -272,15 +290,21 @@ def test_simpson_sweep_matches_per_point_metrics():
         for j, dw in enumerate(grid.bandwidths.tolist()):
             cell = (grid.loss[i, j], grid.fidelity[i, j])
             if dw == 1e-160:
-                with pytest.raises(QuadratureError) as info:
+                with pytest.raises(QuadratureError, match="not finite"):
                     gate_metrics(params, PulseSpec(dw), simpson)
+            if (i, j) in failed:
+                with pytest.raises(ValueError) as info:
+                    gate_metrics(params, PulseSpec(dw))
                 assert failed[i, j] == str(info.value)
-                assert "not finite" in failed[i, j]
                 assert math.isnan(cell[0]) and math.isnan(cell[1])
             else:
-                point = gate_metrics(params, PulseSpec(dw), simpson)
-                assert (i, j) not in failed
+                point = gate_metrics(params, PulseSpec(dw))
                 assert cell == (point.loss_probability, point.fidelity)
+            if dw != 1e-160:
+                reference = gate_metrics(params, PulseSpec(dw), simpson)
+                assert abs(cell[0] - reference.loss_probability) <= 1e-12
+                assert abs(cell[1] - reference.fidelity) <= 1e-12
+    assert sorted(failed) == [(1, 0), (2, 0)]
 
 
 def test_quadrature_config_validation():
@@ -652,10 +676,12 @@ def test_subnormal_coupling_term_gives_the_bare_cavity():
                        CavityParams.symmetric(1e-155, 1.0, 0.0),
                        CavityParams.symmetric(0.0, 1.0, 1e-310)):
             assert gate_metrics(params, pulse, quad) == bare
-        grid = sweep_grid([1e-160, 1e-158, 1e-155], [0.1], 0.0, quad)
-        assert grid.errors == []
-        assert grid.loss.ravel().tolist() == [bare.loss_probability] * 3
-        assert grid.fidelity.ravel().tolist() == [bare.fidelity] * 3
+    # sweeps run the exact rule
+    bare = gate_metrics(CavityParams.symmetric(0.0, 1.0, 0.0), pulse)
+    grid = sweep_grid([1e-160, 1e-158, 1e-155], [0.1], 0.0)
+    assert grid.errors == []
+    assert grid.loss.ravel().tolist() == [bare.loss_probability] * 3
+    assert grid.fidelity.ravel().tolist() == [bare.fidelity] * 3
 
 
 def test_both_rules_take_bare_rows_in_kappa_units():
@@ -682,8 +708,8 @@ def test_exact_rule_matches_adaptive_simpson_at_the_presets():
 
 
 def test_simpson_sweep_reevaluates_only_failing_points(monkeypatch):
-    """A point whose Simpson integral fails spoils only itself: the batch
-    goes on, and only that point is evaluated again on its own."""
+    """At bandwidth 1e-160 the batch's averages are NaN: such a point spoils
+    only itself, and only it is evaluated again on its own."""
     calls = []
     counted = pulses.gate_metrics
 
@@ -692,21 +718,26 @@ def test_simpson_sweep_reevaluates_only_failing_points(monkeypatch):
         return counted(params, *args, **kwargs)
 
     monkeypatch.setattr(pulses, "gate_metrics", counting)
-    simpson = QuadratureConfig(method=ADAPTIVE_SIMPSON)
-    grid = sweep_grid([2.0, 3.0], [1e-160, 0.1], 0.5, simpson)
+    grid = sweep_grid([2.0, 3.0], [1e-160, 0.1], 0.5)
     assert calls == [2.0, 3.0]
     assert [(i, j) for i, j, _ in grid.errors] == [(0, 0), (1, 0)]
-    assert all("not finite" in error for *_, error in grid.errors)
+    assert all(error == "reflect_prob_h = nan outside [0, 1]" for *_, error in grid.errors)
 
 
 def test_simpson_sweep_point_pass_keeps_its_successes():
-    """Bandwidth 1e308 puts the Simpson window at infinity, which makes the
-    whole batch raise: the 0.1 cell then comes from the point-by-point pass
-    and equals its gate_metrics.  The weight exponent overflows there
-    without a RuntimeWarning."""
+    """Bandwidth 1e308 puts the Simpson window at infinity: Simpson fails
+    there with "omega must be finite", its weight exponent overflowing
+    without a RuntimeWarning, and keeps its success at 0.1.  The exact rule,
+    which sweeps run, evaluates both cells."""
     simpson = QuadratureConfig(method=ADAPTIVE_SIMPSON)
-    grid = sweep_grid([0.3], [0.1, 1e308], 1.0, simpson)
-    point = gate_metrics(CavityParams.symmetric(0.3, 1.0, 1.0), PulseSpec(0.1), simpson)
-    assert grid.loss[0, 0] == point.loss_probability
-    assert grid.fidelity[0, 0] == point.fidelity
-    assert grid.errors == [(0, 1, "omega must be finite")]
+    params = CavityParams.symmetric(0.3, 1.0, 1.0)
+    with pytest.raises(ValueError, match="^omega must be finite$"):
+        gate_metrics(params, PulseSpec(1e308), simpson)
+    reference = gate_metrics(params, PulseSpec(0.1), simpson)
+    grid = sweep_grid([0.3], [0.1, 1e308], 1.0)
+    assert grid.errors == []
+    for j, dw in enumerate((0.1, 1e308)):
+        point = gate_metrics(params, PulseSpec(dw))
+        assert (grid.loss[0, j], grid.fidelity[0, j]) == (point.loss_probability, point.fidelity)
+    assert abs(grid.loss[0, 0] - reference.loss_probability) <= 1e-12
+    assert abs(grid.fidelity[0, 0] - reference.fidelity) <= 1e-12

@@ -2,6 +2,7 @@
 gamma = 0, g = 0, g whose square underflows, wide and narrow pulses,
 near-coincident poles and rates at any power-of-two scale."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -126,6 +127,40 @@ def test_sweep_rows_equal_their_gate_metrics(axes):
         for j, dw in enumerate(grid.bandwidths.tolist()):
             point = pulses.gate_metrics(params, pulses.PulseSpec(dw))
             assert (grid.loss[i, j], grid.fidelity[i, j]) == (point.loss_probability, point.fidelity)
+
+
+def _extreme_rate():
+    return st.one_of(st.just(0.0), _log_uniform(1e-300, 1e300))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    couplings=st.lists(_extreme_rate(), min_size=1, max_size=4),
+    bandwidths=st.lists(_log_uniform(1e-300, 1e300), min_size=1, max_size=4),
+    gamma=_extreme_rate(),
+)
+def test_sweep_batch_raises_and_warns_nowhere(couplings, bandwidths, gamma):
+    """sweep_grid runs its batch with no guard around it: over g and gamma
+    in {0} and [1e-300, 1e300] (units of kappa) and bandwidths in [1e-300,
+    1e300] it neither raises nor warns, and every cell is its point's
+    gate_metrics with ==, or NaN with exactly the error gate_metrics raises
+    there."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = pulses.sweep_grid(couplings, bandwidths, gamma)
+    failed = {(i, j): error for i, j, error in grid.errors}
+    for i, g in enumerate(grid.couplings.tolist()):
+        params = cavity.CavityParams.symmetric(g, 1.0, gamma)
+        for j, dw in enumerate(grid.bandwidths.tolist()):
+            cell = (grid.loss[i, j], grid.fidelity[i, j])
+            if (i, j) in failed:
+                with pytest.raises((ValueError, ArithmeticError)) as info:
+                    pulses.gate_metrics(params, pulses.PulseSpec(dw))
+                assert str(info.value) == failed[i, j]
+                assert math.isnan(cell[0]) and math.isnan(cell[1])
+            else:
+                point = pulses.gate_metrics(params, pulses.PulseSpec(dw))
+                assert cell == (point.loss_probability, point.fidelity)
 
 
 _ATOMIC_POINT = (32.0 / 4.2, 1.0, 2.6 / 4.2, 0.1)
