@@ -148,12 +148,9 @@ def test_rejected_inputs_are_one_usage_error(tmp_path, capsys, monkeypatch):
         ["metrics", "--preset-file", _preset_file(tmp_path, "triple", g=[1, 2, 3])],
         ["metrics", "--preset-file", _preset_file(tmp_path, "zero-kappa", kappa=0)],
         ["metrics", "--preset-file", str(bare)],
-        # adaptive Simpson is a Python-API reference only, and --tolerance,
-        # its error target, went with it from the command line
+        # adaptive Simpson is a Python-API reference only
         ["metrics", "--preset", "atomic", "--method", "adaptive-simpson"],
         ["sweep", "--axis", "coupling", "--values", "2", "--method", "adaptive-simpson"],
-        ["metrics", "--preset", "atomic", "--tolerance", "0"],
-        ["sweep", "--axis", "coupling", "--values", "2", "--tolerance", "1e-12"],
     ]
     for argv in cases:
         _assert_one_usage_error(argv, capsys)
@@ -395,6 +392,55 @@ def test_adaptive_simpson_wide_pulse_fails_without_warnings():
     with pytest.raises(pulses.QuadratureError) as info:
         pulses.gate_metrics(atomic, pulses.PulseSpec(1e200), SIMPSON)
     assert str(info.value) == "integrand is not finite at omega = -6e+200"
+
+
+def _cli_process(args, timeout):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    return subprocess.run(
+        [sys.executable, "-m", "cavityswap.cli", *args],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
+
+
+def test_adaptive_simpson_non_finite_point_fails_fast():
+    """At bandwidth 1e-160 the density's norm overflows and the integrand
+    is not finite.  Simpson used to bisect such a point toward 2**48
+    intervals; it must fail at once instead.  The command line, which runs
+    the exact rule, fails at once there too: metrics with one usage error,
+    sweep with a NaN row and a warning, neither with a RuntimeWarning."""
+    with pytest.raises(pulses.QuadratureError) as info:
+        pulses.gate_metrics(
+            CavityParams.symmetric(2.0, 1.0, 1.0), pulses.PulseSpec(1e-160), SIMPSON
+        )
+    assert str(info.value) == "integrand is not finite at omega = -6e-160"
+    proc = _cli_process(["metrics", "--g", "2", "--bandwidth", "1e-160"], timeout=20)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout == ""
+    err = proc.stderr.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("usage error: cannot evaluate this operating point: ")
+    args = ["sweep", "--axis", "coupling", "--values", "2", "--bandwidth", "1e-160"]
+    proc = _cli_process(args, timeout=20)
+    assert proc.returncode == EXIT_OK
+    assert proc.stdout.splitlines()[1] == "2.000000000000e+00,1.000000000000e-160,nan,nan"
+    assert proc.stderr.splitlines()[0].startswith("warning: point g=2 dw=1e-160 failed: ")
+    assert "RuntimeWarning" not in proc.stderr
+
+
+def test_zero_tolerance_is_a_usage_error(capsys):
+    """--tolerance left the command line with adaptive Simpson, so a zero
+    tolerance, like any other, is one usage error there; the Python API's
+    Simpson configuration still refuses it."""
+    for argv, given in (
+        (["metrics", "--preset", "atomic", "--tolerance", "0"], "--tolerance 0"),
+        (["sweep", "--axis", "coupling", "--values", "2", "--tolerance", "1e-12"],
+         "--tolerance 1e-12"),
+    ):
+        assert _assert_one_usage_error(argv, capsys) == (
+            f"usage error: unrecognized arguments: {given}"
+        )
+    with pytest.raises(ValueError, match=r"^tolerance must lie in \(0, 1e-4\]$"):
+        pulses.QuadratureConfig(method=pulses.ADAPTIVE_SIMPSON, tolerance=0.0)
 
 
 def test_subnormal_coupling_term_metrics_are_the_bare_cavity(capsys):
