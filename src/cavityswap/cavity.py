@@ -111,17 +111,19 @@ def coefficients(g, kappa, gamma, omega, parts: str = "rtm") -> tuple[np.ndarray
         raise ValueError("omega must be finite")
     bare = point[0] == 0.0
     point[2] = np.where(bare, 0.0, point[2])  # the bare form does not read gamma
+    # where omega and gamma are exactly zero, not flushed to zero by the scale
+    limit = (point[2] == 0.0) & (point[3] == 0.0)
     _, top = np.frexp(np.abs(point).max(axis=0))
     g, kappa, gamma, omega = np.ldexp(point, 500 - top)
     if bare.all():
         return _bare(kappa, omega, parts)
     if not bare.any():
-        return _dressed(g, kappa, gamma, omega, parts)
+        return _dressed(g, kappa, gamma, omega, limit, parts)
     out = tuple(np.empty(omega.shape, dtype=complex) for _ in parts)
     dressed = ~bare
     for mask, values in (
         (bare, _bare(kappa[bare], omega[bare], parts)),
-        (dressed, _dressed(g[dressed], kappa[dressed], gamma[dressed], omega[dressed], parts)),
+        (dressed, _dressed(*(a[dressed] for a in (g, kappa, gamma, omega, limit)), parts)),
     ):
         for array, value in zip(out, values):
             array[mask] = value
@@ -141,15 +143,17 @@ def _bare(kappa, omega, parts):
     return tuple(out)
 
 
-def _dressed(g, kappa, gamma, omega, parts):
+def _dressed(g, kappa, gamma, omega, limit, parts):
     i_omega = 1j * omega
     d = i_omega - gamma / 2.0
     # At omega = 0 and gamma = 0 the denominator is -g^2, which is subnormal
     # or zero for g below about 2**-1000 of kappa, where the complex division
     # overflows or is 0/0.  The limit there is (-1, 0, 0), as for every
-    # g > 0, and g^2 = 1 gives it.
+    # g > 0, and g^2 = 1 gives it.  Only the points in ``limit``, whose
+    # omega and gamma were zero before scaling, take it: a scaled omega or
+    # gamma that underflowed to zero is not that limit.
     g2 = g * g
-    g2 = np.where((omega == 0.0) & (gamma == 0.0) & (g2 < sys.float_info.min), 1.0, g2)
+    g2 = np.where(limit & (g2 < sys.float_info.min), 1.0, g2)
     denom = (kappa - i_omega) * d - g2
     out = []
     for part in parts:

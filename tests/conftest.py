@@ -1,5 +1,8 @@
-"""Shared hypothesis profile for the property-test modules."""
+"""Shared hypothesis profile for the property-test modules, and a fresh
+synthesis memo for every test."""
 import warnings
+
+import pytest
 
 try:
     from hypothesis import settings
@@ -19,3 +22,13 @@ if settings is not None:
             import libcst  # noqa: F401
         except ImportError:
             pass
+
+
+@pytest.fixture(autouse=True)
+def fresh_synthesis_memo():
+    """Each test starts without memoized prefix-class tables: a test that
+    patches a constant they are built under builds them under its patch,
+    and no test reads a table that another one built."""
+    from cavityswap import circuits
+
+    circuits._MEMO.clear()

@@ -173,6 +173,21 @@ def test_zero_denominator_outside_the_parameter_domain():
     assert not np.isfinite(r[0])
 
 
+def test_omega_and_gamma_flushed_by_the_scale_are_not_the_resonance_limit():
+    """At (g, kappa, gamma, omega) = (1.14e-192, 3.38e268, 2.36e-241,
+    9.94e-260) the values span more than the scaled evaluation holds: its
+    scale flushes omega and gamma to zero and g^2 below the smallest
+    subnormal.  The 50-digit values are r = -3.3e-412, t = 1 and m =
+    -2.6e-206 i, not the limit (-1, 0, 0) of an exactly zero omega and
+    gamma, so the point is non-finite rather than that limit.  With omega
+    and gamma exactly zero it is the limit."""
+    with np.errstate(all="ignore"):
+        got = cavity.coefficients(1.14e-192, 3.38e268, 2.36e-241, np.array([9.94e-260]))
+    assert all(np.isnan(value[0]) for value in got)
+    r, t, m = cavity.coefficients(1.14e-192, 3.38e268, 0.0, np.array([0.0]))
+    assert (r[0], t[0], m[0]) == (-1.0, 0.0, 0.0)
+
+
 def test_far_detuned_asymptotics():
     params = ATOMIC
     for omega in (-1e3, 1e3):

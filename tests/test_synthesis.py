@@ -346,14 +346,14 @@ def test_matches_do_not_depend_on_the_order_classes_are_found(cpf_feedforward):
     (circuits._SYNTH_KINDS, 1, 216), (circuits._SYNTH_KINDS, 2, 25272),
 ])
 def test_sketch_keys_separate_the_middle_classes(kinds, depth, count):
-    """The full-operator search keys each middle class by its image of
-    _SKETCH; two classes sharing a key would cost a failed confirmation per
-    member and query.  Every class keeps a key of its own, as with the
-    whole-matrix keys.  A symmetric vector fails: the basis vector e_0 gives
-    8 keys for the 125 depth-1 classes, the uniform vector 1 984 for the
-    5 525 depth-2 ones."""
-    cswap8 = circuits.gate_matrix(circuits._SYNTH_CSWAP, 3)
-    reps = block_classes(cswap8, depth, staged_layers(kinds))[0]  # C . L_depth ... L_1 . C
+    """The full-operator search keys each prefix class, the part of a
+    candidate before its final layer, by its image of _SKETCH; two classes
+    sharing a key would cost a failed confirmation per member and query.
+    Every class keeps a key of its own, as with the whole-matrix keys.  A
+    symmetric vector fails: the basis vector e_0 gives 8 keys for the 125
+    depth-1 classes, the uniform vector 1 984 for the 5 525 depth-2 ones."""
+    # C . L_{depth-1} ... C . L_0
+    reps = block_classes(np.eye(8, dtype=complex), depth, staged_layers(kinds))[0]
     assert len(reps) == count
     whole = circuits._keys(circuits._phase_canonical(reps)[0])
     sketch = circuits._keys(circuits._phase_canonical(reps @ circuits._SKETCH)[0])
@@ -384,6 +384,8 @@ def test_prefix_classes_that_share_an_image_key_stay_apart(monkeypatch, sketch, 
     result = synthesize(cpf_target(), 2, FULL_SET, allow_feedforward=True)
     lines = [format_circuit(m.circuit) for m in result.matches]
     assert (len(lines), digest(lines)) == PINNED_CPF_FEEDFORWARD
+    # the search built its classes under this sketch, not a stale table
+    assert len(circuits._MEMO[FULL_SET, 2][0][0]) == count
 
 
 @pytest.mark.parametrize("bound", [0.5, 1e-3])
@@ -460,3 +462,59 @@ def test_full_search_confirms_no_false_proposal(layers):
 def test_czz_search_confirms_no_false_proposal(gates):
     result = synthesize(czz_target(), 2, gates)
     assert result.matches and result.evaluated == len(result.matches)
+
+
+def memo_bytes(key):
+    classes, lookups = circuits._MEMO[key]
+    return sum(a.nbytes for a in itertools.chain(classes, *lookups.values()))
+
+
+@pytest.mark.parametrize("target,allow_feedforward", [
+    (planted_unitary(PINNED_PLANTED[1][0]), False), (cpf_target(), True),
+], ids=["full", "feedforward"])
+def test_a_warm_search_equals_a_cold_one(target, allow_feedforward):
+    """Both search modes read the one memoized prefix-class table; the
+    second call finds it built and gives the same result."""
+    cold = synthesize(target, 2, FULL_SET, allow_feedforward=allow_feedforward)
+    assert list(circuits._MEMO) == [(FULL_SET, 2)]
+    warm = synthesize(target, 2, FULL_SET, allow_feedforward=allow_feedforward)
+    assert cold.matches and not cold.truncated and not warm.truncated
+    for result in (cold, warm):
+        assert result.search_space == 125**3 * (17 if allow_feedforward else 1)
+    assert (warm.matches, warm.evaluated) == (cold.matches, cold.evaluated)
+
+
+def test_memoized_arrays_are_read_only():
+    synthesize(czz_target(), 2, FULL_SET)
+    classes, lookups = circuits._MEMO[FULL_SET, 2]
+    assert list(lookups) == [1e-9]
+    arrays = [*classes, *lookups[1e-9]]
+    assert len(arrays) == 7
+    for array in arrays:
+        # a compact copy, not a view of the build's larger buffer
+        assert array.base is None or array.base.nbytes == array.nbytes
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+
+
+def test_a_search_stopped_by_its_budget_stores_no_table():
+    result = synthesize(cpf_target(), 2, FULL_SET, allow_feedforward=True, time_budget=1e-4)
+    assert result.truncated
+    assert circuits._MEMO == {}
+
+
+def test_the_memo_keeps_the_most_recent_tables_that_fit(monkeypatch):
+    """Tables go, least recently used first, while the memo holds more than
+    its cap; a table above the cap is used for its search but not kept."""
+    for kinds in (FULL_SET, ("I", "Z"), ("I", "H")):
+        synthesize(czz_target(), 1, kinds)
+    sizes = {key[0]: memo_bytes(key) for key in circuits._MEMO}
+    monkeypatch.setattr(circuits, "_MEMO_BYTES", sizes[FULL_SET] + sizes[("I", "Z")])
+    circuits._MEMO.clear()
+    for kinds in (FULL_SET, ("I", "Z"), FULL_SET, ("I", "H")):
+        synthesize(czz_target(), 1, kinds)
+    assert list(circuits._MEMO) == [(FULL_SET, 1), (("I", "H"), 1)]
+    kept = synthesize(czz_target(), 2, ("I", "Z"))
+    monkeypatch.setattr(circuits, "_MEMO_BYTES", 0)
+    assert synthesize(czz_target(), 2, ("I", "Z")).matches == kept.matches
+    assert circuits._MEMO == {}
