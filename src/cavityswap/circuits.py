@@ -508,10 +508,10 @@ class SynthesisResult:
     guard applies to; ``evaluated`` counts the candidate operators the
     search formed and confirmed with a match predicate.  The screens that
     propose them run on phase-class representatives and form no candidate
-    operator, so they are not counted, and neither is the build of the
-    prefix-class table: a search that finds its table memoized has the
-    same ``matches`` and ``evaluated`` as one that builds it, and only a
-    shorter ``elapsed``."""
+    operator, so they are not counted, and neither is the build of a
+    class table: a full-operator search that meets in the middle, one that
+    builds the prefix classes and one that finds them memoized have the
+    same ``matches`` and ``evaluated``, and differ only in ``elapsed``."""
 
     matches: tuple[SynthesisMatch, ...]
     search_space: int
@@ -550,17 +550,17 @@ _GUARD = 100_000_000
 # Every key is of an image of _SKETCH, not of a whole matrix.  A prefix
 # product joins the class of its key's first product only after a check
 # of all its entries, and is a class of its own otherwise, so classes that
-# share an image key stay apart.  The full-operator search keys each prefix
-# class P and each query Q: Q within eps of a phase times P, entrywise, puts
-# Q v within eps |v|_1 of that phase times P v, so the search keys at that
-# radius.
+# share an image key stay apart.  The full-operator search keys each class
+# P, middle or prefix, and each query Q: Q within eps of a phase times P,
+# entrywise, puts Q v within eps |v|_1 of that phase times P v, so the
+# search keys at that radius.
 _KEY_REF = 0.3
 _KEY_GRID = 2.0**-8
 # multipliers of the hash, one per pair of grid values: powers of an odd
 # constant modulo 2^64, so all odd
 _KEY_MIX = np.array([pow(0x9E3779B97F4A7C15, i, 2**64) for i in range(1, 65)], dtype=np.uint64)
 # A unit vector with unequal moduli and unrelated phases, so that distinct
-# prefix classes have distinct images: a basis vector or the uniform vector
+# classes have distinct images: a basis vector or the uniform vector
 # maps many of them to one key
 _SKETCH = np.array([
     complex(0.22292075373578038, -0.054768657872202364),
@@ -583,15 +583,16 @@ _CLASS_TOL = 1e-12
 _CLASS_SLACK = 1e-9
 # a feed-forward branch must carry at least this weight
 _BRANCH_FLOOR = 1e-12
-# products, prefix classes or candidates formed per step; products in whole
-# layers, at least one
+# products, queries, prefix classes or candidates formed per step; products
+# and queries in whole layers, at least one
 _PRODUCT_BLOCK = 512
-# Prefix-class tables by (gate kinds, depth), the least recently used first:
-# each the classes and a dict of the full-operator search's key lookups by
-# tol.  The tables go, oldest first, while they hold more than _MEMO_BYTES
-# together, and a build larger than that alone, as at depth 3 (up to about
-# 263 MB), is never copied or kept
-_MEMO: dict = {}
+# One slot (key, classes, tol, lookup) for the most recent search, replaced
+# whole: key is its (gate kinds, depth); classes the prefix-class table as
+# read-only arrays once a build completes, if the build's room (one 8x8
+# product per layer tuple) fits in _MEMO_BYTES, and None otherwise; lookup
+# the full-operator search's key lookup into it at tol.  A search reads the
+# slot once, so concurrent searches at worst build a table twice
+_MEMO: tuple = (None, None, None, None)
 _MEMO_BYTES = 64 * 2**20
 
 
@@ -789,21 +790,24 @@ def _within_phase(P: np.ndarray, R: np.ndarray, pv: np.ndarray) -> np.ndarray:
     return np.max(sq[..., ::2] + sq[..., 1::2], axis=(1, 2)) <= _CLASS_TOL**2
 
 
+def _fits(n_layers: int, depth: int) -> bool:
+    # the room _prefix_classes takes at its last depth, one 8x8 complex
+    # product per layer tuple, within _MEMO_BYTES
+    return n_layers**depth * 64 * 16 <= _MEMO_BYTES
+
+
 def _classes(kinds, depth, staged):
     """_prefix_classes(identity, depth, staged) through _MEMO: a search step
-    generator that builds only on a miss and keeps only a completed build.
-    Returns the classes, as read-only arrays, and their dict of full-search
-    lookups by tol."""
-    key = (kinds, depth)
-    entry = _MEMO.pop(key, None)
-    if entry is None:
-        classes = yield from _prefix_classes(np.eye(8, dtype=complex), depth, staged)
-        if sum(a.nbytes for a in classes) > _MEMO_BYTES:
-            return classes, {}  # never kept, so never copied
-        entry = (_read_only(*classes), {})
-    _MEMO[key] = entry  # the most recently used last
-    _trim_memo()
-    return entry
+    generator that builds only on a miss and keeps a completed build that
+    fits, as compact read-only copies."""
+    global _MEMO
+    key, classes, _, _ = _MEMO
+    if key == (kinds, depth) and classes is not None:
+        return classes
+    classes = yield from _prefix_classes(np.eye(8, dtype=complex), depth, staged)
+    kept = _read_only(*classes) if _fits(len(staged), depth) else None
+    _MEMO = ((kinds, depth), kept, None, None)
+    return kept or classes  # a table that does not fit is never copied
 
 
 def _read_only(*arrays) -> tuple[np.ndarray, ...]:
@@ -812,21 +816,6 @@ def _read_only(*arrays) -> tuple[np.ndarray, ...]:
     for a in copies:
         a.flags.writeable = False
     return copies
-
-
-def _trim_memo() -> None:
-    # drop the least recently used tables while they hold more than
-    # _MEMO_BYTES together
-    sizes = {
-        key: sum(a.nbytes for a in itertools.chain(classes, *lookups.values()))
-        for key, (classes, lookups) in _MEMO.items()
-    }
-    total = sum(sizes.values())
-    for key, size in sizes.items():
-        if total <= _MEMO_BYTES:
-            break
-        del _MEMO[key]
-        total -= size
 
 
 def _confirm(cands: np.ndarray, test, layers, staged) -> list:
@@ -846,7 +835,75 @@ def _confirm(cands: np.ndarray, test, layers, staged) -> list:
     return hits
 
 
-def _search_full(target, k, kinds, layers, staged, tol):
+def _search_full(target, k, kinds, layers, staged, cswap8, tol):
+    """Search steps for an 8x8 target.  When the most recent search had the
+    same gate kinds and depth and their prefix-class table is memoized, or
+    fits the memo, the search meets at the final layer on that table,
+    building it once; otherwise it meets in the middle, where a one-off
+    search costs less and builds no table, and notes its key in the memo.
+    Both return the same matches and evaluated counts."""
+    global _MEMO
+    key, classes, _, _ = _MEMO
+    if key == (kinds, k) and (classes is not None or _fits(len(layers), k)):
+        yield from _search_final(target, k, kinds, layers, staged, tol)
+    else:
+        _MEMO = ((kinds, k), None, None, None)
+        yield from _search_middle(target, k, layers, staged, cswap8, tol)
+
+
+def _search_middle(target, k, layers, staged, cswap8, tol):
+    """Meet in the middle for an 8x8 target.  L_k . M . L_0 matches T only if
+    the middle M = C . L_{k-1} ... L_1 . C is within 8 tol of the query
+    Q = L_k^+ . T . L_0^+ up to phase (|A E B|_max <= 8 |E|_max for 8x8
+    unitaries A, B).  Each middle and each query is keyed by its image of
+    the unit vector v = _SKETCH alone: Q within eps of a phase times M,
+    entrywise, puts Q v within eps |v|_1 of that phase times M v.  So the
+    queries' images, a block of final layers at a time, are looked up by
+    key at that radius among the middle classes' images.  A middle whose
+    key is not stable at that radius is screened against every query
+    image instead, by least squares (_near).  Each proposed candidate is
+    confirmed by _matches_full on its own operator."""
+    test = functools.partial(_matches_full, target=target, tol=tol)
+    n = len(layers)
+    if k == 0:
+        yield _confirm(np.arange(n)[:, None], test, layers, staged), n
+        return
+    reps, members, offsets = yield from _prefix_classes(cswap8, k - 1, staged)
+    eps = (8.0 * tol + _CLASS_SLACK) * _SKETCH_L1
+    images = reps @ _SKETCH
+    scaled, ref, mag = _phase_canonical(images)
+    stable = np.nonzero(_stable(scaled, ref, mag, eps))[0]
+    keys = _keys(scaled[stable])
+    order = np.argsort(keys, kind="stable")
+    table, table_ids = keys[order], stable[order]
+    loose = np.setdiff1d(np.arange(len(reps)), stable)
+    loose_dag = _unit_rows(images[loose, None]).conj().T
+    # T . L_0^+ . v for every first layer, as rows
+    right = np.matmul(layers.conj().transpose(0, 2, 1), _SKETCH) @ target.T
+    per = max(1, _PRODUCT_BLOCK // n)
+    for lo in range(0, n, per):
+        # row u . conj(L) is (L^+ . u) as a row: last-major, then first
+        queries = np.matmul(right, layers[lo : lo + per].conj()).reshape(-1, len(_SKETCH))
+        query_keys = _keys(_phase_canonical(queries)[0])
+        left = np.searchsorted(table, query_keys)
+        counts = np.searchsorted(table, query_keys, side="right") - left
+        query = np.repeat(np.arange(len(queries)), counts)
+        middle = table_ids[_ranges(left, counts)]
+        if loose.size:
+            # an image within eps of a phase times M v, entrywise, is within
+            # 8 eps^2 of it in squared norm, and no nearer to that phase
+            # times M v than to the nearest multiple of M v
+            near_q, near_j = np.nonzero(_near(queries, loose_dag, len(_SKETCH) * eps**2))
+            query = np.concatenate((query, near_q))
+            middle = np.concatenate((middle, loose[near_j]))
+        rows, counts = _member_rows(members, offsets, middle)
+        cands = np.column_stack(
+            (np.repeat(query % n, counts), rows, np.repeat(lo + query // n, counts))
+        )
+        yield _confirm(cands, test, layers, staged), len(cands)
+
+
+def _search_final(target, k, kinds, layers, staged, tol):
     """Meet at the final layer for an 8x8 target.  L_k . P matches T only if
     the prefix P = C . L_{k-1} ... C . L_0 is within sqrt8 tol <= 8 tol of
     the query L_k^+ . T up to phase (|A E|_max <= sqrt8 |E|_max for an 8x8
@@ -859,20 +916,24 @@ def _search_full(target, k, kinds, layers, staged, tol):
     screened against every query image instead, by least squares (_near).
     Each proposed member and final layer is confirmed by _matches_full on
     its own operator, one block per search step."""
-    (reps, members, offsets), lookups = yield from _classes(kinds, k, staged)
+    global _MEMO
+    reps, members, offsets = built = yield from _classes(kinds, k, staged)
     eps = (8.0 * tol + _CLASS_SLACK) * _SKETCH_L1
-    if tol not in lookups:
+    # the key lookup at tol, kept with a memoized table
+    key, kept, kept_tol, lookup = _MEMO
+    if kept is not built or kept_tol != tol:
         images = reps @ _SKETCH
         scaled, ref, mag = _phase_canonical(images)
         stable = np.nonzero(_stable(scaled, ref, mag, eps))[0]
         keys = _keys(scaled[stable])
         order = np.argsort(keys, kind="stable")
         loose = np.setdiff1d(np.arange(len(reps)), stable)
-        lookups[tol] = _read_only(
+        lookup = _read_only(
             keys[order], stable[order], loose, _unit_rows(images[loose, None]).conj().T
         )
-        _trim_memo()
-    table, table_ids, loose, loose_dag = lookups[tol]
+        if kept is built:
+            _MEMO = (key, built, tol, lookup)
+    table, table_ids, loose, loose_dag = lookup
     # L^+ . T . v for every final layer, as rows
     queries = np.matmul(layers.conj().transpose(0, 2, 1), target @ _SKETCH)
     query_keys = _keys(_phase_canonical(queries)[0])
@@ -920,10 +981,10 @@ def _search_photon(target, k, kinds, photon, layers, staged, feedforward, tol):
     """Meet at the final layer for a 4x4 target T.  The final layer
     a (x) B moves to the target side, so one prefix P = C . L_{k-1} ...
     C . L_0 per phase class is screened against a table of at most 36 x 4
-    entries, and no operator is formed for it.  (a (x) B) . P factorizes as A (x) T exactly
-    when each 4x4 block of P is proportional to B^+ . T.  With the atom
-    prepared in |+> and measured, outcome o leaves the photon map B . W,
-    W = sum_j a[o, j] Q_j with Q_j = (P[j, :, 0, :] + P[j, :, 1, :]) / sqrt2;
+    entries, and no operator is formed for it.  (a (x) B) . P factorizes
+    as A (x) T exactly when each 4x4 block of P is proportional to
+    B^+ . T.  With the atom prepared in |+> and measured, outcome o leaves
+    the photon map B . W, W = sum_j a[o, j] Q_j with Q_j = (P[j, :, 0, :] + P[j, :, 1, :]) / sqrt2;
     after a correction D it equals T up to scale and phase exactly when W
     is proportional to B^+ . D^+ . T, with the same B for both outcomes.
     The prefix classes are keyed by image, but a product joins one only
@@ -933,7 +994,7 @@ def _search_photon(target, k, kinds, photon, layers, staged, feedforward, tol):
     and take the corrections D as the outer columns of their table.  Each
     proposed member and final layer is confirmed at tol on its own
     operator."""
-    (reps, members, offsets), _ = yield from _classes(kinds, k, staged)
+    reps, members, offsets = yield from _classes(kinds, k, staged)
 
     def expand(classes, last):
         # each member of classes[i] followed by the final layer last[i]
@@ -1037,26 +1098,33 @@ def synthesize(
     modulus at most 1; results come back sorted by layer assignment.
 
     Each layer's operator is the Kronecker product of its gates' 2x2
-    matrices.  The search runs on phase classes of the prefixes, all but
-    the final layer of a candidate, built a block of whole layers at a
-    time, and meets at the final layer: the target with each final layer
-    undone is compared with every prefix class.  An 8x8 target is looked up
-    among the prefix classes, each keyed by its image of one fixed unit
-    vector v (a query within eps of a class, entrywise, has an image within
-    eps |v|_1 of the class's, the radius of the lookup); for a 4x4 target
-    each prefix class is screened against the target.  The screens only
-    propose candidates.  Every reported match is confirmed on its own
-    operator by its exact rule alone: full-operator and feed-forward
-    matches pass the rule of ``equivalent_up_to_phase``, measurement-free
-    photon maps the factorization residual.
+    matrices.  The search runs on phase classes of partial products, built
+    a block of whole layers at a time.  A 4x4 target meets at the final
+    layer: each prefix class, all but the final layer of a candidate, is
+    screened against the target with each final layer undone.  An 8x8
+    target is looked up by key, each class and each query keyed by its
+    image of one fixed unit vector v (a query within eps of a class,
+    entrywise, has an image within eps |v|_1 of the class's, the radius of
+    the lookup).  A one-off 8x8 search meets in the middle: the target with
+    its first and last layers undone among the middle classes.  One that
+    repeats the gate set and num_cswaps of the search just before it meets
+    at the final layer: the target with its last layer undone among the
+    prefix classes.  The screens only propose candidates.  Every reported
+    match is confirmed on its own operator by its exact rule alone:
+    full-operator and feed-forward matches pass the rule of
+    ``equivalent_up_to_phase``, measurement-free photon maps the
+    factorization residual.
 
-    The prefix classes depend only on the gate set and num_cswaps, so both
-    modes share one table per pair, kept in a small bounded module-level
-    memo with the full-operator search's key lookups per ``tol``: a later
-    search with the same gate set and depth skips the build and returns
-    the same result.  A table is kept only once its build completes, and
-    the least recently used go first once the memo holds more than 64 MB,
-    so a depth-3 table is never kept.
+    The prefix classes depend only on the gate set and num_cswaps.  A
+    module-level memo keeps those of the most recent search, with the
+    full-operator key lookup at its last ``tol``, once their build
+    completes, and only if the build's room of 1 KB per layer tuple stays
+    within 64 MB: a table of three CSWAPs over five gate kinds is never
+    kept.  A photon-map search always builds them; a full-operator search
+    builds them only on a repeat, as one build costs more than the middle
+    search it replaces.  Either way the result is the same.  The memo is
+    one slot, replaced whole, so concurrent calls at worst build a table
+    twice.
 
     A ``time_budget`` (seconds, positive) makes the search stop early with
     ``truncated`` set, keeping the matches confirmed so far; the budget is
@@ -1099,9 +1167,10 @@ def synthesize(
     # the kind triple of each layer index, n^2 atom + n photon + photon
     names = list(itertools.product(kinds, repeat=3))
     photon, layers = _layer_tables(kinds)
-    staged = np.matmul(gate_matrix(_SYNTH_CSWAP, 3), layers)  # CSWAP . layer, one chain element
+    cswap8 = gate_matrix(_SYNTH_CSWAP, 3)
+    staged = np.matmul(cswap8, layers)  # CSWAP . layer, one chain element
     if mode == "full":
-        steps = _search_full(target, num_cswaps, kinds, layers, staged, tol)
+        steps = _search_full(target, num_cswaps, kinds, layers, staged, cswap8, tol)
     else:
         steps = _search_photon(
             target, num_cswaps, kinds, photon, layers, staged, use_feedforward, tol

@@ -26,9 +26,10 @@ if settings is not None:
 
 @pytest.fixture(autouse=True)
 def fresh_synthesis_memo():
-    """Each test starts without memoized prefix-class tables: a test that
-    patches a constant they are built under builds them under its patch,
-    and no test reads a table that another one built."""
+    """Each test starts with an empty synthesis memo: a test that patches a
+    constant the prefix classes are built under builds them under its
+    patch, no test reads a table that another one built, and a first
+    full-operator search meets in the middle."""
     from cavityswap import circuits
 
-    circuits._MEMO.clear()
+    circuits._MEMO = (None, None, None, None)

@@ -346,18 +346,21 @@ def test_matches_do_not_depend_on_the_order_classes_are_found(cpf_feedforward):
     (circuits._SYNTH_KINDS, 1, 216), (circuits._SYNTH_KINDS, 2, 25272),
 ])
 def test_sketch_keys_separate_the_middle_classes(kinds, depth, count):
-    """The full-operator search keys each prefix class, the part of a
-    candidate before its final layer, by its image of _SKETCH; two classes
-    sharing a key would cost a failed confirmation per member and query.
-    Every class keeps a key of its own, as with the whole-matrix keys.  A
-    symmetric vector fails: the basis vector e_0 gives 8 keys for the 125
-    depth-1 classes, the uniform vector 1 984 for the 5 525 depth-2 ones."""
-    # C . L_{depth-1} ... C . L_0
-    reps = block_classes(np.eye(8, dtype=complex), depth, staged_layers(kinds))[0]
-    assert len(reps) == count
-    whole = circuits._keys(circuits._phase_canonical(reps)[0])
-    sketch = circuits._keys(circuits._phase_canonical(reps @ circuits._SKETCH)[0])
-    assert len(np.unique(whole)) == len(np.unique(sketch)) == count
+    """The full-operator search keys each class by its image of _SKETCH:
+    the middle classes C . L_depth ... L_1 . C when it meets in the middle,
+    the prefix classes C . L_{depth-1} ... C . L_0 when it meets at the
+    final layer.  Two classes sharing a key would cost a failed
+    confirmation per member and query.  Every class keeps a key of its
+    own, as with the whole-matrix keys.  A symmetric vector fails: the
+    basis vector e_0 gives 8 keys for the 125 depth-1 middle classes, the
+    uniform vector 1 984 for the 5 525 depth-2 ones."""
+    cswap8 = circuits.gate_matrix(circuits._SYNTH_CSWAP, 3)
+    for start in (cswap8, np.eye(8, dtype=complex)):
+        reps = block_classes(start, depth, staged_layers(kinds))[0]
+        assert len(reps) == count
+        whole = circuits._keys(circuits._phase_canonical(reps)[0])
+        sketch = circuits._keys(circuits._phase_canonical(reps @ circuits._SKETCH)[0])
+        assert len(np.unique(whole)) == len(np.unique(sketch)) == count
 
 
 @pytest.mark.parametrize("sketch,count", [
@@ -385,7 +388,8 @@ def test_prefix_classes_that_share_an_image_key_stay_apart(monkeypatch, sketch, 
     lines = [format_circuit(m.circuit) for m in result.matches]
     assert (len(lines), digest(lines)) == PINNED_CPF_FEEDFORWARD
     # the search built its classes under this sketch, not a stale table
-    assert len(circuits._MEMO[FULL_SET, 2][0][0]) == count
+    key, (reps, _, _), _, _ = circuits._MEMO
+    assert (key, len(reps)) == ((FULL_SET, 2), count)
 
 
 @pytest.mark.parametrize("bound", [0.5, 1e-3])
@@ -464,31 +468,42 @@ def test_czz_search_confirms_no_false_proposal(gates):
     assert result.matches and result.evaluated == len(result.matches)
 
 
-def memo_bytes(key):
-    classes, lookups = circuits._MEMO[key]
-    return sum(a.nbytes for a in itertools.chain(classes, *lookups.values()))
-
-
 @pytest.mark.parametrize("target,allow_feedforward", [
     (planted_unitary(PINNED_PLANTED[1][0]), False), (cpf_target(), True),
 ], ids=["full", "feedforward"])
 def test_a_warm_search_equals_a_cold_one(target, allow_feedforward):
-    """Both search modes read the one memoized prefix-class table; the
-    second call finds it built and gives the same result."""
-    cold = synthesize(target, 2, FULL_SET, allow_feedforward=allow_feedforward)
-    assert list(circuits._MEMO) == [(FULL_SET, 2)]
-    warm = synthesize(target, 2, FULL_SET, allow_feedforward=allow_feedforward)
-    assert cold.matches and not cold.truncated and not warm.truncated
-    for result in (cold, warm):
+    """A full-operator search meets in the middle, its repeat builds the
+    prefix classes and meets at the final layer, and the next reads them;
+    a photon-map search builds them at once, and its repeats read them.
+    Every call gives the same result."""
+    results = [
+        synthesize(target, 2, FULL_SET, allow_feedforward=allow_feedforward) for _ in range(3)
+    ]
+    key, classes, _, _ = circuits._MEMO
+    assert key == (FULL_SET, 2) and classes is not None
+    cold = results[0]
+    assert cold.matches
+    for result in results:
+        assert not result.truncated
         assert result.search_space == 125**3 * (17 if allow_feedforward else 1)
-    assert (warm.matches, warm.evaluated) == (cold.matches, cold.evaluated)
+        assert (result.matches, result.evaluated) == (cold.matches, cold.evaluated)
+
+
+def test_a_one_off_full_search_builds_no_table():
+    """A full-operator search builds the prefix classes only when the search
+    before it had the same gate set and depth; otherwise it meets in the
+    middle and notes only its key."""
+    for k in (2, 1, 2):
+        synthesize(czz_target(), k, FULL_SET)
+        assert circuits._MEMO == ((FULL_SET, k), None, None, None)
 
 
 def test_memoized_arrays_are_read_only():
-    synthesize(czz_target(), 2, FULL_SET)
-    classes, lookups = circuits._MEMO[FULL_SET, 2]
-    assert list(lookups) == [1e-9]
-    arrays = [*classes, *lookups[1e-9]]
+    for _ in range(2):
+        synthesize(czz_target(), 2, FULL_SET)
+    key, classes, tol, lookup = circuits._MEMO
+    assert (key, tol) == ((FULL_SET, 2), 1e-9)
+    arrays = [*classes, *lookup]
     assert len(arrays) == 7
     for array in arrays:
         # a compact copy, not a view of the build's larger buffer
@@ -500,21 +515,23 @@ def test_memoized_arrays_are_read_only():
 def test_a_search_stopped_by_its_budget_stores_no_table():
     result = synthesize(cpf_target(), 2, FULL_SET, allow_feedforward=True, time_budget=1e-4)
     assert result.truncated
-    assert circuits._MEMO == {}
+    assert circuits._MEMO == (None, None, None, None)
+    synthesize(czz_target(), 2, FULL_SET)
+    assert synthesize(czz_target(), 2, FULL_SET, time_budget=1e-4).truncated
+    assert circuits._MEMO == ((FULL_SET, 2), None, None, None)
 
 
-def test_the_memo_keeps_the_most_recent_tables_that_fit(monkeypatch):
-    """Tables go, least recently used first, while the memo holds more than
-    its cap; a table above the cap is used for its search but not kept."""
-    for kinds in (FULL_SET, ("I", "Z"), ("I", "H")):
-        synthesize(czz_target(), 1, kinds)
-    sizes = {key[0]: memo_bytes(key) for key in circuits._MEMO}
-    monkeypatch.setattr(circuits, "_MEMO_BYTES", sizes[FULL_SET] + sizes[("I", "Z")])
-    circuits._MEMO.clear()
-    for kinds in (FULL_SET, ("I", "Z"), FULL_SET, ("I", "H")):
-        synthesize(czz_target(), 1, kinds)
-    assert list(circuits._MEMO) == [(FULL_SET, 1), (("I", "H"), 1)]
-    kept = synthesize(czz_target(), 2, ("I", "Z"))
-    monkeypatch.setattr(circuits, "_MEMO_BYTES", 0)
-    assert synthesize(czz_target(), 2, ("I", "Z")).matches == kept.matches
-    assert circuits._MEMO == {}
+def test_a_table_over_the_cap_is_not_kept(monkeypatch):
+    """A build whose room exceeds the cap is used for its own search only,
+    and a full-operator search never builds it."""
+    monkeypatch.setattr(circuits, "_MEMO_BYTES", 125**2 * 1024 - 1)
+    fed = synthesize(cpf_target(), 2, FULL_SET, allow_feedforward=True)
+    lines = [format_circuit(m.circuit) for m in fed.matches]
+    assert (len(lines), digest(lines)) == PINNED_CPF_FEEDFORWARD
+    assert circuits._MEMO == ((FULL_SET, 2), None, None, None)
+    for _ in range(2):  # both meet in the middle
+        synthesize(czz_target(), 2, FULL_SET)
+        assert circuits._MEMO == ((FULL_SET, 2), None, None, None)
+    for _ in range(2):  # 125 products fit
+        synthesize(czz_target(), 1, FULL_SET)
+    assert circuits._MEMO[1] is not None
