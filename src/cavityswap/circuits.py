@@ -509,9 +509,10 @@ class SynthesisResult:
     search formed and confirmed with a match predicate.  The screens that
     propose them run on phase-class representatives and form no candidate
     operator, so they are not counted, and neither is the build of a
-    class table: a full-operator search that meets in the middle, one that
-    builds the prefix classes and one that finds them memoized have the
-    same ``matches`` and ``evaluated``, and differ only in ``elapsed``."""
+    class table: a full-operator search that meets one layer before the
+    final one, one that builds the prefix classes and meets at the final
+    layer and one that finds them memoized have the same ``matches`` and
+    ``evaluated``, and differ only in ``elapsed``."""
 
     matches: tuple[SynthesisMatch, ...]
     search_space: int
@@ -550,10 +551,10 @@ _GUARD = 100_000_000
 # Every key is of an image of _SKETCH, not of a whole matrix.  A prefix
 # product joins the class of its key's first product only after a check
 # of all its entries, and is a class of its own otherwise, so classes that
-# share an image key stay apart.  The full-operator search keys each class
-# P, middle or prefix, and each query Q: Q within eps of a phase times P,
-# entrywise, puts Q v within eps |v|_1 of that phase times P v, so the
-# search keys at that radius.
+# share an image key stay apart.  The full-operator search keys each prefix
+# class P and each query Q: Q within eps of a phase times P, entrywise,
+# puts Q v within eps |v|_1 of that phase times P v, so the search keys at
+# that radius.
 _KEY_REF = 0.3
 _KEY_GRID = 2.0**-8
 # multipliers of the hash, one per pair of grid values: powers of an odd
@@ -699,9 +700,9 @@ def _stable(scaled: np.ndarray, ref: np.ndarray, mag: np.ndarray, eps: float) ->
     return clear & has_ref & ~ambiguous
 
 
-def _prefix_classes(start: np.ndarray, depth: int, staged: np.ndarray):
-    """Phase classes of staged[l_{depth-1}] ... staged[l_0] . start over all
-    layer tuples, built one depth at a time from the representatives of the
+def _prefix_classes(depth: int, staged: np.ndarray):
+    """Phase classes of staged[l_{depth-1}] ... staged[l_0] over all layer
+    tuples, built one depth at a time from the representatives of the
     depth before.  The products of a depth are ordered by layer and then by
     the class they extend.  Each is keyed by its image of _SKETCH, formed
     as stage . (R v) from its class's image R v, and a key's first product
@@ -716,7 +717,7 @@ def _prefix_classes(start: np.ndarray, depth: int, staged: np.ndarray):
     generator (one empty step per block); it returns the representatives,
     the member layer tuples in application order as one int array grouped
     by class, and the offsets of each class's rows in it."""
-    reps = start[None]
+    reps = np.eye(8, dtype=complex)[None]
     members = np.zeros((1, 0), dtype=np.intp)
     offsets = np.array([0, 1])
     for _ in range(depth):
@@ -797,14 +798,14 @@ def _fits(n_layers: int, depth: int) -> bool:
 
 
 def _classes(kinds, depth, staged):
-    """_prefix_classes(identity, depth, staged) through _MEMO: a search step
+    """_prefix_classes(depth, staged) through _MEMO: a search step
     generator that builds only on a miss and keeps a completed build that
     fits, as compact read-only copies."""
     global _MEMO
     key, classes, _, _ = _MEMO
     if key == (kinds, depth) and classes is not None:
         return classes
-    classes = yield from _prefix_classes(np.eye(8, dtype=complex), depth, staged)
+    classes = yield from _prefix_classes(depth, staged)
     kept = _read_only(*classes) if _fits(len(staged), depth) else None
     _MEMO = ((kinds, depth), kept, None, None)
     return kept or classes  # a table that does not fit is never copied
@@ -831,93 +832,55 @@ def _confirm(cands: np.ndarray, test, layers, staged) -> list:
             for j in range(1, idx.shape[1] - 1):
                 prefix = np.matmul(staged[idx[:, j]], prefix)
             U = np.matmul(U, prefix)
-        hits.extend((tuple(idx[i].tolist()), ff) for i, ff in test(U))
+        matched = test(U)
+        rows = idx[[i for i, _ in matched]].tolist()  # one conversion per block
+        hits.extend((tuple(row), ff) for row, (_, ff) in zip(rows, matched))
     return hits
 
 
-def _search_full(target, k, kinds, layers, staged, cswap8, tol):
-    """Search steps for an 8x8 target.  When the most recent search had the
-    same gate kinds and depth and their prefix-class table is memoized, or
-    fits the memo, the search meets at the final layer on that table,
-    building it once; otherwise it meets in the middle, where a one-off
-    search costs less and builds no table, and notes its key in the memo.
-    Both return the same matches and evaluated counts."""
+def _search_full(target, k, kinds, layers, staged, tol):
+    """Search steps for an 8x8 target, met at depth j among the phase
+    classes of the prefixes P = C . L_{j-1} ... C . L_0.  A candidate S . P,
+    S = L_k . C ... C . L_j the suffix, matches T only if P is within sqrt8
+    tol <= 8 tol of the query S^+ . T up to phase (|A E|_max <= sqrt8
+    |E|_max for an 8x8 unitary A).  Each class and each query is keyed by
+    its image of the unit vector v = _SKETCH alone: Q within eps of a phase
+    times P, entrywise, puts Q v within eps |v|_1 of that phase times P v.
+    So the query images, a block of suffixes at a time, are looked up by
+    key at that radius among the classes' images.  A class whose key is
+    not stable at that radius is screened against every query image
+    instead, by least squares (_near).  A search that repeats the gate
+    kinds and depth of the one before it, with their table memoized or
+    fitting the memo, meets at the final layer (j = k) on that table,
+    building it once; any other meets one layer earlier (j = k - 1), on a
+    table it builds and does not keep, and notes its key in the memo.
+    Both give the same matches and evaluated counts.  Each proposed member
+    and suffix is confirmed by _matches_full on its own operator, one
+    search step per block of candidates."""
     global _MEMO
-    key, classes, _, _ = _MEMO
-    if key == (kinds, k) and (classes is not None or _fits(len(layers), k)):
-        yield from _search_final(target, k, kinds, layers, staged, tol)
+    n = len(layers)
+    # L_k^+ . T . v for every final layer, as rows
+    last = np.matmul(layers.conj().transpose(0, 2, 1), target @ _SKETCH)
+    key, kept, _, _ = _MEMO
+    if k == 0 or (key == (kinds, k) and (kept is not None or _fits(n, k))):
+        built = yield from _classes(kinds, k, staged)
+        blocks = [(last, np.arange(n)[:, None])]
     else:
         _MEMO = ((kinds, k), None, None, None)
-        yield from _search_middle(target, k, layers, staged, cswap8, tol)
-
-
-def _search_middle(target, k, layers, staged, cswap8, tol):
-    """Meet in the middle for an 8x8 target.  L_k . M . L_0 matches T only if
-    the middle M = C . L_{k-1} ... L_1 . C is within 8 tol of the query
-    Q = L_k^+ . T . L_0^+ up to phase (|A E B|_max <= 8 |E|_max for 8x8
-    unitaries A, B).  Each middle and each query is keyed by its image of
-    the unit vector v = _SKETCH alone: Q within eps of a phase times M,
-    entrywise, puts Q v within eps |v|_1 of that phase times M v.  So the
-    queries' images, a block of final layers at a time, are looked up by
-    key at that radius among the middle classes' images.  A middle whose
-    key is not stable at that radius is screened against every query
-    image instead, by least squares (_near).  Each proposed candidate is
-    confirmed by _matches_full on its own operator."""
-    test = functools.partial(_matches_full, target=target, tol=tol)
-    n = len(layers)
-    if k == 0:
-        yield _confirm(np.arange(n)[:, None], test, layers, staged), n
-        return
-    reps, members, offsets = yield from _prefix_classes(cswap8, k - 1, staged)
-    eps = (8.0 * tol + _CLASS_SLACK) * _SKETCH_L1
-    images = reps @ _SKETCH
-    scaled, ref, mag = _phase_canonical(images)
-    stable = np.nonzero(_stable(scaled, ref, mag, eps))[0]
-    keys = _keys(scaled[stable])
-    order = np.argsort(keys, kind="stable")
-    table, table_ids = keys[order], stable[order]
-    loose = np.setdiff1d(np.arange(len(reps)), stable)
-    loose_dag = _unit_rows(images[loose, None]).conj().T
-    # T . L_0^+ . v for every first layer, as rows
-    right = np.matmul(layers.conj().transpose(0, 2, 1), _SKETCH) @ target.T
-    per = max(1, _PRODUCT_BLOCK // n)
-    for lo in range(0, n, per):
-        # row u . conj(L) is (L^+ . u) as a row: last-major, then first
-        queries = np.matmul(right, layers[lo : lo + per].conj()).reshape(-1, len(_SKETCH))
-        query_keys = _keys(_phase_canonical(queries)[0])
-        left = np.searchsorted(table, query_keys)
-        counts = np.searchsorted(table, query_keys, side="right") - left
-        query = np.repeat(np.arange(len(queries)), counts)
-        middle = table_ids[_ranges(left, counts)]
-        if loose.size:
-            # an image within eps of a phase times M v, entrywise, is within
-            # 8 eps^2 of it in squared norm, and no nearer to that phase
-            # times M v than to the nearest multiple of M v
-            near_q, near_j = np.nonzero(_near(queries, loose_dag, len(_SKETCH) * eps**2))
-            query = np.concatenate((query, near_q))
-            middle = np.concatenate((middle, loose[near_j]))
-        rows, counts = _member_rows(members, offsets, middle)
-        cands = np.column_stack(
-            (np.repeat(query % n, counts), rows, np.repeat(lo + query // n, counts))
+        built = yield from _prefix_classes(k - 1, staged)
+        # (C . L_{k-1})^+ . L_k^+ . T . v, the row u . conj(S) being
+        # (S^+ . u) as a row, for a block of L_{k-1} at a time, with the
+        # suffix (L_{k-1}, L_k) of each
+        per = max(1, _PRODUCT_BLOCK // n)
+        pairs = np.column_stack(np.divmod(np.arange(n * n), n))
+        blocks = (
+            (
+                np.matmul(last, staged[lo : lo + per].conj()).reshape(-1, len(_SKETCH)),
+                pairs[lo * n : (lo + per) * n],
+            )
+            for lo in range(0, n, per)
         )
-        yield _confirm(cands, test, layers, staged), len(cands)
-
-
-def _search_final(target, k, kinds, layers, staged, tol):
-    """Meet at the final layer for an 8x8 target.  L_k . P matches T only if
-    the prefix P = C . L_{k-1} ... C . L_0 is within sqrt8 tol <= 8 tol of
-    the query L_k^+ . T up to phase (|A E|_max <= sqrt8 |E|_max for an 8x8
-    unitary A).  Each prefix class and each query is keyed by its image of
-    the unit vector v = _SKETCH alone: Q within eps of a phase times P,
-    entrywise, puts Q v within eps |v|_1 of that phase times P v.  So the
-    query images, one per final layer, are looked up by key at that radius
-    among the prefix classes' images, the memoized table the photon-map
-    search uses too.  A class whose key is not stable at that radius is
-    screened against every query image instead, by least squares (_near).
-    Each proposed member and final layer is confirmed by _matches_full on
-    its own operator, one block per search step."""
-    global _MEMO
-    reps, members, offsets = built = yield from _classes(kinds, k, staged)
+    reps, members, offsets = built
     eps = (8.0 * tol + _CLASS_SLACK) * _SKETCH_L1
     # the key lookup at tol, kept with a memoized table
     key, kept, kept_tol, lookup = _MEMO
@@ -928,32 +891,31 @@ def _search_final(target, k, kinds, layers, staged, tol):
         keys = _keys(scaled[stable])
         order = np.argsort(keys, kind="stable")
         loose = np.setdiff1d(np.arange(len(reps)), stable)
-        lookup = _read_only(
-            keys[order], stable[order], loose, _unit_rows(images[loose, None]).conj().T
-        )
+        lookup = (keys[order], stable[order], loose, _unit_rows(images[loose, None]).conj().T)
         if kept is built:
+            lookup = _read_only(*lookup)
             _MEMO = (key, built, tol, lookup)
     table, table_ids, loose, loose_dag = lookup
-    # L^+ . T . v for every final layer, as rows
-    queries = np.matmul(layers.conj().transpose(0, 2, 1), target @ _SKETCH)
-    query_keys = _keys(_phase_canonical(queries)[0])
-    left = np.searchsorted(table, query_keys)
-    counts = np.searchsorted(table, query_keys, side="right") - left
-    last = np.repeat(np.arange(len(layers)), counts)
-    classes = table_ids[_ranges(left, counts)]
-    if loose.size:
-        # an image within eps of a phase times P v, entrywise, is within
-        # 8 eps^2 of it in squared norm, and no nearer to that phase times
-        # P v than to the nearest multiple of P v
-        near_q, near_j = np.nonzero(_near(queries, loose_dag, len(_SKETCH) * eps**2))
-        last = np.concatenate((last, near_q))
-        classes = np.concatenate((classes, loose[near_j]))
-    rows, counts = _member_rows(members, offsets, classes)
-    cands = np.column_stack((rows, np.repeat(last, counts)))
     test = functools.partial(_matches_full, target=target, tol=tol)
-    for lo in range(0, len(cands), _PRODUCT_BLOCK):
-        block = cands[lo : lo + _PRODUCT_BLOCK]
-        yield _confirm(block, test, layers, staged), len(block)
+    for queries, suffixes in blocks:
+        query_keys = _keys(_phase_canonical(queries)[0])
+        left = np.searchsorted(table, query_keys)
+        counts = np.searchsorted(table, query_keys, side="right") - left
+        query = np.repeat(np.arange(len(queries)), counts)
+        classes = table_ids[_ranges(left, counts)]
+        if loose.size:
+            # an image within eps of a phase times P v, entrywise, is within
+            # 8 eps^2 of it in squared norm, and no nearer to that phase
+            # times P v than to the nearest multiple of P v
+            near_q, near_j = np.nonzero(_near(queries, loose_dag, len(_SKETCH) * eps**2))
+            query = np.concatenate((query, near_q))
+            classes = np.concatenate((classes, loose[near_j]))
+        rows, counts = _member_rows(members, offsets, classes)
+        cands = np.column_stack((rows, suffixes[np.repeat(query, counts)]))
+        # a step per block of candidates, and at least one per block of queries
+        for lo in range(0, max(len(cands), 1), _PRODUCT_BLOCK):
+            block = cands[lo : lo + _PRODUCT_BLOCK]
+            yield _confirm(block, test, layers, staged), len(block)
 
 
 def _near(X: np.ndarray, Q_dag: np.ndarray, bound: float) -> np.ndarray:
@@ -1105,11 +1067,12 @@ def synthesize(
     target is looked up by key, each class and each query keyed by its
     image of one fixed unit vector v (a query within eps of a class,
     entrywise, has an image within eps |v|_1 of the class's, the radius of
-    the lookup).  A one-off 8x8 search meets in the middle: the target with
-    its first and last layers undone among the middle classes.  One that
-    repeats the gate set and num_cswaps of the search just before it meets
-    at the final layer: the target with its last layer undone among the
-    prefix classes.  The screens only propose candidates.  Every reported
+    the lookup).  An 8x8 search meets at the final layer on a repeat, one
+    layer earlier otherwise: one that repeats the gate set and num_cswaps
+    of the search just before it looks the target with its final layer
+    undone up among the prefix classes, any other the target with its
+    final two layers undone among the classes one layer shorter.  The
+    screens only propose candidates.  Every reported
     match is confirmed on its own operator by its exact rule alone:
     full-operator and feed-forward matches pass the rule of
     ``equivalent_up_to_phase``, measurement-free photon maps the
@@ -1121,8 +1084,8 @@ def synthesize(
     completes, and only if the build's room of 1 KB per layer tuple stays
     within 64 MB: a table of three CSWAPs over five gate kinds is never
     kept.  A photon-map search always builds them; a full-operator search
-    builds them only on a repeat, as one build costs more than the middle
-    search it replaces.  Either way the result is the same.  The memo is
+    builds them only on a repeat, as one build costs more than the search
+    one layer earlier that it replaces.  Either way the result is the same.  The memo is
     one slot, replaced whole, so concurrent calls at worst build a table
     twice.
 
@@ -1167,10 +1130,9 @@ def synthesize(
     # the kind triple of each layer index, n^2 atom + n photon + photon
     names = list(itertools.product(kinds, repeat=3))
     photon, layers = _layer_tables(kinds)
-    cswap8 = gate_matrix(_SYNTH_CSWAP, 3)
-    staged = np.matmul(cswap8, layers)  # CSWAP . layer, one chain element
+    staged = np.matmul(gate_matrix(_SYNTH_CSWAP, 3), layers)  # CSWAP . layer, one chain element
     if mode == "full":
-        steps = _search_full(target, num_cswaps, kinds, layers, staged, cswap8, tol)
+        steps = _search_full(target, num_cswaps, kinds, layers, staged, tol)
     else:
         steps = _search_photon(
             target, num_cswaps, kinds, photon, layers, staged, use_feedforward, tol

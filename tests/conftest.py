@@ -29,7 +29,7 @@ def fresh_synthesis_memo():
     """Each test starts with an empty synthesis memo: a test that patches a
     constant the prefix classes are built under builds them under its
     patch, no test reads a table that another one built, and a first
-    full-operator search meets in the middle."""
+    full-operator search meets one layer before the final one."""
     from cavityswap import circuits
 
     circuits._MEMO = (None, None, None, None)

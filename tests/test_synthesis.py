@@ -4,6 +4,8 @@ import itertools
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -346,21 +348,16 @@ def test_matches_do_not_depend_on_the_order_classes_are_found(cpf_feedforward):
     (circuits._SYNTH_KINDS, 1, 216), (circuits._SYNTH_KINDS, 2, 25272),
 ])
 def test_sketch_keys_separate_the_middle_classes(kinds, depth, count):
-    """The full-operator search keys each class by its image of _SKETCH:
-    the middle classes C . L_depth ... L_1 . C when it meets in the middle,
-    the prefix classes C . L_{depth-1} ... C . L_0 when it meets at the
-    final layer.  Two classes sharing a key would cost a failed
-    confirmation per member and query.  Every class keeps a key of its
-    own, as with the whole-matrix keys.  A symmetric vector fails: the
-    basis vector e_0 gives 8 keys for the 125 depth-1 middle classes, the
-    uniform vector 1 984 for the 5 525 depth-2 ones."""
-    cswap8 = circuits.gate_matrix(circuits._SYNTH_CSWAP, 3)
-    for start in (cswap8, np.eye(8, dtype=complex)):
-        reps = block_classes(start, depth, staged_layers(kinds))[0]
-        assert len(reps) == count
-        whole = circuits._keys(circuits._phase_canonical(reps)[0])
-        sketch = circuits._keys(circuits._phase_canonical(reps @ circuits._SKETCH)[0])
-        assert len(np.unique(whole)) == len(np.unique(sketch)) == count
+    """The full-operator search keys each prefix class C . L_{depth-1} ...
+    C . L_0 by its image of _SKETCH, at the final layer or one layer
+    earlier.  Two classes sharing a key would cost a failed confirmation
+    per member and query.  Every class keeps a key of its own, as with the
+    whole-matrix keys."""
+    reps = block_classes(depth, staged_layers(kinds))[0]
+    assert len(reps) == count
+    whole = circuits._keys(circuits._phase_canonical(reps)[0])
+    sketch = circuits._keys(circuits._phase_canonical(reps @ circuits._SKETCH)[0])
+    assert len(np.unique(whole)) == len(np.unique(sketch)) == count
 
 
 @pytest.mark.parametrize("sketch,count", [
@@ -376,14 +373,13 @@ def test_prefix_classes_that_share_an_image_key_stay_apart(monkeypatch, sketch, 
     monkeypatch.setattr(circuits, "_SKETCH_L1", math.fsum(map(abs, sketch.tolist())))
     staged = staged_layers(FULL_SET)
     every = sorted(itertools.product(range(len(staged)), repeat=2))
-    for start in (np.eye(8, dtype=complex), circuits.gate_matrix(circuits._SYNTH_CSWAP, 3)):
-        reps, members, offsets = block_classes(start, 2, staged)
-        assert len(reps) == count
-        assert sorted(map(tuple, members.tolist())) == every
-        formed = np.matmul(staged[members[:, 1]], np.matmul(staged[members[:, 0]], start))
-        rep_of = np.repeat(np.arange(len(reps)), np.diff(offsets))
-        # the rule of equivalent_up_to_phase, over all members at once
-        assert circuits._phase_equiv_batch(formed, reps[rep_of], circuits._CLASS_TOL).all()
+    reps, members, offsets = block_classes(2, staged)
+    assert len(reps) == count
+    assert sorted(map(tuple, members.tolist())) == every
+    formed = np.matmul(staged[members[:, 1]], staged[members[:, 0]])
+    rep_of = np.repeat(np.arange(len(reps)), np.diff(offsets))
+    # the rule of equivalent_up_to_phase, over all members at once
+    assert circuits._phase_equiv_batch(formed, reps[rep_of], circuits._CLASS_TOL).all()
     result = synthesize(cpf_target(), 2, FULL_SET, allow_feedforward=True)
     lines = [format_circuit(m.circuit) for m in result.matches]
     assert (len(lines), digest(lines)) == PINNED_CPF_FEEDFORWARD
@@ -468,34 +464,86 @@ def test_czz_search_confirms_no_false_proposal(gates):
     assert result.matches and result.evaluated == len(result.matches)
 
 
-@pytest.mark.parametrize("target,allow_feedforward", [
-    (planted_unitary(PINNED_PLANTED[1][0]), False), (cpf_target(), True),
-], ids=["full", "feedforward"])
-def test_a_warm_search_equals_a_cold_one(target, allow_feedforward):
-    """A full-operator search meets in the middle, its repeat builds the
-    prefix classes and meets at the final layer, and the next reads them;
-    a photon-map search builds them at once, and its repeats read them.
-    Every call gives the same result."""
+@pytest.mark.parametrize("target,gates", [
+    *((planted_unitary(layers), FULL_SET) for layers in planted_pool()),
+    (czz_target(), FULL_SET), (czz_target(), ("I", "Z")),
+], ids=[*(";".join(map(",".join, layers)) for layers in planted_pool()), "czz-5", "czz-2"])
+def test_a_repeated_full_search_confirms_no_false_proposal(target, gates):
+    """The repeat of a full-operator search meets at the final layer, on
+    the prefix classes it builds: the matches of the one-off search before
+    it, and again each candidate it forms is a match."""
+    once = synthesize(target, 2, gates)
+    again = synthesize(target, 2, gates)
+    assert circuits._MEMO[1] is not None
+    assert again.matches == once.matches and again.evaluated == len(again.matches)
+
+
+@pytest.mark.parametrize("target,kinds,k,allow_feedforward", [
+    pytest.param(planted_unitary(PINNED_PLANTED[1][0]), FULL_SET, 2, False, id="full"),
+    pytest.param(cpf_target(), FULL_SET, 2, True, id="feedforward"),
+    pytest.param(planted_unitary([("S", "H", "Z")]), FULL_SET, 0, False, id="full-0"),
+    pytest.param(planted_unitary([("H", "S", "H"), ("S", "H", "S")]), FULL_SET, 1, False,
+                 id="full-1"),
+    pytest.param(planted_unitary([("H", "Z", "I"), ("Z", "H", "H"), ("I", "Z", "H"),
+                                  ("H", "H", "Z")]), ("I", "Z", "H"), 3, False, id="full-3"),
+])
+def test_a_warm_search_equals_a_cold_one(target, kinds, k, allow_feedforward):
+    """A full-operator search meets one layer before the final one (at
+    the final layer without a CSWAP), its repeat builds the prefix classes
+    and meets at the final layer, and the next reads them; a photon-map
+    search builds them at once, and its repeats read them.  Every call
+    gives the same result, and a full search proposes no candidate that
+    fails confirmation."""
     results = [
-        synthesize(target, 2, FULL_SET, allow_feedforward=allow_feedforward) for _ in range(3)
+        synthesize(target, k, kinds, allow_feedforward=allow_feedforward) for _ in range(3)
     ]
     key, classes, _, _ = circuits._MEMO
-    assert key == (FULL_SET, 2) and classes is not None
+    assert key == (kinds, k) and classes is not None
     cold = results[0]
     assert cold.matches
+    assert allow_feedforward or cold.evaluated == len(cold.matches)
     for result in results:
         assert not result.truncated
-        assert result.search_space == 125**3 * (17 if allow_feedforward else 1)
+        assert result.search_space == len(kinds) ** (3 * k + 3) * (17 if allow_feedforward else 1)
         assert (result.matches, result.evaluated) == (cold.matches, cold.evaluated)
 
 
 def test_a_one_off_full_search_builds_no_table():
     """A full-operator search builds the prefix classes only when the search
-    before it had the same gate set and depth; otherwise it meets in the
-    middle and notes only its key."""
+    before it had the same gate set and depth; otherwise it meets one layer
+    before the final one and notes only its key."""
     for k in (2, 1, 2):
         synthesize(czz_target(), k, FULL_SET)
         assert circuits._MEMO == ((FULL_SET, k), None, None, None)
+
+
+def test_a_deep_one_off_full_search_stays_small():
+    """czz over (I, Z, S, H) at three CSWAPs, twice in a fresh interpreter.
+    The depth-3 prefix table, 1 KB of room per layer tuple, would take
+    256 MB; its build peaked at 162 MB.  Both calls meet one layer before
+    the final one, on the 4 096 depth-2 products, and keep no table.  The
+    peak is the child's VmHWM: its ru_maxrss would carry this process's
+    peak across fork and exec."""
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("needs Linux /proc")
+    child = """
+import json
+from cavityswap import circuits
+kinds = ("I", "Z", "S", "H")
+found = [len(circuits.synthesize(circuits.czz_target(), 3, kinds).matches) for _ in range(2)]
+kept = circuits._MEMO == ((kinds, 3), None, None, None)
+with open("/proc/self/status") as f:
+    peak_kb = int(next(line for line in f if line.startswith("VmHWM:")).split()[1])
+print(json.dumps([found, kept, peak_kb]))
+"""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(circuits.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    found, one_off, peak_kb = json.loads(proc.stdout)
+    assert found == [0, 0] and one_off
+    assert peak_kb < 100 * 1024
 
 
 def test_memoized_arrays_are_read_only():
@@ -529,7 +577,7 @@ def test_a_table_over_the_cap_is_not_kept(monkeypatch):
     lines = [format_circuit(m.circuit) for m in fed.matches]
     assert (len(lines), digest(lines)) == PINNED_CPF_FEEDFORWARD
     assert circuits._MEMO == ((FULL_SET, 2), None, None, None)
-    for _ in range(2):  # both meet in the middle
+    for _ in range(2):  # both meet one layer before the final one
         synthesize(czz_target(), 2, FULL_SET)
         assert circuits._MEMO == ((FULL_SET, 2), None, None, None)
     for _ in range(2):  # 125 products fit

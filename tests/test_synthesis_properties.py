@@ -153,17 +153,41 @@ def test_feedforward_placements_match_brute_force(kinds, k, target):
     assert result.evaluated == len(want)
 
 
-# the planted outer pair of the one-CSWAP searches below, as operators.  A
-# first full-operator search meets in the middle: for this pair its query
-# L_1^+ . T . L_0^+ is the CSWAP itself, moved by whatever the target adds.
-# Its repeat meets at the final layer: the query L_1^+ . T is the prefix
-# class C . FIRST, moved the same way
+# the planted outer pair of the one-CSWAP searches below, as operators
 OUTER_KINDS = ("H", "S")
 FIRST, LAST = (
     circuit_unitary(circuit_gates([layer]), 3) for layer in (("H", "S", "H"), ("S", "H", "S"))
 )
 PLANTED_LINE = "H,S,H;S,H,S|None"
 PREFIX = circuit_unitary([CSWAP(0, 1, 2)], 3) @ FIRST
+# A one-off full-operator search meets one layer before the final one: its
+# only class is the identity, and its query (C . L_0)^+ . L_1^+ . T for the
+# planted pair is the identity, moved by whatever the target adds.  Its
+# repeat meets at the final layer: the query L_1^+ . T is the prefix class
+# C . FIRST, moved the same way.  Per search, the planted class P and the
+# operator S whose inverse forms the query, so that a target S . Q gives
+# the query Q
+SEARCHES = {"one-off": (np.eye(8, dtype=complex), LAST @ PREFIX), "repeat": (PREFIX, LAST)}
+
+
+def per_search(*tols):
+    # each tolerance for a one-off search, then for its repeat
+    return [pytest.param(tol, "one-off", id=str(tol)) for tol in tols] + [
+        pytest.param(tol, "repeat", id=f"{tol}-repeat") for tol in tols
+    ]
+
+
+def full_search(search, target, tol):
+    """A one-off full-operator search, which keeps no table, or the repeat
+    of one, which builds and keeps the prefix classes."""
+    result = synthesize(target, 1, OUTER_KINDS, tol=tol)
+    if search == "one-off":
+        assert circuits._MEMO[1] is None
+        return result
+    repeat = synthesize(target, 1, OUTER_KINDS, tol=tol)
+    assert circuits._MEMO[1] is not None
+    assert repeat.matches == result.matches
+    return repeat
 
 
 def rule_residual(U, V):
@@ -173,143 +197,71 @@ def rule_residual(U, V):
     return np.max(np.abs(U - z / abs(z) * V))
 
 
-@pytest.mark.parametrize("tol", [TOL, 0.5 * _KEY_GRID, _KEY_GRID])
-def test_query_on_a_rounding_edge_matches_brute_force(tol):
+@pytest.mark.parametrize("tol,search", per_search(TOL, 0.5 * _KEY_GRID, _KEY_GRID))
+def test_query_on_a_rounding_edge_matches_brute_force(tol, search):
     """The full-operator search keys a query by its phase-normalized image
-    of the sketch.  The CSWAP query's image gets one coordinate (the real
+    of the sketch.  The planted class's image gets one coordinate (the real
     part of the last entry, past the reference entry) moved onto a rounding
     edge, k + 1/2 grid steps from zero, by adding to the last row of the
     query a multiple of conj(v): only that entry of the image moves, and the
     phase reference does not.  Rounding noise in forming the query decides
     that coordinate's grid value, so the query's key may or may not be its
-    middle's; the result must equal brute force either way."""
-    cswap = circuit_unitary([CSWAP(0, 1, 2)], 3)
-    scaled, ref, _ = _phase_canonical((cswap @ _SKETCH)[None])
+    class's; the result must equal brute force either way."""
+    planted, outer = SEARCHES[search]
+    scaled, ref, _ = _phase_canonical((planted @ _SKETCH)[None])
     entry = len(_SKETCH) - 1
     assert ref[0] < entry
     coordinate = scaled[0, 2 * entry]
     step = math.floor(coordinate) + 0.5 - coordinate  # in grid units
     # the image entry moves by step grid units in the normalized frame
-    reference = (cswap @ _SKETCH)[ref[0]]
-    query = cswap.copy()
+    reference = (planted @ _SKETCH)[ref[0]]
+    query = planted.copy()
     query[entry] += step * _KEY_GRID * (reference / abs(reference)) * _SKETCH.conj()
-    target = LAST @ query @ FIRST
+    target = outer @ query
     # on the edge as the search sees the query, up to its rounding
-    image = LAST.conj().T @ (target @ (FIRST.conj().T @ _SKETCH))
+    image = outer.conj().T @ (target @ _SKETCH)
     edge = _phase_canonical(image[None])[0][0, 2 * entry]
     assert abs(abs(edge - math.floor(edge)) - 0.5) < 1e-9
-    result = synthesize(target, 1, OUTER_KINDS, tol=tol)
+    result = full_search(search, target, tol)
     want = brute_force(target, 1, OUTER_KINDS, False, tol)
     assert sorted(match_lines(result)) == want
     assert (PLANTED_LINE in want) == (tol >= 0.5 * _KEY_GRID)
 
 
-# at 1e-5 the CSWAP middle's image key is no longer stable
-@pytest.mark.parametrize("tol", [TOL, 1e-5])
-def test_planted_circuit_at_the_widened_radius_is_found(tol):
-    """Every entry of the query L_1^+ . T . L_0^+ moves by delta from the
-    CSWAP, with the phase conj(v_j) / |v_j| down column j, so that every
-    coordinate of its image of the sketch v moves by delta |v|_1: the
-    farthest an entrywise move of delta can carry it.  delta is scaled so
-    that the planted circuit sits at 0.9 tol; the shift is then about
-    1.01 tol.  At the loose tolerance the CSWAP middle is screened by least
-    squares, and a screen whose radius on the image falls below that shift
-    misses the planted circuit: a radius of 0.9 tol in place of
-    (8 tol + _CLASS_SLACK) |v|_1 fails here, and so does keying the middle
-    without the stability test.  At 1e-9 the middle is keyed, and a table
-    and queries keyed by different vectors miss it."""
-    cswap = circuit_unitary([CSWAP(0, 1, 2)], 3)
-    eps = (8.0 * tol + _CLASS_SLACK) * _SKETCH_L1
-    stable = _stable(*_phase_canonical((cswap @ _SKETCH)[None]), eps)[0]
-    assert stable == (tol == TOL)
-    planted = LAST @ cswap @ FIRST
-    pattern = np.ones((8, 1)) * (_SKETCH.conj() / np.abs(_SKETCH))
-    # the image moves by delta |v|_1 in every coordinate
-    assert np.allclose(pattern @ _SKETCH, _SKETCH_L1)
-    unit = 1e-3 * tol
-    delta = 0.9 * tol * unit / rule_residual(planted, LAST @ (cswap + unit * pattern) @ FIRST)
-    target = LAST @ (cswap + delta * pattern) @ FIRST
-    assert rule_residual(planted, target) == pytest.approx(0.9 * tol, rel=1e-3)
-    result = synthesize(target, 1, OUTER_KINDS, tol=tol)
-    want = brute_force(target, 1, OUTER_KINDS, False, tol)
-    assert PLANTED_LINE in want
-    assert sorted(match_lines(result)) == want
-
-
-def final_layer_search(target, k, kinds, tol):
-    """The repeat of a full-operator search, which builds and keeps the
-    prefix classes and meets at the final layer."""
-    first = synthesize(target, k, kinds, tol=tol)
-    result = synthesize(target, k, kinds, tol=tol)
-    assert circuits._MEMO[1] is not None
-    assert result.matches == first.matches
-    return result
-
-
-@pytest.mark.parametrize("tol", [TOL, 0.5 * _KEY_GRID, _KEY_GRID])
-def test_final_layer_query_on_a_rounding_edge_matches_brute_force(tol):
-    """The repeated full-operator search keys a query L_1^+ . T by its
-    phase-normalized image of the sketch.  The prefix C . FIRST's image gets
-    one coordinate (the real part of the last entry, past the reference
-    entry) moved onto a rounding edge, k + 1/2 grid steps from zero, by
-    adding to the last row of the prefix a multiple of conj(v): only that
-    entry of the image moves, and the phase reference does not.  Rounding
-    noise in forming the query decides that coordinate's grid value, so the
-    query's key may or may not be its prefix class's; the result must equal
-    brute force either way."""
-    scaled, ref, _ = _phase_canonical((PREFIX @ _SKETCH)[None])
-    entry = len(_SKETCH) - 1
-    assert ref[0] < entry
-    coordinate = scaled[0, 2 * entry]
-    step = math.floor(coordinate) + 0.5 - coordinate  # in grid units
-    # the image entry moves by step grid units in the normalized frame
-    reference = (PREFIX @ _SKETCH)[ref[0]]
-    query = PREFIX.copy()
-    query[entry] += step * _KEY_GRID * (reference / abs(reference)) * _SKETCH.conj()
-    target = LAST @ query
-    # on the edge as the search sees the query, up to its rounding
-    image = LAST.conj().T @ (target @ _SKETCH)
-    edge = _phase_canonical(image[None])[0][0, 2 * entry]
-    assert abs(abs(edge - math.floor(edge)) - 0.5) < 1e-9
-    result = final_layer_search(target, 1, OUTER_KINDS, tol)
-    want = brute_force(target, 1, OUTER_KINDS, False, tol)
-    assert sorted(match_lines(result)) == want
-    assert (PLANTED_LINE in want) == (tol >= 0.5 * _KEY_GRID)
-
-
-# at 1e-5 and 1e-3 the prefix class's image key is no longer stable
-@pytest.mark.parametrize("tol", [TOL, 1e-5, 1e-3])
-def test_planted_circuit_at_the_widened_radius_is_found_at_the_final_layer(tol):
-    """Every entry of the repeated search's query L_1^+ . T moves by delta
-    from the prefix C . FIRST, with the phase conj(v_j) / |v_j| down column
-    j, so that every coordinate of its image of the sketch v moves by
-    delta |v|_1: the farthest an entrywise move of delta can carry it.  delta is scaled so
-    that the planted circuit sits at 0.9 tol; the shift is then about
-    1.4 tol.  At the loose tolerances the prefix class is screened by least
-    squares, and a screen whose radius on the image falls below that shift
-    misses the planted circuit: the least-squares screen at a radius of
-    0.9 tol in place of (8 tol + _CLASS_SLACK) |v|_1 rejects it here.  At
-    1e-3 the shift is 0.36 grid steps, and keying the class without the
+# at 1e-5 and 1e-3 the planted class's image key is no longer stable
+@pytest.mark.parametrize("tol,search", per_search(TOL, 1e-5, 1e-3))
+def test_planted_circuit_at_the_widened_radius_is_found(tol, search):
+    """Every entry of the query moves by delta from the planted class, with
+    the phase conj(v_j) / |v_j| down column j, so that every coordinate of
+    its image of the sketch v moves by delta |v|_1: the farthest an
+    entrywise move of delta can carry it.  delta is scaled so that the
+    planted circuit sits at 0.9 tol; the shift is then about 1.2 tol for
+    the one-off search and 1.4 tol for the repeat.  At the loose
+    tolerances the class is screened by least squares, and a screen whose
+    radius on the image falls below that shift misses the planted circuit:
+    the least-squares screen at a radius of 0.9 tol in place of
+    (8 tol + _CLASS_SLACK) |v|_1 rejects it here.  At 1e-3 the shift is
+    about a third of a grid step, and keying the class without the
     stability test misses it too.  At 1e-9 the class is keyed, and a table
     and queries keyed by different vectors miss it."""
+    planted, outer = SEARCHES[search]
     eps = (8.0 * tol + _CLASS_SLACK) * _SKETCH_L1
-    stable = _stable(*_phase_canonical((PREFIX @ _SKETCH)[None]), eps)[0]
+    stable = _stable(*_phase_canonical((planted @ _SKETCH)[None]), eps)[0]
     assert stable == (tol == TOL)
-    planted = LAST @ PREFIX
     pattern = np.ones((8, 1)) * (_SKETCH.conj() / np.abs(_SKETCH))
     # the image moves by delta |v|_1 in every coordinate
     assert np.allclose(pattern @ _SKETCH, _SKETCH_L1)
     unit = 1e-3 * tol
-    delta = 0.9 * tol * unit / rule_residual(planted, LAST @ (PREFIX + unit * pattern))
-    target = LAST @ (PREFIX + delta * pattern)
-    assert rule_residual(planted, target) == pytest.approx(0.9 * tol, rel=1e-3)
-    result = final_layer_search(target, 1, OUTER_KINDS, tol)
+    delta = 0.9 * tol * unit / rule_residual(outer @ planted, outer @ (planted + unit * pattern))
+    target = outer @ (planted + delta * pattern)
+    assert rule_residual(outer @ planted, target) == pytest.approx(0.9 * tol, rel=1e-3)
+    result = full_search(search, target, tol)
     want = brute_force(target, 1, OUTER_KINDS, False, tol)
     assert PLANTED_LINE in want
     assert sorted(match_lines(result)) == want
     if not stable:
         # the query's image against the class's, as the search screens it
-        image = LAST.conj().T @ (target @ _SKETCH)
-        table = _unit_rows((PREFIX @ _SKETCH)[None, None]).conj().T
+        image = outer.conj().T @ (target @ _SKETCH)
+        table = _unit_rows((planted @ _SKETCH)[None, None]).conj().T
         assert _near(image[None], table, len(_SKETCH) * eps**2)[0, 0]
         assert not _near(image[None], table, len(_SKETCH) * (0.9 * tol) ** 2)[0, 0]
