@@ -10,6 +10,12 @@ the detuning.
 All rates share one angular-frequency unit; preset loaders normalize to
 multiples of kappa_h, but any consistent unit works since the response is
 homogeneous in the rates.
+
+Sign convention: r and t here are -1 times the textbook ratios a_out/a_in
+of input-output theory, where a_out = a_in + sqrt(kappa) a.  For the bare
+cavity, r = i omega / (kappa - i omega) here and -i omega / (kappa - i
+omega) in the textbook.  The loss p and fidelity F do not change under
+this sign.
 """
 from __future__ import annotations
 
@@ -78,15 +84,13 @@ class SpectralResponse:
     m: complex
 
     def flux_residual(self) -> float:
-        """|r|^2 + |t|^2 + |m|^2 - 1; analytically zero for valid inputs."""
-        return abs(self.r) ** 2 + abs(self.t) ** 2 + abs(self.m) ** 2 - 1.0
+        """The module's flux_residual at this detuning."""
+        return float(flux_residual(self.r, self.t, self.m))
 
 
-def coefficients(g, kappa, gamma, omega, parts: str = "rtm") -> tuple[np.ndarray, ...]:
+def coefficients(g, kappa, gamma, omega) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(R, T, m) broadcast over rates (g, kappa, gamma) and detunings omega.
 
-    ``parts`` names the coefficients to compute and return, in that order;
-    a caller that needs one of them skips the others' complex divisions.
     The forms are homogeneous of degree 0 in (g, kappa, gamma, omega), so
     every point is evaluated once, with its four values scaled by the power
     of two that brings the largest of those its form reads near 2**500.
@@ -116,34 +120,26 @@ def coefficients(g, kappa, gamma, omega, parts: str = "rtm") -> tuple[np.ndarray
     _, top = np.frexp(np.abs(point).max(axis=0))
     g, kappa, gamma, omega = np.ldexp(point, 500 - top)
     if bare.all():
-        return _bare(kappa, omega, parts)
+        return _bare(kappa, omega)
     if not bare.any():
-        return _dressed(g, kappa, gamma, omega, limit, parts)
-    out = tuple(np.empty(omega.shape, dtype=complex) for _ in parts)
+        return _dressed(g, kappa, gamma, omega, limit)
+    out = tuple(np.empty(omega.shape, dtype=complex) for _ in range(3))
     dressed = ~bare
     for mask, values in (
-        (bare, _bare(kappa[bare], omega[bare], parts)),
-        (dressed, _dressed(*(a[dressed] for a in (g, kappa, gamma, omega, limit)), parts)),
+        (bare, _bare(kappa[bare], omega[bare])),
+        (dressed, _dressed(*(a[dressed] for a in (g, kappa, gamma, omega, limit)))),
     ):
         for array, value in zip(out, values):
             array[mask] = value
     return out
 
 
-def _bare(kappa, omega, parts):
+def _bare(kappa, omega):
     denom = kappa - 1j * omega
-    out = []
-    for part in parts:
-        if part == "r":
-            out.append(1j * omega / denom)
-        elif part == "t":
-            out.append(kappa / denom)
-        else:
-            out.append(np.zeros_like(denom))
-    return tuple(out)
+    return 1j * omega / denom, kappa / denom, np.zeros_like(denom)
 
 
-def _dressed(g, kappa, gamma, omega, limit, parts):
+def _dressed(g, kappa, gamma, omega, limit):
     i_omega = 1j * omega
     d = i_omega - gamma / 2.0
     # At omega = 0 and gamma = 0 the denominator is -g^2, which is subnormal
@@ -155,15 +151,13 @@ def _dressed(g, kappa, gamma, omega, limit, parts):
     g2 = g * g
     g2 = np.where(limit & (g2 < sys.float_info.min), 1.0, g2)
     denom = (kappa - i_omega) * d - g2
-    out = []
-    for part in parts:
-        if part == "r":
-            out.append((i_omega * d + g2) / denom)
-        elif part == "t":
-            out.append(kappa * d / denom)
-        else:
-            out.append(1j * np.sqrt(kappa * gamma) * g / denom)
-    return tuple(out)
+    return (i_omega * d + g2) / denom, kappa * d / denom, 1j * np.sqrt(kappa * gamma) * g / denom
+
+
+def flux_residual(r, t, m):
+    """|r|^2 + |t|^2 + |m|^2 - 1, elementwise; analytically zero for valid
+    rates, so what it reads is rounding."""
+    return np.abs(r) ** 2 + np.abs(t) ** 2 + np.abs(m) ** 2 - 1.0
 
 
 def response_arrays(

@@ -543,7 +543,7 @@ _CORRECTION_TEXT = tuple(
 
 _GUARD = 100_000_000
 
-# The phase-class key of a matrix or vector: it times the conjugate phase of
+# The phase-class key of an 8-entry vector: it times the conjugate phase of
 # its reference entry (the first, in flat order, of modulus above _KEY_REF),
 # each real and imaginary part rounded to a grid of spacing _KEY_GRID, hashed
 # to 64 bits.  Equal keys only propose candidates; every use confirms them
@@ -557,9 +557,9 @@ _GUARD = 100_000_000
 # that radius.
 _KEY_REF = 0.3
 _KEY_GRID = 2.0**-8
-# multipliers of the hash, one per pair of grid values: powers of an odd
-# constant modulo 2^64, so all odd
-_KEY_MIX = np.array([pow(0x9E3779B97F4A7C15, i, 2**64) for i in range(1, 65)], dtype=np.uint64)
+# multipliers of the hash, one per pair of grid values, that is per entry
+# of an image: powers of an odd constant modulo 2^64, so all odd
+_KEY_MIX = np.array([pow(0x9E3779B97F4A7C15, i, 2**64) for i in range(1, 9)], dtype=np.uint64)
 # A unit vector with unequal moduli and unrelated phases, so that distinct
 # classes have distinct images: a basis vector or the uniform vector
 # maps many of them to one key
@@ -671,7 +671,7 @@ def _keys(scaled: np.ndarray) -> np.ndarray:
     # times its multiplier, summed modulo 2^64
     grid = np.clip(scaled, -(2.0**30), 2.0**30)
     grid = np.rint(grid, out=grid).astype(np.int32)
-    return grid.view(np.uint64) @ _KEY_MIX[: grid.shape[1] // 2]
+    return grid.view(np.uint64) @ _KEY_MIX
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -887,10 +887,10 @@ def _search_full(target, k, kinds, layers, staged, tol):
     if kept is not built or kept_tol != tol:
         images = reps @ _SKETCH
         scaled, ref, mag = _phase_canonical(images)
-        stable = np.nonzero(_stable(scaled, ref, mag, eps))[0]
+        clear = _stable(scaled, ref, mag, eps)
+        stable, loose = np.nonzero(clear)[0], np.nonzero(~clear)[0]
         keys = _keys(scaled[stable])
         order = np.argsort(keys, kind="stable")
-        loose = np.setdiff1d(np.arange(len(reps)), stable)
         lookup = (keys[order], stable[order], loose, _unit_rows(images[loose, None]).conj().T)
         if kept is built:
             lookup = _read_only(*lookup)

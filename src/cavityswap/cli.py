@@ -256,8 +256,7 @@ def cmd_coeffs(args) -> int:
         raise UsageError(f"the omega grid would exceed {MAX_GRID_POINTS} rows")
     omega = np.arange(start, end, step)
     r, t, m = cavity.response_arrays(params, args.pol, branch, omega)
-    residual = np.abs(r) ** 2 + np.abs(t) ** 2 + np.abs(m) ** 2 - 1.0
-    columns = (omega, r.real, r.imag, t.real, t.imag, m.real, m.imag, residual)
+    columns = (omega, r.real, r.imag, t.real, t.imag, m.real, m.imag, cavity.flux_residual(r, t, m))
     _emit_csv(args.out, _COEFFS_HEADER, [(column, 1) for column in columns])
     return EXIT_OK
 

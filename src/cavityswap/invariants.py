@@ -168,8 +168,7 @@ def _check_flux_conservation():
         for pol in ("h", "v"):
             for branch in (AtomBranch.COUPLED, AtomBranch.DECOUPLED):
                 r, t, m = cavity.response_arrays(params, pol, branch, omega)
-                residual = np.abs(r) ** 2 + np.abs(t) ** 2 + np.abs(m) ** 2 - 1.0
-                residuals.append(np.max(np.abs(residual)))
+                residuals.append(np.max(np.abs(cavity.flux_residual(r, t, m))))
     worst = float(np.max(residuals))  # NaN propagates and fails below
     _require(worst <= 1e-12, f"flux conservation violated, max residual {worst:.3e}")
 
@@ -179,7 +178,7 @@ def _check_decoupled_branch():
     omega = np.linspace(-4.0, 4.0, 201)
     r, t, m = cavity.response_arrays(params, "h", AtomBranch.DECOUPLED, omega)
     _require(np.all(m == 0), "decoupled branch must have zero noise coefficient")
-    residual = np.max(np.abs(np.abs(r) ** 2 + np.abs(t) ** 2 - 1.0))
+    residual = np.max(np.abs(cavity.flux_residual(r, t, m)))
     _require(residual <= 1e-12, "decoupled flux conservation violated")
 
 

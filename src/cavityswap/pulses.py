@@ -50,10 +50,8 @@ class QuadratureError(ArithmeticError):
     Carries the worst unresolved local error estimate in ``residual``.
     """
 
-    def __init__(self, residual: float, message: str = ""):
-        super().__init__(
-            message or f"quadrature did not converge; residual estimate {residual:.3e}"
-        )
+    def __init__(self, residual: float, message: str):
+        super().__init__(message)
         self.residual = residual
 
 
@@ -415,7 +413,7 @@ def _simpson_means(tolerance, ports, g, kappa, gamma, bandwidth):
     for i, (port, *rates) in enumerate(zip(ports, g.tolist(), kappa.tolist(), gamma.tolist())):
 
         def amplitude(omega):
-            return cavity.coefficients(*rates, omega, port)[0]
+            return cavity.coefficients(*rates, omega)[0 if port == "r" else 1]
 
         for j, dw in enumerate(bandwidth.tolist()):
             power[i, j] = adaptive_simpson_mean(

@@ -97,7 +97,7 @@ def _recursive_simpson_mean(
     fb = weighted(b)
     total = recurse(a, 0.0, b, fa, fm, fb, simpson(fa, fm, fb, b - a), tol, 48)
     if unresolved > 0.0:
-        raise QuadratureError(unresolved)
+        raise QuadratureError(unresolved, f"reference recursion unresolved, worst {unresolved:.3e}")
     return total
 
 
@@ -555,23 +555,33 @@ def _coincident_coupling(kappa, gamma):
     return abs(kappa - gamma / 2.0) / 2.0
 
 
+def _mpmath_means(amplitude, bandwidth):
+    """(E|c|^2, E c) of the coefficient c = amplitude(w) by mpmath quadrature
+    at the working precision."""
+    mpmath = pytest.importorskip("mpmath")
+    dw = mpmath.mpf(bandwidth)
+    norm = mpmath.sqrt(2 / (mpmath.pi * dw * dw))
+
+    def weighted(f):
+        return lambda w: norm * mpmath.exp(-2 * w * w / (dw * dw)) * f(w)
+
+    window = [-12 * dw, 0, 12 * dw]
+    power = mpmath.quad(weighted(lambda w: abs(amplitude(w)) ** 2), window)
+    return power, mpmath.quad(weighted(amplitude), window)
+
+
 def _mpmath_t_averages(g, kappa, gamma, bandwidth):
     """(E|t|^2, E t) of the Coupled branch by 30-digit mpmath quadrature."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
-        g, kappa, gamma, dw = (mpmath.mpf(x) for x in (g, kappa, gamma, bandwidth))
-        norm = mpmath.sqrt(2 / (mpmath.pi * dw * dw))
+        g, kappa, gamma = (mpmath.mpf(x) for x in (g, kappa, gamma))
 
         def t(w):
             d = 1j * w - gamma / 2
             return kappa * d / ((kappa - 1j * w) * d - g * g)
 
-        def weighted(f):
-            return lambda w: norm * mpmath.exp(-2 * w * w / (dw * dw)) * f(w)
-
-        window = [-12 * dw, 0, 12 * dw]
-        power = mpmath.quad(weighted(lambda w: abs(t(w)) ** 2), window)
-        return float(power), complex(mpmath.quad(weighted(t), window))
+        power, mean = _mpmath_means(t, bandwidth)
+        return float(power), complex(mean)
 
 
 def test_coincident_poles_take_the_exact_rule(monkeypatch):
@@ -608,6 +618,39 @@ def test_coincident_poles_take_the_exact_rule(monkeypatch):
             assert abs(mean - ref_mean) <= 1e-13
         gate_metrics(CavityParams.symmetric(g, 1.0, 1.0), PulseSpec(0.1))
     assert calls == []
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP D15 step 1: E r and E|r|^2 are c0 = -1 and 1 plus sums that nearly "
+    "cancel them, and the order-doubling residual cancels the same way",
+)
+@pytest.mark.parametrize("g,gamma,bandwidth", [(0.05, 0.2, 0.003), (0.01, 1.0, 0.001)])
+def test_small_power_fidelity_matches_mpmath(g, gamma, bandwidth):
+    """At kappa = 1 and pulses far narrower than the dip, gate_metrics' F
+    agrees with F from 30-digit mpmath averages to 1e-13 relative, or to
+    the residual that metrics_residual reports where that is larger.  The
+    reference takes E r and E|r|^2 directly, not as 1 - 2 Re E t + E|t|^2,
+    whose subtraction is the cancellation, and the Decoupled branch's t at
+    g = gamma = 0."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        g_, gamma_ = mpmath.mpf(g), mpmath.mpf(gamma)
+
+        def r(w):
+            d = 1j * w - gamma_ / 2
+            return (1j * w * d + g_ * g_) / ((1 - 1j * w) * d - g_ * g_)
+
+        def t(w):
+            return 1 / (1 - 1j * w)
+
+        xi_r, xi_t = (
+            mean / mpmath.sqrt(power)
+            for power, mean in (_mpmath_means(c, bandwidth) for c in (r, t))
+        )
+        want = float(abs(xi_r**2 + xi_t**2) ** 2 / 4)
+    result, residual = metrics_residual(CavityParams.symmetric(g, 1.0, gamma), PulseSpec(bandwidth))
+    assert abs(result.fidelity - want) <= max(1e-13 * want, residual)
 
 
 def test_exact_sweep_rows_equal_gate_metrics():

@@ -37,7 +37,7 @@ def _strip_trapezoid(port, g, kappa, gamma, bandwidth):
     half = math.ceil(5.0 * bandwidth / step)
     omega = np.arange(-half, half + 1) * step
     weight = step * pulses.spectral_density(omega, bandwidth)
-    (amp,) = cavity.coefficients(g, kappa, gamma, omega, port)
+    amp = cavity.coefficients(g, kappa, gamma, omega)[0 if port == "r" else 1]
     return float(np.sum(weight * np.abs(amp) ** 2)), complex(np.sum(weight * amp))
 
 
