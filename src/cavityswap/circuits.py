@@ -503,16 +503,17 @@ class SynthesisMatch:
 
 @dataclass(frozen=True)
 class SynthesisResult:
-    """``matches`` are sorted by layer assignment, each rendered by its
-    ``line``.  ``search_space`` is the nominal candidate count that the
-    guard applies to; ``evaluated`` counts the candidate operators the
-    search formed and confirmed with a match predicate.  The screens that
-    propose them run on phase-class representatives and form no candidate
-    operator, so they are not counted, and neither is the build of a
-    class table: a full-operator search that meets one layer before the
-    final one, one that builds the prefix classes and meets at the final
-    layer and one that finds them memoized have the same ``matches`` and
-    ``evaluated``, and differ only in ``elapsed``."""
+    """``matches`` are sorted by layer indices, then correction pair (a
+    measurement-free match first), each rendered by its ``line``.
+    ``search_space`` is the nominal candidate count that the guard applies
+    to; ``evaluated`` counts the candidate operators the search formed and
+    confirmed with a match predicate.  The screens that propose them run on
+    phase-class representatives and form no candidate operator, so they
+    are not counted, and neither is the build of a class table: a
+    full-operator search that meets one layer before the final one, one
+    that builds the prefix classes and meets at the final layer and one
+    that finds them memoized have the same ``matches`` and ``evaluated``,
+    and differ only in ``elapsed``."""
 
     matches: tuple[SynthesisMatch, ...]
     search_space: int
@@ -617,25 +618,24 @@ def _layer_text(names: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(map(_format_step, _layer_gates(names)))
 
 
-def _matches_full(U: np.ndarray, target: np.ndarray, tol: float) -> list[tuple[int, None]]:
+def _matches_full(U: np.ndarray, target: np.ndarray, tol: float):
     # the rule of equivalent_up_to_phase
-    return [(int(i), None) for i in np.nonzero(_phase_equiv_batch(U, target, tol))[0]]
+    index = np.nonzero(_phase_equiv_batch(U, target, tol))[0]
+    return index, np.full((len(index), 2), -1)
 
 
-def _matches_factorized(U: np.ndarray, target4: np.ndarray, tol: float) -> list[tuple[int, None]]:
+def _matches_factorized(U: np.ndarray, target4: np.ndarray, tol: float):
     # measurement-free realization: U must split as (atom unitary) x target4;
     # the coefficient matrix c absorbs the global phase, so the residual test
     # is exact
     Ur = U.reshape(-1, 2, 4, 2, 4)
     c = np.einsum("ij,naibj->nab", target4.conj(), Ur) / 4.0
     rebuilt = np.einsum("nab,ij->naibj", c, target4)
-    resid = np.max(np.abs(Ur - rebuilt), axis=(1, 2, 3, 4))
-    return [(int(i), None) for i in np.nonzero(resid <= tol)[0]]
+    index = np.nonzero(np.max(np.abs(Ur - rebuilt), axis=(1, 2, 3, 4)) <= tol)[0]
+    return index, np.full((len(index), 2), -1)
 
 
-def _matches_feedforward(
-    U: np.ndarray, target4: np.ndarray, tol: float
-) -> list[tuple[int, tuple[int, int]]]:
+def _matches_feedforward(U: np.ndarray, target4: np.ndarray, tol: float):
     # atom enters in |+>, is measured at the end; each outcome's photon map,
     # after one diagonal correction, must match the target by the rule of
     # equivalent_up_to_phase.  Both outcomes must carry non-negligible
@@ -648,7 +648,7 @@ def _matches_feedforward(
     corrected = _CORRECTION_DIAGONALS[:, :, None] * N[:, :, None]  # [batch, outcome, D, 4, 4]
     ok = _phase_equiv_batch(corrected.reshape(-1, 4, 4), target4, tol).reshape(len(alive), 2, 4)
     rows, c0, c1 = np.nonzero(ok[:, 0, :, None] & ok[:, 1, None, :])
-    return list(zip(alive[rows].tolist(), zip(c0.tolist(), c1.tolist())))
+    return alive[rows], np.column_stack((c0, c1))
 
 
 def _phase_canonical(A: np.ndarray):
@@ -680,10 +680,12 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + counts, counts)
 
 
-def _member_rows(members: np.ndarray, offsets: np.ndarray, classes: np.ndarray):
-    # the member tuples of each listed class in turn, and how many each has
+def _member_rows(members: np.ndarray, offsets: np.ndarray, classes: np.ndarray, tails):
+    # each member tuple of classes[i] followed by tails[i] (one index or a
+    # row of them), for each listed class in turn, and how many each has
     counts = offsets[classes + 1] - offsets[classes]
-    return members[_ranges(offsets[classes], counts)], counts
+    rows = members[_ranges(offsets[classes], counts)]
+    return np.column_stack((rows, np.repeat(tails, counts, axis=0))), counts
 
 
 def _stable(scaled: np.ndarray, ref: np.ndarray, mag: np.ndarray, eps: float) -> np.ndarray:
@@ -760,8 +762,7 @@ def _prefix_classes(depth: int, staged: np.ndarray):
             yield [], 0
         # members of each class in product order: a stable sort by class
         grouped = np.argsort(classes, kind="stable")
-        rows, counts = _member_rows(members, offsets, grouped % n)
-        members = np.column_stack((rows, np.repeat(grouped // n, counts)))
+        members, counts = _member_rows(members, offsets, grouped % n, grouped // n)
         ends = np.concatenate(([0], np.cumsum(counts)))
         offsets = ends[np.searchsorted(classes[grouped], np.arange(count + 1))]
         reps = new_reps[:count]
@@ -819,11 +820,13 @@ def _read_only(*arrays) -> tuple[np.ndarray, ...]:
     return copies
 
 
-def _confirm(cands: np.ndarray, test, layers, staged) -> list:
+def _confirm(cands: np.ndarray, test, layers, staged) -> np.ndarray:
     # form each candidate's operator in application order and run the match
-    # predicate on it; cands holds one layer tuple per row.  Returns
-    # (layer tuple, correction pair or None) per hit
-    hits = []
+    # predicate on it; cands holds one layer tuple per row.  A predicate
+    # returns the passing indices and a correction pair per index, -1, -1
+    # for a measurement-free match; one int row per hit comes back: its
+    # layer indices, then its correction pair
+    hits = [np.empty((0, cands.shape[1] + 2), dtype=np.intp)]
     for lo in range(0, len(cands), _PRODUCT_BLOCK):
         idx = cands[lo : lo + _PRODUCT_BLOCK]
         U = layers[idx[:, -1]]
@@ -832,10 +835,9 @@ def _confirm(cands: np.ndarray, test, layers, staged) -> list:
             for j in range(1, idx.shape[1] - 1):
                 prefix = np.matmul(staged[idx[:, j]], prefix)
             U = np.matmul(U, prefix)
-        matched = test(U)
-        rows = idx[[i for i, _ in matched]].tolist()  # one conversion per block
-        hits.extend((tuple(row), ff) for row, (_, ff) in zip(rows, matched))
-    return hits
+        matched, pairs = test(U)
+        hits.append(np.column_stack((idx[matched], pairs)))
+    return np.concatenate(hits)
 
 
 def _search_full(target, k, kinds, layers, staged, tol):
@@ -910,8 +912,7 @@ def _search_full(target, k, kinds, layers, staged, tol):
             near_q, near_j = np.nonzero(_near(queries, loose_dag, len(_SKETCH) * eps**2))
             query = np.concatenate((query, near_q))
             classes = np.concatenate((classes, loose[near_j]))
-        rows, counts = _member_rows(members, offsets, classes)
-        cands = np.column_stack((rows, suffixes[np.repeat(query, counts)]))
+        cands = _member_rows(members, offsets, classes, suffixes[query])[0]
         # a step per block of candidates, and at least one per block of queries
         for lo in range(0, max(len(cands), 1), _PRODUCT_BLOCK):
             block = cands[lo : lo + _PRODUCT_BLOCK]
@@ -957,12 +958,6 @@ def _search_photon(target, k, kinds, photon, layers, staged, feedforward, tol):
     proposed member and final layer is confirmed at tol on its own
     operator."""
     reps, members, offsets = yield from _classes(kinds, k, staged)
-
-    def expand(classes, last):
-        # each member of classes[i] followed by the final layer last[i]
-        rows, counts = _member_rows(members, offsets, classes)
-        return np.column_stack((rows, np.repeat(last, counts)))
-
     n2 = len(kinds) ** 2
     photon_dag = photon.conj().transpose(0, 2, 1)
     # the screens test proportionality, so T and each table entry may be
@@ -1017,7 +1012,8 @@ def _search_photon(target, k, kinds, photon, layers, staged, feedforward, tol):
         n = len(P)
         blocks = P.transpose(0, 1, 3, 2, 4).reshape(4 * n, 16)
         c, p = np.nonzero(_near(blocks, free_dag, bound).reshape(n, 4, n2).all(axis=1))
-        cands = expand(np.repeat(lo + c, len(kinds)), (p[:, None] + atom_offset).ravel())
+        final = (p[:, None] + atom_offset).ravel()
+        cands = _member_rows(members, offsets, np.repeat(lo + c, len(kinds)), final)[0]
         hits = _confirm(cands, free_test, layers, staged)
         evaluated = len(cands)
         if feedforward:
@@ -1033,8 +1029,8 @@ def _search_photon(target, k, kinds, photon, layers, staged, feedforward, tol):
             t, p = np.nonzero(some[rows] & screen(W[rows, 1]))
             c, f = np.divmod(rows[t], len(atoms))
             t, a = np.nonzero(in_family[f])
-            cands = expand(lo + c[t], atom_offset[a] + p[t])
-            hits += _confirm(cands, fed_test, layers, staged)
+            cands = _member_rows(members, offsets, lo + c[t], atom_offset[a] + p[t])[0]
+            hits = np.concatenate((hits, _confirm(cands, fed_test, layers, staged)))
             evaluated += len(cands)
         yield hits, evaluated
 
@@ -1057,7 +1053,8 @@ def synthesize(
     allow_feedforward is set, through a terminal atom measurement with one
     diagonal correction per outcome.  Matching is up to global phase at
     tolerance ``tol``, which must lie in (0, 1) since unitary entries have
-    modulus at most 1; results come back sorted by layer assignment.
+    modulus at most 1.  Hits stay int rows, layer indices then correction
+    pair (-1, -1 measurement-free), and one lexsort of them sorts the matches.
 
     Each layer's operator is the Kronecker product of its gates' 2x2
     matrices.  The search runs on phase classes of partial products, built
@@ -1138,20 +1135,21 @@ def synthesize(
             target, num_cswaps, kinds, photon, layers, staged, use_feedforward, tol
         )
 
-    found: list[tuple[tuple[int, ...], tuple[int, int] | None]] = []
+    found = [np.empty((0, num_cswaps + 3), dtype=np.intp)]
     evaluated = 0
     truncated = False
     for hits, count in steps:  # the budget is checked between steps
-        found.extend(hits)
+        if len(hits):  # a class build's steps carry none
+            found.append(hits)
         evaluated += count
         if time_budget is not None and time.monotonic() - start > time_budget:
             truncated = True
             break
 
-    # a measurement-free match sorts before the feed-forward ones
-    found.sort(key=lambda item: (item[0], item[1] or (-1, -1)))
+    # by layer indices, then correction pair: a measurement-free (-1, -1) first
+    rows = np.concatenate(found)
     matches = tuple(
-        SynthesisMatch(tuple(names[index] for index in layers_idx), ff)
-        for layers_idx, ff in found
+        SynthesisMatch(tuple(names[index] for index in row), None if c0 < 0 else (c0, c1))
+        for *row, c0, c1 in rows[np.lexsort(rows.T[::-1])].tolist()
     )
     return SynthesisResult(matches, size, truncated, time.monotonic() - start, evaluated)

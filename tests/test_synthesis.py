@@ -109,6 +109,31 @@ def test_czz_search_is_deterministic():
     ]
 
 
+def sort_keys(result, kinds):
+    """Per match, its layer indices in gate-set order, then its correction
+    pair, (-1, -1) for a measurement-free match: the order synthesize
+    promises."""
+    return [
+        ([kinds.index(kind) for layer in m.layers for kind in layer], m.feedforward or (-1, -1))
+        for m in result.matches
+    ]
+
+
+def test_a_measurement_free_match_sorts_before_its_feed_forward_twins(cpf_feedforward):
+    """The identity photon map at no CSWAP: the all-identity layer matches
+    measurement-free and with no correction, and the measurement-free match
+    comes first."""
+    kinds = ("I", "Z", "H")
+    result = synthesize(np.eye(4), 0, kinds, allow_feedforward=True)
+    assert [(m.layers, m.feedforward) for m in result.matches[:3]] == [
+        ((("I", "I", "I"),), None),
+        ((("I", "I", "I"),), (0, 0)),
+        ((("I", "I", "Z"),), (1, 1)),
+    ]
+    for keys in (sort_keys(result, kinds), sort_keys(cpf_feedforward, FULL_SET)):
+        assert keys == sorted(keys)
+
+
 def test_cpf_has_no_measurement_free_two_cswap_form():
     result = synthesize(cpf_target(), 2, FULL_SET)
     assert result.search_space == 125**3

@@ -1,6 +1,7 @@
 """Property tests: synthesize against an independent brute force over every
 layer assignment, in full-operator, measurement-free photon-map and
 feed-forward mode."""
+import functools
 import itertools
 import math
 
@@ -25,10 +26,12 @@ from cavityswap.circuits import (  # noqa: E402
     Gate,
     Measurement,
     circuit_unitary,
+    cpf_target,
+    czz_target,
     equivalent_up_to_phase,
     synthesize,
 )
-from test_synthesis import branch_maps, match_lines  # noqa: E402
+from test_synthesis import FULL_SET, branch_maps, match_lines  # noqa: E402
 
 KINDS = ("I", "H", "X", "Z", "S", "Sdag")
 TOL = 1e-9
@@ -134,6 +137,45 @@ def test_synthesize_matches_brute_force(search):
     target, k, kinds, feedforward = search
     result = synthesize(target, k, kinds, allow_feedforward=feedforward, tol=TOL)
     assert sorted(match_lines(result)) == brute_force(target, k, kinds, feedforward, TOL)
+
+
+# searches whose results must not depend on the calls before them: (target,
+# CSWAPs, gate kinds, feed-forward); FULL_SET is synthesize's default
+CALL_POOL = [
+    (czz_target(), 1, FULL_SET, False),
+    (czz_target(), 2, FULL_SET, False),
+    (cpf_target(), 2, FULL_SET, True),
+    (czz_target(), 2, ("I", "Z"), False),
+    (cpf_target(), 1, ("I", "Z", "H"), True),
+    (np.eye(4, dtype=complex), 0, FULL_SET, True),
+]
+
+
+def pool_search(i):
+    target, k, kinds, feedforward = CALL_POOL[i]
+    result = synthesize(target, k, kinds, allow_feedforward=feedforward)
+    return result.matches, result.evaluated
+
+
+@functools.lru_cache(maxsize=None)
+def cold_pool_results():
+    """Each pool search's result from an empty memo, computed once."""
+    results = []
+    for i in range(len(CALL_POOL)):
+        circuits._MEMO = (None, None, None, None)
+        results.append(pool_search(i))
+    return results
+
+
+@settings(max_examples=12)
+@given(st.lists(st.integers(0, len(CALL_POOL) - 1), min_size=2, max_size=5))
+def test_a_search_does_not_depend_on_the_calls_before_it(order):
+    """Matches and evaluated counts of a search are those it has after an
+    empty memo, whatever searches ran before it."""
+    cold = cold_pool_results()
+    circuits._MEMO = (None, None, None, None)  # each example from the same start
+    for i in order:
+        assert pool_search(i) == cold[i]
 
 
 @pytest.mark.parametrize("kinds,k,target", [
