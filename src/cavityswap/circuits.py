@@ -710,12 +710,12 @@ def _prefix_classes(depth: int, staged: np.ndarray):
     as stage . (R v) from its class's image R v, and a key's first product
     is the representative of its class.  The products themselves are formed
     in blocks of whole layers, one matrix product per block.  A later
-    product P with a key joins the key's first class when it lies within
-    _CLASS_TOL, entrywise, of z / |z| times that representative R, z =
-    <R v, P v>, and is a class of its own otherwise: a key is only a
-    proposal, so distinct classes that share an image key stay apart.  The
-    classes partition the layer tuples, and each lists its members in
-    product order; class ids follow no promised order.  A search step
+    product with a key joins the key's first class when it passes the rule
+    of equivalent_up_to_phase at _CLASS_TOL against that representative,
+    and is a class of its own otherwise: a key is only a proposal, so
+    distinct classes that share an image key stay apart.  The classes
+    partition the layer tuples, and each lists its members in product
+    order; class ids follow no promised order.  A search step
     generator (one empty step per block); it returns the representatives,
     the member layer tuples in application order as one int array grouped
     by class, and the offsets of each class's rows in it."""
@@ -727,18 +727,18 @@ def _prefix_classes(depth: int, staged: np.ndarray):
         per = max(1, _PRODUCT_BLOCK // n)  # whole layers per block
         sketched = reps @ _SKETCH  # the images R v
         blocks = range(0, len(staged), per)
-
-        def images(lo):
-            # stage . (R v) for each product of a block, in product order
-            return np.matmul(sketched, staged[lo : lo + per].transpose(0, 2, 1)).reshape(-1, 8)
-
-        # the class of product layer * n + i by its key alone, and whether
-        # it is its key's first; products that miss their key's
-        # representative get classes from count on
-        classes, fresh = _key_classes(
-            np.concatenate([_keys(_phase_canonical(images(lo))[0]) for lo in blocks])
-        )
-        count = np.count_nonzero(fresh)
+        # the class of product layer * n + i by the key of its image stage .
+        # (R v) alone, and whether it is its key's first; products that miss
+        # their key's representative get classes from count on.  Classes
+        # are numbered in the order of first occurrence, not of key: warm
+        # feed-forward searches run faster over a table in that order
+        images = (np.matmul(sketched, staged[lo : lo + per].transpose(0, 2, 1)) for lo in blocks)
+        keys = np.concatenate([_keys(_phase_canonical(im.reshape(-1, 8))[0]) for im in images])
+        _, firsts, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        fresh = np.zeros(len(keys), dtype=bool)
+        fresh[firsts] = True
+        count = len(firsts)
+        classes = (np.cumsum(fresh) - 1)[firsts[inverse]]
         # room for a class per product; rows never written are never touched
         new_reps = np.empty((len(classes), 8, 8), dtype=complex)
         columns = reps.transpose(1, 0, 2).reshape(8, 8 * n)  # column c of reps[i] at i * 8 + c
@@ -753,9 +753,7 @@ def _prefix_classes(depth: int, staged: np.ndarray):
             # each later product against its key's representative; one that
             # misses it is a class of its own
             at, products = at[~first], products[~first]
-            odd = np.nonzero(
-                ~_within_phase(products, new_reps[classes[at]], images(lo)[~first])
-            )[0]
+            odd = np.nonzero(~_phase_equiv_batch(products, new_reps[classes[at]], _CLASS_TOL))[0]
             classes[at[odd]] = count + np.arange(len(odd))
             new_reps[count : count + len(odd)] = products[odd]
             count += len(odd)
@@ -767,29 +765,6 @@ def _prefix_classes(depth: int, staged: np.ndarray):
         offsets = ends[np.searchsorted(classes[grouped], np.arange(count + 1))]
         reps = new_reps[:count]
     return reps, members, offsets
-
-
-def _key_classes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # one class per distinct key, numbered in the order of first occurrence:
-    # each entry's class, and whether it is its key's first
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    fresh = np.zeros(len(keys), dtype=bool)
-    fresh[first] = True
-    return (np.cumsum(fresh) - 1)[first[inverse]], fresh
-
-
-def _within_phase(P: np.ndarray, R: np.ndarray, pv: np.ndarray) -> np.ndarray:
-    # each P within _CLASS_TOL, entrywise, of z / |z| times its R, z = <R v,
-    # P v> with P v given as pv (|R v| = 1); squared moduli of the
-    # difference as re^2 + im^2 on a real view
-    z = np.einsum("ij,ij->i", (R @ _SKETCH).conj(), pv)
-    mag = np.abs(z)
-    mag[mag == 0.0] = np.inf  # no phase: a zero multiple of R
-    diff = R * (z / mag)[:, None, None]
-    np.subtract(P, diff, out=diff)
-    sq = diff.view(np.float64)
-    sq *= sq
-    return np.max(sq[..., ::2] + sq[..., 1::2], axis=(1, 2)) <= _CLASS_TOL**2
 
 
 def _fits(n_layers: int, depth: int) -> bool:
@@ -1089,8 +1064,9 @@ def synthesize(
     A ``time_budget`` (seconds, positive) makes the search stop early with
     ``truncated`` set, keeping the matches confirmed so far; the budget is
     checked between blocks.  Exceeding _GUARD candidates raises
-    SearchSpaceError before any work is done; an empty gate set, a ``tol``
-    outside (0, 1) or a budget that is NaN or not positive raise ValueError.
+    SearchSpaceError before any work is done; a ``num_cswaps`` that is not
+    an integer in [0, 4], an empty gate set, a ``tol`` outside (0, 1) or a
+    budget that is NaN or not positive raise ValueError.
     """
     target = np.asarray(target, dtype=complex)
     if target.shape == (8, 8):
@@ -1101,8 +1077,8 @@ def synthesize(
         raise ValueError("target must be 4x4 (photon map) or 8x8 (full operator)")
     if not np.all(np.isfinite(target)):
         raise ValueError("target entries must be finite")
-    if not (0 <= num_cswaps <= 4):
-        raise ValueError("num_cswaps must be between 0 and 4")
+    if not isinstance(num_cswaps, (int, np.integer)) or not 0 <= num_cswaps <= 4:
+        raise ValueError(f"num_cswaps must be an integer between 0 and 4, got {num_cswaps!r}")
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must be finite and in (0, 1), got {tol!r}")
     if time_budget is not None and not time_budget > 0.0:

@@ -238,6 +238,11 @@ def test_argument_validation():
         synthesize(np.eye(3), 1)
     with pytest.raises(ValueError):
         synthesize(cpf_target(), 5)
+    # num_cswaps counts CSWAPs: no float, however integral, and no string
+    for num_cswaps in (1.5, 2.0, "2"):
+        with pytest.raises(ValueError, match="num_cswaps"):
+            synthesize(czz_target(), num_cswaps)
+    assert synthesize(czz_target(), np.int64(1), ("I", "Z")).search_space == 8**2
     with pytest.raises(ValueError):
         synthesize(cpf_target(), 1, ("I", "Q"))
     with pytest.raises(ValueError):
@@ -377,12 +382,20 @@ def test_sketch_keys_separate_the_middle_classes(kinds, depth, count):
     C . L_0 by its image of _SKETCH, at the final layer or one layer
     earlier.  Two classes sharing a key would cost a failed confirmation
     per member and query.  Every class keeps a key of its own, as it keeps
-    a rounded phase-canonical matrix of its own."""
-    reps = block_classes(depth, staged_layers(kinds))[0]
+    a rounded phase-canonical matrix of its own, and every member's
+    operator, formed as the searches confirm it, passes the rule of
+    equivalent_up_to_phase at _CLASS_TOL against its representative."""
+    staged = staged_layers(kinds)
+    reps, members, offsets = block_classes(depth, staged)
     assert len(reps) == count
     whole = reference_keys(circuits._phase_canonical(reps)[0])
     sketch = circuits._keys(circuits._phase_canonical(reps @ circuits._SKETCH)[0])
     assert len(set(whole)) == len(np.unique(sketch)) == count
+    formed = staged[members[:, 0]]
+    for j in range(1, depth):
+        formed = np.matmul(staged[members[:, j]], formed)
+    rep_of = np.repeat(np.arange(len(reps)), np.diff(offsets))
+    assert circuits._phase_equiv_batch(formed, reps[rep_of], circuits._CLASS_TOL).all()
 
 
 @pytest.mark.parametrize("sketch,count", [
