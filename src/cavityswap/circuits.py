@@ -406,7 +406,9 @@ def _phase_equiv_batch(A: np.ndarray, V: np.ndarray, tol: float) -> np.ndarray:
     n, size = A.shape[0], math.prod(A.shape[1:])
     V = np.broadcast_to(V, A.shape).reshape(n, size)
     A = A.reshape(n, size)
-    flat = (np.abs(A) * np.abs(V)).argmax(axis=1)
+    weight = np.abs(A)
+    weight *= np.abs(V)
+    flat = weight.argmax(axis=1)
     rows = np.arange(n)
     a, v = A[rows, flat], V[rows, flat]
     # z = a * conj(v) and z / |z| in real arithmetic, so that U against U
@@ -418,8 +420,9 @@ def _phase_equiv_batch(A: np.ndarray, V: np.ndarray, tol: float) -> np.ndarray:
     mag = np.hypot(zr, zi)
     safe = np.where(mag > 0.0, mag, 1.0)
     phase = np.where(mag > 0.0, zr / safe + 1j * (zi / safe), 1.0 + 0.0j)
-    resid = np.max(np.abs(A - phase[:, None] * V), axis=1)
-    return resid <= tol
+    diff = phase[:, None] * V
+    np.subtract(A, diff, out=diff)
+    return np.abs(diff, out=weight).max(axis=1) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -510,10 +513,10 @@ class SynthesisResult:
     confirmed with a match predicate.  The screens that propose them run on
     phase-class representatives and form no candidate operator, so they
     are not counted, and neither is the build of a class table: a
-    full-operator search that meets one layer before the final one, one
-    that builds the prefix classes and meets at the final layer and one
-    that finds them memoized have the same ``matches`` and ``evaluated``,
-    and differ only in ``elapsed``."""
+    full-operator search that meets one layer before the final one and
+    one that meets at the final layer, on prefix classes it builds or
+    finds memoized, have the same ``matches`` and ``evaluated``, and
+    differ only in ``elapsed``."""
 
     matches: tuple[SynthesisMatch, ...]
     search_space: int
@@ -588,12 +591,12 @@ _BRANCH_FLOOR = 1e-12
 # products, queries, prefix classes or candidates formed per step; products
 # and queries in whole layers, at least one
 _PRODUCT_BLOCK = 512
-# One slot (key, classes, tol, lookup) for the most recent search, replaced
-# whole: key is its (gate kinds, depth); classes the prefix-class table as
-# read-only arrays once a build completes, if the build's room (one 8x8
-# product per layer tuple) fits in _MEMO_BYTES, and None otherwise; lookup
-# the full-operator search's key lookup into it at tol.  A search reads the
-# slot once, so concurrent searches at worst build a table twice
+# One slot (key, classes, tol, lookup), replaced whole: empty, or the last
+# prefix-class table kept, as read-only arrays under its (gate kinds,
+# depth), with the full-operator search's key lookup into it at tol once
+# one has run.  Only a completed build of depth at least 1 whose room (one
+# 8x8 product per layer tuple) fits in _MEMO_BYTES is kept.  A search reads
+# the slot once, so concurrent searches at worst build a table twice
 _MEMO: tuple = (None, None, None, None)
 _MEMO_BYTES = 64 * 2**20
 
@@ -767,24 +770,20 @@ def _prefix_classes(depth: int, staged: np.ndarray):
     return reps, members, offsets
 
 
-def _fits(n_layers: int, depth: int) -> bool:
-    # the room _prefix_classes takes at its last depth, one 8x8 complex
-    # product per layer tuple, within _MEMO_BYTES
-    return n_layers**depth * 64 * 16 <= _MEMO_BYTES
-
-
 def _classes(kinds, depth, staged):
     """_prefix_classes(depth, staged) through _MEMO: a search step
-    generator that builds only on a miss and keeps a completed build that
-    fits, as compact read-only copies."""
+    generator that builds only on a miss and keeps, as compact read-only
+    copies, a completed build of depth at least 1 whose room (one 8x8
+    complex product per layer tuple at its last depth) fits _MEMO_BYTES."""
     global _MEMO
     key, classes, _, _ = _MEMO
-    if key == (kinds, depth) and classes is not None:
+    if key == (kinds, depth):
         return classes
     classes = yield from _prefix_classes(depth, staged)
-    kept = _read_only(*classes) if _fits(len(staged), depth) else None
-    _MEMO = ((kinds, depth), kept, None, None)
-    return kept or classes  # a table that does not fit is never copied
+    if depth and len(staged) ** depth * 64 * 16 <= _MEMO_BYTES:
+        classes = _read_only(*classes)
+        _MEMO = ((kinds, depth), classes, None, None)
+    return classes
 
 
 def _read_only(*arrays) -> tuple[np.ndarray, ...]:
@@ -826,24 +825,21 @@ def _search_full(target, k, kinds, layers, staged, tol):
     So the query images, a block of suffixes at a time, are looked up by
     key at that radius among the classes' images.  A class whose key is
     not stable at that radius is screened against every query image
-    instead, by least squares (_near).  A search that repeats the gate
-    kinds and depth of the one before it, with their table memoized or
-    fitting the memo, meets at the final layer (j = k) on that table,
-    building it once; any other meets one layer earlier (j = k - 1), on a
-    table it builds and does not keep, and notes its key in the memo.
-    Both give the same matches and evaluated counts.  Each proposed member
-    and suffix is confirmed by _matches_full on its own operator, one
-    search step per block of candidates."""
+    instead, by least squares (_near).  A search of at most one CSWAP, or
+    one whose gate kinds and depth have their table in the memo, meets at
+    the final layer (j = k), on the table it finds there or builds through
+    it; any other meets one layer earlier (j = k - 1), on a table it builds
+    and does not keep.  Both give the same matches and evaluated counts.
+    Each proposed member and suffix is confirmed by _matches_full on its
+    own operator, one search step per block of candidates."""
     global _MEMO
     n = len(layers)
     # L_k^+ . T . v for every final layer, as rows
     last = np.matmul(layers.conj().transpose(0, 2, 1), target @ _SKETCH)
-    key, kept, _, _ = _MEMO
-    if k == 0 or (key == (kinds, k) and (kept is not None or _fits(n, k))):
+    if k <= 1 or _MEMO[0] == (kinds, k):
         built = yield from _classes(kinds, k, staged)
         blocks = [(last, np.arange(n)[:, None])]
     else:
-        _MEMO = ((kinds, k), None, None, None)
         built = yield from _prefix_classes(k - 1, staged)
         # (C . L_{k-1})^+ . L_k^+ . T . v, the row u . conj(S) being
         # (S^+ . u) as a row, for a block of L_{k-1} at a time, with the
@@ -1039,27 +1035,28 @@ def synthesize(
     target is looked up by key, each class and each query keyed by its
     image of one fixed unit vector v (a query within eps of a class,
     entrywise, has an image within eps |v|_1 of the class's, the radius of
-    the lookup).  An 8x8 search meets at the final layer on a repeat, one
-    layer earlier otherwise: one that repeats the gate set and num_cswaps
-    of the search just before it looks the target with its final layer
-    undone up among the prefix classes, any other the target with its
-    final two layers undone among the classes one layer shorter.  The
-    screens only propose candidates.  Every reported
-    match is confirmed on its own operator by its exact rule alone:
-    full-operator and feed-forward matches pass the rule of
+    the lookup).  An 8x8 search of at most one CSWAP, or one whose prefix
+    classes are memoized, meets at the final layer: it looks the target
+    with its final layer undone up among the prefix classes.  Any other
+    looks the target with its final two layers undone up among the classes
+    one layer shorter.  The screens only propose candidates.  Every
+    reported match is confirmed on its own operator by its exact rule
+    alone: full-operator and feed-forward matches pass the rule of
     ``equivalent_up_to_phase``, measurement-free photon maps the
     factorization residual.
 
     The prefix classes depend only on the gate set and num_cswaps.  A
-    module-level memo keeps those of the most recent search, with the
-    full-operator key lookup at its last ``tol``, once their build
-    completes, and only if the build's room of 1 KB per layer tuple stays
-    within 64 MB: a table of three CSWAPs over five gate kinds is never
-    kept.  A photon-map search always builds them; a full-operator search
-    builds them only on a repeat, as one build costs more than the search
-    one layer earlier that it replaces.  Either way the result is the same.  The memo is
-    one slot, replaced whole, so concurrent calls at worst build a table
-    twice.
+    module-level memo keeps the last table built, with the full-operator
+    key lookup at its last ``tol``, once its build completes, and only if
+    it has at least one CSWAP and the build's room of 1 KB per layer tuple
+    stays within 64 MB: a table of three CSWAPs over five gate kinds is
+    never kept.  A photon-map search builds them unless memoized.  A
+    full-operator search builds them only at one CSWAP or none, and
+    otherwise reads them or meets one layer earlier: at one CSWAP the build
+    forms one product per layer, where the search one layer earlier would
+    form one query per pair of layers.  Either way the result is the same.
+    The memo is one slot, replaced whole, so concurrent calls at worst
+    build a table twice.
 
     A ``time_budget`` (seconds, positive) makes the search stop early with
     ``truncated`` set, keeping the matches confirmed so far; the budget is

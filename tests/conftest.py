@@ -28,8 +28,10 @@ if settings is not None:
 def fresh_synthesis_memo():
     """Each test starts with an empty synthesis memo: a test that patches a
     constant the prefix classes are built under builds them under its
-    patch, no test reads a table that another one built, and a first
-    full-operator search meets one layer before the final one."""
+    patch, no test reads a table that another one built, and a
+    full-operator search of two or more CSWAPs meets one layer before the
+    final one until a photon-map search of its gate set and depth has kept
+    the prefix classes."""
     from cavityswap import circuits
 
     circuits._MEMO = (None, None, None, None)

@@ -507,12 +507,14 @@ def test_czz_search_confirms_no_false_proposal(gates):
     (czz_target(), FULL_SET), (czz_target(), ("I", "Z")),
 ], ids=[*(";".join(map(",".join, layers)) for layers in planted_pool()), "czz-5", "czz-2"])
 def test_a_repeated_full_search_confirms_no_false_proposal(target, gates):
-    """The repeat of a full-operator search meets at the final layer, on
-    the prefix classes it builds: the matches of the one-off search before
-    it, and again each candidate it forms is a match."""
+    """A full-operator search repeated after the feed-forward search of its
+    gate set and depth meets at the final layer, on the prefix classes that
+    search keeps: the matches of the one-off search before it, and again
+    each candidate it forms is a match."""
     once = synthesize(target, 2, gates)
+    synthesize(cpf_target(), 2, gates, allow_feedforward=True)
+    assert circuits._MEMO[0] == (gates, 2)
     again = synthesize(target, 2, gates)
-    assert circuits._MEMO[1] is not None
     assert again.matches == once.matches and again.evaluated == len(again.matches)
 
 
@@ -526,18 +528,24 @@ def test_a_repeated_full_search_confirms_no_false_proposal(target, gates):
                                   ("H", "H", "Z")]), ("I", "Z", "H"), 3, False, id="full-3"),
 ])
 def test_a_warm_search_equals_a_cold_one(target, kinds, k, allow_feedforward):
-    """A full-operator search meets one layer before the final one (at
-    the final layer without a CSWAP), its repeat builds the prefix classes
-    and meets at the final layer, and the next reads them; a photon-map
-    search builds them at once, and its repeats read them.  Every call
-    gives the same result, and a full search proposes no candidate that
-    fails confirmation."""
-    results = [
-        synthesize(target, k, kinds, allow_feedforward=allow_feedforward) for _ in range(3)
+    """A full-operator search of two or more CSWAPs meets one layer before
+    the final one on an empty memo, and at the final layer once the
+    feed-forward search of its gate set and depth has kept the prefix
+    classes; one of a single CSWAP builds and keeps them, and one without
+    a CSWAP keeps nothing.  A photon-map search builds them at once, and
+    its repeats read them.  Every call gives the same result, and a full
+    search proposes no candidate that fails confirmation."""
+    cold = synthesize(target, k, kinds, allow_feedforward=allow_feedforward)
+    if k >= 2 and not allow_feedforward:
+        synthesize(cpf_target(), k, kinds, allow_feedforward=True)
+    results = [cold] + [
+        synthesize(target, k, kinds, allow_feedforward=allow_feedforward) for _ in range(2)
     ]
     key, classes, _, _ = circuits._MEMO
-    assert key == (kinds, k) and classes is not None
-    cold = results[0]
+    if k:
+        assert key == (kinds, k) and classes is not None
+    else:
+        assert circuits._MEMO == (None, None, None, None)
     assert cold.matches
     assert allow_feedforward or cold.evaluated == len(cold.matches)
     for result in results:
@@ -547,12 +555,51 @@ def test_a_warm_search_equals_a_cold_one(target, kinds, k, allow_feedforward):
 
 
 def test_a_one_off_full_search_builds_no_table():
-    """A full-operator search builds the prefix classes only when the search
-    before it had the same gate set and depth; otherwise it meets one layer
-    before the final one and notes only its key."""
-    for k in (2, 1, 2):
-        synthesize(czz_target(), k, FULL_SET)
-        assert circuits._MEMO == ((FULL_SET, k), None, None, None)
+    """A full-operator search of two CSWAPs whose prefix classes are not
+    memoized meets one layer before the final one and leaves the memo as
+    it found it; one that finds them reads them.  One of a single CSWAP
+    builds and keeps its depth-1 classes, and one without a CSWAP keeps
+    nothing."""
+    synthesize(czz_target(), 2, FULL_SET)
+    assert circuits._MEMO == (None, None, None, None)
+    synthesize(cpf_target(), 2, FULL_SET, allow_feedforward=True)
+    fed = circuits._MEMO
+    synthesize(czz_target(), 2, ("I", "Z"))
+    assert circuits._MEMO is fed
+    synthesize(czz_target(), 2, FULL_SET)
+    assert circuits._MEMO[0] == fed[0] and circuits._MEMO[1] is fed[1]
+    synthesize(czz_target(), 1, FULL_SET)
+    key, classes, _, _ = circuits._MEMO
+    assert key == (FULL_SET, 1) and classes is not None
+    one = circuits._MEMO
+    synthesize(czz_target(), 0, FULL_SET)
+    assert circuits._MEMO is one
+    circuits._MEMO = (None, None, None, None)
+    synthesize(czz_target(), 0, FULL_SET)
+    assert circuits._MEMO == (None, None, None, None)
+
+
+def test_a_search_without_a_cswap_keeps_the_memoized_table(monkeypatch):
+    """Searches without a CSWAP build their one-class table and keep
+    nothing, so the feed-forward search after them builds no prefix
+    classes."""
+    synthesize(cpf_target(), 2, FULL_SET, allow_feedforward=True)
+    table = circuits._MEMO[1]
+    synthesize(czz_target(), 0)
+    synthesize(np.eye(4), 0, allow_feedforward=True)
+    assert circuits._MEMO[1] is table
+    builds = []
+    build = circuits._prefix_classes
+
+    def counted(depth, staged):
+        builds.append(depth)
+        return build(depth, staged)
+
+    monkeypatch.setattr(circuits, "_prefix_classes", counted)
+    fed = synthesize(cpf_target(), 2, FULL_SET, allow_feedforward=True)
+    lines = [format_circuit(m.circuit) for m in fed.matches]
+    assert (len(lines), digest(lines)) == PINNED_CPF_FEEDFORWARD
+    assert builds == []
 
 
 def test_a_deep_one_off_full_search_stays_small():
@@ -569,10 +616,10 @@ import json
 from cavityswap import circuits
 kinds = ("I", "Z", "S", "H")
 found = [len(circuits.synthesize(circuits.czz_target(), 3, kinds).matches) for _ in range(2)]
-kept = circuits._MEMO == ((kinds, 3), None, None, None)
+empty = circuits._MEMO == (None, None, None, None)
 with open("/proc/self/status") as f:
     peak_kb = int(next(line for line in f if line.startswith("VmHWM:")).split()[1])
-print(json.dumps([found, kept, peak_kb]))
+print(json.dumps([found, empty, peak_kb]))
 """
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(circuits.__file__)))
     proc = subprocess.run(
@@ -585,8 +632,9 @@ print(json.dumps([found, kept, peak_kb]))
 
 
 def test_memoized_arrays_are_read_only():
-    for _ in range(2):
-        synthesize(czz_target(), 2, FULL_SET)
+    # the table from the feed-forward search, the lookup from a full search
+    synthesize(cpf_target(), 2, FULL_SET, allow_feedforward=True)
+    synthesize(czz_target(), 2, FULL_SET)
     key, classes, tol, lookup = circuits._MEMO
     assert (key, tol) == ((FULL_SET, 2), 1e-9)
     arrays = [*classes, *lookup]
@@ -602,22 +650,22 @@ def test_a_search_stopped_by_its_budget_stores_no_table():
     result = synthesize(cpf_target(), 2, FULL_SET, allow_feedforward=True, time_budget=1e-4)
     assert result.truncated
     assert circuits._MEMO == (None, None, None, None)
-    synthesize(czz_target(), 2, FULL_SET)
-    assert synthesize(czz_target(), 2, FULL_SET, time_budget=1e-4).truncated
-    assert circuits._MEMO == ((FULL_SET, 2), None, None, None)
+    # the budget stops a one-CSWAP full search in its depth-1 class build
+    assert synthesize(czz_target(), 1, FULL_SET, time_budget=1e-4).truncated
+    assert circuits._MEMO == (None, None, None, None)
 
 
 def test_a_table_over_the_cap_is_not_kept(monkeypatch):
     """A build whose room exceeds the cap is used for its own search only,
-    and a full-operator search never builds it."""
+    and a full-operator search of two CSWAPs then never builds it."""
     monkeypatch.setattr(circuits, "_MEMO_BYTES", 125**2 * 1024 - 1)
     fed = synthesize(cpf_target(), 2, FULL_SET, allow_feedforward=True)
     lines = [format_circuit(m.circuit) for m in fed.matches]
     assert (len(lines), digest(lines)) == PINNED_CPF_FEEDFORWARD
-    assert circuits._MEMO == ((FULL_SET, 2), None, None, None)
+    assert circuits._MEMO == (None, None, None, None)
     for _ in range(2):  # both meet one layer before the final one
         synthesize(czz_target(), 2, FULL_SET)
-        assert circuits._MEMO == ((FULL_SET, 2), None, None, None)
-    for _ in range(2):  # 125 products fit
-        synthesize(czz_target(), 1, FULL_SET)
-    assert circuits._MEMO[1] is not None
+        assert circuits._MEMO == (None, None, None, None)
+    synthesize(czz_target(), 1, FULL_SET)  # 125 products fit
+    key, classes, _, _ = circuits._MEMO
+    assert key == (FULL_SET, 1) and classes is not None

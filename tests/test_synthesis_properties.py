@@ -148,6 +148,7 @@ CALL_POOL = [
     (czz_target(), 2, ("I", "Z"), False),
     (cpf_target(), 1, ("I", "Z", "H"), True),
     (np.eye(4, dtype=complex), 0, FULL_SET, True),
+    (czz_target(), 0, FULL_SET, False),
 ]
 
 
@@ -195,39 +196,47 @@ def test_feedforward_placements_match_brute_force(kinds, k, target):
     assert result.evaluated == len(want)
 
 
-# the planted outer pair of the one-CSWAP searches below, as operators
+# the planted layers of the searches below, as operators
 OUTER_KINDS = ("H", "S")
-FIRST, LAST = (
-    circuit_unitary(circuit_gates([layer]), 3) for layer in (("H", "S", "H"), ("S", "H", "S"))
+FIRST, MIDDLE, LAST = (
+    circuit_unitary(circuit_gates([layer]), 3)
+    for layer in (("H", "S", "H"), ("H", "H", "S"), ("S", "H", "S"))
 )
-PLANTED_LINE = "H,S,H;S,H,S|None"
-PREFIX = circuit_unitary([CSWAP(0, 1, 2)], 3) @ FIRST
-# A one-off full-operator search meets one layer before the final one: its
-# only class is the identity, and its query (C . L_0)^+ . L_1^+ . T for the
-# planted pair is the identity, moved by whatever the target adds.  Its
-# repeat meets at the final layer: the query L_1^+ . T is the prefix class
-# C . FIRST, moved the same way.  Per search, the planted class P and the
+CSWAP_MATRIX = circuit_unitary([CSWAP(0, 1, 2)], 3)
+PREFIX = CSWAP_MATRIX @ FIRST
+# A one-CSWAP full-operator search meets at the final layer: the query
+# L_1^+ . T for the planted pair is the prefix class C . FIRST, moved by
+# whatever the target adds.  A two-CSWAP one with nothing memoized meets
+# one layer earlier: the query (C . L_1)^+ . L_2^+ . T for the planted
+# middle and final layers is that class again, moved the same way.  Per
+# search, its CSWAP count, the planted line, the planted class P and the
 # operator S whose inverse forms the query, so that a target S . Q gives
 # the query Q
-SEARCHES = {"one-off": (np.eye(8, dtype=complex), LAST @ PREFIX), "repeat": (PREFIX, LAST)}
+SEARCHES = {
+    "earlier": (2, "H,S,H;H,H,S;S,H,S|None", PREFIX, LAST @ CSWAP_MATRIX @ MIDDLE),
+    "final": (1, "H,S,H;S,H,S|None", PREFIX, LAST),
+}
 
 
 def per_search(*tols):
-    # each tolerance for a one-off search, then for its repeat
-    return [pytest.param(tol, "one-off", id=str(tol)) for tol in tols] + [
-        pytest.param(tol, "repeat", id=f"{tol}-repeat") for tol in tols
+    # each tolerance for the search that meets one layer earlier, then for
+    # the one that meets at the final layer and its repeat
+    return [pytest.param(tol, "earlier", id=str(tol)) for tol in tols] + [
+        pytest.param(tol, "final", id=f"{tol}-repeat") for tol in tols
     ]
 
 
 def full_search(search, target, tol):
-    """A one-off full-operator search, which keeps no table, or the repeat
-    of one, which builds and keeps the prefix classes."""
-    result = synthesize(target, 1, OUTER_KINDS, tol=tol)
-    if search == "one-off":
-        assert circuits._MEMO[1] is None
+    """A two-CSWAP full-operator search, which meets one layer earlier and
+    keeps no table, or a one-CSWAP one, which builds and keeps the depth-1
+    prefix classes, repeated on them."""
+    k = SEARCHES[search][0]
+    result = synthesize(target, k, OUTER_KINDS, tol=tol)
+    if search == "earlier":
+        assert circuits._MEMO == (None, None, None, None)
         return result
-    repeat = synthesize(target, 1, OUTER_KINDS, tol=tol)
-    assert circuits._MEMO[1] is not None
+    assert circuits._MEMO[0] == (OUTER_KINDS, 1)
+    repeat = synthesize(target, k, OUTER_KINDS, tol=tol)
     assert repeat.matches == result.matches
     return repeat
 
@@ -249,7 +258,7 @@ def test_query_on_a_rounding_edge_matches_brute_force(tol, search):
     phase reference does not.  Rounding noise in forming the query decides
     that coordinate's grid value, so the query's key may or may not be its
     class's; the result must equal brute force either way."""
-    planted, outer = SEARCHES[search]
+    k, line, planted, outer = SEARCHES[search]
     scaled, ref, _ = _phase_canonical((planted @ _SKETCH)[None])
     entry = len(_SKETCH) - 1
     assert ref[0] < entry
@@ -265,9 +274,9 @@ def test_query_on_a_rounding_edge_matches_brute_force(tol, search):
     edge = _phase_canonical(image[None])[0][0, 2 * entry]
     assert abs(abs(edge - math.floor(edge)) - 0.5) < 1e-9
     result = full_search(search, target, tol)
-    want = brute_force(target, 1, OUTER_KINDS, False, tol)
+    want = brute_force(target, k, OUTER_KINDS, False, tol)
     assert sorted(match_lines(result)) == want
-    assert (PLANTED_LINE in want) == (tol >= 0.5 * _KEY_GRID)
+    assert (line in want) == (tol >= 0.5 * _KEY_GRID)
 
 
 # at 1e-5 and 1e-3 the planted class's image key is no longer stable
@@ -277,16 +286,17 @@ def test_planted_circuit_at_the_widened_radius_is_found(tol, search):
     the phase conj(v_j) / |v_j| down column j, so that every coordinate of
     its image of the sketch v moves by delta |v|_1: the farthest an
     entrywise move of delta can carry it.  delta is scaled so that the
-    planted circuit sits at 0.9 tol; the shift is then about 1.2 tol for
-    the one-off search and 1.4 tol for the repeat.  At the loose
-    tolerances the class is screened by least squares, and a screen whose
-    radius on the image falls below that shift misses the planted circuit:
+    planted circuit sits at 0.9 tol; the shift is then about 1.5 tol for
+    the search that meets one layer earlier and 1.4 tol for the one that
+    meets at the final layer.  At the loose tolerances the class is
+    screened by least squares, and a screen whose radius on the image
+    falls below that shift misses the planted circuit:
     the least-squares screen at a radius of 0.9 tol in place of
     (8 tol + _CLASS_SLACK) |v|_1 rejects it here.  At 1e-3 the shift is
     about a third of a grid step, and keying the class without the
     stability test misses it too.  At 1e-9 the class is keyed, and a table
     and queries keyed by different vectors miss it."""
-    planted, outer = SEARCHES[search]
+    k, line, planted, outer = SEARCHES[search]
     eps = (8.0 * tol + _CLASS_SLACK) * _SKETCH_L1
     stable = _stable(*_phase_canonical((planted @ _SKETCH)[None]), eps)[0]
     assert stable == (tol == TOL)
@@ -298,8 +308,8 @@ def test_planted_circuit_at_the_widened_radius_is_found(tol, search):
     target = outer @ (planted + delta * pattern)
     assert rule_residual(outer @ planted, target) == pytest.approx(0.9 * tol, rel=1e-3)
     result = full_search(search, target, tol)
-    want = brute_force(target, 1, OUTER_KINDS, False, tol)
-    assert PLANTED_LINE in want
+    want = brute_force(target, k, OUTER_KINDS, False, tol)
+    assert line in want
     assert sorted(match_lines(result)) == want
     if not stable:
         # the query's image against the class's, as the search screens it
