@@ -13,7 +13,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -610,6 +610,49 @@ def _layer_tables(kinds: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     return photon, np.einsum("aij,pkl->apikjl", gates, photon).reshape(n**3, 8, 8)
 
 
+class _GateSetTables(NamedTuple):
+    """What a search reads that depends on its gate kinds alone, as
+    read-only arrays; layers are indexed by kind triple and photon pairs by
+    kind pair, in itertools.product order."""
+
+    names: np.ndarray  # the kind triple of each layer, an object array
+    photon: np.ndarray  # B = b (x) c of each kind pair
+    layers: np.ndarray  # a (x) B of each kind triple
+    staged: np.ndarray  # CSWAP . layer, one chain element
+    layers_dag: np.ndarray
+    photon_dag: np.ndarray
+    atoms: np.ndarray  # the atom gate of each final-layer family
+    in_family: np.ndarray  # [family, kind]
+
+
+@functools.lru_cache(maxsize=8)
+def _gate_set_tables(kinds: tuple[str, ...]) -> _GateSetTables:
+    # built once per gate set and process; nothing from a search is kept
+    # here.  Eight sets of six kinds hold about 6 MB
+    names = np.fromiter(itertools.product(kinds, repeat=3), dtype=object, count=len(kinds) ** 3)
+    photon, layers = _layer_tables(kinds)
+    staged = np.matmul(gate_matrix(_SYNTH_CSWAP, 3), layers)
+    # an atom-diagonal final gate only rephases each photon map: one family
+    families: dict[int, list[int]] = {}
+    for a, kind in enumerate(kinds):
+        families.setdefault(-1 if kind in _ATOM_DIAGONAL else a, []).append(a)
+    groups = list(families.values())
+    atoms = np.array([_SINGLE_QUBIT[kinds[group[0]]] for group in groups])
+    in_family = np.zeros((len(groups), len(kinds)), dtype=bool)
+    for f, group in enumerate(groups):
+        in_family[f, group] = True
+    tables = _GateSetTables(
+        names, photon, layers, staged, layers.conj().transpose(0, 2, 1),
+        photon.conj().transpose(0, 2, 1), atoms, in_family,
+    )
+    # each is fresh, or a view of a fresh array of its own size; freezing
+    # them in place rather than copying them keeps the heap as the search
+    # left it
+    for array in tables:
+        array.flags.writeable = False
+    return tables
+
+
 @functools.lru_cache(maxsize=len(_SYNTH_KINDS) ** 3)
 def _layer_gates(names: tuple[str, ...]) -> tuple[Gate, ...]:
     # one immutable Gate tuple per kind triple, shared by every match
@@ -814,7 +857,7 @@ def _confirm(cands: np.ndarray, test, layers, staged) -> np.ndarray:
     return np.concatenate(hits)
 
 
-def _search_full(target, k, kinds, layers, staged, tol):
+def _search_full(target, k, kinds, tables, tol):
     """Search steps for an 8x8 target, met at depth j among the phase
     classes of the prefixes P = C . L_{j-1} ... C . L_0.  A candidate S . P,
     S = L_k . C ... C . L_j the suffix, matches T only if P is within sqrt8
@@ -833,9 +876,10 @@ def _search_full(target, k, kinds, layers, staged, tol):
     Each proposed member and suffix is confirmed by _matches_full on its
     own operator, one search step per block of candidates."""
     global _MEMO
+    layers, staged = tables.layers, tables.staged
     n = len(layers)
     # L_k^+ . T . v for every final layer, as rows
-    last = np.matmul(layers.conj().transpose(0, 2, 1), target @ _SKETCH)
+    last = np.matmul(tables.layers_dag, target @ _SKETCH)
     if k <= 1 or _MEMO[0] == (kinds, k):
         built = yield from _classes(kinds, k, staged)
         blocks = [(last, np.arange(n)[:, None])]
@@ -911,7 +955,7 @@ def _unit_rows(A: np.ndarray) -> np.ndarray:
     return flat / np.where(norm > 0.0, norm, 1.0)
 
 
-def _search_photon(target, k, kinds, photon, layers, staged, feedforward, tol):
+def _search_photon(target, k, kinds, tables, feedforward, tol):
     """Meet at the final layer for a 4x4 target T.  The final layer
     a (x) B moves to the target side, so one prefix P = C . L_{k-1} ...
     C . L_0 per phase class is screened against a table of at most 36 x 4
@@ -928,9 +972,9 @@ def _search_photon(target, k, kinds, photon, layers, staged, feedforward, tol):
     and take the corrections D as the outer columns of their table.  Each
     proposed member and final layer is confirmed at tol on its own
     operator."""
+    layers, staged, photon_dag = tables.layers, tables.staged, tables.photon_dag
     reps, members, offsets = yield from _classes(kinds, k, staged)
     n2 = len(kinds) ** 2
-    photon_dag = photon.conj().transpose(0, 2, 1)
     # the screens test proportionality, so T and each table entry may be
     # rescaled; T to unit peak first, so that no norm overflows
     peak = np.max(np.abs(target))
@@ -940,15 +984,7 @@ def _search_photon(target, k, kinds, photon, layers, staged, feedforward, tol):
     fed_dag = _unit_rows(
         np.matmul(photon_dag, (_CORRECTION_DIAGONALS[:, :, None] * unit)[:, None])
     ).conj().T
-    # an atom-diagonal final gate only rephases each W: one family
-    families: dict[int, list[int]] = {}
-    for a, kind in enumerate(kinds):
-        families.setdefault(-1 if kind in _ATOM_DIAGONAL else a, []).append(a)
-    groups = list(families.values())
-    atoms = np.array([_SINGLE_QUBIT[kinds[group[0]]] for group in groups])
-    in_family = np.zeros((len(groups), len(kinds)), dtype=bool)
-    for f, group in enumerate(groups):
-        in_family[f, group] = True
+    atoms, in_family = tables.atoms, tables.in_family
     atom_offset = n2 * np.arange(len(kinds))  # of the final layer's index
     # Screening radius eps, entrywise, around the multiples of a table entry.
     # A class member is e^{i theta} P + E with |E|_max < _CLASS_SLACK, and
@@ -1025,7 +1061,8 @@ def synthesize(
     diagonal correction per outcome.  Matching is up to global phase at
     tolerance ``tol``, which must lie in (0, 1) since unitary entries have
     modulus at most 1.  Hits stay int rows, layer indices then correction
-    pair (-1, -1 measurement-free), and one lexsort of them sorts the matches.
+    pair (-1, -1 measurement-free), and one lexsort of them sorts the
+    matches, which are then built all at once.
 
     Each layer's operator is the Kronecker product of its gates' 2x2
     matrices.  The search runs on phase classes of partial products, built
@@ -1056,7 +1093,10 @@ def synthesize(
     forms one product per layer, where the search one layer earlier would
     form one query per pair of layers.  Either way the result is the same.
     The memo is one slot, replaced whole, so concurrent calls at worst
-    build a table twice.
+    build a table twice.  The tables that depend on the gate set alone
+    (layer operators, their CSWAP products and adjoints, the kind triples)
+    are built once per gate set and process, for up to eight gate sets, as
+    read-only arrays; they hold no search result.
 
     A ``time_budget`` (seconds, positive) makes the search stop early with
     ``truncated`` set, keeping the matches confirmed so far; the budget is
@@ -1097,16 +1137,11 @@ def synthesize(
         raise SearchSpaceError(size, _GUARD)
 
     start = time.monotonic()
-    # the kind triple of each layer index, n^2 atom + n photon + photon
-    names = list(itertools.product(kinds, repeat=3))
-    photon, layers = _layer_tables(kinds)
-    staged = np.matmul(gate_matrix(_SYNTH_CSWAP, 3), layers)  # CSWAP . layer, one chain element
+    tables = _gate_set_tables(kinds)
     if mode == "full":
-        steps = _search_full(target, num_cswaps, kinds, layers, staged, tol)
+        steps = _search_full(target, num_cswaps, kinds, tables, tol)
     else:
-        steps = _search_photon(
-            target, num_cswaps, kinds, photon, layers, staged, use_feedforward, tol
-        )
+        steps = _search_photon(target, num_cswaps, kinds, tables, use_feedforward, tol)
 
     found = [np.empty((0, num_cswaps + 3), dtype=np.intp)]
     evaluated = 0
@@ -1121,8 +1156,13 @@ def synthesize(
 
     # by layer indices, then correction pair: a measurement-free (-1, -1) first
     rows = np.concatenate(found)
-    matches = tuple(
-        SynthesisMatch(tuple(names[index] for index in row), None if c0 < 0 else (c0, c1))
-        for *row, c0, c1 in rows[np.lexsort(rows.T[::-1])].tolist()
-    )
+    matches = _build_matches(rows[np.lexsort(rows.T[::-1])], tables.names)
     return SynthesisResult(matches, size, truncated, time.monotonic() - start, evaluated)
+
+
+def _build_matches(rows: np.ndarray, names: np.ndarray) -> tuple[SynthesisMatch, ...]:
+    # one match per hit row, layer indices then correction pair, all at once:
+    # the kind triples by one take from names, the pairs as Python ints
+    layers = map(tuple, names[rows[:, :-2]].tolist())
+    feedforward = [None if c0 < 0 else (c0, c1) for c0, c1 in rows[:, -2:].tolist()]
+    return tuple(map(SynthesisMatch, layers, feedforward))

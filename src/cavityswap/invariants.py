@@ -247,8 +247,9 @@ def _check_channel_closed_form():
             float(rng.uniform(0.5, 12.0)), 1.0, float(rng.uniform(0.0, 2.0))
         )
         pulse = PulseSpec(float(rng.uniform(0.005, 0.3)))
-        closed = pulses.gate_metrics(params, pulse)
-        rho = channel.apply_noisy_cswap(pulses.overlaps(params, pulse))
+        ov = pulses.overlaps(params, pulse)
+        closed = pulses.metrics(ov)
+        rho = channel.apply_noisy_cswap(ov)
         _require(
             abs(channel.loss_probability(rho) - closed.loss_probability) <= 1e-9,
             "channel loss deviates from the closed form",

@@ -1006,6 +1006,22 @@ def test_synthesize_czz_cli(capsys):
     assert int(found.split(" = ")[1]) > 0
 
 
+# sha256 of the whole stdout, match lines unsorted, so that the order of
+# the matches is pinned as well as their set
+PINNED_SYNTHESIZE_STDOUT = [
+    (["--target", "czz", "--cswaps", "2"],
+     "759cac3a98dda70268335bfce0f96a3d4c20c6fba4d3ecee4310ff49eb85c77b"),
+    (["--target", "cpf", "--cswaps", "2", "--feedforward"],
+     "fea6bc7036ba15ff63b10cab073457510bca146d7f2ba959912253b7a58928ad"),
+]
+
+
+@pytest.mark.parametrize("argv,want", PINNED_SYNTHESIZE_STDOUT, ids=["czz", "cpf-feedforward"])
+def test_synthesize_stdout_is_pinned_byte_for_byte(argv, want, capsys):
+    assert run(["synthesize", *argv]) == EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want
+
+
 def test_synthesize_budget_truncation(capsys):
     code = run(
         ["synthesize", "--target", "cpf", "--cswaps", "2", "--feedforward",

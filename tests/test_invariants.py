@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import cavityswap
-from cavityswap import invariants
+from cavityswap import invariants, pulses
 
 
 @pytest.mark.parametrize(
@@ -18,6 +18,21 @@ from cavityswap import invariants
 )
 def test_invariant(suite, name):
     invariants.VERIFY_CHECKS[suite][name]()
+
+
+def test_channel_check_averages_each_draw_once(monkeypatch):
+    """channel-closed-form takes the closed form and the channel from one
+    set of pulse averages per draw: five draws, five overlaps calls."""
+    calls = []
+    real = pulses.overlaps
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pulses, "overlaps", counting)
+    invariants.VERIFY_CHECKS["physics"]["channel-closed-form"]()
+    assert len(calls) == 5
 
 
 def test_library_modules_import_without_the_front_end():

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import types
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from cavityswap.circuits import (
     Gate,
     Measurement,
     SearchSpaceError,
+    SynthesisMatch,
     circuit_unitary,
     cpf_target,
     czz_target,
@@ -205,6 +207,93 @@ def test_layer_tables_are_the_kernel_products():
         for pair in itertools.product(kinds, repeat=2)
     ])
     assert photon.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kinds", [FULL_SET, ("I", "Z"), ("I", "H", "X", "Z", "S")], ids=len)
+def test_gate_set_tables_are_read_only_fresh_builds(kinds):
+    """The tables built once per gate set equal the layer tables and the
+    CSWAP product formed afresh, and no caller can write to them."""
+    tables = circuits._gate_set_tables(kinds)
+    assert circuits._gate_set_tables(kinds) is tables
+    photon, layers = circuits._layer_tables(kinds)
+    staged = np.matmul(circuit_unitary([circuits._SYNTH_CSWAP], 3), layers)
+    assert tables.names.shape == (len(kinds) ** 3,)
+    assert tables.names.tolist() == list(itertools.product(kinds, repeat=3))
+    want = {
+        "photon": photon,
+        "layers": layers,
+        "staged": staged,
+        "layers_dag": layers.conj().transpose(0, 2, 1),
+        "photon_dag": photon.conj().transpose(0, 2, 1),
+    }
+    for name, array in want.items():
+        assert np.array_equal(getattr(tables, name), array), name
+    # one family for the atom-diagonal kinds, one per other kind
+    diagonal = [kind in circuits._ATOM_DIAGONAL for kind in kinds]
+    assert tables.in_family.sum(axis=0).tolist() == [1] * len(kinds)
+    assert tables.in_family[0].tolist() == diagonal
+    assert len(tables.atoms) == 1 + diagonal.count(False)
+    for array in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+
+
+def per_row_matches(rows, kinds):
+    """Matches built one hit row at a time, the construction the bulk build
+    replaced."""
+    names = list(itertools.product(kinds, repeat=3))
+    return tuple(
+        SynthesisMatch(tuple(names[index] for index in row), None if c0 < 0 else (c0, c1))
+        for *row, c0, c1 in rows.tolist()
+    )
+
+
+@pytest.mark.parametrize("target,k,kinds,allow_feedforward,steps,found", [
+    pytest.param(czz_target(), 2, FULL_SET, False, None, 1024, id="czz"),
+    pytest.param(cpf_target(), 2, FULL_SET, True, None, 2048, id="cpf-feedforward"),
+    pytest.param(czz_target(), 1, ("I", "Z"), False, None, 0, id="no-match"),
+    pytest.param(czz_target(), 2, FULL_SET, False, 8, None, id="truncated"),
+])
+def test_bulk_built_matches_equal_the_per_row_construction(
+    monkeypatch, target, k, kinds, allow_feedforward, steps, found
+):
+    """synthesize builds all its matches at once from the sorted hit rows:
+    the same matches, in the same order and of the same types, as one
+    SynthesisMatch per row.  The truncated search reads a clock that
+    advances one second per reading, so that its budget stops it after the
+    given number of steps, a part of the way through its query blocks."""
+    budget = None
+    if steps is not None:
+        ticks = itertools.count()
+        monkeypatch.setattr(circuits, "time", types.SimpleNamespace(
+            monotonic=lambda: float(next(ticks))
+        ))
+        budget = steps - 0.5
+    built = []
+    build = circuits._build_matches
+
+    def recorded(rows, names):
+        built.append((rows, build(rows, names)))
+        return built[-1][1]
+
+    monkeypatch.setattr(circuits, "_build_matches", recorded)
+    result = synthesize(target, k, kinds, allow_feedforward=allow_feedforward, time_budget=budget)
+    [(rows, matches)] = built
+    assert result.matches is matches
+    assert result.truncated == (steps is not None)
+    if found is None:
+        assert 0 < len(matches) < 1024
+    else:
+        assert len(matches) == found
+    assert matches == per_row_matches(rows, kinds)
+    for match in matches:
+        assert type(match.layers) is tuple and len(match.layers) == k + 1
+        for layer in match.layers:
+            assert type(layer) is tuple and len(layer) == 3
+            assert all(type(kind) is str for kind in layer)
+        pair = match.feedforward
+        assert (pair is None) != allow_feedforward
+        assert pair is None or (type(pair) is tuple and [type(c) for c in pair] == [int, int])
 
 
 def test_correction_diagonals_are_the_correction_blocks():
