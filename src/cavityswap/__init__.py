@@ -2,8 +2,9 @@
 
 The package splits into these layers: single-photon spectral response
 (:mod:`cavityswap.cavity`), finite-bandwidth pulse averages and gate metrics
-(:mod:`cavityswap.pulses`), ideal multi-wire circuit simulation plus bounded
-circuit synthesis (:mod:`cavityswap.circuits`), the lossy output channel
+(:mod:`cavityswap.pulses`), ideal multi-wire circuit simulation
+(:mod:`cavityswap.circuits`), bounded circuit synthesis over its gates
+(:mod:`cavityswap.synthesis`), the lossy output channel
 (:mod:`cavityswap.channel`), operating-point presets
 (:mod:`cavityswap.presets`), the invariant registry that ``verify`` runs
 (:mod:`cavityswap.invariants`), and the command-line front end
@@ -21,13 +22,13 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "cavity": "AtomBranch CavityParams SpectralResponse response response_arrays",
     "channel": "OutputDensity apply_noisy_cswap",
-    "circuits": "CSWAP BranchOutcome Circuit Gate H Phase PureState S Sdag SearchSpaceError "
-                "SynthesisResult X Z apply basis_state circuit_unitary cpf_circuit "
-                "cpf_feedforward cpf_target cswap_multi czz_target equivalent_up_to_phase "
-                "format_circuit gate_matrix measure product_state random_state run swap_test "
-                "synthesize",
+    "circuits": "CSWAP BranchOutcome Circuit Gate H Phase PureState S Sdag X Z apply "
+                "basis_state circuit_unitary cpf_circuit cpf_feedforward cpf_target "
+                "cswap_multi czz_target equivalent_up_to_phase format_circuit gate_matrix "
+                "measure product_state random_state run swap_test",
     "pulses": "GateMetrics OverlapSet PulseSpec QuadratureConfig QuadratureError SweepGrid "
               "gate_metrics overlaps sweep_grid",
+    "synthesis": "SearchSpaceError SynthesisResult synthesize",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = sorted(_HOME)

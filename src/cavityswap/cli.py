@@ -6,8 +6,8 @@ point), sweep (parameter grids to CSV plus a plot sidecar), verify
 synthesize (bounded circuit search).  Presets and preset files live in
 :mod:`cavityswap.presets`, the invariants that verify runs in
 :mod:`cavityswap.invariants`; this module parses flags, formats output and
-maps errors to exit codes.  circuits and invariants are imported only by the
-subcommands that run them.
+maps errors to exit codes.  circuits, synthesis and invariants are imported
+only by the subcommands that run them.
 
 Exit codes: 0 success, 1 usage, 2 I/O, 3 verification failure, 4 time-budget
 truncation.  Wall-clock timing goes to stderr only, so stdout and file
@@ -412,12 +412,12 @@ def cmd_fingerprint(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
-    from . import circuits
+    from . import circuits, synthesis
 
     target = circuits.cpf_target() if args.target == "cpf" else circuits.czz_target()
     gate_set = tuple(part.strip() for part in args.gates.split(",") if part.strip())
     try:
-        result = circuits.synthesize(
+        result = synthesis.synthesize(
             target,
             args.cswaps,
             gate_set,
@@ -425,7 +425,7 @@ def cmd_synthesize(args) -> int:
             tol=args.tol,
             time_budget=args.time_budget,
         )
-    except (circuits.SearchSpaceError, ValueError) as exc:
+    except (synthesis.SearchSpaceError, ValueError) as exc:
         raise UsageError(str(exc))
     for match in result.matches:
         sys.stdout.write(match.line + "\n")

@@ -32,6 +32,6 @@ def fresh_synthesis_memo():
     full-operator search of two or more CSWAPs meets one layer before the
     final one until a photon-map search of its gate set and depth has kept
     the prefix classes."""
-    from cavityswap import circuits
+    from cavityswap import synthesis
 
-    circuits._MEMO = (None, None, None, None)
+    synthesis._MEMO = (None, None, None, None)

@@ -23,9 +23,9 @@ from cavityswap.circuits import (
     format_circuit,
     random_state,
     swap_test,
-    synthesize,
 )
 from cavityswap.pulses import PulseSpec, gate_metrics
+from cavityswap.synthesis import synthesize
 
 ATOMIC = CavityParams.symmetric(32.0 / 4.2, 1.0, 2.6 / 4.2)
 SOLID_STATE = CavityParams.symmetric(0.66 / 6.0, 1.0, 0.001 / 6.0)

@@ -35,13 +35,29 @@ def test_channel_check_averages_each_draw_once(monkeypatch):
     assert len(calls) == 5
 
 
+def test_cross_check_catches_a_shifted_exact_mean(monkeypatch):
+    """quadrature-cross-check fails when the exact rule's E c moves by
+    1e-10, a shift that moves p and F by less than 1e-9."""
+    exact_means = pulses._exact_means
+
+    def shifted(*args):
+        power, mean = exact_means(*args)
+        return power, mean + 1e-10
+
+    monkeypatch.setattr(pulses, "_exact_means", shifted)
+    with pytest.raises(AssertionError, match="exact and trapezoid"):
+        invariants.VERIFY_CHECKS["physics"]["quadrature-cross-check"]()
+
+
 def test_library_modules_import_without_the_front_end():
-    """presets loads without invariants, and neither loads cli."""
+    """presets loads without invariants, invariants without synthesis, and
+    none of them loads cli."""
     child = """
 import sys
 import cavityswap.presets
 assert "cavityswap.invariants" not in sys.modules, "presets imported invariants"
 import cavityswap.invariants
+assert "cavityswap.synthesis" not in sys.modules, "invariants imported synthesis"
 assert "cavityswap.cli" not in sys.modules, "a library module imported cli"
 """
     _fresh_interpreter(child)
@@ -63,13 +79,13 @@ def test_bare_import_loads_no_layer():
 import sys
 import cavityswap
 print(sorted(name for name in sys.modules if name.startswith(("cavityswap.", "numpy"))))
-for layer in ("cavity", "channel", "circuits", "pulses"):
+for layer in ("cavity", "channel", "circuits", "pulses", "synthesis"):
     assert getattr(cavityswap, layer) is sys.modules["cavityswap." + layer], layer
 """
     assert _fresh_interpreter(child).stdout == "[]\n"
 
 
-_PULSE_ONLY = {"channel", "circuits", "invariants"}
+_PULSE_ONLY = {"channel", "circuits", "invariants", "synthesis"}
 
 
 @pytest.mark.parametrize(
@@ -78,10 +94,12 @@ _PULSE_ONLY = {"channel", "circuits", "invariants"}
         (["metrics", "--preset", "atomic"], _PULSE_ONLY),
         (["coeffs", "--preset", "atomic", "--omega-step", "0.5"], _PULSE_ONLY),
         (["sweep", "--axis", "coupling", "--values", "3"], _PULSE_ONLY),
-        (["fingerprint", "--n", "2"], {"channel", "invariants"}),
+        (["fingerprint", "--n", "2"], {"channel", "invariants", "synthesis"}),
         (["synthesize", "--target", "czz", "--cswaps", "1"], {"channel", "invariants"}),
+        (["verify"], {"synthesis"}),
+        (["verify", "circuits"], {"synthesis"}),
     ],
-    ids=["metrics", "coeffs", "sweep", "fingerprint", "synthesize"],
+    ids=["metrics", "coeffs", "sweep", "fingerprint", "synthesize", "verify", "verify-circuits"],
 )
 def test_each_subcommand_loads_only_its_layers(argv, unloaded):
     """A subcommand imports the layers it runs and no other."""
@@ -95,6 +113,32 @@ print(json.dumps([name for name in sys.modules if name.startswith("cavityswap.")
     loaded = {name.split(".")[1] for name in json.loads(_fresh_interpreter(child).stdout)}
     assert "cli" in loaded
     assert not unloaded & loaded, sorted(loaded)
+
+
+_SYNTHESIS_NAMES = ("SearchSpaceError", "SynthesisResult", "synthesize")
+
+
+@pytest.mark.parametrize("name", _SYNTHESIS_NAMES)
+def test_circuits_loads_synthesis_only_for_its_names(name):
+    """import cavityswap.circuits loads no synthesis, nor does looking up a
+    name it does not serve; the first lookup of one of the three public
+    synthesis names loads synthesis and binds that name alone in circuits,
+    to the synthesis object, where a caller that patches module attributes
+    finds it."""
+    child = f"""
+import sys
+import cavityswap.circuits as circuits
+circuits.swap_test, circuits.czz_target
+for other in ("no_such_name", "SynthesisMatch", "_MEMO"):
+    assert not hasattr(circuits, other), other
+assert "cavityswap.synthesis" not in sys.modules, "circuits loaded synthesis"
+assert {name!r} not in vars(circuits)
+value = getattr(circuits, {name!r})
+assert value is getattr(sys.modules["cavityswap.synthesis"], {name!r})
+assert vars(circuits)[{name!r}] is value
+assert not (set({_SYNTHESIS_NAMES!r}) - {{{name!r}}}) & set(vars(circuits))
+"""
+    _fresh_interpreter(child)
 
 
 # the 46 public names of the package

@@ -7,15 +7,13 @@ import itertools
 import numpy as np
 import pytest
 
-from cavityswap.circuits import (
+from cavityswap.circuits import _phase_equiv_batch, circuit_unitary, gate_matrix
+from cavityswap.synthesis import (
     _CLASS_TOL,
     _SYNTH_CSWAP,
     _layer_gates,
     _phase_canonical,
-    _phase_equiv_batch,
     _prefix_classes,
-    circuit_unitary,
-    gate_matrix,
 )
 
 GATE_SETS = [("I", "Z"), ("I", "Z", "S", "Sdag", "H"), ("I", "H", "X", "Z", "S", "Sdag")]
@@ -105,7 +103,7 @@ def test_products_that_fail_confirmation_are_classes_of_their_own(monkeypatch, b
     # misses them by 1e-9, far above _CLASS_TOL: a class of its own per
     # product, so that within a layer own classes and new keys alternate.
     # Blocks of one layer, or of all of them
-    monkeypatch.setattr("cavityswap.circuits._PRODUCT_BLOCK", block)
+    monkeypatch.setattr("cavityswap.synthesis._PRODUCT_BLOCK", block)
     base = staged_layers(("I", "H"))
     nudged = base.copy()
     nudged[:, 0, 0] += 1e-9

@@ -11,34 +11,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from cavityswap import cavity, pulses  # noqa: E402
+from cavityswap.invariants import _strip_trapezoid  # noqa: E402
 
 
 def _log_uniform(lo, hi):
     return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
-
-
-def _strip_trapezoid(port, g, kappa, gamma, bandwidth):
-    """(E|c|^2, E c) of one point by the trapezoid rule on a uniform grid.
-
-    The integrand is analytic in a strip around the real axis as wide as
-    the nearest pole's distance, so the error falls like
-    exp(-2 pi strip / step); twelve steps per strip (or per bandwidth, if
-    narrower) put it far below rounding.  The window spans five bandwidths
-    each side, outside which the density's mass is below 1e-21.
-    """
-    if g == 0.0:
-        strip = kappa
-    else:
-        b = kappa + gamma / 2.0
-        d = 4.0 * g * g - (kappa - gamma / 2.0) ** 2
-        # the pole nearest the axis, without cancellation
-        strip = b / 2.0 if d >= 0.0 else (kappa * gamma / 2.0 + g * g) / ((b + math.sqrt(-d)) / 2.0)
-    step = min(strip, bandwidth) / 12.0
-    half = math.ceil(5.0 * bandwidth / step)
-    omega = np.arange(-half, half + 1) * step
-    weight = step * pulses.spectral_density(omega, bandwidth)
-    amp = cavity.coefficients(g, kappa, gamma, omega)[0 if port == "r" else 1]
-    return float(np.sum(weight * np.abs(amp) ** 2)), complex(np.sum(weight * amp))
 
 
 def _generic_point():

@@ -12,20 +12,18 @@ import types
 import numpy as np
 import pytest
 
-from cavityswap import circuits
+from cavityswap import circuits, synthesis
 from cavityswap.circuits import (
     Gate,
     Measurement,
-    SearchSpaceError,
-    SynthesisMatch,
     circuit_unitary,
     cpf_target,
     czz_target,
     equivalent_up_to_phase,
     format_circuit,
     run,
-    synthesize,
 )
+from cavityswap.synthesis import SearchSpaceError, SynthesisMatch, synthesize
 from test_circuits import HADAMARD, PHASE_S, cswap_permutation, kron_all
 from test_phase_classes import block_classes, reference_keys, staged_layers
 
@@ -195,15 +193,15 @@ def test_zero_cswaps():
 def test_layer_tables_are_the_kernel_products():
     # the Kronecker tables synthesis uses, bit for bit the operators the
     # gate kernel builds, for every kind
-    kinds = circuits._SYNTH_KINDS
-    photon, layers = circuits._layer_tables(kinds)
+    kinds = synthesis._SYNTH_KINDS
+    photon, layers = synthesis._layer_tables(kinds)
     want = np.array([
-        circuit_unitary(circuits._layer_gates(names), 3)
+        circuit_unitary(synthesis._layer_gates(names), 3)
         for names in itertools.product(kinds, repeat=3)
     ])
     assert layers.tobytes() == want.tobytes()
     want = np.array([
-        circuit_unitary(circuits._layer_gates(("I",) + pair), 3)[:4, :4]
+        circuit_unitary(synthesis._layer_gates(("I",) + pair), 3)[:4, :4]
         for pair in itertools.product(kinds, repeat=2)
     ])
     assert photon.tobytes() == want.tobytes()
@@ -213,10 +211,10 @@ def test_layer_tables_are_the_kernel_products():
 def test_gate_set_tables_are_read_only_fresh_builds(kinds):
     """The tables built once per gate set equal the layer tables and the
     CSWAP product formed afresh, and no caller can write to them."""
-    tables = circuits._gate_set_tables(kinds)
-    assert circuits._gate_set_tables(kinds) is tables
-    photon, layers = circuits._layer_tables(kinds)
-    staged = np.matmul(circuit_unitary([circuits._SYNTH_CSWAP], 3), layers)
+    tables = synthesis._gate_set_tables(kinds)
+    assert synthesis._gate_set_tables(kinds) is tables
+    photon, layers = synthesis._layer_tables(kinds)
+    staged = np.matmul(circuit_unitary([synthesis._SYNTH_CSWAP], 3), layers)
     assert tables.names.shape == (len(kinds) ** 3,)
     assert tables.names.tolist() == list(itertools.product(kinds, repeat=3))
     want = {
@@ -229,7 +227,7 @@ def test_gate_set_tables_are_read_only_fresh_builds(kinds):
     for name, array in want.items():
         assert np.array_equal(getattr(tables, name), array), name
     # one family for the atom-diagonal kinds, one per other kind
-    diagonal = [kind in circuits._ATOM_DIAGONAL for kind in kinds]
+    diagonal = [kind in synthesis._ATOM_DIAGONAL for kind in kinds]
     assert tables.in_family.sum(axis=0).tolist() == [1] * len(kinds)
     assert tables.in_family[0].tolist() == diagonal
     assert len(tables.atoms) == 1 + diagonal.count(False)
@@ -265,18 +263,18 @@ def test_bulk_built_matches_equal_the_per_row_construction(
     budget = None
     if steps is not None:
         ticks = itertools.count()
-        monkeypatch.setattr(circuits, "time", types.SimpleNamespace(
+        monkeypatch.setattr(synthesis, "time", types.SimpleNamespace(
             monotonic=lambda: float(next(ticks))
         ))
         budget = steps - 0.5
     built = []
-    build = circuits._build_matches
+    build = synthesis._build_matches
 
     def recorded(rows, names):
         built.append((rows, build(rows, names)))
         return built[-1][1]
 
-    monkeypatch.setattr(circuits, "_build_matches", recorded)
+    monkeypatch.setattr(synthesis, "_build_matches", recorded)
     result = synthesize(target, k, kinds, allow_feedforward=allow_feedforward, time_budget=budget)
     [(rows, matches)] = built
     assert result.matches is matches
@@ -297,7 +295,7 @@ def test_bulk_built_matches_equal_the_per_row_construction(
 
 
 def test_correction_diagonals_are_the_correction_blocks():
-    for gates, diagonal in zip(circuits._CORRECTION_GATES, circuits._CORRECTION_DIAGONALS):
+    for gates, diagonal in zip(synthesis._CORRECTION_GATES, synthesis._CORRECTION_DIAGONALS):
         assert np.array_equal(np.diag(diagonal), circuit_unitary(gates, 3)[:4, :4])
 
 
@@ -464,7 +462,7 @@ def test_matches_do_not_depend_on_the_order_classes_are_found(cpf_feedforward):
 
 @pytest.mark.parametrize("kinds,depth,count", [
     (FULL_SET, 1, 125), (FULL_SET, 2, 5525),
-    (circuits._SYNTH_KINDS, 1, 216), (circuits._SYNTH_KINDS, 2, 25272),
+    (synthesis._SYNTH_KINDS, 1, 216), (synthesis._SYNTH_KINDS, 2, 25272),
 ])
 def test_sketch_keys_separate_the_middle_classes(kinds, depth, count):
     """The full-operator search keys each prefix class C . L_{depth-1} ...
@@ -477,14 +475,14 @@ def test_sketch_keys_separate_the_middle_classes(kinds, depth, count):
     staged = staged_layers(kinds)
     reps, members, offsets = block_classes(depth, staged)
     assert len(reps) == count
-    whole = reference_keys(circuits._phase_canonical(reps)[0])
-    sketch = circuits._keys(circuits._phase_canonical(reps @ circuits._SKETCH)[0])
+    whole = reference_keys(synthesis._phase_canonical(reps)[0])
+    sketch = synthesis._keys(synthesis._phase_canonical(reps @ synthesis._SKETCH)[0])
     assert len(set(whole)) == len(np.unique(sketch)) == count
     formed = staged[members[:, 0]]
     for j in range(1, depth):
         formed = np.matmul(staged[members[:, j]], formed)
     rep_of = np.repeat(np.arange(len(reps)), np.diff(offsets))
-    assert circuits._phase_equiv_batch(formed, reps[rep_of], circuits._CLASS_TOL).all()
+    assert circuits._phase_equiv_batch(formed, reps[rep_of], synthesis._CLASS_TOL).all()
 
 
 @pytest.mark.parametrize("sketch,count", [
@@ -496,8 +494,8 @@ def test_prefix_classes_that_share_an_image_key_stay_apart(monkeypatch, sketch, 
     turn the 5 525 depth-2 classes into 8 657 and 15 474.  Each later
     product with a key is checked on all its entries before it joins, so
     the classes stay phase classes and the search finds the same circuits."""
-    monkeypatch.setattr(circuits, "_SKETCH", sketch)
-    monkeypatch.setattr(circuits, "_SKETCH_L1", math.fsum(map(abs, sketch.tolist())))
+    monkeypatch.setattr(synthesis, "_SKETCH", sketch)
+    monkeypatch.setattr(synthesis, "_SKETCH_L1", math.fsum(map(abs, sketch.tolist())))
     staged = staged_layers(FULL_SET)
     every = sorted(itertools.product(range(len(staged)), repeat=2))
     reps, members, offsets = block_classes(2, staged)
@@ -506,12 +504,12 @@ def test_prefix_classes_that_share_an_image_key_stay_apart(monkeypatch, sketch, 
     formed = np.matmul(staged[members[:, 1]], staged[members[:, 0]])
     rep_of = np.repeat(np.arange(len(reps)), np.diff(offsets))
     # the rule of equivalent_up_to_phase, over all members at once
-    assert circuits._phase_equiv_batch(formed, reps[rep_of], circuits._CLASS_TOL).all()
+    assert circuits._phase_equiv_batch(formed, reps[rep_of], synthesis._CLASS_TOL).all()
     result = synthesize(cpf_target(), 2, FULL_SET, allow_feedforward=True)
     lines = [format_circuit(m.circuit) for m in result.matches]
     assert (len(lines), digest(lines)) == PINNED_CPF_FEEDFORWARD
     # the search built its classes under this sketch, not a stale table
-    key, (reps, _, _), _, _ = circuits._MEMO
+    key, (reps, _, _), _, _ = synthesis._MEMO
     assert (key, len(reps)) == ((FULL_SET, 2), count)
 
 
@@ -555,7 +553,7 @@ def test_near_is_the_least_squares_distance(bound):
     table = [[distance(x, q) for q in Q] for x in X]
     # no row lies within rounding of the bound, so the definition decides
     assert min(abs(d - bound) for row in table for d in row) > 1e-9 * bound
-    got = circuits._near(X, Q.conj().T, bound)
+    got = synthesis._near(X, Q.conj().T, bound)
     assert got.tolist() == [[d <= bound for d in row] for row in table]
     assert got[zero].all()
     assert all(got[i, j] for i, j in proportional)
@@ -565,7 +563,7 @@ def test_near_is_the_least_squares_distance(bound):
 def test_sketch_is_a_unit_vector():
     # the keying radius (8 tol + _CLASS_SLACK) |v|_1 and the stability test
     # both assume |v|_2 = 1, so that an image's entries have modulus <= 1
-    assert math.fsum(abs(x) ** 2 for x in circuits._SKETCH) == pytest.approx(1.0, abs=1e-15)
+    assert math.fsum(abs(x) ** 2 for x in synthesis._SKETCH) == pytest.approx(1.0, abs=1e-15)
 
 
 def planted_pool():
@@ -602,7 +600,7 @@ def test_a_repeated_full_search_confirms_no_false_proposal(target, gates):
     each candidate it forms is a match."""
     once = synthesize(target, 2, gates)
     synthesize(cpf_target(), 2, gates, allow_feedforward=True)
-    assert circuits._MEMO[0] == (gates, 2)
+    assert synthesis._MEMO[0] == (gates, 2)
     again = synthesize(target, 2, gates)
     assert again.matches == once.matches and again.evaluated == len(again.matches)
 
@@ -630,11 +628,11 @@ def test_a_warm_search_equals_a_cold_one(target, kinds, k, allow_feedforward):
     results = [cold] + [
         synthesize(target, k, kinds, allow_feedforward=allow_feedforward) for _ in range(2)
     ]
-    key, classes, _, _ = circuits._MEMO
+    key, classes, _, _ = synthesis._MEMO
     if k:
         assert key == (kinds, k) and classes is not None
     else:
-        assert circuits._MEMO == (None, None, None, None)
+        assert synthesis._MEMO == (None, None, None, None)
     assert cold.matches
     assert allow_feedforward or cold.evaluated == len(cold.matches)
     for result in results:
@@ -650,22 +648,22 @@ def test_a_one_off_full_search_builds_no_table():
     builds and keeps its depth-1 classes, and one without a CSWAP keeps
     nothing."""
     synthesize(czz_target(), 2, FULL_SET)
-    assert circuits._MEMO == (None, None, None, None)
+    assert synthesis._MEMO == (None, None, None, None)
     synthesize(cpf_target(), 2, FULL_SET, allow_feedforward=True)
-    fed = circuits._MEMO
+    fed = synthesis._MEMO
     synthesize(czz_target(), 2, ("I", "Z"))
-    assert circuits._MEMO is fed
+    assert synthesis._MEMO is fed
     synthesize(czz_target(), 2, FULL_SET)
-    assert circuits._MEMO[0] == fed[0] and circuits._MEMO[1] is fed[1]
+    assert synthesis._MEMO[0] == fed[0] and synthesis._MEMO[1] is fed[1]
     synthesize(czz_target(), 1, FULL_SET)
-    key, classes, _, _ = circuits._MEMO
+    key, classes, _, _ = synthesis._MEMO
     assert key == (FULL_SET, 1) and classes is not None
-    one = circuits._MEMO
+    one = synthesis._MEMO
     synthesize(czz_target(), 0, FULL_SET)
-    assert circuits._MEMO is one
-    circuits._MEMO = (None, None, None, None)
+    assert synthesis._MEMO is one
+    synthesis._MEMO = (None, None, None, None)
     synthesize(czz_target(), 0, FULL_SET)
-    assert circuits._MEMO == (None, None, None, None)
+    assert synthesis._MEMO == (None, None, None, None)
 
 
 def test_a_search_without_a_cswap_keeps_the_memoized_table(monkeypatch):
@@ -673,18 +671,18 @@ def test_a_search_without_a_cswap_keeps_the_memoized_table(monkeypatch):
     nothing, so the feed-forward search after them builds no prefix
     classes."""
     synthesize(cpf_target(), 2, FULL_SET, allow_feedforward=True)
-    table = circuits._MEMO[1]
+    table = synthesis._MEMO[1]
     synthesize(czz_target(), 0)
     synthesize(np.eye(4), 0, allow_feedforward=True)
-    assert circuits._MEMO[1] is table
+    assert synthesis._MEMO[1] is table
     builds = []
-    build = circuits._prefix_classes
+    build = synthesis._prefix_classes
 
     def counted(depth, staged):
         builds.append(depth)
         return build(depth, staged)
 
-    monkeypatch.setattr(circuits, "_prefix_classes", counted)
+    monkeypatch.setattr(synthesis, "_prefix_classes", counted)
     fed = synthesize(cpf_target(), 2, FULL_SET, allow_feedforward=True)
     lines = [format_circuit(m.circuit) for m in fed.matches]
     assert (len(lines), digest(lines)) == PINNED_CPF_FEEDFORWARD
@@ -702,10 +700,10 @@ def test_a_deep_one_off_full_search_stays_small():
         pytest.skip("needs Linux /proc")
     child = """
 import json
-from cavityswap import circuits
+from cavityswap import circuits, synthesis
 kinds = ("I", "Z", "S", "H")
-found = [len(circuits.synthesize(circuits.czz_target(), 3, kinds).matches) for _ in range(2)]
-empty = circuits._MEMO == (None, None, None, None)
+found = [len(synthesis.synthesize(circuits.czz_target(), 3, kinds).matches) for _ in range(2)]
+empty = synthesis._MEMO == (None, None, None, None)
 with open("/proc/self/status") as f:
     peak_kb = int(next(line for line in f if line.startswith("VmHWM:")).split()[1])
 print(json.dumps([found, empty, peak_kb]))
@@ -724,7 +722,7 @@ def test_memoized_arrays_are_read_only():
     # the table from the feed-forward search, the lookup from a full search
     synthesize(cpf_target(), 2, FULL_SET, allow_feedforward=True)
     synthesize(czz_target(), 2, FULL_SET)
-    key, classes, tol, lookup = circuits._MEMO
+    key, classes, tol, lookup = synthesis._MEMO
     assert (key, tol) == ((FULL_SET, 2), 1e-9)
     arrays = [*classes, *lookup]
     assert len(arrays) == 7
@@ -738,23 +736,23 @@ def test_memoized_arrays_are_read_only():
 def test_a_search_stopped_by_its_budget_stores_no_table():
     result = synthesize(cpf_target(), 2, FULL_SET, allow_feedforward=True, time_budget=1e-4)
     assert result.truncated
-    assert circuits._MEMO == (None, None, None, None)
+    assert synthesis._MEMO == (None, None, None, None)
     # the budget stops a one-CSWAP full search in its depth-1 class build
     assert synthesize(czz_target(), 1, FULL_SET, time_budget=1e-4).truncated
-    assert circuits._MEMO == (None, None, None, None)
+    assert synthesis._MEMO == (None, None, None, None)
 
 
 def test_a_table_over_the_cap_is_not_kept(monkeypatch):
     """A build whose room exceeds the cap is used for its own search only,
     and a full-operator search of two CSWAPs then never builds it."""
-    monkeypatch.setattr(circuits, "_MEMO_BYTES", 125**2 * 1024 - 1)
+    monkeypatch.setattr(synthesis, "_MEMO_BYTES", 125**2 * 1024 - 1)
     fed = synthesize(cpf_target(), 2, FULL_SET, allow_feedforward=True)
     lines = [format_circuit(m.circuit) for m in fed.matches]
     assert (len(lines), digest(lines)) == PINNED_CPF_FEEDFORWARD
-    assert circuits._MEMO == (None, None, None, None)
+    assert synthesis._MEMO == (None, None, None, None)
     for _ in range(2):  # both meet one layer before the final one
         synthesize(czz_target(), 2, FULL_SET)
-        assert circuits._MEMO == (None, None, None, None)
+        assert synthesis._MEMO == (None, None, None, None)
     synthesize(czz_target(), 1, FULL_SET)  # 125 products fit
-    key, classes, _, _ = circuits._MEMO
+    key, classes, _, _ = synthesis._MEMO
     assert key == (FULL_SET, 1) and classes is not None

@@ -11,16 +11,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from cavityswap import circuits  # noqa: E402
+from cavityswap import synthesis  # noqa: E402
 from cavityswap.circuits import (  # noqa: E402
-    _CLASS_SLACK,
-    _KEY_GRID,
-    _SKETCH,
-    _SKETCH_L1,
-    _near,
-    _phase_canonical,
-    _stable,
-    _unit_rows,
     CSWAP,
     Circuit,
     Gate,
@@ -29,6 +21,16 @@ from cavityswap.circuits import (  # noqa: E402
     cpf_target,
     czz_target,
     equivalent_up_to_phase,
+)
+from cavityswap.synthesis import (  # noqa: E402
+    _CLASS_SLACK,
+    _KEY_GRID,
+    _SKETCH,
+    _SKETCH_L1,
+    _near,
+    _phase_canonical,
+    _stable,
+    _unit_rows,
     synthesize,
 )
 from test_synthesis import FULL_SET, branch_maps, match_lines  # noqa: E402
@@ -164,8 +166,8 @@ def cold_pool_results():
     computed once."""
     results = []
     for i in range(len(CALL_POOL)):
-        circuits._MEMO = (None, None, None, None)
-        circuits._gate_set_tables.cache_clear()
+        synthesis._MEMO = (None, None, None, None)
+        synthesis._gate_set_tables.cache_clear()
         results.append(pool_search(i))
     return results
 
@@ -177,8 +179,8 @@ def test_a_search_does_not_depend_on_the_calls_before_it(order):
     empty memo and no gate-set tables, whatever searches ran before it."""
     cold = cold_pool_results()
     # each example from the same start
-    circuits._MEMO = (None, None, None, None)
-    circuits._gate_set_tables.cache_clear()
+    synthesis._MEMO = (None, None, None, None)
+    synthesis._gate_set_tables.cache_clear()
     for i in order:
         assert pool_search(i) == cold[i]
 
@@ -237,9 +239,9 @@ def full_search(search, target, tol):
     k = SEARCHES[search][0]
     result = synthesize(target, k, OUTER_KINDS, tol=tol)
     if search == "earlier":
-        assert circuits._MEMO == (None, None, None, None)
+        assert synthesis._MEMO == (None, None, None, None)
         return result
-    assert circuits._MEMO[0] == (OUTER_KINDS, 1)
+    assert synthesis._MEMO[0] == (OUTER_KINDS, 1)
     repeat = synthesize(target, k, OUTER_KINDS, tol=tol)
     assert repeat.matches == result.matches
     return repeat
