@@ -90,8 +90,9 @@ class SynthesisResult:
     """``matches`` are sorted by layer indices, then correction pair (a
     measurement-free match first), each rendered by its ``line``.
     ``search_space`` is the nominal candidate count that the guard applies
-    to; ``evaluated`` counts the candidate operators the search formed and
-    confirmed with a match predicate.  The screens that propose them run on
+    to; ``evaluated`` counts the distinct candidate operators the search
+    formed and confirmed with a match predicate, a feed-forward one at the
+    corrections its screen proposed.  The screens that propose them run on
     phase-class representatives and form no candidate operator, so they
     are not counted, and neither is the build of a class table: a
     full-operator search that meets one layer before the final one and
@@ -262,18 +263,20 @@ def _matches_factorized(U: np.ndarray, target4: np.ndarray, tol: float):
     return index, np.full((len(index), 2), -1)
 
 
-def _matches_feedforward(U: np.ndarray, target4: np.ndarray, tol: float):
+def _matches_feedforward(U: np.ndarray, proposed: np.ndarray, target4: np.ndarray, tol: float):
     # atom enters in |+>, is measured at the end; each outcome's photon map,
     # after one diagonal correction, must match the target by the rule of
     # equivalent_up_to_phase.  Both outcomes must carry non-negligible
     # probability — a dead branch would be post-selection, not feed-forward.
+    # Only the corrections proposed[batch, outcome, D] are tested
     Ur = U.reshape(-1, 2, 4, 2, 4)
     M = (Ur[:, :, :, 0, :] + Ur[:, :, :, 1, :]) * _SQRT1_2  # [batch, outcome, 4, 4]
     s2 = np.sum(np.abs(M) ** 2, axis=(2, 3)) / 4.0
     alive = np.nonzero(np.all(s2 >= _BRANCH_FLOOR, axis=1))[0]
     N = M[alive] / np.sqrt(s2[alive])[:, :, None, None]
-    corrected = _CORRECTION_DIAGONALS[:, :, None] * N[:, :, None]  # [batch, outcome, D, 4, 4]
-    ok = _phase_equiv_batch(corrected.reshape(-1, 4, 4), target4, tol).reshape(len(alive), 2, 4)
+    ok = proposed[alive]
+    b, o, d = np.nonzero(ok)
+    ok[b, o, d] = _phase_equiv_batch(_CORRECTION_DIAGONALS[d, :, None] * N[b, o], target4, tol)
     rows, c0, c1 = np.nonzero(ok[:, 0, :, None] & ok[:, 1, None, :])
     return alive[rows], np.column_stack((c0, c1))
 
@@ -418,12 +421,13 @@ def _read_only(*arrays) -> tuple[np.ndarray, ...]:
     return copies
 
 
-def _confirm(cands: np.ndarray, test, layers, staged) -> np.ndarray:
+def _confirm(cands: np.ndarray, test, layers, staged, *per_row) -> np.ndarray:
     # form each candidate's operator in application order and run the match
-    # predicate on it; cands holds one layer tuple per row.  A predicate
-    # returns the passing indices and a correction pair per index, -1, -1
-    # for a measurement-free match; one int row per hit comes back: its
-    # layer indices, then its correction pair
+    # predicate on it, with the rows of per_row that go with the candidates;
+    # cands holds one layer tuple per row.  A predicate returns the passing
+    # indices and a correction pair per index, -1, -1 for a measurement-free
+    # match; one int row per hit comes back: its layer indices, then its
+    # correction pair
     hits = [np.empty((0, cands.shape[1] + 2), dtype=np.intp)]
     for lo in range(0, len(cands), _PRODUCT_BLOCK):
         idx = cands[lo : lo + _PRODUCT_BLOCK]
@@ -433,7 +437,7 @@ def _confirm(cands: np.ndarray, test, layers, staged) -> np.ndarray:
             for j in range(1, idx.shape[1] - 1):
                 prefix = np.matmul(staged[idx[:, j]], prefix)
             U = np.matmul(U, prefix)
-        matched, pairs = test(U)
+        matched, pairs = test(U, *(a[lo : lo + _PRODUCT_BLOCK] for a in per_row))
         hits.append(np.column_stack((idx[matched], pairs)))
     return np.concatenate(hits)
 
@@ -551,8 +555,15 @@ def _search_photon(target, k, kinds, tables, feedforward, tol):
     each member's operator stays within the _CLASS_SLACK that the screening
     radius assumes.  The screens square moduli as re^2 + im^2 on real views
     and take the corrections D as the outer columns of their table.  Each
+    stage screens only what the one before it proposed: the first block of
+    every class, the other three only for the classes where some B passes
+    it; outcome 0 on the live rows alone, where both W carry weight;
+    outcome 1 only on those where outcome 0 passes for some B.  Each
+    (row, B) keeps the corrections that pass for each outcome.  Each
     proposed member and final layer is confirmed at tol on its own
-    operator."""
+    operator, a feed-forward one at its proposed corrections alone: the
+    radius holds per table entry B^+ . D^+ . T, so a correction pair that
+    passes at tol was proposed for both outcomes."""
     layers, staged, photon_dag = tables.layers, tables.staged, tables.photon_dag
     reps, members, offsets = yield from _classes(kinds, k, staged)
     n2 = len(kinds) ** 2
@@ -587,21 +598,24 @@ def _search_photon(target, k, kinds, tables, feedforward, tol):
     alive = (2.0 * math.sqrt(_BRANCH_FLOOR) - 8.0 * _CLASS_SLACK) ** 2
 
     def screen(rows):
-        # [row, B]: the row within eps of a multiple of some correction's
-        # table entry; the corrections, outer columns of fed_dag, are ORed
-        # as views
-        near = _near(rows, fed_dag, bound).reshape(len(rows), 4, n2)
-        return near[:, 0] | near[:, 1] | near[:, 2] | near[:, 3]
+        # [row, D, B]: the row within eps of a multiple of the table entry of
+        # correction D and photon pair B
+        return _near(rows, fed_dag, bound).reshape(len(rows), 4, n2)
 
     free_test = functools.partial(_matches_factorized, target4=target, tol=tol)
     fed_test = functools.partial(_matches_feedforward, target4=target, tol=tol)
     for lo in range(0, len(reps), _PRODUCT_BLOCK):
         P = reps[lo : lo + _PRODUCT_BLOCK].reshape(-1, 2, 4, 2, 4)
         n = len(P)
-        blocks = P.transpose(0, 1, 3, 2, 4).reshape(4 * n, 16)
-        c, p = np.nonzero(_near(blocks, free_dag, bound).reshape(n, 4, n2).all(axis=1))
+        # every block proportional to B^+ . T: the first block for every
+        # class, the other three only for the classes where some B passes it
+        blocks = P.transpose(0, 1, 3, 2, 4).reshape(n, 4, 16)
+        ok = _near(blocks[:, 0], free_dag, bound)
+        c = np.nonzero(ok.any(axis=1))[0]
+        rest = _near(blocks[c, 1:].reshape(-1, 16), free_dag, bound).reshape(len(c), 3, n2)
+        t, p = np.nonzero(ok[c] & rest.all(axis=1))
         final = (p[:, None] + atom_offset).ravel()
-        cands = _member_rows(members, offsets, np.repeat(lo + c, len(kinds)), final)[0]
+        cands = _member_rows(members, offsets, np.repeat(lo + c[t], len(kinds)), final)[0]
         hits = _confirm(cands, free_test, layers, staged)
         evaluated = len(cands)
         if feedforward:
@@ -609,16 +623,21 @@ def _search_photon(target, k, kinds, tables, feedforward, tol):
             # one row per class and family, in that order: [row, outcome, 16]
             W = np.einsum("fom,nmxy->nfoxy", atoms, Q).reshape(-1, 2, 16)
             w = W.view(np.float64)
-            live = (np.einsum("iok,iok->io", w, w) >= alive).all(axis=1)
-            # some correction for each outcome, the same B for both: outcome
-            # 1 only on the live rows where outcome 0 passes for some B
-            some = screen(W[:, 0])
-            rows = np.nonzero(live & some.any(axis=1))[0]
-            t, p = np.nonzero(some[rows] & screen(W[rows, 1]))
-            c, f = np.divmod(rows[t], len(atoms))
+            live = np.nonzero((np.einsum("iok,iok->io", w, w) >= alive).all(axis=1))[0]
+            # outcome 0 on the live rows, outcome 1 only on those where
+            # outcome 0 passes for some B; each (row, B) keeps the
+            # corrections that pass for each outcome, for the same B
+            first = screen(W[live, 0])
+            some = first.any(axis=1)
+            hit = np.nonzero(some.any(axis=1))[0]
+            second = screen(W[live[hit], 1])
+            t, p = np.nonzero(some[hit] & second.any(axis=1))
+            proposed = np.stack((first[hit[t], :, p], second[t, :, p]), axis=1)
+            c, f = np.divmod(live[hit[t]], len(atoms))
             t, a = np.nonzero(in_family[f])
-            cands = _member_rows(members, offsets, lo + c[t], atom_offset[a] + p[t])[0]
-            hits = np.concatenate((hits, _confirm(cands, fed_test, layers, staged)))
+            cands, counts = _member_rows(members, offsets, lo + c[t], atom_offset[a] + p[t])
+            proposed = np.repeat(proposed[t], counts, axis=0)
+            hits = np.concatenate((hits, _confirm(cands, fed_test, layers, staged, proposed)))
             evaluated += len(cands)
         yield hits, evaluated
 
@@ -683,8 +702,9 @@ def synthesize(
     ``truncated`` set, keeping the matches confirmed so far; the budget is
     checked between blocks.  Exceeding _GUARD candidates raises
     SearchSpaceError before any work is done; a ``num_cswaps`` that is not
-    an integer in [0, 4], an empty gate set, a ``tol`` outside (0, 1) or a
-    budget that is NaN or not positive raise ValueError.
+    an integer in [0, 4] (a bool included), a gate set given as one string
+    or empty, a ``tol`` outside (0, 1) or a budget that is NaN or not
+    positive raise ValueError.
     """
     target = np.asarray(target, dtype=complex)
     if target.shape == (8, 8):
@@ -695,12 +715,17 @@ def synthesize(
         raise ValueError("target must be 4x4 (photon map) or 8x8 (full operator)")
     if not np.all(np.isfinite(target)):
         raise ValueError("target entries must be finite")
-    if not isinstance(num_cswaps, (int, np.integer)) or not 0 <= num_cswaps <= 4:
+    # a bool is an int, but True is no CSWAP count
+    integral = isinstance(num_cswaps, (int, np.integer)) and not isinstance(num_cswaps, bool)
+    if not integral or not 0 <= num_cswaps <= 4:
         raise ValueError(f"num_cswaps must be an integer between 0 and 4, got {num_cswaps!r}")
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must be finite and in (0, 1), got {tol!r}")
     if time_budget is not None and not time_budget > 0.0:
         raise ValueError(f"time_budget must be positive, got {time_budget!r}")
+    # a string is a sequence of its characters, not of gate kinds
+    if isinstance(gate_set, str):
+        raise ValueError(f"gate_set must be a sequence of gate kinds, not the string {gate_set!r}")
     kinds = tuple(gate_set)
     if not kinds:
         raise ValueError("gate_set must not be empty")

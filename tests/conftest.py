@@ -12,6 +12,9 @@ except ImportError:  # the property modules skip themselves
 if settings is not None:
     # reproducible draws; the first call of a test may exceed a per-example deadline
     settings.register_profile("cavityswap", derandomize=True, deadline=None)
+    # fresh draws on every run, chosen with pytest's --hypothesis-profile,
+    # which overrides the default loaded here
+    settings.register_profile("cavityswap-random", derandomize=False, deadline=None)
     settings.load_profile("cavityswap")
 
     # hypothesis reports a falsifying example through libcst, whose import

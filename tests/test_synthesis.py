@@ -348,6 +348,21 @@ def test_argument_validation():
     assert not synthesize(czz_target(), 1, ("I", "Z"), time_budget=math.inf).truncated
 
 
+@pytest.mark.parametrize("num_cswaps", [True, False])
+def test_a_bool_is_no_cswap_count(num_cswaps):
+    # a bool is an int: True would run a one-CSWAP search
+    with pytest.raises(ValueError, match="num_cswaps"):
+        synthesize(czz_target(), num_cswaps)
+
+
+@pytest.mark.parametrize("gate_set", ["IZS", "Sdag"])
+def test_a_gate_set_string_is_rejected(gate_set):
+    # a string is a sequence of its characters: "IZS" would search over I,
+    # Z and S, and "Sdag" would fail on the kind "d"
+    with pytest.raises(ValueError, match="gate_set"):
+        synthesize(czz_target(), 1, gate_set)
+
+
 @pytest.mark.parametrize("scale", [0.0, 1e-200, 1e200])
 @pytest.mark.parametrize("allow_feedforward", [False, True])
 def test_photon_map_target_at_extreme_scale(scale, allow_feedforward):
@@ -431,6 +446,41 @@ def test_search_evaluates_fewer_operators_than_it_covers(cpf_feedforward):
     # the photon-map screen forms no operator per prefix class: 5 525 classes
     # times 50 final-layer families would be 276 250
     assert len(cpf_feedforward.matches) <= cpf_feedforward.evaluated < 10_000
+
+
+@pytest.mark.parametrize("kinds,free_rows,fed_rows,phase_tests,found", [
+    (FULL_SET, 5_525, 9_236, 4_096, 2_048),
+    (("I", "H", "X", "Z", "S"), 21_470, 28_743, 320, 160),
+])
+def test_photon_screens_test_only_what_the_stage_before_proposed(
+    monkeypatch, kinds, free_rows, fed_rows, phase_tests, found
+):
+    """Rows screened against the measurement-free table (one per photon
+    pair) and the feed-forward table (one per correction and photon pair),
+    and 4x4 matrices phase-tested in the feed-forward confirmation, of the
+    2-CSWAP cpf feed-forward search.  Over the default set no class passes
+    the first block, so the other three are screened for none; outcome 0
+    is screened on the live rows alone; and each candidate is tested at
+    one correction per outcome, the one its screen proposed."""
+    rows, tested = {}, []
+    near, phase_equiv = synthesis._near, synthesis._phase_equiv_batch
+
+    def counted_near(X, Q_dag, bound):
+        rows[Q_dag.shape[1]] = rows.get(Q_dag.shape[1], 0) + len(X)
+        return near(X, Q_dag, bound)
+
+    def counted_phase_equiv(A, V, tol):
+        if A.shape[-1] == 4:  # the class build tests 8x8 products
+            tested.append(len(A))
+        return phase_equiv(A, V, tol)
+
+    monkeypatch.setattr(synthesis, "_near", counted_near)
+    monkeypatch.setattr(synthesis, "_phase_equiv_batch", counted_phase_equiv)
+    result = synthesize(cpf_target(), 2, kinds, allow_feedforward=True)
+    n2 = len(kinds) ** 2
+    assert rows == {n2: free_rows, 4 * n2: fed_rows}
+    assert sum(tested) == phase_tests
+    assert result.evaluated == found == len(result.matches)
 
 
 @pytest.mark.parametrize("target,allow_feedforward", [(czz_target(), False), (cpf_target(), True)])

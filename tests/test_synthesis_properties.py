@@ -191,6 +191,9 @@ def test_a_search_does_not_depend_on_the_calls_before_it(order):
     (("I", "H"), 2, CORRECTIONS[3]),
     (("X", "Z"), 2, np.eye(4, dtype=complex)[[0, 2, 1, 3]]),
     (("H", "S", "Sdag"), 1, 1j * CORRECTIONS[3]),
+    # matches with unequal correction pairs, as cpf's: a correction the
+    # screen fails to propose drops them
+    (("I", "Z"), 2, CORRECTIONS[1]),
 ])
 def test_feedforward_placements_match_brute_force(kinds, k, target):
     result = synthesize(target, k, kinds, allow_feedforward=True, tol=TOL)
