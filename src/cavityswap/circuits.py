@@ -40,8 +40,7 @@ class PureState:
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         object.__setattr__(self, "amplitudes", amps)
-        if not (1 <= self.num_wires <= MAX_WIRES):
-            raise ValueError(f"wire count must be in [1, {MAX_WIRES}], got {self.num_wires}")
+        _check_wire_count(self.num_wires)
         if amps.shape[0] != 2**self.num_wires:
             raise ValueError(
                 f"amplitude vector length {amps.shape[0]} does not match {self.num_wires} wires"
@@ -51,10 +50,18 @@ class PureState:
             raise ValueError(f"state norm {norm!r} deviates from 1 by more than 1e-12")
 
 
-def _check_wire_count(n: int) -> None:
+def _check_wire_count(n: int, limit: int = MAX_WIRES) -> None:
     # guard before any 2**n allocation happens
-    if not (1 <= n <= MAX_WIRES):
-        raise ValueError(f"wire count must be in [1, {MAX_WIRES}], got {n}")
+    if not (1 <= n <= limit):
+        raise ValueError(f"wire count must be in [1, {limit}], got {n}")
+
+
+def _index(value, what: str) -> int:
+    # a wire or measurement index: a non-negative integer.  A bool is an
+    # int, and int() would truncate a float, so neither is taken for one
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValueError(f"{what} must be non-negative integers, got {value!r}")
+    return int(value)
 
 
 def basis_state(bits: Sequence[int]) -> PureState:
@@ -72,6 +79,7 @@ def basis_state(bits: Sequence[int]) -> PureState:
 
 def product_state(*factors) -> PureState:
     """Tensor product of single-wire amplitude pairs, wire 0 first."""
+    _check_wire_count(len(factors))
     amps = np.array([1.0], dtype=complex)
     for f in factors:
         f = np.asarray(f, dtype=complex).reshape(-1)
@@ -98,9 +106,7 @@ class Gate:
     theta: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "wires", tuple(int(w) for w in self.wires))
-        if any(w < 0 for w in self.wires):
-            raise ValueError("wire indices must be non-negative")
+        object.__setattr__(self, "wires", tuple(_index(w, "wire indices") for w in self.wires))
         if len(set(self.wires)) != len(self.wires):
             raise ValueError(f"wire collision in {self.kind}: {self.wires}")
         if self.kind == "CSWAP":
@@ -193,6 +199,9 @@ class Measurement:
 
     wire: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "wire", _index(self.wire, "measured wires"))
+
 
 @dataclass(frozen=True)
 class ClassicallyControlled:
@@ -203,7 +212,8 @@ class ClassicallyControlled:
     gates: tuple[Gate, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "condition", (int(self.condition[0]), int(self.condition[1])))
+        index, bit = self.condition
+        object.__setattr__(self, "condition", (_index(index, "measurement indices"), int(bit)))
         object.__setattr__(self, "gates", tuple(self.gates))
         if self.condition[1] not in (0, 1):
             raise ValueError("outcome condition bit must be 0 or 1")
@@ -260,7 +270,7 @@ def measure(state: PureState, wire: int) -> list[BranchOutcome]:
     """Both branches of a computational-basis measurement (zero-probability
     branches are dropped)."""
     n = state.num_wires
-    if wire >= n:
+    if _index(wire, "measured wires") >= n:
         raise ValueError(f"wire {wire} out of range")
     tensor = state.amplitudes.reshape((2,) * n)
     branches = []
@@ -310,6 +320,7 @@ def swap_test(psi: PureState, phi: PureState) -> float:
     if psi.num_wires != phi.num_wires:
         raise ValueError("registers must have the same size")
     n = psi.num_wires
+    _check_wire_count(2 * n + 1)
     state = PureState(
         np.kron(PLUS, np.kron(psi.amplitudes, phi.amplitudes)), 2 * n + 1
     )
@@ -434,6 +445,7 @@ def gate_matrix(gate: Gate, num_wires: int) -> np.ndarray:
 def circuit_unitary(gates: Iterable[Gate], num_wires: int) -> np.ndarray:
     """Product of gate matrices in application order: the gates applied to
     the identity, whose columns ride along as trailing axes."""
+    _check_wire_count(num_wires, MAX_WIRES // 2)  # at most as many entries as the largest state
     dim = 2**num_wires
     tensor = np.eye(dim, dtype=complex).reshape((2,) * num_wires + (dim,))
     for gate in gates:

@@ -46,14 +46,6 @@ MAX_GRID_POINTS = 100_000
 _TRIAL_CHUNK = 1 << 20
 
 
-class VerificationFailure(Exception):
-    """One or more invariant checks failed."""
-
-
-class BudgetExceeded(Exception):
-    """A time-budgeted run returned truncated results."""
-
-
 def _resolve_params(args) -> Preset:
     """The operating point from exactly one source: a built-in preset, a
     preset file, or explicit rate flags."""
@@ -247,14 +239,17 @@ def cmd_coeffs(args) -> int:
     params = _resolve_params(args).cavity_params()
     branch = AtomBranch.COUPLED if args.branch == "coupled" else AtomBranch.DECOUPLED
     start, step = args.omega_start, args.omega_step
-    end = args.omega_stop + step / 2  # exclusive: omega-stop itself is a row
+    end = args.omega_stop + step / 2  # exclusive: an omega-stop on the grid is a row
     if not all(map(math.isfinite, (start, end, step, end - start))):
         raise UsageError("omega-start, omega-stop, omega-step and their span must be finite")
     if not (start < args.omega_stop) or step <= 0:
         raise UsageError("need omega-start < omega-stop and omega-step > 0")
     if (end - start) / step > MAX_GRID_POINTS:  # np.arange's length, before it allocates
         raise UsageError(f"the omega grid would exceed {MAX_GRID_POINTS} rows")
-    omega = np.arange(start, end, step)
+    # end admits a row up to half a step past omega-stop: drop the rows
+    # whose grid index lies past it by more than rounding
+    rows = math.floor((args.omega_stop - start) / step * (1 + 1e-9)) + 1
+    omega = np.arange(start, end, step)[:rows]
     r, t, m = cavity.response_arrays(params, args.pol, branch, omega)
     columns = (omega, r.real, r.imag, t.real, t.imag, m.real, m.imag, cavity.flux_residual(r, t, m))
     _emit_csv(args.out, _COEFFS_HEADER, [(column, 1) for column in columns])
@@ -433,7 +428,8 @@ def cmd_synthesize(args) -> int:
     sys.stdout.write(f"search_space = {result.search_space}\n")
     if result.truncated:
         sys.stdout.write("TRUNCATED: time budget exceeded, results are partial\n")
-        raise BudgetExceeded(f"stopped after {result.elapsed:.1f}s")
+        print(f"time budget exceeded: stopped after {result.elapsed:.1f}s", file=sys.stderr)
+        return EXIT_BUDGET
     return EXIT_OK
 
 
@@ -462,7 +458,8 @@ def cmd_verify(args) -> int:
         # stderr, like elapsed_s: stdout stays byte-stable
         print(f"time {name} {time.perf_counter() - start:.6f}", file=sys.stderr)
     if failed:
-        raise VerificationFailure(", ".join(failed))
+        print(f"verification failed: {', '.join(failed)}", file=sys.stderr)
+        return EXIT_VERIFY
     print(f"all {len(checks)} invariants passed")
     return EXIT_OK
 
@@ -570,14 +567,9 @@ def run(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except VerificationFailure as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
-    except BudgetExceeded as exc:
-        print(f"time budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    # timing stays off stdout so repeated runs emit identical bytes
-    print(f"elapsed_s {time.monotonic() - start:.3f}", file=sys.stderr)
+    if code == EXIT_OK:
+        # timing stays off stdout so repeated runs emit identical bytes
+        print(f"elapsed_s {time.monotonic() - start:.3f}", file=sys.stderr)
     return code
 
 

@@ -170,8 +170,8 @@ _CLASS_TOL = 1e-12
 _CLASS_SLACK = 1e-9
 # a feed-forward branch must carry at least this weight
 _BRANCH_FLOOR = 1e-12
-# products, queries, prefix classes or candidates formed per step; products
-# and queries in whole layers, at least one
+# most products built, queries or classes screened, candidates confirmed
+# per search step; products and queries in whole layers, at least one
 _PRODUCT_BLOCK = 512
 # One slot (key, classes, tol, lookup), replaced whole: empty, or the last
 # prefix-class table kept, as read-only arrays under its (gate kinds,
@@ -198,11 +198,10 @@ class _GateSetTables(NamedTuple):
     kind pair, in itertools.product order."""
 
     names: np.ndarray  # the kind triple of each layer, an object array
-    photon: np.ndarray  # B = b (x) c of each kind pair
-    layers: np.ndarray  # a (x) B of each kind triple
+    layers: np.ndarray  # a (x) B of each kind triple, B = b (x) c
     staged: np.ndarray  # CSWAP . layer, one chain element
     layers_dag: np.ndarray
-    photon_dag: np.ndarray
+    photon_dag: np.ndarray  # B^+ of each kind pair
     atoms: np.ndarray  # the atom gate of each final-layer family
     in_family: np.ndarray  # [family, kind]
 
@@ -224,7 +223,7 @@ def _gate_set_tables(kinds: tuple[str, ...]) -> _GateSetTables:
     for f, group in enumerate(groups):
         in_family[f, group] = True
     tables = _GateSetTables(
-        names, photon, layers, staged, layers.conj().transpose(0, 2, 1),
+        names, layers, staged, layers.conj().transpose(0, 2, 1),
         photon.conj().transpose(0, 2, 1), atoms, in_family,
     )
     # each is fresh, or a view of a fresh array of its own size; freezing
@@ -421,14 +420,13 @@ def _read_only(*arrays) -> tuple[np.ndarray, ...]:
     return copies
 
 
-def _confirm(cands: np.ndarray, test, layers, staged, *per_row) -> np.ndarray:
-    # form each candidate's operator in application order and run the match
-    # predicate on it, with the rows of per_row that go with the candidates;
-    # cands holds one layer tuple per row.  A predicate returns the passing
-    # indices and a correction pair per index, -1, -1 for a measurement-free
-    # match; one int row per hit comes back: its layer indices, then its
-    # correction pair
-    hits = [np.empty((0, cands.shape[1] + 2), dtype=np.intp)]
+def _confirm(cands: np.ndarray, test, layers, staged, *per_row):
+    # a search step per block of at most _PRODUCT_BLOCK rows of cands, one
+    # layer tuple each: the match predicate on each candidate's operator in
+    # application order, with the rows of per_row that go with it, returns
+    # the passing indices and a correction pair each (-1, -1 measurement-
+    # free); the step carries the block's hits as int rows, layer indices
+    # then correction pair, and its candidate count
     for lo in range(0, len(cands), _PRODUCT_BLOCK):
         idx = cands[lo : lo + _PRODUCT_BLOCK]
         U = layers[idx[:, -1]]
@@ -438,8 +436,7 @@ def _confirm(cands: np.ndarray, test, layers, staged, *per_row) -> np.ndarray:
                 prefix = np.matmul(staged[idx[:, j]], prefix)
             U = np.matmul(U, prefix)
         matched, pairs = test(U, *(a[lo : lo + _PRODUCT_BLOCK] for a in per_row))
-        hits.append(np.column_stack((idx[matched], pairs)))
-    return np.concatenate(hits)
+        yield np.column_stack((idx[matched], pairs)), len(idx)
 
 
 def _search_full(target, k, kinds, tables, tol):
@@ -513,10 +510,8 @@ def _search_full(target, k, kinds, tables, tol):
             query = np.concatenate((query, near_q))
             classes = np.concatenate((classes, loose[near_j]))
         cands = _member_rows(members, offsets, classes, suffixes[query])[0]
-        # a step per block of candidates, and at least one per block of queries
-        for lo in range(0, max(len(cands), 1), _PRODUCT_BLOCK):
-            block = cands[lo : lo + _PRODUCT_BLOCK]
-            yield _confirm(block, test, layers, staged), len(block)
+        yield from _confirm(cands, test, layers, staged)
+        yield [], 0  # at least one step per block of queries
 
 
 def _near(X: np.ndarray, Q_dag: np.ndarray, bound: float) -> np.ndarray:
@@ -616,8 +611,7 @@ def _search_photon(target, k, kinds, tables, feedforward, tol):
         t, p = np.nonzero(ok[c] & rest.all(axis=1))
         final = (p[:, None] + atom_offset).ravel()
         cands = _member_rows(members, offsets, np.repeat(lo + c[t], len(kinds)), final)[0]
-        hits = _confirm(cands, free_test, layers, staged)
-        evaluated = len(cands)
+        yield from _confirm(cands, free_test, layers, staged)
         if feedforward:
             Q = (P[:, :, :, 0] + P[:, :, :, 1]) * _SQRT1_2  # [class, j, 4, 4]
             # one row per class and family, in that order: [row, outcome, 16]
@@ -637,9 +631,8 @@ def _search_photon(target, k, kinds, tables, feedforward, tol):
             t, a = np.nonzero(in_family[f])
             cands, counts = _member_rows(members, offsets, lo + c[t], atom_offset[a] + p[t])
             proposed = np.repeat(proposed[t], counts, axis=0)
-            hits = np.concatenate((hits, _confirm(cands, fed_test, layers, staged, proposed)))
-            evaluated += len(cands)
-        yield hits, evaluated
+            yield from _confirm(cands, fed_test, layers, staged, proposed)
+        yield [], 0  # at least one step per block of classes
 
 
 def synthesize(
@@ -700,7 +693,9 @@ def synthesize(
 
     A ``time_budget`` (seconds, positive) makes the search stop early with
     ``truncated`` set, keeping the matches confirmed so far; the budget is
-    checked between blocks.  Exceeding _GUARD candidates raises
+    checked after each block of built products, of screened classes or
+    queries, and after each block of at most 512 confirmed candidates
+    (_PRODUCT_BLOCK).  Exceeding _GUARD candidates raises
     SearchSpaceError before any work is done; a ``num_cswaps`` that is not
     an integer in [0, 4] (a bool included), a gate set given as one string
     or empty, a ``tol`` outside (0, 1) or a budget that is NaN or not
@@ -753,7 +748,7 @@ def synthesize(
     evaluated = 0
     truncated = False
     for hits, count in steps:  # the budget is checked between steps
-        if len(hits):  # a class build's steps carry none
+        if len(hits):  # a class build's steps and the ends of blocks carry none
             found.append(hits)
         evaluated += count
         if time_budget is not None and time.monotonic() - start > time_budget:

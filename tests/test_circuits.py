@@ -111,12 +111,47 @@ def test_state_validation():
         (lambda: Circuit([H(0), "H(1)"]), "unsupported circuit step 'H\\(1\\)'"),
         (lambda: measure(basis_state([0, 1]), 2), "wire 2 out of range"),
         (lambda: cpf_feedforward(basis_state([0])), "expected a 2-wire photon state"),
+        # an index that would act on another wire or measurement than named:
+        # negative ones count from the end, and int() truncates a float
+        (lambda: measure(basis_state([0, 1]), -1), "measured wires must be non-negative"),
+        (lambda: Measurement(-2), "measured wires must be non-negative"),
+        (lambda: ClassicallyControlled((-1, 0), (X(1),)), "measurement indices must be non-neg"),
+        (lambda: Gate("H", (1.5,)), "wire indices must be non-negative integers, got 1.5"),
+        (lambda: Gate("H", (True,)), "wire indices must be non-negative integers, got True"),
     ],
     ids=["wire-count", "factor-length", "negative-wire", "condition-bit", "step-type",
-         "measured-wire", "cpf-wires"],
+         "measured-wire", "cpf-wires", "negative-measured-wire", "negative-measurement-wire",
+         "negative-measurement-index", "float-wire", "bool-wire"],
 )
 def test_invalid_arguments_raise(build, message):
     with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_numpy_integer_indices_are_indices():
+    circuit = Circuit([Gate("H", (np.int64(1),)), Measurement(np.intp(0)),
+                       ClassicallyControlled((np.int32(0), 1), (X(1),))])
+    assert format_circuit(circuit) == "H(1) ; measure(0) ; on1:[X(1)]"
+
+
+def _refuse_allocation(*args, **kwargs):
+    raise AssertionError("a 2^n array was allocated before the wire count was checked")
+
+
+@pytest.mark.parametrize("allocator,build", [
+    ("kron", lambda: product_state(*[PLUS] * (circuits.MAX_WIRES + 1))),
+    # 2 * 12 + 1 wires with the control
+    ("kron", lambda: swap_test(basis_state([0] * 12), basis_state([1] * 12))),
+    ("eye", lambda: circuit_unitary([], circuits.MAX_WIRES // 2 + 2)),
+    ("eye", lambda: gate_matrix(H(0), circuits.MAX_WIRES // 2 + 1)),
+    ("eye", lambda: circuit_unitary([], 0)),
+], ids=["product-state", "swap-test", "circuit-unitary", "gate-matrix", "no-wires"])
+def test_wire_counts_are_checked_before_allocating(monkeypatch, allocator, build):
+    """A dense unitary takes at most MAX_WIRES // 2 wires, as many entries
+    as the largest state; the allocating call refuses to run, so each
+    check must come first."""
+    monkeypatch.setattr(np, allocator, _refuse_allocation)
+    with pytest.raises(ValueError, match="wire count must be in"):
         build()
 
 

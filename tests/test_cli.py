@@ -172,6 +172,30 @@ def test_coeffs_grid_cap_is_inclusive(tmp_path):
     assert len(out.read_text().splitlines()) == 1 + cli.MAX_GRID_POINTS
 
 
+@pytest.mark.parametrize("params,step,count,last", [
+    # the rows end before the next grid point, 1.1
+    (["--g", "1"], "0.3", 7, 0.8000000000000003),
+    (["--g", "1"], "0.7", 3, 0.3999999999999999),
+    # the README command: the on-grid stop is a row, at arange's value
+    (["--preset", "atomic", "--branch", "coupled"], "0.01", 201, 1.0000000000000018),
+])
+def test_coeffs_rows_run_from_start_to_stop(monkeypatch, capsys, params, step, count, last):
+    seen = []
+    response_arrays = cavity.response_arrays
+
+    def recorded(params, pol, branch, omega):
+        seen.append(omega)
+        return response_arrays(params, pol, branch, omega)
+
+    monkeypatch.setattr(cavity, "response_arrays", recorded)
+    argv = ["coeffs", *params, "--omega-start", "-1", "--omega-stop", "1", "--omega-step", step]
+    assert run(argv) == EXIT_OK
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == len(seen[0]) == count
+    assert seen[0][-1] == last
+    assert rows[-1].startswith(f"{last:.12e},")
+
+
 def test_explicit_flags_match_an_equivalent_preset_file(tmp_path, capsys):
     flags = ["--g", "5,4", "--kappa", "2,1.5", "--gamma", "0.1,0.3", "--bandwidth", "0.05kappa"]
     for fmt in ("plain", "json"):

@@ -218,7 +218,6 @@ def test_gate_set_tables_are_read_only_fresh_builds(kinds):
     assert tables.names.shape == (len(kinds) ** 3,)
     assert tables.names.tolist() == list(itertools.product(kinds, repeat=3))
     want = {
-        "photon": photon,
         "layers": layers,
         "staged": staged,
         "layers_dag": layers.conj().transpose(0, 2, 1),
@@ -481,6 +480,26 @@ def test_photon_screens_test_only_what_the_stage_before_proposed(
     assert rows == {n2: free_rows, 4 * n2: fed_rows}
     assert sum(tested) == phase_tests
     assert result.evaluated == found == len(result.matches)
+
+
+@pytest.mark.parametrize("target,kinds,allow_feedforward,evaluated", [
+    (cpf_target(), FULL_SET, True, 2_048),
+    (np.eye(4, dtype=complex), ("I", "Z", "S", "H"), True, 6_564),
+    (czz_target(), FULL_SET, False, 1_024),
+], ids=["cpf-feedforward", "identity-feedforward", "czz"])
+def test_no_search_step_forms_more_than_a_block(target, kinds, allow_feedforward, evaluated):
+    """The time budget is checked after every search step, and no step of
+    a 2-CSWAP search forms more than _PRODUCT_BLOCK candidates; the steps'
+    counts add up to the search's evaluated count."""
+    tables = synthesis._gate_set_tables(kinds)
+    if target.shape == (8, 8):
+        steps = synthesis._search_full(target, 2, kinds, tables, 1e-9)
+    else:
+        steps = synthesis._search_photon(target, 2, kinds, tables, allow_feedforward, 1e-9)
+    counts = [count for _, count in steps]
+    assert max(counts) <= synthesis._PRODUCT_BLOCK
+    result = synthesize(target, 2, kinds, allow_feedforward=allow_feedforward)
+    assert sum(counts) == result.evaluated == evaluated
 
 
 @pytest.mark.parametrize("target,allow_feedforward", [(czz_target(), False), (cpf_target(), True)])
