@@ -115,11 +115,15 @@ class Gate:
         elif self.kind == "Phase":
             if len(self.wires) != 1 or self.theta is None:
                 raise ValueError("Phase needs one wire and an angle")
+            if not math.isfinite(self.theta):
+                raise ValueError(f"Phase angle must be finite, got {self.theta!r}")
         elif self.kind in _SINGLE_QUBIT and self.kind != "I":
             if len(self.wires) != 1:
                 raise ValueError(f"{self.kind} acts on exactly one wire")
         else:
             raise ValueError(f"unknown gate kind {self.kind!r}")
+        if self.kind != "Phase" and self.theta is not None:
+            raise ValueError(f"{self.kind} takes no angle, got {self.theta!r}")
 
 
 def H(wire: int) -> Gate:
@@ -213,10 +217,14 @@ class ClassicallyControlled:
 
     def __post_init__(self):
         index, bit = self.condition
+        # as for an index, neither a bool nor a float is taken for a bit
+        if isinstance(bit, bool) or not isinstance(bit, (int, np.integer)) or bit not in (0, 1):
+            raise ValueError(f"outcome condition bit must be 0 or 1, got {bit!r}")
         object.__setattr__(self, "condition", (_index(index, "measurement indices"), int(bit)))
         object.__setattr__(self, "gates", tuple(self.gates))
-        if self.condition[1] not in (0, 1):
-            raise ValueError("outcome condition bit must be 0 or 1")
+        for gate in self.gates:
+            if not isinstance(gate, Gate):
+                raise ValueError(f"a conditional step applies gates only, got {gate!r}")
 
 
 @dataclass(frozen=True)
@@ -247,8 +255,7 @@ def _format_step(step) -> str:
         return f"{step.kind}({','.join(str(w) for w in step.wires)})"
     if isinstance(step, Measurement):
         return f"measure({step.wire})"
-    gates = ",".join(f"{g.kind}({g.wires[0]})" for g in step.gates)
-    return f"on{step.condition[1]}:[{gates}]"
+    return f"on{step.condition[1]}:[{','.join(map(_format_step, step.gates))}]"
 
 
 def format_circuit(circuit: Circuit) -> str:

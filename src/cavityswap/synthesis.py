@@ -94,10 +94,10 @@ class SynthesisResult:
     formed and confirmed with a match predicate, a feed-forward one at the
     corrections its screen proposed.  The screens that propose them run on
     phase-class representatives and form no candidate operator, so they
-    are not counted, and neither is the build of a class table: a
-    full-operator search that meets one layer before the final one and
-    one that meets at the final layer, on prefix classes it builds or
-    finds memoized, have the same ``matches`` and ``evaluated``, and
+    are not counted, and neither is the build of a class table, the only
+    kept one being of exactly two CSWAPs: a full-operator search that meets
+    one layer before the final one and one that meets at the final layer
+    on the kept table have the same ``matches`` and ``evaluated``, and
     differ only in ``elapsed``."""
 
     matches: tuple[SynthesisMatch, ...]
@@ -173,14 +173,12 @@ _BRANCH_FLOOR = 1e-12
 # most products built, queries or classes screened, candidates confirmed
 # per search step; products and queries in whole layers, at least one
 _PRODUCT_BLOCK = 512
-# One slot (key, classes, tol, lookup), replaced whole: empty, or the last
-# prefix-class table kept, as read-only arrays under its (gate kinds,
-# depth), with the full-operator search's key lookup into it at tol once
-# one has run.  Only a completed build of depth at least 1 whose room (one
-# 8x8 product per layer tuple) fits in _MEMO_BYTES is kept.  A search reads
-# the slot once, so concurrent searches at worst build a table twice
+# One slot (key, classes, tol, lookup), replaced whole: empty, or the
+# prefix classes of one gate set at exactly two CSWAPs, read-only, with the
+# full-operator search's key lookup into them at tol once one has run;
+# _classes alone writes the classes.  A search reads the slot once, so
+# concurrent searches at worst build a table twice
 _MEMO: tuple = (None, None, None, None)
-_MEMO_BYTES = 64 * 2**20
 
 
 def _layer_tables(kinds: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -397,16 +395,16 @@ def _prefix_classes(depth: int, staged: np.ndarray):
 
 
 def _classes(kinds, depth, staged):
-    """_prefix_classes(depth, staged) through _MEMO: a search step
-    generator that builds only on a miss and keeps, as compact read-only
-    copies, a completed build of depth at least 1 whose room (one 8x8
-    complex product per layer tuple at its last depth) fits _MEMO_BYTES."""
+    """The prefix classes of (kinds, depth), the only way a search gets
+    them: a search step generator that reads _MEMO on a hit, and otherwise
+    builds them with _prefix_classes and keeps a completed build of exactly
+    two CSWAPs, as compact read-only copies."""
     global _MEMO
     key, classes, _, _ = _MEMO
     if key == (kinds, depth):
         return classes
     classes = yield from _prefix_classes(depth, staged)
-    if depth and len(staged) ** depth * 64 * 16 <= _MEMO_BYTES:
+    if depth == 2:
         classes = _read_only(*classes)
         _MEMO = ((kinds, depth), classes, None, None)
     return classes
@@ -452,9 +450,9 @@ def _search_full(target, k, kinds, tables, tol):
     not stable at that radius is screened against every query image
     instead, by least squares (_near).  A search of at most one CSWAP, or
     one whose gate kinds and depth have their table in the memo, meets at
-    the final layer (j = k), on the table it finds there or builds through
-    it; any other meets one layer earlier (j = k - 1), on a table it builds
-    and does not keep.  Both give the same matches and evaluated counts.
+    the final layer (j = k); any other meets one layer earlier (j = k - 1).
+    Either way its classes come from _classes, which keeps only a build of
+    two CSWAPs.  Both give the same matches and evaluated counts.
     Each proposed member and suffix is confirmed by _matches_full on its
     own operator, one search step per block of candidates."""
     global _MEMO
@@ -462,11 +460,11 @@ def _search_full(target, k, kinds, tables, tol):
     n = len(layers)
     # L_k^+ . T . v for every final layer, as rows
     last = np.matmul(tables.layers_dag, target @ _SKETCH)
-    if k <= 1 or _MEMO[0] == (kinds, k):
-        built = yield from _classes(kinds, k, staged)
+    meet = k if k <= 1 or _MEMO[0] == (kinds, k) else k - 1
+    built = yield from _classes(kinds, meet, staged)
+    if meet == k:
         blocks = [(last, np.arange(n)[:, None])]
     else:
-        built = yield from _prefix_classes(k - 1, staged)
         # (C . L_{k-1})^+ . L_k^+ . T . v, the row u . conj(S) being
         # (S^+ . u) as a row, for a block of L_{k-1} at a time, with the
         # suffix (L_{k-1}, L_k) of each
@@ -566,11 +564,11 @@ def _search_photon(target, k, kinds, tables, feedforward, tol):
     # rescaled; T to unit peak first, so that no norm overflows
     peak = np.max(np.abs(target))
     unit = target / peak if peak > 0.0 else target
-    free_dag = _unit_rows(np.matmul(photon_dag, unit)).conj().T  # (B^+ . T)^+
-    # correction-major: (B^+ . D^+ . T)^+ for each D, then B
+    # correction-major: (B^+ . D^+ . T)^+ for each D, then B; D = I first
     fed_dag = _unit_rows(
         np.matmul(photon_dag, (_CORRECTION_DIAGONALS[:, :, None] * unit)[:, None])
     ).conj().T
+    free_dag = np.ascontiguousarray(fed_dag[:, :n2])  # (B^+ . T)^+
     atoms, in_family = tables.atoms, tables.in_family
     atom_offset = n2 * np.arange(len(kinds))  # of the final layer's index
     # Screening radius eps, entrywise, around the multiples of a table entry.
@@ -675,16 +673,15 @@ def synthesize(
     ``equivalent_up_to_phase``, measurement-free photon maps the
     factorization residual.
 
-    The prefix classes depend only on the gate set and num_cswaps.  A
-    module-level memo keeps the last table built, with the full-operator
-    key lookup at its last ``tol``, once its build completes, and only if
-    it has at least one CSWAP and the build's room of 1 KB per layer tuple
-    stays within 64 MB: a table of three CSWAPs over five gate kinds is
-    never kept.  A photon-map search builds them unless memoized.  A
-    full-operator search builds them only at one CSWAP or none, and
-    otherwise reads them or meets one layer earlier: at one CSWAP the build
-    forms one product per layer, where the search one layer earlier would
-    form one query per pair of layers.  Either way the result is the same.
+    The prefix classes depend only on the gate set and num_cswaps.  Every
+    search gets them through one module-level memo, which keeps only a
+    completed build of exactly two CSWAPs, with the full-operator key
+    lookup at its last ``tol``.  A photon-map search builds them unless
+    kept.  A full-operator search of at most one CSWAP builds its own and
+    meets at the final layer (its build forms one product per layer, where
+    a meet one layer earlier would form one query per pair of layers); one
+    of more meets one layer earlier unless its own are kept.  Either way
+    the result is the same.
     The memo is one slot, replaced whole, so concurrent calls at worst
     build a table twice.  The tables that depend on the gate set alone
     (layer operators, their CSWAP products and adjoints, the kind triples)

@@ -29,12 +29,12 @@ if settings is not None:
 
 @pytest.fixture(autouse=True)
 def fresh_synthesis_memo():
-    """Each test starts with an empty synthesis memo: a test that patches a
-    constant the prefix classes are built under builds them under its
-    patch, no test reads a table that another one built, and a
-    full-operator search of two or more CSWAPs meets one layer before the
-    final one until a photon-map search of its gate set and depth has kept
-    the prefix classes."""
+    """Each test starts with an empty synthesis memo, which keeps only
+    prefix classes of exactly two CSWAPs: a test that patches a constant
+    the prefix classes are built under builds them under its patch, no
+    test reads a table that another one built, and a full-operator search
+    of two CSWAPs meets one layer before the final one until a search of
+    its gate set has kept the two-CSWAP classes."""
     from cavityswap import synthesis
 
     synthesis._MEMO = (None, None, None, None)

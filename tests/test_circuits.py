@@ -118,10 +118,15 @@ def test_state_validation():
         (lambda: ClassicallyControlled((-1, 0), (X(1),)), "measurement indices must be non-neg"),
         (lambda: Gate("H", (1.5,)), "wire indices must be non-negative integers, got 1.5"),
         (lambda: Gate("H", (True,)), "wire indices must be non-negative integers, got True"),
+        # a bit that int() would take for 1
+        (lambda: ClassicallyControlled((0, 1.5), (X(1),)), "bit must be 0 or 1, got 1.5"),
+        (lambda: ClassicallyControlled((0, True), (X(1),)), "bit must be 0 or 1, got True"),
+        (lambda: ClassicallyControlled((0, 1), (Measurement(1),)), "applies gates only"),
     ],
     ids=["wire-count", "factor-length", "negative-wire", "condition-bit", "step-type",
          "measured-wire", "cpf-wires", "negative-measured-wire", "negative-measurement-wire",
-         "negative-measurement-index", "float-wire", "bool-wire"],
+         "negative-measurement-index", "float-wire", "bool-wire", "float-bit", "bool-bit",
+         "conditional-measurement"],
 )
 def test_invalid_arguments_raise(build, message):
     with pytest.raises(ValueError, match=message):
@@ -130,7 +135,8 @@ def test_invalid_arguments_raise(build, message):
 
 def test_numpy_integer_indices_are_indices():
     circuit = Circuit([Gate("H", (np.int64(1),)), Measurement(np.intp(0)),
-                       ClassicallyControlled((np.int32(0), 1), (X(1),))])
+                       ClassicallyControlled((np.int32(0), np.int64(1)), (X(1),))])
+    assert circuit.steps[-1].condition == (0, 1)
     assert format_circuit(circuit) == "H(1) ; measure(0) ; on1:[X(1)]"
 
 
@@ -158,6 +164,10 @@ def test_wire_counts_are_checked_before_allocating(monkeypatch, allocator, build
 def test_format_circuit_renders_phase_angles():
     circuit = Circuit([Phase(0.25, 1), H(0), Measurement(0), ClassicallyControlled((0, 1), (X(1),))])
     assert format_circuit(circuit) == "Phase(0.25,1) ; H(0) ; measure(0) ; on1:[X(1)]"
+    # a conditional gate is rendered as the same gate outside one would be
+    step = ClassicallyControlled((0, 1), (Phase(0.5, 1), CSWAP(0, 1, 2)))
+    circuit = Circuit([Measurement(0), step])
+    assert format_circuit(circuit) == "measure(0) ; on1:[Phase(0.5,1),CSWAP(0,1,2)]"
 
 
 def test_gate_validation():
@@ -173,6 +183,14 @@ def test_gate_validation():
         Gate("Phase", (0,))  # missing angle
     with pytest.raises(ValueError):
         Gate("CNOT", (0, 1))
+    # an angle is Phase's alone, and a finite one
+    for theta in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="Phase angle must be finite"):
+            Phase(theta, 0)
+    with pytest.raises(ValueError, match="H takes no angle"):
+        Gate("H", (0,), theta=1.0)
+    with pytest.raises(ValueError, match="CSWAP takes no angle"):
+        Gate("CSWAP", (0, 1, 2), theta=0.0)
 
 
 # ---------------------------------------------------------------------------

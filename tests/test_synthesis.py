@@ -674,6 +674,23 @@ def test_a_repeated_full_search_confirms_no_false_proposal(target, gates):
     assert again.matches == once.matches and again.evaluated == len(again.matches)
 
 
+@pytest.fixture
+def builds(monkeypatch):
+    """The depth of each prefix-class build from here on, in order."""
+    depths = []
+    build = synthesis._prefix_classes
+
+    def counted(depth, staged):
+        depths.append(depth)
+        return build(depth, staged)
+
+    monkeypatch.setattr(synthesis, "_prefix_classes", counted)
+    return depths
+
+
+EMPTY = (None, None, None, None)
+
+
 @pytest.mark.parametrize("target,kinds,k,allow_feedforward", [
     pytest.param(planted_unitary(PINNED_PLANTED[1][0]), FULL_SET, 2, False, id="full"),
     pytest.param(cpf_target(), FULL_SET, 2, True, id="feedforward"),
@@ -684,24 +701,26 @@ def test_a_repeated_full_search_confirms_no_false_proposal(target, gates):
                                   ("H", "H", "Z")]), ("I", "Z", "H"), 3, False, id="full-3"),
 ])
 def test_a_warm_search_equals_a_cold_one(target, kinds, k, allow_feedforward):
-    """A full-operator search of two or more CSWAPs meets one layer before
-    the final one on an empty memo, and at the final layer once the
-    feed-forward search of its gate set and depth has kept the prefix
-    classes; one of a single CSWAP builds and keeps them, and one without
-    a CSWAP keeps nothing.  A photon-map search builds them at once, and
-    its repeats read them.  Every call gives the same result, and a full
-    search proposes no candidate that fails confirmation."""
+    """Only a build of two CSWAPs is kept.  A full-operator search of two
+    CSWAPs meets one layer before the final one on an empty memo, and at
+    the final layer once the feed-forward search of its gate set has kept
+    the two-CSWAP classes; one of three meets one layer earlier on those
+    classes, and keeps them when it builds them.  One of a single CSWAP or
+    none builds its classes and keeps nothing.  A photon-map search of two
+    CSWAPs keeps its classes, and its repeats read them.  Every call gives
+    the same result, and a full search proposes no candidate that fails
+    confirmation."""
     cold = synthesize(target, k, kinds, allow_feedforward=allow_feedforward)
-    if k >= 2 and not allow_feedforward:
+    if k == 2 and not allow_feedforward:
         synthesize(cpf_target(), k, kinds, allow_feedforward=True)
     results = [cold] + [
         synthesize(target, k, kinds, allow_feedforward=allow_feedforward) for _ in range(2)
     ]
     key, classes, _, _ = synthesis._MEMO
-    if k:
-        assert key == (kinds, k) and classes is not None
+    if k >= 2:
+        assert key == (kinds, 2) and classes is not None
     else:
-        assert synthesis._MEMO == (None, None, None, None)
+        assert synthesis._MEMO == EMPTY
     assert cold.matches
     assert allow_feedforward or cold.evaluated == len(cold.matches)
     for result in results:
@@ -710,61 +729,92 @@ def test_a_warm_search_equals_a_cold_one(target, kinds, k, allow_feedforward):
         assert (result.matches, result.evaluated) == (cold.matches, cold.evaluated)
 
 
-def test_a_one_off_full_search_builds_no_table():
-    """A full-operator search of two CSWAPs whose prefix classes are not
-    memoized meets one layer before the final one and leaves the memo as
-    it found it; one that finds them reads them.  One of a single CSWAP
-    builds and keeps its depth-1 classes, and one without a CSWAP keeps
-    nothing."""
+def test_a_one_off_full_search_builds_no_table(builds):
+    """A full-operator search of two CSWAPs whose classes are not kept
+    meets one layer before the final one, on depth-1 classes that it does
+    not keep; one that finds them kept reads them.  One of a single CSWAP
+    or none builds its classes, keeps nothing and leaves a kept table in
+    place."""
     synthesize(czz_target(), 2, FULL_SET)
-    assert synthesis._MEMO == (None, None, None, None)
+    assert synthesis._MEMO == EMPTY
     synthesize(cpf_target(), 2, FULL_SET, allow_feedforward=True)
     fed = synthesis._MEMO
     synthesize(czz_target(), 2, ("I", "Z"))
     assert synthesis._MEMO is fed
     synthesize(czz_target(), 2, FULL_SET)
     assert synthesis._MEMO[0] == fed[0] and synthesis._MEMO[1] is fed[1]
-    synthesize(czz_target(), 1, FULL_SET)
-    key, classes, _, _ = synthesis._MEMO
-    assert key == (FULL_SET, 1) and classes is not None
-    one = synthesis._MEMO
-    synthesize(czz_target(), 0, FULL_SET)
-    assert synthesis._MEMO is one
-    synthesis._MEMO = (None, None, None, None)
-    synthesize(czz_target(), 0, FULL_SET)
-    assert synthesis._MEMO == (None, None, None, None)
+    for k in (1, 0):
+        synthesize(czz_target(), k, FULL_SET)
+        assert synthesis._MEMO[1] is fed[1]
+    assert builds == [1, 2, 1, 1, 0]
+    synthesis._MEMO = EMPTY
+    for k in (1, 0):
+        synthesize(czz_target(), k, FULL_SET)
+        assert synthesis._MEMO == EMPTY
 
 
-def test_a_search_without_a_cswap_keeps_the_memoized_table(monkeypatch):
-    """Searches without a CSWAP build their one-class table and keep
-    nothing, so the feed-forward search after them builds no prefix
-    classes."""
+def test_searches_of_fewer_cswaps_keep_the_two_cswap_table(builds):
+    """After the feed-forward search of the default set, searches of one
+    CSWAP or none build their own classes and leave the two-CSWAP table
+    kept, so the planted two-CSWAP search and the feed-forward search
+    after them build no prefix classes."""
     synthesize(cpf_target(), 2, FULL_SET, allow_feedforward=True)
     table = synthesis._MEMO[1]
+    synthesize(czz_target(), 1)
     synthesize(czz_target(), 0)
     synthesize(np.eye(4), 0, allow_feedforward=True)
     assert synthesis._MEMO[1] is table
-    builds = []
-    build = synthesis._prefix_classes
-
-    def counted(depth, staged):
-        builds.append(depth)
-        return build(depth, staged)
-
-    monkeypatch.setattr(synthesis, "_prefix_classes", counted)
+    assert builds == [2, 1, 0, 0]
+    layers, found, want = PINNED_PLANTED[1]
+    lines = match_lines(synthesize(planted_unitary(layers), 2, FULL_SET))
+    assert (len(lines), digest(lines)) == (found, want)
     fed = synthesize(cpf_target(), 2, FULL_SET, allow_feedforward=True)
     lines = [format_circuit(m.circuit) for m in fed.matches]
     assert (len(lines), digest(lines)) == PINNED_CPF_FEEDFORWARD
-    assert builds == []
+    assert builds == [2, 1, 0, 0]
+
+
+def test_a_three_cswap_full_search_reads_the_kept_two_cswap_table(builds):
+    """A full-operator search of three CSWAPs meets one layer before the
+    final one, on the two-CSWAP classes, and keeps them when it builds
+    them.  After the feed-forward search of its gate set has kept them, it
+    builds no classes, and its result is the cold one."""
+    kinds = ("I", "Z", "S", "H")
+    cold = synthesize(czz_target(), 3, kinds)
+    assert builds == [2] and synthesis._MEMO[0] == (kinds, 2)
+    synthesis._MEMO = EMPTY
+    synthesize(cpf_target(), 2, kinds, allow_feedforward=True)
+    assert builds == [2, 2]
+    warm = synthesize(czz_target(), 3, kinds)
+    assert builds == [2, 2]
+    assert (warm.matches, warm.evaluated, warm.search_space) == (
+        cold.matches, cold.evaluated, 64**4
+    )
+
+
+def test_a_three_cswap_photon_table_serves_only_its_own_search(builds):
+    """A photon-map search of three CSWAPs builds its depth-3 classes,
+    keeps none of them and leaves the kept two-CSWAP table in place, so
+    its repeat builds them again."""
+    kinds = ("Z", "H")
+    synthesize(cpf_target(), 2, kinds, allow_feedforward=True)
+    kept = synthesis._MEMO
+    first, again = (
+        synthesize(np.eye(4), 3, kinds, allow_feedforward=True) for _ in range(2)
+    )
+    assert builds == [2, 3, 3]
+    assert synthesis._MEMO is kept
+    assert first.matches and (again.matches, again.evaluated) == (first.matches, first.evaluated)
 
 
 def test_a_deep_one_off_full_search_stays_small():
     """czz over (I, Z, S, H) at three CSWAPs, twice in a fresh interpreter.
     The depth-3 prefix table, 1 KB of room per layer tuple, would take
     256 MB; its build peaked at 162 MB.  Both calls meet one layer before
-    the final one, on the 4 096 depth-2 products, and keep no table.  The
-    peak is the child's VmHWM: its ru_maxrss would carry this process's
-    peak across fork and exec."""
+    the final one, on the 4 096 depth-2 products: the first builds and
+    keeps their classes, the second reads them.  The peak is the child's
+    VmHWM: its ru_maxrss would carry this process's peak across fork and
+    exec."""
     if not os.path.exists("/proc/self/status"):
         pytest.skip("needs Linux /proc")
     child = """
@@ -772,18 +822,18 @@ import json
 from cavityswap import circuits, synthesis
 kinds = ("I", "Z", "S", "H")
 found = [len(synthesis.synthesize(circuits.czz_target(), 3, kinds).matches) for _ in range(2)]
-empty = synthesis._MEMO == (None, None, None, None)
+kept = synthesis._MEMO[0] == (kinds, 2)
 with open("/proc/self/status") as f:
     peak_kb = int(next(line for line in f if line.startswith("VmHWM:")).split()[1])
-print(json.dumps([found, empty, peak_kb]))
+print(json.dumps([found, kept, peak_kb]))
 """
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(circuits.__file__)))
     proc = subprocess.run(
         [sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    found, one_off, peak_kb = json.loads(proc.stdout)
-    assert found == [0, 0] and one_off
+    found, kept, peak_kb = json.loads(proc.stdout)
+    assert found == [0, 0] and kept
     assert peak_kb < 100 * 1024
 
 
@@ -805,23 +855,7 @@ def test_memoized_arrays_are_read_only():
 def test_a_search_stopped_by_its_budget_stores_no_table():
     result = synthesize(cpf_target(), 2, FULL_SET, allow_feedforward=True, time_budget=1e-4)
     assert result.truncated
-    assert synthesis._MEMO == (None, None, None, None)
-    # the budget stops a one-CSWAP full search in its depth-1 class build
-    assert synthesize(czz_target(), 1, FULL_SET, time_budget=1e-4).truncated
-    assert synthesis._MEMO == (None, None, None, None)
-
-
-def test_a_table_over_the_cap_is_not_kept(monkeypatch):
-    """A build whose room exceeds the cap is used for its own search only,
-    and a full-operator search of two CSWAPs then never builds it."""
-    monkeypatch.setattr(synthesis, "_MEMO_BYTES", 125**2 * 1024 - 1)
-    fed = synthesize(cpf_target(), 2, FULL_SET, allow_feedforward=True)
-    lines = [format_circuit(m.circuit) for m in fed.matches]
-    assert (len(lines), digest(lines)) == PINNED_CPF_FEEDFORWARD
-    assert synthesis._MEMO == (None, None, None, None)
-    for _ in range(2):  # both meet one layer before the final one
-        synthesize(czz_target(), 2, FULL_SET)
-        assert synthesis._MEMO == (None, None, None, None)
-    synthesize(czz_target(), 1, FULL_SET)  # 125 products fit
-    key, classes, _, _ = synthesis._MEMO
-    assert key == (FULL_SET, 1) and classes is not None
+    assert synthesis._MEMO == EMPTY
+    # the budget stops a three-CSWAP full search in its depth-2 class build
+    assert synthesize(czz_target(), 3, ("I", "Z", "S", "H"), time_budget=1e-4).truncated
+    assert synthesis._MEMO == EMPTY

@@ -213,17 +213,18 @@ FIRST, MIDDLE, LAST = (
 )
 CSWAP_MATRIX = circuit_unitary([CSWAP(0, 1, 2)], 3)
 PREFIX = CSWAP_MATRIX @ FIRST
-# A one-CSWAP full-operator search meets at the final layer: the query
-# L_1^+ . T for the planted pair is the prefix class C . FIRST, moved by
-# whatever the target adds.  A two-CSWAP one with nothing memoized meets
-# one layer earlier: the query (C . L_1)^+ . L_2^+ . T for the planted
-# middle and final layers is that class again, moved the same way.  Per
-# search, its CSWAP count, the planted line, the planted class P and the
-# operator S whose inverse forms the query, so that a target S . Q gives
-# the query Q
+# A two-CSWAP full-operator search with nothing kept meets one layer
+# earlier: the query (C . L_1)^+ . L_2^+ . T for the planted middle and
+# final layers is the prefix class C . FIRST, moved by whatever the target
+# adds.  Once a feed-forward search of its gate set has kept the two-CSWAP
+# classes, it meets at the final layer: the query L_2^+ . T is the class
+# C . MIDDLE . C . FIRST, moved the same way.  Per search, the planted
+# class P and the operator S whose inverse forms the query, so that a
+# target S . Q gives the query Q
+PLANTED_LINE = "H,S,H;H,H,S;S,H,S|None"
 SEARCHES = {
-    "earlier": (2, "H,S,H;H,H,S;S,H,S|None", PREFIX, LAST @ CSWAP_MATRIX @ MIDDLE),
-    "final": (1, "H,S,H;S,H,S|None", PREFIX, LAST),
+    "earlier": (PREFIX, LAST @ CSWAP_MATRIX @ MIDDLE),
+    "final": (CSWAP_MATRIX @ MIDDLE @ PREFIX, LAST),
 }
 
 
@@ -236,16 +237,20 @@ def per_search(*tols):
 
 
 def full_search(search, target, tol):
-    """A two-CSWAP full-operator search, which meets one layer earlier and
-    keeps no table, or a one-CSWAP one, which builds and keeps the depth-1
-    prefix classes, repeated on them."""
-    k = SEARCHES[search][0]
-    result = synthesize(target, k, OUTER_KINDS, tol=tol)
+    """A two-CSWAP full-operator search that meets one layer earlier and
+    keeps no table, or one that meets at the final layer on the classes a
+    feed-forward search kept, repeated on them and on its key lookup at
+    tol."""
     if search == "earlier":
+        result = synthesize(target, 2, OUTER_KINDS, tol=tol)
         assert synthesis._MEMO == (None, None, None, None)
         return result
-    assert synthesis._MEMO[0] == (OUTER_KINDS, 1)
-    repeat = synthesize(target, k, OUTER_KINDS, tol=tol)
+    synthesize(cpf_target(), 2, OUTER_KINDS, allow_feedforward=True)
+    result = synthesize(target, 2, OUTER_KINDS, tol=tol)
+    key, _, kept_tol, lookup = synthesis._MEMO
+    assert (key, kept_tol) == ((OUTER_KINDS, 2), tol) and lookup is not None
+    repeat = synthesize(target, 2, OUTER_KINDS, tol=tol)
+    assert synthesis._MEMO[3] is lookup
     assert repeat.matches == result.matches
     return repeat
 
@@ -267,7 +272,7 @@ def test_query_on_a_rounding_edge_matches_brute_force(tol, search):
     phase reference does not.  Rounding noise in forming the query decides
     that coordinate's grid value, so the query's key may or may not be its
     class's; the result must equal brute force either way."""
-    k, line, planted, outer = SEARCHES[search]
+    planted, outer = SEARCHES[search]
     scaled, ref, _ = _phase_canonical((planted @ _SKETCH)[None])
     entry = len(_SKETCH) - 1
     assert ref[0] < entry
@@ -283,9 +288,9 @@ def test_query_on_a_rounding_edge_matches_brute_force(tol, search):
     edge = _phase_canonical(image[None])[0][0, 2 * entry]
     assert abs(abs(edge - math.floor(edge)) - 0.5) < 1e-9
     result = full_search(search, target, tol)
-    want = brute_force(target, k, OUTER_KINDS, False, tol)
+    want = brute_force(target, 2, OUTER_KINDS, False, tol)
     assert sorted(match_lines(result)) == want
-    assert (line in want) == (tol >= 0.5 * _KEY_GRID)
+    assert (PLANTED_LINE in want) == (tol >= 0.5 * _KEY_GRID)
 
 
 # at 1e-5 and 1e-3 the planted class's image key is no longer stable
@@ -295,8 +300,8 @@ def test_planted_circuit_at_the_widened_radius_is_found(tol, search):
     the phase conj(v_j) / |v_j| down column j, so that every coordinate of
     its image of the sketch v moves by delta |v|_1: the farthest an
     entrywise move of delta can carry it.  delta is scaled so that the
-    planted circuit sits at 0.9 tol; the shift is then about 1.5 tol for
-    the search that meets one layer earlier and 1.4 tol for the one that
+    planted circuit sits at 0.9 tol; the shift is then about 1.48 tol for
+    the search that meets one layer earlier and 1.46 tol for the one that
     meets at the final layer.  At the loose tolerances the class is
     screened by least squares, and a screen whose radius on the image
     falls below that shift misses the planted circuit:
@@ -305,7 +310,7 @@ def test_planted_circuit_at_the_widened_radius_is_found(tol, search):
     about a third of a grid step, and keying the class without the
     stability test misses it too.  At 1e-9 the class is keyed, and a table
     and queries keyed by different vectors miss it."""
-    k, line, planted, outer = SEARCHES[search]
+    planted, outer = SEARCHES[search]
     eps = (8.0 * tol + _CLASS_SLACK) * _SKETCH_L1
     stable = _stable(*_phase_canonical((planted @ _SKETCH)[None]), eps)[0]
     assert stable == (tol == TOL)
@@ -317,8 +322,8 @@ def test_planted_circuit_at_the_widened_radius_is_found(tol, search):
     target = outer @ (planted + delta * pattern)
     assert rule_residual(outer @ planted, target) == pytest.approx(0.9 * tol, rel=1e-3)
     result = full_search(search, target, tol)
-    want = brute_force(target, k, OUTER_KINDS, False, tol)
-    assert line in want
+    want = brute_force(target, 2, OUTER_KINDS, False, tol)
+    assert PLANTED_LINE in want
     assert sorted(match_lines(result)) == want
     if not stable:
         # the query's image against the class's, as the search screens it
