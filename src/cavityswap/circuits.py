@@ -255,7 +255,9 @@ def _format_step(step) -> str:
         return f"{step.kind}({','.join(str(w) for w in step.wires)})"
     if isinstance(step, Measurement):
         return f"measure({step.wire})"
-    return f"on{step.condition[1]}:[{','.join(map(_format_step, step.gates))}]"
+    index, bit = step.condition  # measurement 0, the one synthesis makes, goes unnamed
+    at = f"@m{index}" if index else ""
+    return f"on{bit}{at}:[{','.join(map(_format_step, step.gates))}]"
 
 
 def format_circuit(circuit: Circuit) -> str:

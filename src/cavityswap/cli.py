@@ -64,8 +64,8 @@ def _resolve_params(args) -> Preset:
     if args.g is None:
         raise UsageError("provide --preset, --preset-file, or explicit --g/--kappa/--gamma")
     return Preset(
-        None, _pair(args.g, "--g"), _pair(args.kappa or "1", "--kappa"),
-        _pair(args.gamma or "0", "--gamma"),
+        None, _pair(args.g, "--g"), _pair("1" if args.kappa is None else args.kappa, "--kappa"),
+        _pair("0" if args.gamma is None else args.gamma, "--gamma"),
     )
 
 
@@ -259,7 +259,7 @@ def cmd_coeffs(args) -> int:
 def cmd_metrics(args) -> int:
     point = _resolve_params(args)
     params = point.cavity_params()
-    bandwidth_text = args.bandwidth or point.bandwidth_rule
+    bandwidth_text = point.bandwidth_rule if args.bandwidth is None else args.bandwidth
     if bandwidth_text is None:
         raise UsageError("--bandwidth is required when no preset supplies a rule")
     bandwidth = parse_bandwidth(bandwidth_text, params)
@@ -341,11 +341,11 @@ def cmd_sweep(args) -> int:
     values = _parse_value_list(args.values, "--values")
     if args.axis == "bandwidth":
         bandwidths = values
-        couplings = _parse_value_list(args.coupling or "3,6,10", "--coupling")
+        couplings = _parse_value_list(args.coupling, "--coupling")
         x_col, family_col = "dw_over_kappa", "g_over_kappa"
     else:
         couplings = values
-        bandwidths = _parse_value_list(args.bandwidth or "0.05,0.1", "--bandwidth")
+        bandwidths = _parse_value_list(args.bandwidth, "--bandwidth")
         x_col, family_col = "g_over_kappa", "dw_over_kappa"
     if not (args.gamma >= 0 and math.isfinite(args.gamma)):
         raise UsageError("--gamma must be non-negative and finite (units of kappa)")
@@ -521,8 +521,12 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--axis", choices=["bandwidth", "coupling"], required=True)
     p.add_argument("--values", required=True, help="'start:stop:count' or comma list")
-    p.add_argument("--coupling", help="fixed g/kappa family values (bandwidth axis)")
-    p.add_argument("--bandwidth", help="fixed dw/kappa family values (coupling axis)")
+    p.add_argument(
+        "--coupling", default="3,6,10", help="fixed g/kappa family values (bandwidth axis)"
+    )
+    p.add_argument(
+        "--bandwidth", default="0.05,0.1", help="fixed dw/kappa family values (coupling axis)"
+    )
     p.add_argument("--gamma", type=float, default=1.0, help="gamma/kappa (default 1)")
     p.add_argument("--out", help="CSV path; also writes <out>.plot.py")
     p.set_defaults(handler=cmd_sweep)

@@ -170,8 +170,8 @@ _CLASS_TOL = 1e-12
 _CLASS_SLACK = 1e-9
 # a feed-forward branch must carry at least this weight
 _BRANCH_FLOOR = 1e-12
-# most products built, queries or classes screened, candidates confirmed
-# per search step; products and queries in whole layers, at least one
+# most products built, queries or classes screened, or candidates formed
+# and confirmed (_confirm) per step; products, queries in whole layers
 _PRODUCT_BLOCK = 512
 # One slot (key, classes, tol, lookup), replaced whole: empty, or the
 # prefix classes of one gate set at exactly two CSWAPs, read-only, with the
@@ -307,14 +307,6 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + counts, counts)
 
 
-def _member_rows(members: np.ndarray, offsets: np.ndarray, classes: np.ndarray, tails):
-    # each member tuple of classes[i] followed by tails[i] (one index or a
-    # row of them), for each listed class in turn, and how many each has
-    counts = offsets[classes + 1] - offsets[classes]
-    rows = members[_ranges(offsets[classes], counts)]
-    return np.column_stack((rows, np.repeat(tails, counts, axis=0))), counts
-
-
 def _stable(scaled: np.ndarray, ref: np.ndarray, mag: np.ndarray, eps: float) -> np.ndarray:
     # rows (unitary matrices, or unit vectors: entries of modulus at most 1)
     # whose key every row within eps of them, up to phase, shares: that row
@@ -387,7 +379,9 @@ def _prefix_classes(depth: int, staged: np.ndarray):
             yield [], 0
         # members of each class in product order: a stable sort by class
         grouped = np.argsort(classes, kind="stable")
-        members, counts = _member_rows(members, offsets, grouped % n, grouped // n)
+        layer, prior = np.divmod(grouped, n)  # product layer * n + prior class
+        counts = offsets[prior + 1] - offsets[prior]
+        members = np.column_stack((members[_ranges(offsets[prior], counts)], np.repeat(layer, counts)))
         ends = np.concatenate(([0], np.cumsum(counts)))
         offsets = ends[np.searchsorted(classes[grouped], np.arange(count + 1))]
         reps = new_reps[:count]
@@ -418,22 +412,28 @@ def _read_only(*arrays) -> tuple[np.ndarray, ...]:
     return copies
 
 
-def _confirm(cands: np.ndarray, test, layers, staged, *per_row):
-    # a search step per block of at most _PRODUCT_BLOCK rows of cands, one
-    # layer tuple each: the match predicate on each candidate's operator in
-    # application order, with the rows of per_row that go with it, returns
-    # the passing indices and a correction pair each (-1, -1 measurement-
-    # free); the step carries the block's hits as int rows, layer indices
-    # then correction pair, and its candidate count
-    for lo in range(0, len(cands), _PRODUCT_BLOCK):
-        idx = cands[lo : lo + _PRODUCT_BLOCK]
-        U = layers[idx[:, -1]]
+def _confirm(test, tables, members, offsets, classes, tails, *extras):
+    # the one place candidates are formed: each search step forms and
+    # confirms at most _PRODUCT_BLOCK of them, in order.  Proposal i stands
+    # for each member layer tuple of prefix class classes[i] followed by
+    # tails[i] (one layer index or a row of them).  The match predicate on
+    # each candidate's operator in application order, with the rows of
+    # extras at its proposal, returns the passing indices and a correction
+    # pair each (-1, -1 measurement-free); the step carries the block's hits
+    # as int rows, layer indices then correction pair, and its candidate count
+    ends = np.cumsum(offsets[classes + 1] - offsets[classes])
+    shift = offsets[classes + 1] - ends  # candidate j of proposal i: member row j + shift[i]
+    for lo in range(0, ends[-1] if ends.size else 0, _PRODUCT_BLOCK):
+        at = np.arange(lo, min(lo + _PRODUCT_BLOCK, ends[-1]))
+        proposal = np.searchsorted(ends, at, side="right")
+        idx = np.column_stack((members[at + shift[proposal]], tails[proposal]))
+        U = tables.layers[idx[:, -1]]
         if idx.shape[1] > 1:
-            prefix = staged[idx[:, 0]]
+            prefix = tables.staged[idx[:, 0]]
             for j in range(1, idx.shape[1] - 1):
-                prefix = np.matmul(staged[idx[:, j]], prefix)
+                prefix = np.matmul(tables.staged[idx[:, j]], prefix)
             U = np.matmul(U, prefix)
-        matched, pairs = test(U, *(a[lo : lo + _PRODUCT_BLOCK] for a in per_row))
+        matched, pairs = test(U, *(a[proposal] for a in extras))
         yield np.column_stack((idx[matched], pairs)), len(idx)
 
 
@@ -456,8 +456,8 @@ def _search_full(target, k, kinds, tables, tol):
     Each proposed member and suffix is confirmed by _matches_full on its
     own operator, one search step per block of candidates."""
     global _MEMO
-    layers, staged = tables.layers, tables.staged
-    n = len(layers)
+    staged = tables.staged
+    n = len(staged)
     # L_k^+ . T . v for every final layer, as rows
     last = np.matmul(tables.layers_dag, target @ _SKETCH)
     meet = k if k <= 1 or _MEMO[0] == (kinds, k) else k - 1
@@ -507,8 +507,7 @@ def _search_full(target, k, kinds, tables, tol):
             near_q, near_j = np.nonzero(_near(queries, loose_dag, len(_SKETCH) * eps**2))
             query = np.concatenate((query, near_q))
             classes = np.concatenate((classes, loose[near_j]))
-        cands = _member_rows(members, offsets, classes, suffixes[query])[0]
-        yield from _confirm(cands, test, layers, staged)
+        yield from _confirm(test, tables, members, offsets, classes, suffixes[query])
         yield [], 0  # at least one step per block of queries
 
 
@@ -557,8 +556,7 @@ def _search_photon(target, k, kinds, tables, feedforward, tol):
     operator, a feed-forward one at its proposed corrections alone: the
     radius holds per table entry B^+ . D^+ . T, so a correction pair that
     passes at tol was proposed for both outcomes."""
-    layers, staged, photon_dag = tables.layers, tables.staged, tables.photon_dag
-    reps, members, offsets = yield from _classes(kinds, k, staged)
+    reps, members, offsets = yield from _classes(kinds, k, tables.staged)
     n2 = len(kinds) ** 2
     # the screens test proportionality, so T and each table entry may be
     # rescaled; T to unit peak first, so that no norm overflows
@@ -566,7 +564,7 @@ def _search_photon(target, k, kinds, tables, feedforward, tol):
     unit = target / peak if peak > 0.0 else target
     # correction-major: (B^+ . D^+ . T)^+ for each D, then B; D = I first
     fed_dag = _unit_rows(
-        np.matmul(photon_dag, (_CORRECTION_DIAGONALS[:, :, None] * unit)[:, None])
+        np.matmul(tables.photon_dag, (_CORRECTION_DIAGONALS[:, :, None] * unit)[:, None])
     ).conj().T
     free_dag = np.ascontiguousarray(fed_dag[:, :n2])  # (B^+ . T)^+
     atoms, in_family = tables.atoms, tables.in_family
@@ -608,8 +606,8 @@ def _search_photon(target, k, kinds, tables, feedforward, tol):
         rest = _near(blocks[c, 1:].reshape(-1, 16), free_dag, bound).reshape(len(c), 3, n2)
         t, p = np.nonzero(ok[c] & rest.all(axis=1))
         final = (p[:, None] + atom_offset).ravel()
-        cands = _member_rows(members, offsets, np.repeat(lo + c[t], len(kinds)), final)[0]
-        yield from _confirm(cands, free_test, layers, staged)
+        classes = np.repeat(lo + c[t], len(kinds))
+        yield from _confirm(free_test, tables, members, offsets, classes, final)
         if feedforward:
             Q = (P[:, :, :, 0] + P[:, :, :, 1]) * _SQRT1_2  # [class, j, 4, 4]
             # one row per class and family, in that order: [row, outcome, 16]
@@ -627,9 +625,8 @@ def _search_photon(target, k, kinds, tables, feedforward, tol):
             proposed = np.stack((first[hit[t], :, p], second[t, :, p]), axis=1)
             c, f = np.divmod(live[hit[t]], len(atoms))
             t, a = np.nonzero(in_family[f])
-            cands, counts = _member_rows(members, offsets, lo + c[t], atom_offset[a] + p[t])
-            proposed = np.repeat(proposed[t], counts, axis=0)
-            yield from _confirm(cands, fed_test, layers, staged, proposed)
+            final = atom_offset[a] + p[t]
+            yield from _confirm(fed_test, tables, members, offsets, lo + c[t], final, proposed[t])
         yield [], 0  # at least one step per block of classes
 
 
@@ -691,12 +688,13 @@ def synthesize(
     A ``time_budget`` (seconds, positive) makes the search stop early with
     ``truncated`` set, keeping the matches confirmed so far; the budget is
     checked after each block of built products, of screened classes or
-    queries, and after each block of at most 512 confirmed candidates
-    (_PRODUCT_BLOCK).  Exceeding _GUARD candidates raises
-    SearchSpaceError before any work is done; a ``num_cswaps`` that is not
-    an integer in [0, 4] (a bool included), a gate set given as one string
-    or empty, a ``tol`` outside (0, 1) or a budget that is NaN or not
-    positive raise ValueError.
+    queries, and after each step of _confirm, which forms and confirms at
+    most 512 candidates (_PRODUCT_BLOCK), as many as a search holds at
+    once.  Exceeding _GUARD candidates raises SearchSpaceError before any
+    work is done; a ``num_cswaps`` that is not an integer in [0, 4] (a
+    bool included), a gate set given as one string or empty, a ``tol``
+    outside (0, 1) or a budget that is NaN or not positive raise
+    ValueError.
     """
     target = np.asarray(target, dtype=complex)
     if target.shape == (8, 8):

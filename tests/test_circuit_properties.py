@@ -102,8 +102,8 @@ def test_batch_agrees_entrywise_and_accepts_an_empty_batch():
 def circuits_with_steps(draw):
     """A circuit of gates, measurements and conditional steps, any angle
     finite, and the steps format_circuit must render: (kind, wires, angle)
-    per gate or measurement, (bit, [(kind, wires, angle), ...]) per
-    conditional step, an angle being what %g keeps of it."""
+    per gate or measurement, (measurement index, bit, [(kind, wires,
+    angle), ...]) per conditional step, an angle being what %g keeps of it."""
     n = draw(st.integers(1, 4))
     angles = st.floats(allow_nan=False, allow_infinity=False)
     steps, want, measured = [], [], 0
@@ -116,8 +116,9 @@ def circuits_with_steps(draw):
         elif choice == "conditional" and measured:
             gates = [draw_gate(draw, n, angles) for _ in range(draw(st.integers(0, 3)))]
             bit = draw(st.integers(0, 1))
-            steps.append(ClassicallyControlled((draw(st.integers(0, measured - 1)), bit), gates))
-            want.append((bit, [expected_gate(g) for g in gates]))
+            index = draw(st.integers(0, measured - 1))
+            steps.append(ClassicallyControlled((index, bit), gates))
+            want.append((index, bit, [expected_gate(g) for g in gates]))
         else:
             steps.append(draw_gate(draw, n, angles))
             want.append(expected_gate(steps[-1]))
@@ -146,14 +147,16 @@ def read_circuit(line):
         return []
     steps = []
     for text in line.split(" ; "):
-        conditional = re.fullmatch(r"on([01]):\[(.*)\]", text)
+        # measurement 0 is named by the bit alone, any other as on<bit>@m<index>
+        conditional = re.fullmatch(r"on([01])(?:@m([1-9][0-9]*))?:\[(.*)\]", text)
         if conditional is None:
             steps.append(read_gate(text))
             continue
-        inner = conditional[2]
+        inner = conditional[3]
         gates = [m[0] for m in GATE_TEXT.finditer(inner)]
         assert ",".join(gates) == inner, text
-        steps.append((int(conditional[1]), [read_gate(g) for g in gates]))
+        index = int(conditional[2] or 0)
+        steps.append((index, int(conditional[1]), [read_gate(g) for g in gates]))
     return steps
 
 

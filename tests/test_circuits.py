@@ -170,6 +170,19 @@ def test_format_circuit_renders_phase_angles():
     assert format_circuit(circuit) == "measure(0) ; on1:[Phase(0.5,1),CSWAP(0,1,2)]"
 
 
+def test_format_circuit_names_the_measurement_a_step_reads():
+    # measurement 0 by the bit alone, as every synthesized circuit reads it
+    measured = [Measurement(0), Measurement(1)]
+    lines = [
+        format_circuit(Circuit([*measured, ClassicallyControlled((index, 1), (X(2),))]))
+        for index in (0, 1)
+    ]
+    assert lines == [
+        "measure(0) ; measure(1) ; on1:[X(2)]",
+        "measure(0) ; measure(1) ; on1@m1:[X(2)]",
+    ]
+
+
 def test_gate_validation():
     with pytest.raises(ValueError):
         Gate("I", (0,))

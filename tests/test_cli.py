@@ -268,6 +268,19 @@ def test_metrics_usage_errors(capsys):
     assert run(["metrics", "--bandwidth", "0.1"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv", [
+    ["metrics", "--g", "3", "--kappa=", "--gamma=", "--bandwidth", "0.1"],
+    ["metrics", "--g", "3", "--kappa=", "--bandwidth", "0.1"],
+    ["metrics", "--g", "3", "--gamma=", "--bandwidth", "0.1"],
+    ["metrics", "--preset", "atomic", "--bandwidth="],
+    ["sweep", "--axis", "bandwidth", "--values", "0.1", "--coupling="],
+    ["sweep", "--axis", "coupling", "--values", "3", "--bandwidth="],
+], ids=lambda argv: " ".join(argv))
+def test_an_empty_flag_value_is_a_usage_error(argv, capsys):
+    # an empty value is refused, never read as the flag's absence and its default
+    _assert_one_usage_error(argv, capsys)
+
+
 def test_metrics_at_huge_couplings_under_the_exact_rule(capsys):
     """Each rate row is scaled by its largest rate, so no square of a rate
     overflows: g = 1e200 kappa prints adaptive Simpson's gate_metrics in

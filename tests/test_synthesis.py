@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import types
 
 import numpy as np
@@ -500,6 +501,69 @@ def test_no_search_step_forms_more_than_a_block(target, kinds, allow_feedforward
     assert max(counts) <= synthesis._PRODUCT_BLOCK
     result = synthesize(target, 2, kinds, allow_feedforward=allow_feedforward)
     assert sum(counts) == result.evaluated == evaluated
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["one-tail", "tail-pairs"])
+def test_confirm_forms_the_proposals_candidates_a_block_at_a_time(wide):
+    """A hand-built table of five classes, one of 1 300 members, and eight
+    proposals that list classes in any order, some twice, each with a tail
+    and an extra row.  The steps hold, in 512-candidate blocks, the rows of
+    the eager expansion: each member of the proposal's class, its tail, and
+    the proposal's extra alongside."""
+    rng = np.random.default_rng(40)
+    kinds = ("I", "Z")
+    tables = synthesis._gate_set_tables(kinds)
+    n = len(tables.layers)
+    counts = np.array([3, 1_300, 7, 1, 40])
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    members = rng.integers(n, size=(offsets[-1], 2))
+    classes = np.array([1, 0, 4, 1, 2, 3, 1, 4])
+    tails = rng.integers(n, size=(len(classes), 2) if wide else len(classes))
+    extras = rng.integers(100, size=(len(classes), 2))
+    want = [
+        [*member, *np.atleast_1d(tail), *extra]
+        for c, tail, extra in zip(classes, tails, extras)
+        for member in members[offsets[c] : offsets[c + 1]]
+    ]
+
+    operators = []
+
+    def every_candidate(U, extra):
+        operators.append(U)
+        return np.arange(len(U)), extra
+
+    steps = list(
+        synthesis._confirm(every_candidate, tables, members, offsets, classes, tails, extras)
+    )
+    blocks = range(0, len(want), synthesis._PRODUCT_BLOCK)
+    cut = [want[lo : lo + synthesis._PRODUCT_BLOCK] for lo in blocks]
+    assert [count for _, count in steps] == list(map(len, cut))
+    assert [hits.tolist() for hits, _ in steps] == cut
+    # each candidate's operator is its own layer tuple's
+    for U, (hits, _) in zip(operators, steps):
+        for u, row in zip(U[::97], hits[::97, :-2]):
+            assert np.allclose(u, planted_unitary(tables.names[row]))
+
+
+def test_a_loose_full_search_holds_one_block_of_candidates(monkeypatch):
+    """czz at three CSWAPs over four diagonal kinds at tol 0.05: no class
+    key is stable at that radius, so each of the first 512 queries proposes
+    all 256 depth-2 classes, 2 097 152 candidates in all.  Stopped after 40
+    steps by a clock that advances one second per reading, the search has
+    formed them only a block of 512 at a time; forming that query block's
+    candidate rows at once peaks at about 140 MB."""
+    ticks = itertools.count()
+    monkeypatch.setattr(synthesis, "time", types.SimpleNamespace(
+        monotonic=lambda: float(next(ticks))
+    ))
+    tracemalloc.start()
+    try:
+        result = synthesize(czz_target(), 3, ("Z", "Sdag", "S", "I"), tol=0.05, time_budget=39.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.truncated and result.evaluated > 0
+    assert peak < 32e6
 
 
 @pytest.mark.parametrize("target,allow_feedforward", [(czz_target(), False), (cpf_target(), True)])
