@@ -76,7 +76,7 @@ def _resolve_params(args) -> Preset:
 @contextlib.contextmanager
 def _writer(out_path: str | None):
     """A write function for the --out file, or for stdout when it is omitted."""
-    if not out_path:
+    if out_path is None:
         yield sys.stdout.write
         return
     with open(out_path, "w") as fh:
@@ -281,6 +281,13 @@ def cmd_metrics(args) -> int:
     return EXIT_OK
 
 
+def _out_path(text: str) -> str:
+    # an empty --out= is refused, never read as the flag's absence
+    if not text:
+        raise argparse.ArgumentTypeError("an empty path names no file")
+    return text
+
+
 def _parse_value_list(text: str, flag: str) -> list[float]:
     """'start:stop:count' linspace or comma-separated floats."""
     try:
@@ -361,7 +368,7 @@ def cmd_sweep(args) -> int:
     _emit_csv(args.out, _SWEEP_HEADER, [
         (couplings, len(bandwidths)), (bandwidths, 1), (loss.ravel(), 1), (fidelity.ravel(), 1),
     ])
-    if args.out:
+    if args.out is not None:
         script = _PLOT_SCRIPT % {
             "csv": os.path.basename(args.out),
             "x_col": x_col,
@@ -506,7 +513,7 @@ def build_parser() -> _Parser:
     p.add_argument("--omega-start", type=float, default=-1.0)
     p.add_argument("--omega-stop", type=float, default=1.0)
     p.add_argument("--omega-step", type=float, default=0.01)
-    p.add_argument("--out", help="CSV path (stdout when omitted)")
+    p.add_argument("--out", type=_out_path, help="CSV path (stdout when omitted)")
     p.set_defaults(handler=cmd_coeffs)
 
     p = sub.add_parser(
@@ -528,7 +535,7 @@ def build_parser() -> _Parser:
         "--bandwidth", default="0.05,0.1", help="fixed dw/kappa family values (coupling axis)"
     )
     p.add_argument("--gamma", type=float, default=1.0, help="gamma/kappa (default 1)")
-    p.add_argument("--out", help="CSV path; also writes <out>.plot.py")
+    p.add_argument("--out", type=_out_path, help="CSV path; also writes <out>.plot.py")
     p.set_defaults(handler=cmd_sweep)
 
     p = sub.add_parser("verify", help="run invariant suites")

@@ -138,9 +138,9 @@ _GUARD = 100_000_000
 # product joins the class of its key's first product only after a check
 # of all its entries, and is a class of its own otherwise, so classes that
 # share an image key stay apart.  The full-operator search keys each prefix
-# class P and each query Q: Q within eps of a phase times P, entrywise,
-# puts Q v within eps |v|_1 of that phase times P v, so the search keys at
-# that radius.
+# class P and each query Q: Q within eps of a phase times P in Frobenius
+# norm puts Q v within eps of that phase times P v in Euclidean norm, as
+# |v|_2 = 1, so in every coordinate, and the search keys at that radius.
 _KEY_REF = 0.3
 _KEY_GRID = 2.0**-8
 # multipliers of the hash, one per pair of grid values, that is per entry
@@ -159,7 +159,6 @@ _SKETCH = np.array([
     complex(-0.35486482584214285, -0.03595006035006595),
     complex(0.40019295321427156, 0.3567045378146365),
 ])
-_SKETCH_L1 = math.fsum(map(abs, _SKETCH.tolist()))
 # a phase-class member equals its representative up to phase within this
 _CLASS_TOL = 1e-12
 # Lookups and representative tests widen their tolerance by this much.  After
@@ -439,22 +438,23 @@ def _confirm(test, tables, members, offsets, classes, tails, *extras):
 
 def _search_full(target, k, kinds, tables, tol):
     """Search steps for an 8x8 target, met at depth j among the phase
-    classes of the prefixes P = C . L_{j-1} ... C . L_0.  A candidate S . P,
-    S = L_k . C ... C . L_j the suffix, matches T only if P is within sqrt8
-    tol <= 8 tol of the query S^+ . T up to phase (|A E|_max <= sqrt8
-    |E|_max for an 8x8 unitary A).  Each class and each query is keyed by
-    its image of the unit vector v = _SKETCH alone: Q within eps of a phase
-    times P, entrywise, puts Q v within eps |v|_1 of that phase times P v.
-    So the query images, a block of suffixes at a time, are looked up by
-    key at that radius among the classes' images.  A class whose key is
-    not stable at that radius is screened against every query image
-    instead, by least squares (_near).  A search of at most one CSWAP, or
-    one whose gate kinds and depth have their table in the memo, meets at
-    the final layer (j = k); any other meets one layer earlier (j = k - 1).
-    Either way its classes come from _classes, which keeps only a build of
-    two CSWAPs.  Both give the same matches and evaluated counts.
-    Each proposed member and suffix is confirmed by _matches_full on its
-    own operator, one search step per block of candidates."""
+    classes of the prefixes P = C . L_{j-1} ... C . L_0.  In Frobenius
+    norm, which unitary factors leave unchanged, a candidate S . M (S =
+    L_k . C ... C . L_j the suffix, M a member of the class of R) that
+    matches T at tol has |M - e^{i phi} S^+ . T| <= 8 tol, and |M -
+    e^{i theta} R| <= 8 _CLASS_SLACK.  Classes and queries are keyed by
+    their images of the unit vector v = _SKETCH alone, and |A v| <= |A|_F,
+    so the query image S^+ . T v lies within eps = 8 (tol + _CLASS_SLACK)
+    of a phase times R v.  The query images, a block of suffixes at a time,
+    are looked up by key at that radius among the classes' images; a class
+    whose key is not stable at it is screened against every query image
+    instead, by least squares (_near) at eps^2.  A search of at most one
+    CSWAP, or one whose gate kinds and depth have their table in the memo,
+    meets at the final layer (j = k); any other one layer earlier (j = k -
+    1).  Either way its classes come from _classes, which keeps only a
+    build of two CSWAPs, and both give the same matches and evaluated
+    counts.  Each proposed member and suffix is confirmed by _matches_full
+    on its own operator, one search step per block of candidates."""
     global _MEMO
     staged = tables.staged
     n = len(staged)
@@ -478,7 +478,7 @@ def _search_full(target, k, kinds, tables, tol):
             for lo in range(0, n, per)
         )
     reps, members, offsets = built
-    eps = (8.0 * tol + _CLASS_SLACK) * _SKETCH_L1
+    eps = 8.0 * (tol + _CLASS_SLACK)
     # the key lookup at tol, kept with a memoized table
     key, kept, kept_tol, lookup = _MEMO
     if kept is not built or kept_tol != tol:
@@ -501,10 +501,9 @@ def _search_full(target, k, kinds, tables, tol):
         query = np.repeat(np.arange(len(queries)), counts)
         classes = table_ids[_ranges(left, counts)]
         if loose.size:
-            # an image within eps of a phase times P v, entrywise, is within
-            # 8 eps^2 of it in squared norm, and no nearer to that phase
-            # times P v than to the nearest multiple of P v
-            near_q, near_j = np.nonzero(_near(queries, loose_dag, len(_SKETCH) * eps**2))
+            # an image within eps of a phase times P v is no farther from
+            # the nearest multiple of P v
+            near_q, near_j = np.nonzero(_near(queries, loose_dag, eps**2))
             query = np.concatenate((query, near_q))
             classes = np.concatenate((classes, loose[near_j]))
         yield from _confirm(test, tables, members, offsets, classes, suffixes[query])
@@ -569,28 +568,26 @@ def _search_photon(target, k, kinds, tables, feedforward, tol):
     free_dag = np.ascontiguousarray(fed_dag[:, :n2])  # (B^+ . T)^+
     atoms, in_family = tables.atoms, tables.in_family
     atom_offset = n2 * np.arange(len(kinds))  # of the final layer's index
-    # Screening radius eps, entrywise, around the multiples of a table entry.
-    # A class member is e^{i theta} P + E with |E|_max < _CLASS_SLACK, and
-    # |V E|_max <= 2 |E|_max for a 4x4 unitary V.  Measurement-free: if the
-    # member passes at tol, the blocks U_ij of (a (x) B) . member lie within
-    # tol of c_ij T; its block (m, j) is B^+ . sum_i conj(a[i, m]) U_ij with
-    # sum_i |a[i, m]| <= sqrt2, so P's block lies within
-    # 2 sqrt2 tol + _CLASS_SLACK of a multiple of B^+ . T.  Feed-forward: the
-    # test scales the member's W to Frobenius norm 2, and that lies within
-    # 2 tol of a multiple of B^+ . D^+ . T (V = B^+ . D^+).  Undoing the
-    # scaling multiplies this by |W|_F / 2 <= 1, since the two W of a unitary
-    # have squared norms summing to 4, and E moves W by at most
-    # 2 _CLASS_SLACK: P's W lies within 2 tol + 2 _CLASS_SLACK.  Over 16
-    # entries the squared Frobenius distance is at most 16 eps^2.  E also
-    # moves |W|_F by at most 8 _CLASS_SLACK, so no branch above the weight
-    # floor |W|_F^2 / 4 >= _BRANCH_FLOOR of the test is screened out.
-    eps = 2.0 * math.sqrt(2.0) * tol + 2.0 * _CLASS_SLACK
-    bound = 16.0 * eps**2
+    # Screening radius, in Frobenius norm (which unitary factors leave
+    # unchanged), around the multiples of a table entry.  A class member is
+    # e^{i theta} P + E with |E|_max < _CLASS_SLACK, so E's 4x4 blocks have
+    # norm below 4 _CLASS_SLACK.  Measurement-free: if the member passes at
+    # tol, the blocks U_ij of (a (x) B) . member lie within 4 tol of c_ij T;
+    # its block (m, j) is B^+ . sum_i conj(a[i, m]) U_ij with sum_i |a[i, m]|
+    # <= sqrt2, so P's block lies within 4 sqrt2 tol + 4 _CLASS_SLACK of a
+    # multiple of B^+ . T.  Feed-forward: the test scales the member's W to
+    # norm 2, and that lies within 4 tol of a multiple of B^+ . D^+ . T.
+    # Undoing the scaling multiplies this by |W|_F / 2 <= 1, since the two W
+    # of a unitary have squared norms summing to 4, and E moves W, so also
+    # |W|_F, by at most 8 _CLASS_SLACK: P's W lies within 4 tol + 8
+    # _CLASS_SLACK, and no branch above the test's weight floor |W|_F^2 / 4
+    # >= _BRANCH_FLOOR is screened out.  One radius covers both searches.
+    bound = (4.0 * math.sqrt(2.0) * tol + 8.0 * _CLASS_SLACK) ** 2
     alive = (2.0 * math.sqrt(_BRANCH_FLOOR) - 8.0 * _CLASS_SLACK) ** 2
 
     def screen(rows):
-        # [row, D, B]: the row within eps of a multiple of the table entry of
-        # correction D and photon pair B
+        # [row, D, B]: the row within the radius of a multiple of the table
+        # entry of correction D and photon pair B
         return _near(rows, fed_dag, bound).reshape(len(rows), 4, n2)
 
     free_test = functools.partial(_matches_factorized, target4=target, tol=tol)
@@ -656,19 +653,20 @@ def synthesize(
     matrices.  The search runs on phase classes of partial products, built
     a block of whole layers at a time.  A 4x4 target meets at the final
     layer: each prefix class, all but the final layer of a candidate, is
-    screened against the target with each final layer undone.  An 8x8
-    target is looked up by key, each class and each query keyed by its
-    image of one fixed unit vector v (a query within eps of a class,
-    entrywise, has an image within eps |v|_1 of the class's, the radius of
-    the lookup).  An 8x8 search of at most one CSWAP, or one whose prefix
-    classes are memoized, meets at the final layer: it looks the target
-    with its final layer undone up among the prefix classes.  Any other
-    looks the target with its final two layers undone up among the classes
-    one layer shorter.  The screens only propose candidates.  Every
-    reported match is confirmed on its own operator by its exact rule
-    alone: full-operator and feed-forward matches pass the rule of
-    ``equivalent_up_to_phase``, measurement-free photon maps the
-    factorization residual.
+    screened against the target with each final layer undone, within 4
+    sqrt2 tol + 8 _CLASS_SLACK in Frobenius norm.  An 8x8 target is looked
+    up by key, each class and each query keyed by its image of one fixed
+    unit vector v, within 8 (tol + _CLASS_SLACK) in Euclidean norm: a match
+    lies within 8 tol in Frobenius norm, a class member within 8
+    _CLASS_SLACK of its representative.  An 8x8 search of at most one
+    CSWAP, or one whose prefix classes are memoized, meets at the final
+    layer: it looks the target with its final layer undone up among the
+    prefix classes.  Any other looks the target with its final two layers
+    undone up among the classes one layer shorter.  The screens only
+    propose candidates.  Every reported match is confirmed on its own
+    operator by its exact rule alone: full-operator and feed-forward
+    matches pass the rule of ``equivalent_up_to_phase``, measurement-free
+    photon maps the factorization residual.
 
     The prefix classes depend only on the gate set and num_cswaps.  Every
     search gets them through one module-level memo, which keeps only a

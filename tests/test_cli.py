@@ -275,6 +275,8 @@ def test_metrics_usage_errors(capsys):
     ["metrics", "--preset", "atomic", "--bandwidth="],
     ["sweep", "--axis", "bandwidth", "--values", "0.1", "--coupling="],
     ["sweep", "--axis", "coupling", "--values", "3", "--bandwidth="],
+    ["coeffs", "--g", "1", "--out="],
+    ["sweep", "--axis", "coupling", "--values", "1", "--out="],
 ], ids=lambda argv: " ".join(argv))
 def test_an_empty_flag_value_is_a_usage_error(argv, capsys):
     # an empty value is refused, never read as the flag's absence and its default

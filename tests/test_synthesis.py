@@ -546,24 +546,48 @@ def test_confirm_forms_the_proposals_candidates_a_block_at_a_time(wide):
 
 
 def test_a_loose_full_search_holds_one_block_of_candidates(monkeypatch):
-    """czz at three CSWAPs over four diagonal kinds at tol 0.05: no class
-    key is stable at that radius, so each of the first 512 queries proposes
-    all 256 depth-2 classes, 2 097 152 candidates in all.  Stopped after 40
-    steps by a clock that advances one second per reading, the search has
-    formed them only a block of 512 at a time; forming that query block's
-    candidate rows at once peaks at about 140 MB."""
+    """czz at two CSWAPs at tol 0.3, meeting one layer earlier: no class
+    key is stable at the radius 8 (tol + _CLASS_SLACK), and every unit
+    image lies within it of every other, so each of the first 500 queries
+    proposes all 125 depth-1 classes, 62 500 candidates, and the search
+    1 953 125 in all.  Stopped after 40 steps by a clock that advances one
+    second per reading, the search has formed them only a block of 512 at
+    a time; that query block's candidate operators at once would take
+    64 MB."""
     ticks = itertools.count()
     monkeypatch.setattr(synthesis, "time", types.SimpleNamespace(
         monotonic=lambda: float(next(ticks))
     ))
+    # no kept table, so the search meets one layer earlier
+    monkeypatch.setattr(synthesis, "_MEMO", (None, None, None, None))
     tracemalloc.start()
     try:
-        result = synthesize(czz_target(), 3, ("Z", "Sdag", "S", "I"), tol=0.05, time_budget=39.5)
+        result = synthesize(czz_target(), 2, FULL_SET, tol=0.3, time_budget=39.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert result.truncated and result.evaluated > 0
     assert peak < 32e6
+
+
+@pytest.mark.parametrize("target,k,kinds,allow_feedforward,tol,most", [
+    (czz_target(), 3, ("Z", "Sdag", "S", "I"), False, 0.05, 65_536),
+    (cpf_target(), 1, FULL_SET, False, 0.2, 0),
+    (cpf_target(), 1, FULL_SET, True, 0.2, 1_000),
+], ids=["czz-3", "cpf-1", "cpf-1-feedforward"])
+def test_a_loose_search_proposes_few_candidates(target, k, kinds, allow_feedforward, tol, most):
+    """None of these targets has a placement.  czz over four diagonal kinds
+    at three CSWAPs: the full-operator screen at 8 (tol + _CLASS_SLACK)
+    proposes 65 536 of the 16 777 216 candidates, and the search completes
+    within its budget; a radius 7.7 times as wide proposes all of them,
+    which took 49 s on 2 vCPUs.  cpf at one CSWAP: the photon-map screens
+    at 4 sqrt2 tol + 8 _CLASS_SLACK propose no measurement-free candidate
+    and 192 feed-forward ones; at twice that radius they propose 15 625
+    and 28 750."""
+    result = synthesize(target, k, kinds, allow_feedforward=allow_feedforward, tol=tol,
+                        time_budget=10)
+    assert not result.truncated
+    assert result.matches == () and result.evaluated <= most
 
 
 @pytest.mark.parametrize("target,allow_feedforward", [(czz_target(), False), (cpf_target(), True)])
@@ -628,7 +652,6 @@ def test_prefix_classes_that_share_an_image_key_stay_apart(monkeypatch, sketch, 
     product with a key is checked on all its entries before it joins, so
     the classes stay phase classes and the search finds the same circuits."""
     monkeypatch.setattr(synthesis, "_SKETCH", sketch)
-    monkeypatch.setattr(synthesis, "_SKETCH_L1", math.fsum(map(abs, sketch.tolist())))
     staged = staged_layers(FULL_SET)
     every = sorted(itertools.product(range(len(staged)), repeat=2))
     reps, members, offsets = block_classes(2, staged)
@@ -694,8 +717,9 @@ def test_near_is_the_least_squares_distance(bound):
 
 
 def test_sketch_is_a_unit_vector():
-    # the keying radius (8 tol + _CLASS_SLACK) |v|_1 and the stability test
-    # both assume |v|_2 = 1, so that an image's entries have modulus <= 1
+    # the keying radius 8 (tol + _CLASS_SLACK) on images assumes |v|_2 = 1,
+    # so that |A v| <= |A|_F carries a Frobenius radius to the images, and
+    # the stability test that an image's entries have modulus <= 1
     assert math.fsum(abs(x) ** 2 for x in synthesis._SKETCH) == pytest.approx(1.0, abs=1e-15)
 
 

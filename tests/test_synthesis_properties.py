@@ -26,7 +26,6 @@ from cavityswap.synthesis import (  # noqa: E402
     _CLASS_SLACK,
     _KEY_GRID,
     _SKETCH,
-    _SKETCH_L1,
     _near,
     _phase_canonical,
     _stable,
@@ -298,29 +297,30 @@ def test_query_on_a_rounding_edge_matches_brute_force(tol, search):
 def test_planted_circuit_at_the_widened_radius_is_found(tol, search):
     """Every entry of the query moves by delta from the planted class, with
     the phase conj(v_j) / |v_j| down column j, so that every coordinate of
-    its image of the sketch v moves by delta |v|_1: the farthest an
-    entrywise move of delta can carry it.  delta is scaled so that the
-    planted circuit sits at 0.9 tol; the shift is then about 1.48 tol for
-    the search that meets one layer earlier and 1.46 tol for the one that
-    meets at the final layer.  At the loose tolerances the class is
+    its image of the sketch v moves by delta |v|_1, and the image by
+    sqrt8 |v|_1 delta, about 7.68 delta, in Euclidean norm.  delta is
+    scaled so that the planted circuit sits at 0.99 tol; the image then
+    moves by about 4.6 tol for the search that meets one layer earlier and
+    4.5 tol for the one that meets at the final layer, inside the radius
+    eps = 8 (tol + _CLASS_SLACK).  At the loose tolerances the class is
     screened by least squares, and a screen whose radius on the image
-    falls below that shift misses the planted circuit:
-    the least-squares screen at a radius of 0.9 tol in place of
-    (8 tol + _CLASS_SLACK) |v|_1 rejects it here.  At 1e-3 the shift is
-    about a third of a grid step, and keying the class without the
-    stability test misses it too.  At 1e-9 the class is keyed, and a table
-    and queries keyed by different vectors miss it."""
+    falls below that shift misses the planted circuit: the least-squares
+    screen at a radius of 0.9 tol in place of eps rejects it here.  At
+    1e-3 the shift is about two fifths of a grid step in every
+    coordinate, and keying the class without the stability test misses it
+    too.  At 1e-9 the class is keyed, and a table and queries keyed by
+    different vectors miss it."""
     planted, outer = SEARCHES[search]
-    eps = (8.0 * tol + _CLASS_SLACK) * _SKETCH_L1
+    eps = 8.0 * (tol + _CLASS_SLACK)
     stable = _stable(*_phase_canonical((planted @ _SKETCH)[None]), eps)[0]
     assert stable == (tol == TOL)
     pattern = np.ones((8, 1)) * (_SKETCH.conj() / np.abs(_SKETCH))
     # the image moves by delta |v|_1 in every coordinate
-    assert np.allclose(pattern @ _SKETCH, _SKETCH_L1)
+    assert np.allclose(pattern @ _SKETCH, np.sum(np.abs(_SKETCH)))
     unit = 1e-3 * tol
-    delta = 0.9 * tol * unit / rule_residual(outer @ planted, outer @ (planted + unit * pattern))
+    delta = 0.99 * tol * unit / rule_residual(outer @ planted, outer @ (planted + unit * pattern))
     target = outer @ (planted + delta * pattern)
-    assert rule_residual(outer @ planted, target) == pytest.approx(0.9 * tol, rel=1e-3)
+    assert rule_residual(outer @ planted, target) == pytest.approx(0.99 * tol, rel=1e-3)
     result = full_search(search, target, tol)
     want = brute_force(target, 2, OUTER_KINDS, False, tol)
     assert PLANTED_LINE in want
@@ -329,5 +329,53 @@ def test_planted_circuit_at_the_widened_radius_is_found(tol, search):
         # the query's image against the class's, as the search screens it
         image = outer.conj().T @ (target @ _SKETCH)
         table = _unit_rows((planted @ _SKETCH)[None, None]).conj().T
-        assert _near(image[None], table, len(_SKETCH) * eps**2)[0, 0]
-        assert not _near(image[None], table, len(_SKETCH) * (0.9 * tol) ** 2)[0, 0]
+        assert _near(image[None], table, eps**2)[0, 0]
+        assert not _near(image[None], table, (0.9 * tol) ** 2)[0, 0]
+
+
+def moved_map(T, tol, rank_one, rng):
+    """T, a map with one entry of modulus 1 per row, t_i in column s_i,
+    with every entry moved by exactly 0.99 tol.  The move at t_i is t_i
+    times 1, i, -1 and -i in turn, so that the whole move is orthogonal to
+    T: the measurement-free coefficient, a projection onto the target, and
+    the phase the rule of equivalent_up_to_phase takes from the entry
+    moved by t_i stay those of T, and every placement of T sits at 0.99
+    tol.  The other phases are random, or those of the rank-one pattern
+    u_i w_j that takes the same values at the entries of T."""
+    rows = np.arange(4)
+    cols = np.argmax(np.abs(T), axis=1)
+    on = T[rows, cols] * np.array([1.0, 1j, -1.0, -1j])
+    if rank_one:
+        w = np.exp(2j * np.pi * rng.random(4))
+        phases = (on / w[cols])[:, None] * w
+    else:
+        phases = np.exp(2j * np.pi * rng.random((4, 4)))
+        phases[rows, cols] = on
+    assert np.allclose(np.abs(phases), 1.0)
+    assert np.linalg.matrix_rank(phases) == 1 or not rank_one
+    return T + 0.99 * tol * phases
+
+
+@pytest.mark.parametrize("pattern", ["rank-one", "random"])
+@pytest.mark.parametrize("tol", [1e-3, 0.05])
+@pytest.mark.parametrize("kinds,k,target,feedforward", [
+    (("I", "S"), 2, CORRECTIONS[3], False),
+    (("I", "Z"), 2, CORRECTIONS[1], False),
+    (("I", "S"), 2, CORRECTIONS[3], True),
+    (("H", "S", "Sdag"), 1, 1j * CORRECTIONS[3], True),
+], ids=["free-S", "free-Z", "feedforward-S", "feedforward-H"])
+def test_photon_map_at_the_screen_radius_matches_brute_force(kinds, k, target, feedforward, tol,
+                                                             pattern):
+    """Every exact placement of the target, measurement-free or through
+    feed-forward, is moved to 0.99 tol in every entry, 3.96 tol in
+    Frobenius norm.  The photon-map screens take 4 sqrt2 tol + 8
+    _CLASS_SLACK as their radius: the feed-forward derivation needs 4 tol +
+    8 _CLASS_SLACK, so the feed-forward placements sit at its edge.  The
+    search must still find each of them, and equal brute force."""
+    rng = np.random.default_rng(41)
+    exact = brute_force(target, k, kinds, feedforward, TOL)
+    moved = moved_map(target, tol, pattern == "rank-one", rng)
+    want = brute_force(moved, k, kinds, feedforward, tol)
+    assert exact and set(exact) <= set(want)
+    result = synthesize(moved, k, kinds, allow_feedforward=feedforward, tol=tol)
+    assert sorted(match_lines(result)) == want
